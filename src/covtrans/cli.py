@@ -58,6 +58,9 @@ EXIT_INTEGRITY = 6
 _TRANSLATE_SALT = 0x7472616E
 _DIM_SALT = 0x64696D
 _SHRINK_SALT = 0x736872
+# --threads and the "threads" config key stay so that older documents'
+# embedded configs still rerun byte-for-byte; verification is single-threaded.
+_THREADS_HELP = "accepted for compatibility; verification is single-threaded"
 
 
 def _parse_mode(token: str) -> tuple[str, int]:
@@ -90,7 +93,6 @@ def _cmd_covering_construct(config: dict) -> tuple[str, int]:
         max_attempts=config["max_attempts"],
         mode=mode,
         trials=trials,
-        threads=config["threads"],
     )
     if config["l"] is not None:
         family = construct_intersecting_family(group, config["k"], target_size=config["l"], **common)
@@ -132,18 +134,14 @@ def _cmd_covering_verify(config: dict) -> tuple[str, int]:
                 raise IntegrityError(
                     f"subset {i + 1} declares size {declared} but lists {subset.size} elements"
                 )
-        record = verify_intersecting(
-            group, subsets, mode, trials=trials, seed=config["seed"], threads=config["threads"]
-        )
+        record = verify_intersecting(group, subsets, mode, trials=trials, seed=config["seed"])
     else:
         x = _load_subset(group, doc["elements"], "covering set")
         if x.size != doc["size"]:
             raise IntegrityError(
                 f"covering set declares size {doc['size']} but lists {x.size} elements"
             )
-        record = verify_k_covering(
-            group, x, k, mode, trials=trials, seed=config["seed"], threads=config["threads"]
-        )
+        record = verify_k_covering(group, x, k, mode, trials=trials, seed=config["seed"])
     verdict = {
         "kind": "verification-verdict",
         "input_kind": kind,
@@ -282,7 +280,6 @@ def _cmd_tower_build(config: dict) -> tuple[str, int]:
         max_attempts=config["max_attempts"],
         mode=mode,
         trials=trials,
-        threads=config["threads"],
         claim3_samples=config["claim3_samples"],
     )
     doc = tower.document()
@@ -409,14 +406,14 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--seed", type=int, required=True)
     c.add_argument("--max-attempts", type=int, default=DEFAULT_MAX_ATTEMPTS)
     c.add_argument("--mode", default="auto")
-    c.add_argument("--threads", type=int, default=1)
+    c.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     c.add_argument("--out", default=None)
 
     v = cov_actions.add_parser("verify", help="independently re-verify a certificate")
     v.add_argument("--in", dest="infile", required=True)
     v.add_argument("--mode", default="auto")
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--threads", type=int, default=1)
+    v.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     v.add_argument("--out", default=None)
 
     e = cov_actions.add_parser("exact-cov", help="exact minimal covering size (order <= 16)")
@@ -451,7 +448,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tb.add_argument("--seed", type=int, required=True)
     tb.add_argument("--max-attempts", type=int, default=DEFAULT_MAX_ATTEMPTS)
     tb.add_argument("--mode", default="auto")
-    tb.add_argument("--threads", type=int, default=1)
+    tb.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     tb.add_argument("--claim3-samples", type=int, default=100)
     tb.add_argument("--out", default=None)
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -95,24 +94,6 @@ def _resolve_mode(mode: str, exhaustive_steps: int) -> str:
     raise ValueError(f"unknown verification mode {mode!r}")
 
 
-def _chunk_ranges(n: int, threads: int) -> list[tuple[int, int]]:
-    pieces = max(1, min(n, threads * 4))
-    step = (n + pieces - 1) // pieces
-    return [(lo, min(n, lo + step)) for lo in range(0, n, step)]
-
-
-def _first_failure_over_chunks(scan, n: int, threads: int):
-    """Deterministic aggregation: lexicographically smallest failing witness."""
-    if threads <= 1:
-        return scan(0, n)
-    found = []
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for result in pool.map(lambda r: scan(*r), _chunk_ranges(n, threads)):
-            if result is not None:
-                found.append(result)
-    return min(found) if found else None
-
-
 def verify_intersecting(
     group: FiniteGroup,
     subsets: list[GroupSubset],
@@ -120,14 +101,16 @@ def verify_intersecting(
     *,
     trials: int = DEFAULT_SAMPLE_TRIALS,
     seed: int = 0,
-    threads: int = 1,
 ) -> VerificationRecord:
     """Check that every tuple of right translates X_1 g_1, ..., X_k g_k meets.
 
-    Exhaustive mode iterates all n^k translate tuples with bit-vector
-    intersections and returns the lexicographically first empty tuple as
-    witness; it requires n^k within the step budget.  Sampled mode checks
-    `trials` uniform tuples drawn from the given seed.
+    The X_i g_i meet iff the X_i g_i g_1^{-1} meet, so exhaustive mode scans
+    only the n^(k-1) tuples with g_1 = e, by bit-vector intersections.  A
+    failing tuple exists iff one with leading index 0 does, and that one
+    sorts first, so the witness is still the lexicographically first empty
+    tuple over all n^k.  The budget still counts n^k steps.  Sampled mode
+    checks `trials` uniform tuples drawn from the given seed, each
+    normalised the same way, and reports the tuple as drawn.
     """
     k = len(subsets)
     if k < 1:
@@ -142,7 +125,7 @@ def verify_intersecting(
                 f"exhaustive verification needs n^k = {n**k} steps "
                 f"(budget {step_budget()}); use sampled mode"
             )
-        witness = _exhaustive_intersecting_witness(group, subsets, threads)
+        witness = _exhaustive_intersecting_witness(group, subsets)
         return VerificationRecord(
             mode="exhaustive", result=witness is None, witness=witness, method="tuple-scan"
         )
@@ -150,9 +133,10 @@ def verify_intersecting(
     bit_lists = [s.bits for s in subsets]
     for t in range(trials):
         tup = tuple(rng.randrange(n) for _ in range(k))
-        acc = _translate_bits(group, bit_lists[0], tup[0], left=False)
+        inv_first = group.inv(tup[0])
+        acc = bit_lists[0]
         for i in range(1, k):
-            acc &= _translate_bits(group, bit_lists[i], tup[i], left=False)
+            acc &= _translate_bits(group, bit_lists[i], group.mul(tup[i], inv_first), left=False)
             if not acc:
                 break
         if not acc:
@@ -163,34 +147,31 @@ def verify_intersecting(
 
 
 def _exhaustive_intersecting_witness(
-    group: FiniteGroup, subsets: list[GroupSubset], threads: int
+    group: FiniteGroup, subsets: list[GroupSubset]
 ) -> tuple[int, ...] | None:
+    """Lexicographically first empty translate tuple, scanning only g_1 = e.
+
+    The X_i g_i meet iff the X_i g_i g_1^{-1} meet, so a failing tuple
+    exists iff one with g_1 = e (index 0) does, and that one sorts first.
+    """
     n = group.order
     k = len(subsets)
+    first = subsets[0].bits
     if k == 1:
         # Right translation is a bijection, so every X_1 g is empty or none is.
-        return None if subsets[0].bits else (0,)
+        return None if first else (0,)
+    if k == 2:
+        second = subsets[1].bits
+        for g2 in range(n):
+            if not first & _translate_bits(group, second, g2, left=False):
+                return (0, g2)
+        return None
     tables = [
-        [_translate_bits(group, s.bits, g, left=False) for g in range(n)] for s in subsets
+        [_translate_bits(group, s.bits, g, left=False) for g in range(n)] for s in subsets[1:]
     ]
 
-    if k == 2:
-        t2 = tables[1]
-
-        def scan2(lo: int, hi: int):
-            for g1 in range(lo, hi):
-                a = tables[0][g1]
-                g2 = 0
-                for b in t2:
-                    if not a & b:
-                        return (g1, g2)
-                    g2 += 1
-            return None
-
-        return _first_failure_over_chunks(scan2, n, threads)
-
     def descend(level: int, acc: int, prefix: tuple[int, ...]):
-        table = tables[level]
+        table = tables[level - 1]
         last = level == k - 1
         for g in range(n):
             cur = acc & table[g]
@@ -204,14 +185,7 @@ def _exhaustive_intersecting_witness(
                     return hit
         return None
 
-    def scank(lo: int, hi: int):
-        for g1 in range(lo, hi):
-            hit = descend(1, tables[0][g1], (g1,))
-            if hit is not None:
-                return hit
-        return None
-
-    return _first_failure_over_chunks(scank, n, threads)
+    return descend(1, first, (0,))
 
 
 @dataclass
@@ -276,7 +250,6 @@ def construct_intersecting_family(
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     mode: str = "auto",
     trials: int = DEFAULT_SAMPLE_TRIALS,
-    threads: int = 1,
 ) -> IntersectingFamily:
     """Draw k independent p-random subsets until a draw verifies.
 
@@ -311,7 +284,6 @@ def construct_intersecting_family(
             mode,
             trials=trials,
             seed=derive_seed(seed, attempt, _VERIFY_SALT),
-            threads=threads,
         )
         if not record.result:
             history.append(
@@ -381,7 +353,6 @@ def construct_k_covering(
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     mode: str = "auto",
     trials: int = DEFAULT_SAMPLE_TRIALS,
-    threads: int = 1,
 ) -> CoveringCertificate:
     """Build a k-covering subset of size at most n/2 as a family union.
 
@@ -405,7 +376,6 @@ def construct_k_covering(
         max_attempts=max_attempts,
         mode=mode,
         trials=trials,
-        threads=threads,
     )
     union = family.union()
     per_member_cap = n / (2.0 * k)
@@ -417,31 +387,30 @@ def construct_k_covering(
 
 
 def _exhaustive_covering_witness(
-    group: FiniteGroup, x: GroupSubset, k: int, threads: int
+    group: FiniteGroup, x: GroupSubset, k: int
 ) -> tuple[int, ...] | None:
+    """Lexicographically first untranslatable sorted Y, scanning only Y containing e.
+
+    Y translates into X iff y_1^{-1} Y does, so an untranslatable Y exists
+    iff one containing e (index 0) does, and that one sorts first.  Y =
+    {e} + rest translates iff X meets every X y^{-1} with y in rest; each
+    such translate is computed when the scan first reaches y, then kept.
+    """
     n = group.order
-    inv_translates = [
-        _translate_bits(group, x.bits, group.inv(y), left=False) for y in range(n)
-    ]
-
-    def scan(lo: int, hi: int):
-        for y1 in range(lo, hi):
-            base = inv_translates[y1]
-            if k == 1:
-                if not base:
-                    return (y1,)
-                continue
-            for rest in combinations(range(y1 + 1, n), k - 1):
-                acc = base
-                for y in rest:
-                    acc &= inv_translates[y]
-                    if not acc:
-                        break
-                if not acc:
-                    return (y1,) + rest
-        return None
-
-    return _first_failure_over_chunks(scan, n, threads)
+    bits = x.bits
+    translates: dict[int, int] = {}
+    for rest in combinations(range(1, n), k - 1):
+        acc = bits
+        for y in rest:
+            t = translates.get(y)
+            if t is None:
+                t = translates[y] = _translate_bits(group, bits, group.inv(y), left=False)
+            acc &= t
+            if not acc:
+                break
+        if not acc:
+            return (0,) + rest
+    return None
 
 
 def difference_product_full(group: FiniteGroup, x: GroupSubset) -> bool:
@@ -500,14 +469,17 @@ def verify_k_covering(
     *,
     trials: int = DEFAULT_SAMPLE_TRIALS,
     seed: int = 0,
-    threads: int = 1,
 ) -> VerificationRecord:
     """Check that every size-k subset Y admits g with g*Y inside X.
 
-    Exhaustive mode scans all C(n,k) subsets (budget C(n,k)*n); when that
-    exceeds the budget at k = 2 the complete O(n^2) quotient-set criterion
-    is used instead.  Failure reports the lexicographically first
-    untranslatable Y.
+    Y translates into X iff y_1^{-1} Y does, so exhaustive mode scans only
+    the C(n-1,k-1) subsets containing e.  An untranslatable Y exists iff one
+    containing e (index 0) does, and that one sorts first, so failure still
+    reports the lexicographically first untranslatable Y over all C(n,k).
+    The budget still counts C(n,k)*n steps; when that is exceeded at k = 2
+    the complete O(n^2) quotient-set criterion is used instead.  Sampled
+    mode checks `trials` uniform Y drawn from the given seed, each
+    normalised the same way, and reports Y as drawn.
     """
     n = group.order
     if k < 1:
@@ -526,7 +498,7 @@ def verify_k_covering(
         raise ValueError(f"unknown verification mode {mode!r}")
     if resolved == "exhaustive":
         if scan_in_budget:
-            witness = _exhaustive_covering_witness(group, x, k, threads)
+            witness = _exhaustive_covering_witness(group, x, k)
             return VerificationRecord(
                 mode="exhaustive", result=witness is None, witness=witness, method="subset-scan"
             )
@@ -545,18 +517,19 @@ def verify_k_covering(
     rng = random.Random(seed)
     for t in range(trials):
         ys = sorted(rng.sample(range(n), k))
-        acc = None
-        for y in ys:
-            tbits = _translate_bits(group, x.bits, group.inv(y), left=False)
-            acc = tbits if acc is None else acc & tbits
+        acc = x.bits
+        for y in ys[1:]:
+            acc &= _translate_bits(group, x.bits, group.mul(group.inv(y), ys[0]), left=False)
             if not acc:
-                return VerificationRecord(
-                    mode="sampled",
-                    result=False,
-                    trials=t + 1,
-                    witness=tuple(ys),
-                    method="subset-sample",
-                )
+                break
+        if not acc:
+            return VerificationRecord(
+                mode="sampled",
+                result=False,
+                trials=t + 1,
+                witness=tuple(ys),
+                method="subset-sample",
+            )
     return VerificationRecord(mode="sampled", result=True, trials=trials, method="subset-sample")
 
 
@@ -579,6 +552,10 @@ def exact_covering_number(group: FiniteGroup, k: int) -> int:
 
     Candidate sizes grow from 0 and subsets of a given size are tried in
     lexicographic order; no isomorphism reduction (pointless at n <= 16).
+    Each candidate gets the exhaustive subset scan, which examines only the
+    C(n-1,k-1) subsets containing e and translates the candidate by y^{-1}
+    only when the scan first reaches y, so a candidate that fails early
+    costs a few translates.  The scan's budget still counts C(n,k)*n.
     """
     n = group.order
     if n > EXACT_COVERING_ORDER_LIMIT:

@@ -256,7 +256,6 @@ def extend_covering(
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     mode: str = "auto",
     trials: int = DEFAULT_SAMPLE_TRIALS,
-    threads: int = 1,
 ) -> ExtensionResult:
     """Extend a covering set through phi using a (k+1)-covering of the kernel.
 
@@ -294,7 +293,6 @@ def extend_covering(
             max_attempts=max_attempts,
             mode=mode,
             trials=trials,
-            threads=threads,
         )
         cover = certificate.covering_set
     subset = FactoredSubset(phi, base, cover)
@@ -423,7 +421,6 @@ def build_tower(
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     mode: str = "auto",
     trials: int = DEFAULT_SAMPLE_TRIALS,
-    threads: int = 1,
     verify_claims: bool = True,
     claim1_samples: int = 100_000,
     claim3_samples: int = 100,
@@ -459,7 +456,6 @@ def build_tower(
             max_attempts=max_attempts,
             mode=mode,
             trials=trials,
-            threads=threads,
         )
         order = spec.group_order(s)
         if ext.subset.size * (2**s) > order:

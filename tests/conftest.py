@@ -4,7 +4,7 @@ These use plain python sets and explicit loops so they exercise none of the
 bitmask or difference-set machinery they are used to check.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 
 
 def naive_is_k_covering(group, members, k) -> bool:
@@ -40,3 +40,42 @@ def naive_is_intersecting(group, member_lists) -> bool:
         if not common:
             return False
     return True
+
+
+def naive_empty_tuple_test(group, member_lists):
+    """Predicate on (g_1, ..., g_k): do the right translates X_i * g_i all miss?"""
+    n = group.order
+    tables = [[{group.mul(x, g) for x in members} for g in range(n)] for members in member_lists]
+
+    def empty(tup) -> bool:
+        common = tables[0][tup[0]]
+        for table, g in zip(tables[1:], tup[1:]):
+            common = common & table[g]
+        return not common
+
+    return empty
+
+
+def naive_first_empty_tuple(group, member_lists):
+    """Lexicographically first failing tuple over all n^k, or None."""
+    empty = naive_empty_tuple_test(group, member_lists)
+    for tup in product(range(group.order), repeat=len(member_lists)):
+        if empty(tup):
+            return tup
+    return None
+
+
+def naive_untranslatable_test(group, members):
+    """Predicate on a sorted Y: is there no g with {g*y} inside the member set?"""
+    ms = set(members)
+    n = group.order
+    return lambda ys: not any(all(group.mul(g, y) in ms for y in ys) for g in range(n))
+
+
+def naive_first_untranslatable(group, members, k):
+    """Lexicographically first untranslatable sorted Y over all C(n,k), or None."""
+    untranslatable = naive_untranslatable_test(group, members)
+    for ys in combinations(range(group.order), k):
+        if untranslatable(ys):
+            return ys
+    return None

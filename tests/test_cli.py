@@ -57,6 +57,24 @@ def test_construct_k1_trivially_verifies(capsys):
     assert doc["size"] > 0 and doc["verification"]["result"] is True
 
 
+def test_threads_flag_is_an_accepted_no_op(capsys, tmp_path):
+    docs = {}
+    for threads in ("1", "2"):
+        code, stdout, _ = run(
+            capsys, "covering", "construct", "--group", "C1024", "--k", "2", "--seed", "3",
+            "--threads", threads,
+        )
+        assert code == EXIT_OK
+        docs[threads] = json.loads(stdout)
+    assert docs["2"]["config"].pop("threads") == 2
+    assert docs["1"]["config"].pop("threads") == 1
+    assert docs["1"] == docs["2"]
+    cert = tmp_path / "cert.json"
+    cert.write_text(stdout)
+    code, _, _ = run(capsys, "covering", "verify", "--in", str(cert), "--threads", "2")
+    assert code == EXIT_OK
+
+
 def test_infeasible_exit_code(capsys):
     code, _, err = run(capsys, "covering", "construct", "--group", "C3", "--k", "3", "--seed", "1")
     assert code == EXIT_INFEASIBLE

@@ -2,7 +2,15 @@ import math
 import random
 
 import pytest
-from conftest import naive_exact_cov, naive_is_intersecting, naive_is_k_covering
+from conftest import (
+    naive_empty_tuple_test,
+    naive_exact_cov,
+    naive_first_empty_tuple,
+    naive_first_untranslatable,
+    naive_is_intersecting,
+    naive_is_k_covering,
+    naive_untranslatable_test,
+)
 
 from covtrans import (
     CyclicGroup,
@@ -15,6 +23,7 @@ from covtrans import (
     difference_product_full,
     exact_covering_number,
     greedy_shrink_intersection,
+    group_from_descriptor,
     intersecting_family_feasible,
     member_size_cap,
     random_subset,
@@ -31,6 +40,8 @@ from covtrans.errors import (
 from covtrans.util import canonical_json
 
 REL = 1e-12
+# carriers on which verifier witnesses are compared with the full-scan oracles
+WITNESS_GROUPS = ("C8", "C12", "D4", "D6", "S3", "S4", "C2xC4")
 
 
 def test_feasibility_frozen_values():
@@ -99,27 +110,11 @@ def test_verify_intersecting_triple_families_match_naive_oracle():
     for group in (CyclicGroup(5), CyclicGroup(6), DihedralGroup(3)):
         for _ in range(15):
             subsets = [random_subset(group, rng.uniform(0.3, 0.9), rng) for _ in range(3)]
+            members = [s.indices() for s in subsets]
             rec = verify_intersecting(group, subsets, mode="exhaustive")
-            assert rec.result == naive_is_intersecting(group, [s.indices() for s in subsets])
-            if not rec.result:
-                # the witness is the lexicographically first failing triple
-                n = group.order
-                first = None
-                for g1 in range(n):
-                    for g2 in range(n):
-                        for g3 in range(n):
-                            sets = [
-                                {group.mul(x, g) for x in s.indices()}
-                                for s, g in zip(subsets, (g1, g2, g3))
-                            ]
-                            if not (sets[0] & sets[1] & sets[2]):
-                                first = (g1, g2, g3)
-                                break
-                        if first:
-                            break
-                    if first:
-                        break
-                assert rec.witness == first
+            assert rec.result == naive_is_intersecting(group, members)
+            # the witness is the lexicographically first failing triple
+            assert rec.witness == naive_first_empty_tuple(group, members)
 
 
 def test_verify_intersecting_witness_is_lexicographic_first():
@@ -142,13 +137,37 @@ def test_verify_intersecting_witness_is_lexicographic_first():
     assert rec.witness == expected
 
 
-def test_verify_intersecting_threads_agree():
+def test_verify_intersecting_witnesses_match_naive_oracles():
+    # Low densities make some draws fail, so witnesses are compared too.  The
+    # sampled replay draws the same tuples and judges each with the oracle.
     rng = random.Random(9)
-    g = CyclicGroup(64)
-    subsets = [random_subset(g, 0.08, rng) for _ in range(2)]
-    seq = verify_intersecting(g, subsets, mode="exhaustive", threads=1)
-    par = verify_intersecting(g, subsets, mode="exhaustive", threads=4)
-    assert (seq.result, seq.witness) == (par.result, par.witness)
+    outcomes = set()
+    sampled_outcomes = set()
+    for desc in WITNESS_GROUPS:
+        group = group_from_descriptor(desc)
+        for k in (1, 2, 3):
+            for _ in range(4):
+                subsets = [random_subset(group, rng.uniform(0.02, 0.95), rng) for _ in range(k)]
+                members = [s.indices() for s in subsets]
+                expected = naive_first_empty_tuple(group, members)
+                got = verify_intersecting(group, subsets, mode="exhaustive")
+                assert got.method == "tuple-scan"
+                assert (got.result, got.witness) == (expected is None, expected)
+                outcomes.add((k, expected is None))
+
+                empty = naive_empty_tuple_test(group, members)
+                draws = random.Random(k)
+                replay = (True, 30, None)
+                for t in range(30):
+                    tup = tuple(draws.randrange(group.order) for _ in range(k))
+                    if empty(tup):
+                        replay = (False, t + 1, tup)
+                        break
+                got = verify_intersecting(group, subsets, mode="sampled", trials=30, seed=k)
+                assert (got.result, got.trials, got.witness) == replay
+                sampled_outcomes.add(replay[0])
+    assert sampled_outcomes == {True, False}
+    assert outcomes == {(k, ok) for k in (1, 2, 3) for ok in (True, False)}
 
 
 def test_verify_budget_guard(monkeypatch):
@@ -259,14 +278,34 @@ def test_verify_k_covering_matches_naive_oracle():
                 assert got.result == naive_is_k_covering(group, x.indices(), k)
 
 
-def test_verify_k_covering_threads_agree():
+def test_verify_k_covering_witnesses_match_naive_oracles():
     rng = random.Random(19)
-    g = CyclicGroup(24)
-    for _ in range(10):
-        x = random_subset(g, rng.uniform(0.1, 0.6), rng)
-        seq = verify_k_covering(g, x, 2, mode="exhaustive", threads=1)
-        par = verify_k_covering(g, x, 2, mode="exhaustive", threads=4)
-        assert (seq.result, seq.witness) == (par.result, par.witness)
+    outcomes = set()
+    sampled_outcomes = set()
+    for desc in WITNESS_GROUPS:
+        group = group_from_descriptor(desc)
+        for k in (1, 2, 3):
+            for _ in range(4):
+                x = random_subset(group, rng.uniform(0.0, 0.6), rng)
+                expected = naive_first_untranslatable(group, x.indices(), k)
+                got = verify_k_covering(group, x, k, mode="exhaustive")
+                assert got.method == "subset-scan"
+                assert (got.result, got.witness) == (expected is None, expected)
+                outcomes.add((k, expected is None))
+
+                untranslatable = naive_untranslatable_test(group, x.indices())
+                draws = random.Random(k)
+                replay = (True, 30, None)
+                for t in range(30):
+                    ys = tuple(sorted(draws.sample(range(group.order), k)))
+                    if untranslatable(ys):
+                        replay = (False, t + 1, ys)
+                        break
+                got = verify_k_covering(group, x, k, mode="sampled", trials=30, seed=k)
+                assert (got.result, got.trials, got.witness) == replay
+                sampled_outcomes.add(replay[0])
+    assert sampled_outcomes == {True, False}
+    assert outcomes == {(k, ok) for k in (1, 2, 3) for ok in (True, False)}
 
 
 def test_verify_k_covering_sampled_mode():
