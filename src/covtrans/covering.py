@@ -17,7 +17,7 @@ from itertools import combinations
 from .errors import BudgetExceededError, ConstructionError, FeasibilityError, SoundnessError
 from .groups import FiniteGroup
 from .subsets import GroupSubset, _translate_bits, random_subset
-from .util import derive_seed, iter_set_bits, lowest_set_bit, step_budget
+from .util import derive_seed, lowest_set_bit, step_budget
 
 DEFAULT_MAX_ATTEMPTS = 100
 DEFAULT_SAMPLE_TRIALS = 100_000
@@ -130,13 +130,12 @@ def verify_intersecting(
             mode="exhaustive", result=witness is None, witness=witness, method="tuple-scan"
         )
     rng = random.Random(seed)
-    bit_lists = [s.bits for s in subsets]
     for t in range(trials):
         tup = tuple(rng.randrange(n) for _ in range(k))
         inv_first = group.inv(tup[0])
-        acc = bit_lists[0]
+        acc = subsets[0].bits
         for i in range(1, k):
-            acc &= _translate_bits(group, bit_lists[i], group.mul(tup[i], inv_first), left=False)
+            acc &= _translate_bits(group, subsets[i], group.mul(tup[i], inv_first), left=False)
             if not acc:
                 break
         if not acc:
@@ -161,13 +160,13 @@ def _exhaustive_intersecting_witness(
         # Right translation is a bijection, so every X_1 g is empty or none is.
         return None if first else (0,)
     if k == 2:
-        second = subsets[1].bits
+        second = subsets[1]
         for g2 in range(n):
             if not first & _translate_bits(group, second, g2, left=False):
                 return (0, g2)
         return None
     tables = [
-        [_translate_bits(group, s.bits, g, left=False) for g in range(n)] for s in subsets[1:]
+        [_translate_bits(group, s, g, left=False) for g in range(n)] for s in subsets[1:]
     ]
 
     def descend(level: int, acc: int, prefix: tuple[int, ...]):
@@ -404,13 +403,27 @@ def _exhaustive_covering_witness(
         for y in rest:
             t = translates.get(y)
             if t is None:
-                t = translates[y] = _translate_bits(group, bits, group.inv(y), left=False)
+                t = translates[y] = _translate_bits(group, x, group.inv(y), left=False)
             acc &= t
             if not acc:
                 break
         if not acc:
             return (0,) + rest
     return None
+
+
+def _quotient_bits(group: FiniteGroup, x: GroupSubset) -> int:
+    """Bitmask of the quotient set {a^{-1} b : a, b in X}, the union of the a^{-1} X.
+
+    Stops early once the union is the whole group.
+    """
+    full = (1 << group.order) - 1
+    bits = 0
+    for a in x:
+        bits |= _translate_bits(group, x, group.inv(a), left=True)
+        if bits == full:
+            break
+    return bits
 
 
 def difference_product_full(group: FiniteGroup, x: GroupSubset) -> bool:
@@ -424,38 +437,13 @@ def difference_product_full(group: FiniteGroup, x: GroupSubset) -> bool:
         raise BudgetExceededError(
             f"difference-product scan limited to order <= {_PAIRWISE_PRODUCT_LIMIT}, got {n}"
         )
-    full = (1 << n) - 1
-    bits = 0
-    if group.additive_rotation:
-        for a in iter_set_bits(x.bits):
-            bits |= _translate_bits(group, x.bits, group.inv(a), left=False)
-            if bits == full:
-                return True
-        return bits == full
-    members = x.indices()
-    for a in members:
-        ia = group.inv(a)
-        for b in members:
-            bits |= 1 << group.mul(ia, b)
-    return bits == full
+    return _quotient_bits(group, x) == (1 << n) - 1
 
 
 def _missing_difference_witness(group: FiniteGroup, x: GroupSubset) -> tuple[int, int] | None:
     """Smallest untranslatable pair {0, d}: d is the least missing quotient."""
-    n = group.order
-    full = (1 << n) - 1
-    bits = 0
-    if group.additive_rotation:
-        for a in iter_set_bits(x.bits):
-            bits |= _translate_bits(group, x.bits, group.inv(a), left=False)
-    else:
-        members = x.indices()
-        for a in members:
-            ia = group.inv(a)
-            for b in members:
-                bits |= 1 << group.mul(ia, b)
     # the identity quotient is irrelevant: pairs have distinct entries
-    missing = ~bits & full & ~1
+    missing = ~_quotient_bits(group, x) & ((1 << group.order) - 1) & ~1
     if missing == 0:
         return None
     return (0, lowest_set_bit(missing))
@@ -519,7 +507,7 @@ def verify_k_covering(
         ys = sorted(rng.sample(range(n), k))
         acc = x.bits
         for y in ys[1:]:
-            acc &= _translate_bits(group, x.bits, group.mul(group.inv(y), ys[0]), left=False)
+            acc &= _translate_bits(group, x, group.mul(group.inv(y), ys[0]), left=False)
             if not acc:
                 break
         if not acc:
@@ -620,7 +608,7 @@ def greedy_shrink_intersection(group: FiniteGroup, x: GroupSubset, k: int) -> Gr
         best_bits = current & x.bits  # g = 0 keeps X in place
         best_count = best_bits.bit_count()
         for g in range(1, n):
-            cand = current & _translate_bits(group, x.bits, g, left=False)
+            cand = current & _translate_bits(group, x, g, left=False)
             c = cand.bit_count()
             if c < best_count:
                 best_g, best_bits, best_count = g, cand, c

@@ -3,10 +3,13 @@
 Elements of a group of order n are the indices 0..n-1 and the identity is
 always index 0.  Groups expose only `mul` and `inv` oracles, never full
 multiplication tables, so cyclic groups of order ~10^9 cost O(1) memory.
+S_m keeps its m! decoded permutations (at most 8! of them), still not a
+multiplication table.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from typing import Callable
 
@@ -126,15 +129,14 @@ class DihedralGroup(FiniteGroup):
         return (-a) % m
 
 
-_FACTORIALS = [1]
-for _i in range(1, 13):
-    _FACTORIALS.append(_FACTORIALS[-1] * _i)
-
-
 class SymmetricGroup(FiniteGroup):
-    """Symmetric group on m <= 8 points, permutations indexed by Lehmer code.
+    """Symmetric group on m <= 8 points, backed by its m! permutations.
 
-    Index 0 is the identity permutation; mul(a, b) composes "apply b, then a".
+    Indices follow the lexicographic order of permutations, which is the
+    Lehmer-code order, so index 0 is the identity.  The decoded
+    permutations and their ranks are kept (O(m!) memory, 6.7 MB at m = 8),
+    so mul and inv are list and dict lookups; there is no n x n table.
+    mul(a, b) composes "apply b, then a".
     """
 
     MAX_POINTS = 8
@@ -148,39 +150,39 @@ class SymmetricGroup(FiniteGroup):
                 f"(order m! must stay dense-representable), got {m}"
             )
         self.m = m
-        self.order = _FACTORIALS[m]
+        self._perms = list(itertools.permutations(range(m)))
+        self._rank = {p: i for i, p in enumerate(self._perms)}
+        self.order = len(self._perms)
         self.name = f"S{m}"
 
-    def perm_of(self, idx: int) -> list[int]:
+    def _check(self, idx: int) -> None:
         if not 0 <= idx < self.order:
             raise ValueError(f"index {idx} out of range for {self.name}")
-        pool = list(range(self.m))
-        out = []
-        for pos in range(self.m):
-            q, idx = divmod(idx, _FACTORIALS[self.m - 1 - pos])
-            out.append(pool.pop(q))
-        return out
+
+    def perm_of(self, idx: int) -> list[int]:
+        self._check(idx)
+        return list(self._perms[idx])
 
     def index_of(self, perm: list[int]) -> int:
-        pool = list(range(self.m))
-        idx = 0
-        for pos, v in enumerate(perm):
-            j = pool.index(v)
-            idx += j * _FACTORIALS[self.m - 1 - pos]
-            pool.pop(j)
+        idx = self._rank.get(tuple(perm))
+        if idx is None:
+            raise ValueError(f"{perm!r} is not a permutation of range({self.m})")
         return idx
 
     def mul(self, a: int, b: int) -> int:
-        pa = self.perm_of(a)
-        pb = self.perm_of(b)
-        return self.index_of([pa[pb[i]] for i in range(self.m)])
+        perms = self._perms
+        # a negative index would otherwise wrap silently into the list
+        if not (0 <= a < self.order and 0 <= b < self.order):
+            raise ValueError(f"indices {(a, b)} out of range for {self.name}")
+        pa = perms[a]
+        return self._rank[tuple([pa[i] for i in perms[b]])]
 
     def inv(self, a: int) -> int:
-        pa = self.perm_of(a)
+        self._check(a)
         out = [0] * self.m
-        for i, v in enumerate(pa):
+        for i, v in enumerate(self._perms[a]):
             out[v] = i
-        return self.index_of(out)
+        return self._rank[tuple(out)]
 
 
 def _is_prime(p: int) -> bool:
@@ -213,6 +215,9 @@ class ElementaryAbelianGroup(FiniteGroup):
 
     def mul(self, a: int, b: int) -> int:
         p = self.p
+        if p == 2:
+            # digitwise addition mod 2 is XOR
+            return a ^ b
         out = 0
         weight = 1
         for _ in range(self.d):
@@ -224,6 +229,8 @@ class ElementaryAbelianGroup(FiniteGroup):
 
     def inv(self, a: int) -> int:
         p = self.p
+        if p == 2:
+            return a
         out = 0
         weight = 1
         for _ in range(self.d):

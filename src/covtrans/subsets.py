@@ -107,11 +107,11 @@ class GroupSubset:
 
     def right_translate(self, g: int) -> "GroupSubset":
         """The set {x * g : x in self}; same cardinality (translation is a bijection)."""
-        return GroupSubset(self.group, _translate_bits(self.group, self.bits, g, left=False), self._size)
+        return GroupSubset(self.group, _translate_bits(self.group, self, g, left=False), self._size)
 
     def left_translate(self, g: int) -> "GroupSubset":
         """The set {g * x : x in self}."""
-        return GroupSubset(self.group, _translate_bits(self.group, self.bits, g, left=True), self._size)
+        return GroupSubset(self.group, _translate_bits(self.group, self, g, left=True), self._size)
 
     def inverse_set(self) -> "GroupSubset":
         group = self.group
@@ -126,21 +126,29 @@ class GroupSubset:
         return f"GroupSubset({self.group.name}, size={self.size}, {{{', '.join(map(str, shown))}{tail}}})"
 
 
-def _translate_bits(group: FiniteGroup, bits: int, g: int, left: bool) -> int:
+def _translate_bits(group: FiniteGroup, subset: GroupSubset, g: int, left: bool) -> int:
+    """Bitmask of g*X (left) or X*g (right), X = subset.
+
+    Cyclic carriers rotate the bitmask; other carriers walk the subset's
+    cached member list, so translating one set many times extracts its
+    bits once.
+    """
     if not 0 <= g < group.order:
         raise ValueError(f"index {g} out of range for {group.name}")
-    n = group.order
     if group.additive_rotation:
+        bits = subset.bits
         if g == 0:
             return bits
+        n = group.order
         return ((bits << g) | (bits >> (n - g))) & ((1 << n) - 1)
+    mul = group.mul
     out = 0
     if left:
-        for x in iter_set_bits(bits):
-            out |= 1 << group.mul(g, x)
+        for x in subset._member_list():
+            out |= 1 << mul(g, x)
     else:
-        for x in iter_set_bits(bits):
-            out |= 1 << group.mul(x, g)
+        for x in subset._member_list():
+            out |= 1 << mul(x, g)
     return out
 
 
@@ -173,7 +181,7 @@ def translate_into(group: FiniteGroup, y, x: GroupSubset) -> int | None:
         return group.identity
     acc = None
     for yi in ys:
-        t = _translate_bits(group, x.bits, group.inv(yi), left=False)
+        t = _translate_bits(group, x, group.inv(yi), left=False)
         acc = t if acc is None else acc & t
         if not acc:
             return None

@@ -5,6 +5,7 @@ bitmask or difference-set machinery they are used to check.
 """
 
 from itertools import combinations, product
+from math import factorial
 
 
 def naive_is_k_covering(group, members, k) -> bool:
@@ -79,3 +80,49 @@ def naive_first_untranslatable(group, members, k):
         if untranslatable(ys):
             return ys
     return None
+
+
+def lehmer_perm_of(m: int, idx: int) -> list[int]:
+    """Permutation of range(m) with Lehmer-code index idx (0 is the identity)."""
+    pool = list(range(m))
+    out = []
+    for pos in range(m):
+        q, idx = divmod(idx, factorial(m - 1 - pos))
+        out.append(pool.pop(q))
+    return out
+
+
+def lehmer_index_of(m: int, perm) -> int:
+    pool = list(range(m))
+    idx = 0
+    for pos, v in enumerate(perm):
+        j = pool.index(v)
+        idx += j * factorial(m - 1 - pos)
+        pool.pop(j)
+    return idx
+
+
+def lehmer_mul(m: int, a: int, b: int) -> int:
+    """Index of "apply b, then a" in S_m."""
+    pa = lehmer_perm_of(m, a)
+    pb = lehmer_perm_of(m, b)
+    return lehmer_index_of(m, [pa[pb[i]] for i in range(m)])
+
+
+def lehmer_inv(m: int, a: int) -> int:
+    out = [0] * m
+    for i, v in enumerate(lehmer_perm_of(m, a)):
+        out[v] = i
+    return lehmer_index_of(m, out)
+
+
+def digitwise_mul(p: int, d: int, a: int, b: int) -> int:
+    """(Z/p)^d addition on base-p digit indices, one digit at a time."""
+    out = 0
+    weight = 1
+    for _ in range(d):
+        out += ((a + b) % p) * weight
+        a //= p
+        b //= p
+        weight *= p
+    return out

@@ -354,6 +354,21 @@ def test_difference_route_when_scan_over_budget(monkeypatch):
     assert (rec.result, rec.witness) == (honest.result, honest.witness)
 
 
+@pytest.mark.parametrize("descriptor", ["D6", "S4", "EA(2,4)", "C2xC6", "C12"])
+def test_difference_set_witness_matches_naive_oracle(descriptor, monkeypatch):
+    # X^-1 X and X X^-1 differ on non-abelian carriers; the witness must use the former
+    g = group_from_descriptor(descriptor)
+    rng = random.Random(29)
+    monkeypatch.setenv("COVTRANS_BUDGET", "10")
+    for t in range(40):
+        x = random_subset(g, 0.15 + 0.5 * (t / 40), rng)
+        expected = naive_first_untranslatable(g, x.indices(), 2)
+        rec = verify_k_covering(g, x, 2, mode="exhaustive")
+        assert rec.method == "difference-set"
+        assert (rec.result, rec.witness) == (expected is None, expected)
+        assert difference_product_full(g, x) == (expected is None)
+
+
 def test_exact_covering_frozen_values():
     assert exact_covering_number(CyclicGroup(4), 2) == 3
     assert exact_covering_number(CyclicGroup(7), 2) == 3

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from conftest import digitwise_mul, lehmer_index_of, lehmer_inv, lehmer_mul, lehmer_perm_of
 
 from covtrans import (
     CyclicGroup,
@@ -28,7 +29,9 @@ from covtrans.errors import SoundnessError
         DihedralGroup(4),
         SymmetricGroup(3),
         SymmetricGroup(4),
+        SymmetricGroup(5),
         ElementaryAbelianGroup(2, 3),
+        ElementaryAbelianGroup(2, 6),
         ElementaryAbelianGroup(3, 2),
         DirectProductGroup(CyclicGroup(2), CyclicGroup(3)),
         DirectProductGroup(CyclicGroup(20), DihedralGroup(4)),
@@ -108,6 +111,49 @@ def test_symmetric_lehmer_roundtrip():
         assert s4.index_of(s4.perm_of(idx)) == idx
     s3 = SymmetricGroup(3)
     assert sorted(element_orders(s3)) == [1, 2, 2, 2, 3, 3]
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_symmetric_table_matches_lehmer_reference(m):
+    g = SymmetricGroup(m)
+    if m <= 6:
+        for idx in range(g.order):
+            perm = lehmer_perm_of(m, idx)
+            assert g.perm_of(idx) == perm
+            assert g.index_of(perm) == idx == lehmer_index_of(m, perm)
+            assert g.inv(idx) == lehmer_inv(m, idx)
+    if m <= 5:
+        pairs = [(a, b) for a in range(g.order) for b in range(g.order)]
+    else:
+        rng = random.Random(m)
+        pairs = [(rng.randrange(g.order), rng.randrange(g.order)) for _ in range(2000)]
+    for a, b in pairs:
+        assert g.mul(a, b) == lehmer_mul(m, a, b)
+
+
+def test_symmetric_rejects_bad_indices_and_non_permutations():
+    s3 = SymmetricGroup(3)
+    for bad in (-1, -6, 6):
+        with pytest.raises(ValueError):
+            s3.mul(bad, 0)
+        with pytest.raises(ValueError):
+            s3.mul(0, bad)
+        with pytest.raises(ValueError):
+            s3.inv(bad)
+        with pytest.raises(ValueError):
+            s3.perm_of(bad)
+    for perm in ([], [0], [2], [0, 1], [0, 0, 1], [1, 1, 1], [0, 1, 3], [0, 1, 2, 3], [-1, 0, 1]):
+        with pytest.raises(ValueError):
+            s3.index_of(perm)
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_elementary_abelian_xor_matches_digit_loop(d):
+    g = ElementaryAbelianGroup(2, d)
+    for a in range(g.order):
+        assert g.inv(a) == a
+        for b in range(g.order):
+            assert g.mul(a, b) == digitwise_mul(2, d, a, b)
 
 
 def test_elementary_abelian_orders():

@@ -7,11 +7,13 @@ from covtrans import (
     CyclicGroup,
     DihedralGroup,
     DirectProductGroup,
+    ElementaryAbelianGroup,
     GroupSubset,
     SymmetricGroup,
     random_subset,
     translate_into,
 )
+from covtrans.subsets import _translate_bits
 
 
 def test_roundtrip_and_size():
@@ -75,6 +77,33 @@ def test_translate_definitions():
     g = 6
     assert s.right_translate(g).indices() == sorted({d.mul(x, g) for x in [1, 5]})
     assert s.left_translate(g).indices() == sorted({d.mul(g, x) for x in [1, 5]})
+
+
+@pytest.mark.parametrize(
+    "group",
+    [
+        SymmetricGroup(4),
+        DihedralGroup(6),
+        ElementaryAbelianGroup(2, 4),
+        DirectProductGroup(CyclicGroup(2), CyclicGroup(6)),
+        CyclicGroup(12),
+    ],
+    ids=lambda g: g.name,
+)
+def test_translate_bits_matches_naive_translates(group):
+    rng = random.Random(5)
+    s = random_subset(group, 0.4, rng)
+    members = s.indices()
+    # one subset translated by every element, as the verifiers do
+    for g in range(group.order):
+        left = GroupSubset(group, _translate_bits(group, s, g, left=True))
+        right = GroupSubset(group, _translate_bits(group, s, g, left=False))
+        assert left.indices() == sorted({group.mul(g, x) for x in members})
+        assert right.indices() == sorted({group.mul(x, g) for x in members})
+    with pytest.raises(ValueError):
+        _translate_bits(group, s, group.order, left=False)
+    with pytest.raises(ValueError):
+        _translate_bits(group, s, -1, left=True)
 
 
 def test_random_subset_extremes_and_determinism():
