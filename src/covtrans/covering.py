@@ -22,6 +22,7 @@ from .util import derive_seed, lowest_set_bit, step_budget
 DEFAULT_MAX_ATTEMPTS = 100
 DEFAULT_SAMPLE_TRIALS = 100_000
 _PAIRWISE_PRODUCT_LIMIT = 10**4  # n cap for O(n^2) difference-set style scans
+_MEET_WINDOW = 4096  # bits of a rotated set ANDed per step by the sampled meet test
 
 _VERIFY_SALT = 0x76657269
 
@@ -94,6 +95,66 @@ def _resolve_mode(mode: str, exhaustive_steps: int) -> str:
     raise ValueError(f"unknown verification mode {mode!r}")
 
 
+def _translates_meet(group: FiniteGroup, first: GroupSubset, rest: list[GroupSubset]):
+    """Predicate meets(shifts): do X_1 and the right translates rest[i] * shifts[i] meet?
+
+    Built once per verification call, so each trial pays only for the search,
+    which stops at the first common element.  Rotation carriers AND the sets
+    in ascending windows of _MEET_WINDOW bits: window [a, a + W) of X h is
+    bits a + n - h onward of the doubled mask bits | bits << n, read from its
+    byte image.  Bits past W or past n are cleared by X_1's window.  Other
+    carriers walk X_1's members and look each x * shifts[i]^{-1} up in a flag
+    array of rest[i].
+    """
+    n = group.order
+    if group.additive_rotation:
+        nbytes = (n + 7) >> 3
+        first_bytes = first.bits.to_bytes(nbytes, "little")
+        windows = []  # (start bit, X_1's bits there); empty windows cannot meet
+        for a in range(0, n, _MEET_WINDOW):
+            bits = int.from_bytes(first_bytes[a >> 3 : (a + _MEET_WINDOW) >> 3], "little")
+            if bits:
+                windows.append((a, bits))
+        images = [(s.bits | s.bits << n).to_bytes(2 * nbytes, "little") for s in rest]
+        span = (_MEET_WINDOW >> 3) + 1
+
+        def meets(shifts: list[int]) -> bool:
+            reads = [(image, n - h) for image, h in zip(images, shifts)]
+            for a, acc in windows:
+                for image, offset in reads:
+                    start = a + offset
+                    lo = start >> 3
+                    acc &= int.from_bytes(image[lo : lo + span], "little") >> (start & 7)
+                    if not acc:
+                        break
+                else:
+                    return True
+            return False
+
+        return meets
+
+    mul, inv = group.mul, group.inv
+    members = first._member_list()
+    flags = []
+    for s in rest:
+        flag = bytearray(n)
+        for x in s._member_list():
+            flag[x] = 1
+        flags.append(flag)
+
+    def meets(shifts: list[int]) -> bool:
+        lookups = [(flag, inv(h)) for flag, h in zip(flags, shifts)]
+        for x in members:
+            for flag, h_inv in lookups:
+                if not flag[mul(x, h_inv)]:
+                    break
+            else:
+                return True
+        return False
+
+    return meets
+
+
 def verify_intersecting(
     group: FiniteGroup,
     subsets: list[GroupSubset],
@@ -110,7 +171,9 @@ def verify_intersecting(
     sorts first, so the witness is still the lexicographically first empty
     tuple over all n^k.  The budget still counts n^k steps.  Sampled mode
     checks `trials` uniform tuples drawn from the given seed, each
-    normalised the same way, and reports the tuple as drawn.
+    normalised the same way, and reports the tuple as drawn.  A sampled
+    trial stops at the first common element (see _translates_meet) rather
+    than translating every X_i in full.
     """
     k = len(subsets)
     if k < 1:
@@ -130,15 +193,11 @@ def verify_intersecting(
             mode="exhaustive", result=witness is None, witness=witness, method="tuple-scan"
         )
     rng = random.Random(seed)
+    meets = _translates_meet(group, subsets[0], subsets[1:])
     for t in range(trials):
         tup = tuple(rng.randrange(n) for _ in range(k))
         inv_first = group.inv(tup[0])
-        acc = subsets[0].bits
-        for i in range(1, k):
-            acc &= _translate_bits(group, subsets[i], group.mul(tup[i], inv_first), left=False)
-            if not acc:
-                break
-        if not acc:
+        if not meets([group.mul(g, inv_first) for g in tup[1:]]):
             return VerificationRecord(
                 mode="sampled", result=False, trials=t + 1, witness=tup, method="tuple-sample"
             )
@@ -449,6 +508,31 @@ def _missing_difference_witness(group: FiniteGroup, x: GroupSubset) -> tuple[int
     return (0, lowest_set_bit(missing))
 
 
+def _resolve_covering_check(group: FiniteGroup, k: int, mode: str):
+    """(method, witness function) of the complete k-covering check, or None to sample.
+
+    Complete means the subset scan while C(n,k)*n steps fit the step budget,
+    else at k = 2 the O(n^2) quotient-set criterion.  "auto" samples when
+    neither applies and "exhaustive" raises BudgetExceededError.
+    """
+    if mode not in ("auto", "exhaustive", "sampled"):
+        raise ValueError(f"unknown verification mode {mode!r}")
+    if mode == "sampled":
+        return None
+    n = group.order
+    steps = n * math.comb(n, k)
+    if steps <= step_budget():
+        return "subset-scan", lambda x: _exhaustive_covering_witness(group, x, k)
+    if k == 2 and n <= _PAIRWISE_PRODUCT_LIMIT:
+        return "difference-set", lambda x: _missing_difference_witness(group, x)
+    if mode == "exhaustive":
+        raise BudgetExceededError(
+            f"exhaustive covering check needs C(n,k)*n = {steps} steps "
+            f"(budget {step_budget()}); use sampled mode"
+        )
+    return None
+
+
 def verify_k_covering(
     group: FiniteGroup,
     x: GroupSubset,
@@ -467,7 +551,8 @@ def verify_k_covering(
     The budget still counts C(n,k)*n steps; when that is exceeded at k = 2
     the complete O(n^2) quotient-set criterion is used instead.  Sampled
     mode checks `trials` uniform Y drawn from the given seed, each
-    normalised the same way, and reports Y as drawn.
+    normalised the same way, and reports Y as drawn; a trial stops at the
+    first element common to X and the X y^{-1} y_1 (see _translates_meet).
     """
     n = group.order
     if k < 1:
@@ -475,42 +560,18 @@ def verify_k_covering(
     if k > n:
         # no size-k subsets exist, so any X (even empty) covers vacuously
         return VerificationRecord(mode="exhaustive", result=True, method="vacuous")
-    exhaustive_steps = n * math.comb(n, k)
-    scan_in_budget = exhaustive_steps <= step_budget()
-    pairwise_available = k == 2 and n <= _PAIRWISE_PRODUCT_LIMIT
-    if mode == "auto":
-        resolved = "exhaustive" if scan_in_budget or pairwise_available else "sampled"
-    elif mode in ("exhaustive", "sampled"):
-        resolved = mode
-    else:
-        raise ValueError(f"unknown verification mode {mode!r}")
-    if resolved == "exhaustive":
-        if scan_in_budget:
-            witness = _exhaustive_covering_witness(group, x, k)
-            return VerificationRecord(
-                mode="exhaustive", result=witness is None, witness=witness, method="subset-scan"
-            )
-        if pairwise_available:
-            witness = _missing_difference_witness(group, x)
-            return VerificationRecord(
-                mode="exhaustive",
-                result=witness is None,
-                witness=witness,
-                method="difference-set",
-            )
-        raise BudgetExceededError(
-            f"exhaustive covering check needs C(n,k)*n = {exhaustive_steps} steps "
-            f"(budget {step_budget()}); use sampled mode"
+    complete = _resolve_covering_check(group, k, mode)
+    if complete is not None:
+        method, witness_of = complete
+        witness = witness_of(x)
+        return VerificationRecord(
+            mode="exhaustive", result=witness is None, witness=witness, method=method
         )
     rng = random.Random(seed)
+    meets = _translates_meet(group, x, [x] * (k - 1))
     for t in range(trials):
         ys = sorted(rng.sample(range(n), k))
-        acc = x.bits
-        for y in ys[1:]:
-            acc &= _translate_bits(group, x, group.mul(group.inv(y), ys[0]), left=False)
-            if not acc:
-                break
-        if not acc:
+        if not meets([group.mul(group.inv(y), ys[0]) for y in ys[1:]]):
             return VerificationRecord(
                 mode="sampled",
                 result=False,
@@ -540,10 +601,12 @@ def exact_covering_number(group: FiniteGroup, k: int) -> int:
 
     Candidate sizes grow from 0 and subsets of a given size are tried in
     lexicographic order; no isomorphism reduction (pointless at n <= 16).
-    Each candidate gets the exhaustive subset scan, which examines only the
-    C(n-1,k-1) subsets containing e and translates the candidate by y^{-1}
-    only when the scan first reaches y, so a candidate that fails early
-    costs a few translates.  The scan's budget still counts C(n,k)*n.
+    The complete check is chosen once per search, as verify_k_covering's
+    exhaustive mode would choose it: the subset scan, which examines only
+    the C(n-1,k-1) subsets containing e and translates the candidate by
+    y^{-1} only when the scan first reaches y, so a candidate that fails
+    early costs a few translates; or, over the budget at k = 2, the
+    quotient-set criterion.
     """
     n = group.order
     if n > EXACT_COVERING_ORDER_LIMIT:
@@ -552,10 +615,12 @@ def exact_covering_number(group: FiniteGroup, k: int) -> int:
         )
     if k < 1:
         raise ValueError(f"covering parameter must be >= 1, got {k}")
+    if k > n:
+        return 0  # no size-k subsets exist, so the empty set covers vacuously
+    _, witness_of = _resolve_covering_check(group, k, "exhaustive")
     for s in range(n + 1):
         for comb in combinations(range(n), s):
-            candidate = GroupSubset.from_indices(group, comb)
-            if verify_k_covering(group, candidate, k, mode="exhaustive").result:
+            if witness_of(GroupSubset.from_indices(group, comb)) is None:
                 return s
     raise SoundnessError(f"no covering subset found in {group.describe()} at k={k}")
 

@@ -1,9 +1,13 @@
 """Shared naive oracles, deliberately independent of the library internals.
 
 These use plain python sets and explicit loops so they exercise none of the
-bitmask or difference-set machinery they are used to check.
+bitmask or difference-set machinery they are used to check.  The two
+full-translate sampled loops at the end are the exception: they translate
+whole sets with GroupSubset.right_translate, whose own test compares it with
+naive translates, so that they stay fast on C131072.
 """
 
+import random
 from itertools import combinations, product
 from math import factorial
 
@@ -126,3 +130,40 @@ def digitwise_mul(p: int, d: int, a: int, b: int) -> int:
         b //= p
         weight *= p
     return out
+
+
+def full_translate_sampled_intersecting(group, subsets, trials, seed):
+    """(result, trials, witness) of the sampled tuple check, translating in full.
+
+    Draws like verify_intersecting's sampled mode, and on each trial
+    right-translates every X_i, i >= 2, by g_i g_1^{-1} as a whole set.  The
+    reference for the verifier's early-stopping meet test.
+    """
+    rng = random.Random(seed)
+    n = group.order
+    for t in range(trials):
+        tup = tuple(rng.randrange(n) for _ in subsets)
+        inv_first = group.inv(tup[0])
+        acc = subsets[0].bits
+        for s, g in zip(subsets[1:], tup[1:]):
+            acc &= s.right_translate(group.mul(g, inv_first)).bits
+        if not acc:
+            return False, t + 1, tup
+    return True, trials, None
+
+
+def full_translate_sampled_covering(group, x, k, trials, seed):
+    """(result, trials, witness) of the sampled subset check, translating in full.
+
+    Draws like verify_k_covering's sampled mode, and on each trial
+    right-translates X by y^{-1} y_1 for every later y of the drawn Y.
+    """
+    rng = random.Random(seed)
+    for t in range(trials):
+        ys = sorted(rng.sample(range(group.order), k))
+        acc = x.bits
+        for y in ys[1:]:
+            acc &= x.right_translate(group.mul(group.inv(y), ys[0])).bits
+        if not acc:
+            return False, t + 1, tuple(ys)
+    return True, trials, None

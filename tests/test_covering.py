@@ -3,6 +3,8 @@ import random
 
 import pytest
 from conftest import (
+    full_translate_sampled_covering,
+    full_translate_sampled_intersecting,
     naive_empty_tuple_test,
     naive_exact_cov,
     naive_first_empty_tuple,
@@ -32,6 +34,7 @@ from covtrans import (
     verify_intersecting,
     verify_k_covering,
 )
+from covtrans.covering import _translates_meet
 from covtrans.errors import (
     BudgetExceededError,
     ConstructionError,
@@ -306,6 +309,63 @@ def test_verify_k_covering_witnesses_match_naive_oracles():
                 sampled_outcomes.add(replay[0])
     assert sampled_outcomes == {True, False}
     assert outcomes == {(k, ok) for k in (1, 2, 3) for ok in (True, False)}
+
+
+@pytest.mark.parametrize(
+    "descriptor,k",
+    [
+        # n > 4096 and not a multiple of 8: rotated windows cross window edges
+        ("C4099", 2),
+        ("C4099", 3),
+        ("C10007", 2),
+        ("C10007", 3),
+        ("C131072", 2),
+        ("C131072", 3),
+        ("S6", 3),
+        ("S7", 2),
+        ("D60", 2),
+        ("D60", 3),
+    ],
+)
+def test_sampled_meet_test_matches_full_translates(descriptor, k):
+    # Densities give about 0.5, 2 and 40 expected common elements per trial,
+    # so draws fail early, fail late and pass.
+    group = group_from_descriptor(descriptor)
+    n = group.order
+    rng = random.Random(n + k)
+    outcomes = {"intersecting": set(), "covering": set()}
+    for common in (0.5, 2.0, 40.0):
+        density = (common / n) ** (1.0 / k)
+        subsets = [random_subset(group, density, rng) for _ in range(k)]
+        for seed in (1, 2):
+            got = verify_intersecting(group, subsets, mode="sampled", trials=40, seed=seed)
+            want = full_translate_sampled_intersecting(group, subsets, 40, seed)
+            assert (got.result, got.trials, got.witness) == want
+            outcomes["intersecting"].add(want[0])
+
+            got = verify_k_covering(group, subsets[0], k, mode="sampled", trials=40, seed=seed)
+            want = full_translate_sampled_covering(group, subsets[0], k, 40, seed)
+            assert (got.result, got.trials, got.witness) == want
+            outcomes["covering"].add(want[0])
+    assert outcomes == {"intersecting": {True, False}, "covering": {True, False}}
+
+
+def test_meet_test_finds_one_common_element_at_window_edges():
+    # A single common element at and around each 4096-bit window edge; shifts
+    # 0..7 start the reads at every bit offset within a byte.
+    for n in (4099, 10007):
+        group = CyclicGroup(n)
+        rng = random.Random(n)
+        edges = [e + d for e in range(4096, n, 4096) for d in (-8, -7, -1, 0, 1, 7)]
+        spots = [0, n - 1] + [j for j in edges if j < n]
+        for j in spots:
+            first = GroupSubset.from_indices(group, [j])
+            for h in [*range(8), n - 1] + [rng.randrange(n) for _ in range(4)]:
+                for other in ((j - h) % n, (j - h + 1) % n):
+                    second = GroupSubset.from_indices(group, [other])
+                    meets = _translates_meet(group, first, [second, second])
+                    expected = bool(first.bits & second.right_translate(h).bits)
+                    assert meets([h, h]) == expected
 
 
 def test_verify_k_covering_sampled_mode():

@@ -25,8 +25,8 @@ from covtrans import (
     witness_sets_nested,
     TowerSpec,
 )
-from covtrans.errors import FeasibilityError, IntegrityError
-from covtrans.tower import enumerate_elements, pullback_dense
+from covtrans.errors import FeasibilityError, IntegrityError, SoundnessError
+from covtrans.tower import check_projection_claim, enumerate_elements, pullback_dense
 from covtrans.util import canonical_json
 
 
@@ -184,6 +184,28 @@ def test_stage_one_exempt_with_warning():
     tower = build_tower(spec, 5)
     assert tower.set_size(1) == 1
     assert any("stage 1" in w for w in tower.warnings())
+
+
+def test_projection_claim_rejects_broken_stage_maps(monkeypatch):
+    tower = build_tower(TowerSpec([20, 1024, 131072]), 11)  # the claims pass on a sound build
+    check_projection_claim(tower)
+    phi = tower.stages[2].phi
+    base_element = enumerate_elements(tower.stage_set(2))[-1]
+    cover_element = tower.stages[2].kernel_cover.indices()[-1]
+    section, embed = phi.section, phi.embed_kernel
+    with monkeypatch.context() as m:
+        m.setattr(phi, "section", lambda h: section(h) + (h == base_element))
+        with pytest.raises(SoundnessError, match="section"):
+            check_projection_claim(tower)
+    with monkeypatch.context() as m:
+        m.setattr(phi, "embed_kernel", lambda v: embed(v) + (v == cover_element))
+        with pytest.raises(SoundnessError, match=f"cover element {cover_element} embeds"):
+            check_projection_claim(tower)
+    with monkeypatch.context() as m:
+        m.setattr(tower.stages[2].subset, "base", tower.stage_set(1))
+        with pytest.raises(SoundnessError, match="not factored over X_2"):
+            check_projection_claim(tower)
+    check_projection_claim(tower)
 
 
 def test_membership_factored_dense_agreement():
