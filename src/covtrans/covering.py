@@ -104,9 +104,10 @@ def _translates_meet(group: FiniteGroup, first: GroupSubset, rest: list[GroupSub
     bits a + n - h onward of the doubled mask bits | bits << n, read from its
     byte image.  Bits past W or past n are cleared by X_1's window.  Other
     carriers walk X_1's members and look each x * shifts[i]^{-1} up in a flag
-    array of rest[i].
+    array of rest[i].  A set listed more than once in rest gets one image.
     """
     n = group.order
+    distinct = {id(s): s for s in rest}
     if group.additive_rotation:
         nbytes = (n + 7) >> 3
         first_bytes = first.bits.to_bytes(nbytes, "little")
@@ -115,7 +116,10 @@ def _translates_meet(group: FiniteGroup, first: GroupSubset, rest: list[GroupSub
             bits = int.from_bytes(first_bytes[a >> 3 : (a + _MEET_WINDOW) >> 3], "little")
             if bits:
                 windows.append((a, bits))
-        images = [(s.bits | s.bits << n).to_bytes(2 * nbytes, "little") for s in rest]
+        image_of = {}
+        for key, s in distinct.items():
+            image_of[key] = (s.bits | s.bits << n).to_bytes(2 * nbytes, "little")
+        images = [image_of[id(s)] for s in rest]
         span = (_MEET_WINDOW >> 3) + 1
 
         def meets(shifts: list[int]) -> bool:
@@ -135,12 +139,12 @@ def _translates_meet(group: FiniteGroup, first: GroupSubset, rest: list[GroupSub
 
     mul, inv = group.mul, group.inv
     members = first._member_list()
-    flags = []
-    for s in rest:
-        flag = bytearray(n)
+    flag_of = {}
+    for key, s in distinct.items():
+        flag = flag_of[key] = bytearray(n)
         for x in s._member_list():
             flag[x] = 1
-        flags.append(flag)
+    flags = [flag_of[id(s)] for s in rest]
 
     def meets(shifts: list[int]) -> bool:
         lookups = [(flag, inv(h)) for flag, h in zip(flags, shifts)]
@@ -508,31 +512,6 @@ def _missing_difference_witness(group: FiniteGroup, x: GroupSubset) -> tuple[int
     return (0, lowest_set_bit(missing))
 
 
-def _resolve_covering_check(group: FiniteGroup, k: int, mode: str):
-    """(method, witness function) of the complete k-covering check, or None to sample.
-
-    Complete means the subset scan while C(n,k)*n steps fit the step budget,
-    else at k = 2 the O(n^2) quotient-set criterion.  "auto" samples when
-    neither applies and "exhaustive" raises BudgetExceededError.
-    """
-    if mode not in ("auto", "exhaustive", "sampled"):
-        raise ValueError(f"unknown verification mode {mode!r}")
-    if mode == "sampled":
-        return None
-    n = group.order
-    steps = n * math.comb(n, k)
-    if steps <= step_budget():
-        return "subset-scan", lambda x: _exhaustive_covering_witness(group, x, k)
-    if k == 2 and n <= _PAIRWISE_PRODUCT_LIMIT:
-        return "difference-set", lambda x: _missing_difference_witness(group, x)
-    if mode == "exhaustive":
-        raise BudgetExceededError(
-            f"exhaustive covering check needs C(n,k)*n = {steps} steps "
-            f"(budget {step_budget()}); use sampled mode"
-        )
-    return None
-
-
 def verify_k_covering(
     group: FiniteGroup,
     x: GroupSubset,
@@ -560,12 +539,32 @@ def verify_k_covering(
     if k > n:
         # no size-k subsets exist, so any X (even empty) covers vacuously
         return VerificationRecord(mode="exhaustive", result=True, method="vacuous")
-    complete = _resolve_covering_check(group, k, mode)
-    if complete is not None:
-        method, witness_of = complete
-        witness = witness_of(x)
-        return VerificationRecord(
-            mode="exhaustive", result=witness is None, witness=witness, method=method
+    exhaustive_steps = n * math.comb(n, k)
+    scan_in_budget = exhaustive_steps <= step_budget()
+    pairwise_available = k == 2 and n <= _PAIRWISE_PRODUCT_LIMIT
+    if mode == "auto":
+        resolved = "exhaustive" if scan_in_budget or pairwise_available else "sampled"
+    elif mode in ("exhaustive", "sampled"):
+        resolved = mode
+    else:
+        raise ValueError(f"unknown verification mode {mode!r}")
+    if resolved == "exhaustive":
+        if scan_in_budget:
+            witness = _exhaustive_covering_witness(group, x, k)
+            return VerificationRecord(
+                mode="exhaustive", result=witness is None, witness=witness, method="subset-scan"
+            )
+        if pairwise_available:
+            witness = _missing_difference_witness(group, x)
+            return VerificationRecord(
+                mode="exhaustive",
+                result=witness is None,
+                witness=witness,
+                method="difference-set",
+            )
+        raise BudgetExceededError(
+            f"exhaustive covering check needs C(n,k)*n = {exhaustive_steps} steps "
+            f"(budget {step_budget()}); use sampled mode"
         )
     rng = random.Random(seed)
     meets = _translates_meet(group, x, [x] * (k - 1))
@@ -601,12 +600,10 @@ def exact_covering_number(group: FiniteGroup, k: int) -> int:
 
     Candidate sizes grow from 0 and subsets of a given size are tried in
     lexicographic order; no isomorphism reduction (pointless at n <= 16).
-    The complete check is chosen once per search, as verify_k_covering's
-    exhaustive mode would choose it: the subset scan, which examines only
-    the C(n-1,k-1) subsets containing e and translates the candidate by
-    y^{-1} only when the scan first reaches y, so a candidate that fails
-    early costs a few translates; or, over the budget at k = 2, the
-    quotient-set criterion.
+    Each candidate gets the exhaustive subset scan, which examines only the
+    C(n-1,k-1) subsets containing e and translates the candidate by y^{-1}
+    only when the scan first reaches y, so a candidate that fails early
+    costs a few translates.  The scan's budget still counts C(n,k)*n.
     """
     n = group.order
     if n > EXACT_COVERING_ORDER_LIMIT:
@@ -615,12 +612,10 @@ def exact_covering_number(group: FiniteGroup, k: int) -> int:
         )
     if k < 1:
         raise ValueError(f"covering parameter must be >= 1, got {k}")
-    if k > n:
-        return 0  # no size-k subsets exist, so the empty set covers vacuously
-    _, witness_of = _resolve_covering_check(group, k, "exhaustive")
     for s in range(n + 1):
         for comb in combinations(range(n), s):
-            if witness_of(GroupSubset.from_indices(group, comb)) is None:
+            candidate = GroupSubset.from_indices(group, comb)
+            if verify_k_covering(group, candidate, k, mode="exhaustive").result:
                 return s
     raise SoundnessError(f"no covering subset found in {group.describe()} at k={k}")
 

@@ -26,6 +26,7 @@ from covtrans import (
     TowerSpec,
 )
 from covtrans.errors import FeasibilityError, IntegrityError, SoundnessError
+from covtrans.groups import cyclic_tower_map
 from covtrans.tower import check_projection_claim, enumerate_elements, pullback_dense
 from covtrans.util import canonical_json
 
@@ -204,6 +205,20 @@ def test_projection_claim_rejects_broken_stage_maps(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(tower.stages[2].subset, "base", tower.stage_set(1))
         with pytest.raises(SoundnessError, match="not factored over X_2"):
+            check_projection_claim(tower)
+    with monkeypatch.context() as m:
+        m.setattr(tower.stages[2].subset, "phi", cyclic_tower_map(20480, 20480 * 131072))
+        with pytest.raises(SoundnessError, match="not factored through the stage map"):
+            check_projection_claim(tower)
+    # Stage 2 is dense: its members are mapped one by one, so a section that
+    # lands in the wrong coset shows as a member projecting outside X_1.
+    x1 = set(enumerate_elements(tower.stage_set(1)))
+    moved = next(b for b in sorted(x1) if (b + 1) % 20 not in x1)
+    phi2 = tower.stages[1].phi
+    section2 = phi2.section
+    with monkeypatch.context() as m:
+        m.setattr(phi2, "section", lambda h: section2(h) + (h == moved))
+        with pytest.raises(SoundnessError, match="projects outside X_1"):
             check_projection_claim(tower)
     check_projection_claim(tower)
 
