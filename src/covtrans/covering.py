@@ -16,13 +16,12 @@ from itertools import combinations
 
 from .errors import BudgetExceededError, ConstructionError, FeasibilityError, SoundnessError
 from .groups import FiniteGroup
-from .subsets import GroupSubset, _translate_bits, random_subset
+from .subsets import ROTATION_WINDOW, GroupSubset, _translate_bits, random_subset
 from .util import derive_seed, lowest_set_bit, step_budget
 
 DEFAULT_MAX_ATTEMPTS = 100
 DEFAULT_SAMPLE_TRIALS = 100_000
 _PAIRWISE_PRODUCT_LIMIT = 10**4  # n cap for O(n^2) difference-set style scans
-_MEET_WINDOW = 4096  # bits of a rotated set ANDed per step by the sampled meet test
 
 _VERIFY_SALT = 0x76657269
 
@@ -100,27 +99,23 @@ def _translates_meet(group: FiniteGroup, first: GroupSubset, rest: list[GroupSub
 
     Built once per verification call, so each trial pays only for the search,
     which stops at the first common element.  Rotation carriers AND the sets
-    in ascending windows of _MEET_WINDOW bits: window [a, a + W) of X h is
-    bits a + n - h onward of the doubled mask bits | bits << n, read from its
-    byte image.  Bits past W or past n are cleared by X_1's window.  Other
-    carriers walk X_1's members and look each x * shifts[i]^{-1} up in a flag
-    array of rest[i].  A set listed more than once in rest gets one image.
+    in ascending windows of ROTATION_WINDOW bits: window [a, a + W) of X h is
+    bits a + n - h onward of X's cached doubled image (see
+    GroupSubset._rotation_image).  Bits past W or past n are cleared by X_1's
+    window.  Other carriers walk X_1's members and look each
+    x * shifts[i]^{-1} up in a flag array of rest[i].  A set listed more than
+    once in rest gets one image.
     """
     n = group.order
-    distinct = {id(s): s for s in rest}
     if group.additive_rotation:
-        nbytes = (n + 7) >> 3
-        first_bytes = first.bits.to_bytes(nbytes, "little")
+        first_bytes = first.bits.to_bytes((n + 7) >> 3, "little")
         windows = []  # (start bit, X_1's bits there); empty windows cannot meet
-        for a in range(0, n, _MEET_WINDOW):
-            bits = int.from_bytes(first_bytes[a >> 3 : (a + _MEET_WINDOW) >> 3], "little")
+        for a in range(0, n, ROTATION_WINDOW):
+            bits = int.from_bytes(first_bytes[a >> 3 : (a + ROTATION_WINDOW) >> 3], "little")
             if bits:
                 windows.append((a, bits))
-        image_of = {}
-        for key, s in distinct.items():
-            image_of[key] = (s.bits | s.bits << n).to_bytes(2 * nbytes, "little")
-        images = [image_of[id(s)] for s in rest]
-        span = (_MEET_WINDOW >> 3) + 1
+        images = [s._rotation_image() for s in rest]
+        span = (ROTATION_WINDOW >> 3) + 1
 
         def meets(shifts: list[int]) -> bool:
             reads = [(image, n - h) for image, h in zip(images, shifts)]
@@ -140,7 +135,7 @@ def _translates_meet(group: FiniteGroup, first: GroupSubset, rest: list[GroupSub
     mul, inv = group.mul, group.inv
     members = first._member_list()
     flag_of = {}
-    for key, s in distinct.items():
+    for key, s in {id(s): s for s in rest}.items():
         flag = flag_of[key] = bytearray(n)
         for x in s._member_list():
             flag[x] = 1
@@ -196,10 +191,10 @@ def verify_intersecting(
         return VerificationRecord(
             mode="exhaustive", result=witness is None, witness=witness, method="tuple-scan"
         )
-    rng = random.Random(seed)
+    randrange = random.Random(seed).randrange
     meets = _translates_meet(group, subsets[0], subsets[1:])
     for t in range(trials):
-        tup = tuple(rng.randrange(n) for _ in range(k))
+        tup = tuple([randrange(n) for _ in range(k)])
         inv_first = group.inv(tup[0])
         if not meets([group.mul(g, inv_first) for g in tup[1:]]):
             return VerificationRecord(

@@ -8,11 +8,14 @@ from typing import Iterable, Iterator
 from .groups import FiniteGroup
 from .util import iter_set_bits, lowest_set_bit
 
+ROTATION_WINDOW = 4096  # bits of a rotated set read per step by the windowed searches
+_OR_BUILD_ORDER = 4096  # from_indices builds masks by OR up to this carrier order
+
 
 class GroupSubset:
     """Subset of a finite group stored as an integer bitmask over indices."""
 
-    __slots__ = ("group", "bits", "_size", "_members")
+    __slots__ = ("group", "bits", "_size", "_members", "_image")
 
     def __init__(self, group: FiniteGroup, bits: int, size: int | None = None):
         if bits < 0 or bits >> group.order:
@@ -21,6 +24,7 @@ class GroupSubset:
         self.bits = bits
         self._size = size
         self._members: list[int] | None = None
+        self._image: bytes | None = None
 
     @classmethod
     def empty(cls, group: FiniteGroup) -> "GroupSubset":
@@ -32,12 +36,26 @@ class GroupSubset:
 
     @classmethod
     def from_indices(cls, group: FiniteGroup, indices: Iterable[int]) -> "GroupSubset":
-        bits = 0
+        """The subset with the given member indices (repeats allowed).
+
+        Carriers of order up to _OR_BUILD_ORDER OR each bit into an int, which
+        is cheapest on small masks; larger ones set bits in a bytearray and
+        convert once, because each OR into a long int copies it.
+        """
+        n = group.order
+        if n <= _OR_BUILD_ORDER:
+            bits = 0
+            for i in indices:
+                if not 0 <= i < n:
+                    raise ValueError(f"index {i} out of range for {group.name}")
+                bits |= 1 << i
+            return cls(group, bits)
+        buf = bytearray((n + 7) >> 3)
         for i in indices:
-            if not 0 <= i < group.order:
+            if not 0 <= i < n:
                 raise ValueError(f"index {i} out of range for {group.name}")
-            bits |= 1 << i
-        return cls(group, bits)
+            buf[i >> 3] |= 1 << (i & 7)
+        return cls(group, int.from_bytes(buf, "little"))
 
     @property
     def size(self) -> int:
@@ -61,6 +79,18 @@ class GroupSubset:
         if self._members is None:
             self._members = list(iter_set_bits(self.bits))
         return self._members
+
+    def _rotation_image(self) -> bytes:
+        """Little-endian bytes of the doubled mask bits | bits << n, cached.
+
+        On a rotation carrier, bits a .. a + W of X * g^{-1} are bits
+        a + g .. a + g + W of this image, for 0 <= g < n: a window of any
+        rotation is one slice, with no rotation of the whole mask.
+        """
+        if self._image is None:
+            n = self.group.order
+            self._image = (self.bits | self.bits << n).to_bytes(2 * ((n + 7) >> 3), "little")
+        return self._image
 
     def indices(self) -> list[int]:
         """Member indices in ascending order."""
@@ -172,13 +202,32 @@ def random_subset(group: FiniteGroup, p: float, rng: random.Random) -> GroupSubs
 def translate_into(group: FiniteGroup, y, x: GroupSubset) -> int | None:
     """Smallest-index g with g*Y contained in X, or None if no translate works.
 
-    g*y in X for all y is equivalent to g in the intersection of the
-    right translates X*y^{-1}, so the search is a bitmask intersection
-    followed by a lowest-set-bit scan (ascending index order).
+    g*y in X for all y is equivalent to g in the intersection of the right
+    translates X*y^{-1}, so the answer is that intersection's lowest set bit.
+    Rotation carriers AND the translates in ascending windows of
+    ROTATION_WINDOW bits, each read from X's cached doubled image (window
+    [a, a + W) of X - y starts at bit a + y), and stop at the first
+    non-empty window.  Other carriers intersect whole translated bitmasks.
     """
     ys = list(y) if not isinstance(y, GroupSubset) else y.indices()
     if not ys:
         return group.identity
+    n = group.order
+    if group.additive_rotation:
+        image = x._rotation_image()
+        starts = [yi % n for yi in ys]
+        span = (ROTATION_WINDOW >> 3) + 1
+        for a in range(0, n, ROTATION_WINDOW):
+            acc = (1 << min(ROTATION_WINDOW, n - a)) - 1
+            for start in starts:
+                start += a
+                lo = start >> 3
+                acc &= int.from_bytes(image[lo : lo + span], "little") >> (start & 7)
+                if not acc:
+                    break
+            else:
+                return a + lowest_set_bit(acc)
+        return None
     acc = None
     for yi in ys:
         t = _translate_bits(group, x, group.inv(yi), left=False)

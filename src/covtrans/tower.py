@@ -90,6 +90,10 @@ class TowerSpec:
             if n < 2:
                 raise ValueError(f"kernel orders must be >= 2 (strictly descending chain), got {n}")
         self.kernel_orders = orders
+        group_orders = [1]
+        for n in orders:
+            group_orders.append(group_orders[-1] * n)
+        self._group_orders = tuple(group_orders)
         self._groups: dict[int, CyclicGroup] = {}
         self._maps: dict[int, Epimorphism] = {}
 
@@ -100,10 +104,7 @@ class TowerSpec:
     def group_order(self, i: int) -> int:
         if not 0 <= i <= self.depth:
             raise ValueError(f"stage {i} out of range for depth {self.depth}")
-        out = 1
-        for n in self.kernel_orders[:i]:
-            out *= n
-        return out
+        return self._group_orders[i]
 
     def group(self, i: int) -> CyclicGroup:
         if i not in self._groups:
@@ -566,15 +567,17 @@ def make_thin_set(spec: TowerSpec, depth: int, elements) -> ThinSet:
     for x in elems:
         if not 0 <= x < order:
             raise ValueError(f"element {x} out of range for stage {depth}")
-    projections = []
-    for i in range(depth + 1):
-        image = tuple(sorted({spec.project(depth, i, x) for x in elems}))
+    projections = [elems]
+    for i in range(depth, 0, -1):
+        lower = spec.quotient_map(i).map
+        projections.append(tuple(sorted({lower(x) for x in projections[-1]})))
+    projections.reverse()
+    for i, image in enumerate(projections):
         if len(image) > thin_bound(i):
             raise FeasibilityError(
                 f"set is not thin: level {i} image has {len(image)} elements "
                 f"(budget {thin_bound(i)})"
             )
-        projections.append(image)
     return ThinSet(depth=depth, elements=elems, projections=tuple(projections))
 
 
@@ -600,16 +603,17 @@ def sample_thin_set(
         raise ValueError(f"depth {depth} out of range for {spec.describe()}")
     if not 0.0 < fullness <= 1.0:
         raise ValueError(f"fullness must be in (0, 1], got {fullness}")
+    randrange = rng.randrange
     levels: list[list[int]] = [[0]]
     for i in range(1, depth + 1):
         phi = spec.quotient_map(i)
-        src = phi.source
+        mul, embed, section = phi.source.mul, phi.embed_kernel, phi.section
+        kernel_order = phi.kernel_order
         prev = levels[i - 1]
         chosen: list[int] = []
         for _ in range(thin_bound(i)):
-            h = prev[rng.randrange(len(prev))]
-            v = rng.randrange(phi.kernel_order)
-            x = src.mul(phi.embed_kernel(v), phi.section(h))
+            h = prev[randrange(len(prev))]
+            x = mul(embed(randrange(kernel_order)), section(h))
             if x not in chosen:
                 chosen.append(x)
         levels.append(chosen)
@@ -693,6 +697,12 @@ def translate_thin(
     (smallest kernel element first); the shifted preimage is g_{i+1}.  A
     failed lift contradicts the per-stage covering guarantee and raises
     SoundnessError with the offending state.
+
+    The result is verified once, at the top: every g * y, y in Y, is tested
+    by factored membership in X_d.  That test maps g * y through every stage
+    and checks its image against each X_i, so it covers every lower level of
+    the chain as well; a wrong shift or an unsound stage set anywhere in the
+    chain raises SoundnessError there.
     """
     d = thin.depth
     if d > tower.depth:
@@ -703,18 +713,12 @@ def translate_thin(
     for s in range(1, d + 1):
         stage = tower.stages[s - 1]
         phi = stage.phi
-        src = phi.source
+        mul, inv = phi.source.mul, phi.source.inv
         g_tilde = phi.section(g)
         offsets = set()
         for y in thin.projections[s]:
-            w = src.mul(g_tilde, y)
-            h = phi.map(w)
-            if not tower.member(s - 1, h):
-                raise SoundnessError(
-                    f"stage {s}: shifted image {h} escaped X_{s - 1}; "
-                    f"translator chain {chain} is unsound"
-                )
-            offsets.add(phi.kernel_coords(src.mul(w, src.inv(phi.section(h)))))
+            w = mul(g_tilde, y)
+            offsets.add(phi.kernel_coords(mul(w, inv(phi.section(phi.map(w))))))
         u = translate_into(phi.kernel_group, sorted(offsets), stage.kernel_cover)
         if u is None:
             raise SoundnessError(
@@ -723,10 +727,7 @@ def translate_thin(
                 f"the cover's verification was "
                 f"{stage.verification_record().mode if stage.verification_record() else 'trivial'}"
             )
-        g = src.mul(phi.embed_kernel(u), g_tilde)
-        for y in thin.projections[s]:
-            if not tower.member(s, src.mul(g, y)):
-                raise SoundnessError(f"stage {s}: lifted translator {g} fails membership")
+        g = mul(phi.embed_kernel(u), g_tilde)
         chain.append(g)
         shifts.append(u)
     top = tower.spec.group(d)

@@ -23,12 +23,21 @@ def lowest_set_bit(x: int) -> int | None:
     return (x & -x).bit_length() - 1
 
 
+_BYTE_BITS = tuple(tuple(j for j in range(8) if b >> j & 1) for b in range(256))
+
+
 def iter_set_bits(x: int):
-    """Yield set-bit indices of x in ascending order."""
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
+    """Yield set-bit indices of x >= 0 in ascending order.
+
+    Decodes the little-endian byte image once, so the cost is linear in the
+    bit length (clearing bits one by one would copy the int each time).
+    """
+    base = 0
+    for b in x.to_bytes((x.bit_length() + 7) >> 3, "little"):
+        if b:
+            for j in _BYTE_BITS[b]:
+                yield base + j
+        base += 8
 
 
 def _mix64(x: int) -> int:

@@ -2,9 +2,10 @@
 
 These use plain python sets and explicit loops so they exercise none of the
 bitmask or difference-set machinery they are used to check.  The two
-full-translate sampled loops at the end are the exception: they translate
-whole sets with GroupSubset.right_translate, whose own test compares it with
-naive translates, so that they stay fast on C131072.
+full-translate sampled loops and the full-rotation translate search at the
+end are the exception: they translate whole sets with
+GroupSubset.right_translate, whose own test compares it with naive
+translates, so that they stay fast on C131072.
 """
 
 import random
@@ -167,3 +168,26 @@ def full_translate_sampled_covering(group, x, k, trials, seed):
         if not acc:
             return False, t + 1, tuple(ys)
     return True, trials, None
+
+
+def full_rotation_translate_into(group, y, x):
+    """Smallest g with g*Y inside X, or None, by intersecting whole translates.
+
+    ANDs the full right translates X*y^{-1}, each computed by
+    GroupSubset.right_translate, and takes the lowest set bit.  The reference
+    for translate_into's windowed search on rotation carriers.
+    """
+    ys = list(y)
+    if not ys:
+        return group.identity
+    acc = (1 << group.order) - 1
+    for yi in ys:
+        acc &= x.right_translate(group.inv(yi)).bits
+    if not acc:
+        return None
+    return (acc & -acc).bit_length() - 1
+
+
+def naive_set_bits(x):
+    """Set-bit indices of x >= 0, ascending, read off its binary string."""
+    return [i for i, c in enumerate(reversed(bin(x)[2:])) if c == "1"]

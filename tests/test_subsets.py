@@ -2,6 +2,7 @@ import random
 import statistics
 
 import pytest
+from conftest import full_rotation_translate_into, naive_set_bits
 
 from covtrans import (
     CyclicGroup,
@@ -14,6 +15,7 @@ from covtrans import (
     translate_into,
 )
 from covtrans.subsets import _translate_bits
+from covtrans.util import iter_set_bits
 
 
 def test_roundtrip_and_size():
@@ -31,6 +33,34 @@ def test_out_of_range_rejected():
         GroupSubset.from_indices(g, [4])
     with pytest.raises(ValueError):
         GroupSubset(g, 1 << 4)
+
+
+def test_from_indices_matches_or_loop():
+    rng = random.Random(8)
+    for n in (1, 7, 8, 9, 20, 4096, 4097, 5040):  # both sides of the OR-build cut
+        g = CyclicGroup(n)
+        members = [rng.randrange(n) for _ in range(n // 3 + 1)] + [n - 1, 0]
+        bits = 0
+        for i in members:
+            bits |= 1 << i
+        assert GroupSubset.from_indices(g, members).bits == bits
+        assert GroupSubset.from_indices(g, []).bits == 0
+        for bad in (-1, -n, n, n + 8):
+            with pytest.raises(ValueError, match="out of range"):
+                GroupSubset.from_indices(g, [0, bad])
+
+
+@pytest.mark.parametrize("width", [0, 1, 64, 255, 256, 257, 4096, 131072])
+def test_iter_set_bits_matches_naive_loop(width):
+    rng = random.Random(width)
+    masks = [0]
+    if width:
+        top = 1 << (width - 1)
+        sparse = sum(1 << i for i in range(0, width, 97))
+        masks = [top, (1 << width) - 1, rng.getrandbits(width) | top, 1 | top, sparse | top]
+    for x in masks:
+        assert x.bit_length() == width
+        assert list(iter_set_bits(x)) == naive_set_bits(x)
 
 
 def test_set_algebra():
@@ -149,3 +179,40 @@ def test_translate_into_whole_group_and_obstructions():
     found = translate_into(g, y, x)
     candidates = [h for h in range(6) if all(g.mul(h, yi) in x for yi in y)]
     assert found == min(candidates)
+
+
+@pytest.mark.parametrize("n", [20, 4099, 131072])
+def test_windowed_translate_into_matches_full_rotation(n):
+    g = CyclicGroup(n)
+    rng = random.Random(n)
+
+    def agree(ys, x):
+        found = translate_into(g, ys, x)
+        assert found == full_rotation_translate_into(g, ys, x)
+        return found
+
+    # A lone solution planted at and around the window edges and at n - 1,
+    # with offsets that wrap past n and a duplicated offset.
+    offset_sets = [[0, 3, 11], [0, n - 1, n - 2], [n - 5, 2, n - 5], [7]]
+    for target in (0, 1, 4095, 4096, 4097, n - 1):
+        if target >= n:
+            continue
+        for ys in offset_sets:
+            x = GroupSubset.from_indices(g, {(target + y) % n for y in ys})
+            if len(set(ys)) > 1:
+                assert agree(ys, x) == target
+            else:
+                assert agree(ys, x) is not None
+    # Random sets and offset lists, with Y also passed as a subset.
+    for density in (0.05, 0.3, 0.7):
+        x = random_subset(g, density, rng)
+        for size in (1, 2, 3, 4):
+            ys = [rng.randrange(n) for _ in range(size)]
+            agree(ys, x)
+            agree(GroupSubset.from_indices(g, ys), x)
+    # No translate: Y = {0, 1} into a set with no two neighbours, wrap included.
+    evens = GroupSubset.from_indices(g, range(0, n - 3, 2))
+    assert agree([0, 1], evens) is None
+    assert agree([n - 1, 0], evens) is None
+    assert agree([1, 2], GroupSubset.empty(g)) is None
+    assert agree([], GroupSubset.empty(g)) == 0

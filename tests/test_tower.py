@@ -25,6 +25,7 @@ from covtrans import (
     witness_sets_nested,
     TowerSpec,
 )
+import covtrans.tower as tower_module
 from covtrans.errors import FeasibilityError, IntegrityError, SoundnessError
 from covtrans.groups import cyclic_tower_map
 from covtrans.tower import check_projection_claim, enumerate_elements, pullback_dense
@@ -271,6 +272,26 @@ def test_make_thin_set_rejects_wide_sets():
     assert ok.projections[1] == (5,)
 
 
+def test_make_thin_set_projections_match_per_element_projection():
+    spec = TowerSpec([20, 1024, 131072])
+    rng = random.Random(17)
+    for depth in (1, 2, 3):
+        for fullness in (1.0, 0.5):
+            for _ in range(200):
+                elements = sample_thin_set(spec, depth, rng, fullness).elements
+                thin = make_thin_set(spec, depth, elements)
+                assert thin.elements == tuple(sorted(elements))
+                assert thin.projections == tuple(
+                    tuple(sorted({spec.project(depth, i, x) for x in elements}))
+                    for i in range(depth + 1)
+                )
+    # a set over budget at several levels names the lowest one
+    with pytest.raises(FeasibilityError, match="level 1 image has 3 elements"):
+        make_thin_set(spec, 3, [0, 1, 2])
+    with pytest.raises(FeasibilityError, match="level 2 image has 3 elements"):
+        make_thin_set(spec, 3, [0, 20, 40])
+
+
 def test_slalom_validation_and_pullback():
     spec = TowerSpec([20, 1024])
     with pytest.raises(FeasibilityError):
@@ -322,6 +343,50 @@ def test_translate_thin_chain_consistency():
         for i, level in enumerate(res.witness_levels):
             if level is not None:
                 assert spec.project(2, i, g) in level
+
+
+def test_translate_thin_final_membership_catches_unsound_lifts(monkeypatch):
+    # On a loaded depth-3 tower, the one membership check at the top must
+    # catch a wrong kernel shift at any of the three stages, and a stage-2
+    # set whose cover lacks an element the lift used.
+    spec = TowerSpec([20, 1024, 131072])
+    tower = tower_from_document(build_tower(spec, 11, verify_claims=False).document())
+    rng = random.Random(19)
+    thin = next(
+        t for t in (sample_thin_set(spec, 3, rng) for _ in range(50)) if len(t.projections[2]) == 2
+    )
+    sound = translate_thin(tower, thin, collect_witness_sets=False)
+    real = tower_module.translate_into
+
+    for kernel_order in (20, 1024, 131072):
+
+        def wrong_shift(group, offsets, cover):
+            u = real(group, offsets, cover)
+            if group.order != kernel_order:
+                return u
+            n = group.order
+            return next(v for v in range(n) if any((v + o) % n not in cover for o in offsets))
+
+        with monkeypatch.context() as m:
+            m.setattr(tower_module, "translate_into", wrong_shift)
+            with pytest.raises(SoundnessError, match="fails membership"):
+                translate_thin(tower, thin, collect_witness_sets=False)
+
+    # for each level-2 image y, drop the cover element that g_2 * y lands on
+    stage2 = tower.stages[1]
+    src, phi2 = stage2.phi.source, stage2.phi
+    for y in thin.projections[2]:
+        w = src.mul(sound.stage_translators[2], y)
+        used = phi2.kernel_coords(src.mul(w, src.inv(phi2.section(phi2.map(w)))))
+        assert used in stage2.kernel_cover
+        thinned = GroupSubset.from_indices(
+            stage2.kernel_cover.group, [v for v in stage2.kernel_cover.indices() if v != used]
+        )
+        with monkeypatch.context() as m:
+            m.setattr(stage2.subset, "kernel_cover", thinned)
+            with pytest.raises(SoundnessError, match="fails membership"):
+                translate_thin(tower, thin, collect_witness_sets=False)
+    assert translate_thin(tower, thin, collect_witness_sets=False) == sound
 
 
 def test_translator_sets_match_direct_definition():
