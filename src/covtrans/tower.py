@@ -4,9 +4,11 @@ A tower over kernel orders (n_0, ..., n_{d-1}) is the chain of cyclic
 groups G_0 = C1, G_1 = C_{n_0}, G_2 = C_{n_0 n_1}, ... with reduction maps
 between consecutive stages.  Each stage carries a subset X_i with
 pi(X_{i+1}) = X_i and |X_i| <= |G_i| / 2^i, built by extending the previous
-stage's set through the quotient map with a covering subset of the kernel.
-Stage sets are stored in factored form (kernel covers plus sections), so
-membership costs O(depth) oracle calls even when |G_d| is in the billions.
+stage's set with a covering subset L_{i+1} of the kernel C_{n_i}.  In
+mixed-radix digits X_{i+1} = {b + |G_i| v : b in X_i, v in L_{i+1}}, so X_d
+is the digit product L_1 x ... x L_d: membership costs one divmod per stage
+even when |G_d| is in the billions, and reduction mod |G_i| maps X_{i+1} onto
+X_i by integer arithmetic.
 """
 
 from __future__ import annotations
@@ -26,13 +28,12 @@ from .covering import (
     covering_condition_value,
 )
 from .errors import FeasibilityError, IntegrityError, SoundnessError
-from .groups import CyclicGroup, Epimorphism, check_epimorphism, cyclic_tower_map
+from .groups import CyclicGroup, Epimorphism, cyclic_tower_map
 from .subsets import GroupSubset, translate_into
 from .util import derive_seed
 
 DENSE_STAGE_LIMIT = 1 << 27  # dense enumeration allowed up to this group order
 WITNESS_STAGE_LIMIT = 1 << 20  # per-level translator sets materialized up to this
-_DENSE_SET_LIMIT = 1 << 21  # practical cap on enumerated stage-set length
 
 _CLAIM3_SALT = 0x636C33
 
@@ -120,12 +121,10 @@ class TowerSpec:
         return self._maps[s]
 
     def project(self, d: int, i: int, x: int) -> int:
-        """Composed projection G_d -> G_i (i <= d), folding the stage maps."""
+        """Composed projection G_d -> G_i (i <= d): reduction mod |G_i|."""
         if not 0 <= i <= d <= self.depth:
             raise ValueError(f"invalid projection {d} -> {i} at depth {self.depth}")
-        for s in range(d, i, -1):
-            x = self.quotient_map(s).map(x)
-        return x
+        return x % self._group_orders[i]
 
     def admissibility(self, s: int) -> StageAdmissibility:
         if not 1 <= s <= self.depth:
@@ -165,88 +164,36 @@ def parse_tower_descriptor(descriptor: str) -> TowerSpec:
 
 
 class FactoredSubset:
-    """X' = L * section(X) through a quotient map, stored without expansion.
+    """X' = {b + N v : b in X, v in L} in C_{N n}, stored as its two digits.
 
-    Membership: x belongs iff pi(x) lies in the base set and the kernel
-    offset x * section(pi(x))^{-1} lies in the kernel cover.  The factored
-    cardinality |L| * |base| is exact: section representatives inhabit
-    distinct kernel cosets.
+    N is the order of the base set X's group and L a subset of C_n.  x
+    belongs iff divmod(x, N) = (v, b) has b in X and v in L; an x outside
+    0..N n - 1 has v outside 0..n - 1 and fails.  Since x mod N = b,
+    reduction mod N maps X' onto X, and |X'| = |X| |L| exactly.
     """
 
-    def __init__(self, phi: Epimorphism, base, kernel_cover: GroupSubset):
-        if kernel_cover.group.order != phi.kernel_group.order:
-            raise ValueError("kernel cover must live in the map's kernel group")
-        if base_size(base) == 0:
+    def __init__(self, base, kernel_cover: GroupSubset):
+        if base.size == 0:
             raise ValueError("base set must be nonempty")
         if kernel_cover.size == 0:
             raise ValueError("kernel cover must be nonempty")
-        self.phi = phi
         self.base = base
         self.kernel_cover = kernel_cover
-        self.group = phi.source
-        self.size = base_size(base) * kernel_cover.size
+        self.modulus = base.group.order
+        self.group = CyclicGroup(self.modulus * kernel_cover.group.order)
+        self.size = base.size * kernel_cover.size
 
     def __contains__(self, x: int) -> bool:
-        if not 0 <= x < self.group.order:
-            return False
-        phi = self.phi
-        h = phi.map(x)
-        if h not in self.base:
-            return False
-        src = phi.source
-        offset = src.mul(x, src.inv(phi.section(h)))
-        return phi.kernel_coords(offset) in self.kernel_cover
-
-    def sample(self, rng: random.Random) -> int:
-        """Uniform random member (uniform base element, uniform cover shift)."""
-        b = sample_member(self.base, rng)
-        v = self.kernel_cover.random_member(rng)
-        src = self.phi.source
-        return src.mul(self.phi.embed_kernel(v), self.phi.section(b))
-
-    def enumerate_elements(self) -> list[int]:
-        if self.size > _DENSE_SET_LIMIT:
-            raise MemoryError(f"refusing to enumerate {self.size} elements")
-        out = list(iter_members(self))
-        if len(set(out)) != self.size:
-            raise SoundnessError("factored product failed to be injective")
-        return sorted(out)
+        v, b = divmod(x, self.modulus)
+        # base digit first: it rejects most elements, and a cover test
+        # shifts the cover's whole mask
+        return b in self.base and v in self.kernel_cover
 
     def __repr__(self) -> str:
         return f"FactoredSubset({self.group.name}, size={self.size})"
 
 
 StageSet = Union[GroupSubset, FactoredSubset]
-
-
-def base_size(subset: StageSet) -> int:
-    return subset.size
-
-
-def iter_members(subset: StageSet):
-    """Members of a stage set, uncapped and unsorted: embed(v) * section(b) by base b."""
-    if isinstance(subset, GroupSubset):
-        yield from subset.indices()
-        return
-    phi = subset.phi
-    mul = phi.source.mul
-    shifts = [phi.embed_kernel(v) for v in subset.kernel_cover.indices()]
-    for b in iter_members(subset.base):
-        rep = phi.section(b)
-        for shift in shifts:
-            yield mul(shift, rep)
-
-
-def enumerate_elements(subset: StageSet) -> list[int]:
-    if isinstance(subset, GroupSubset):
-        return subset.indices()
-    return subset.enumerate_elements()
-
-
-def sample_member(subset: StageSet, rng: random.Random) -> int:
-    if isinstance(subset, GroupSubset):
-        return subset.random_member(rng)
-    return subset.sample(rng)
 
 
 @dataclass
@@ -270,15 +217,21 @@ def extend_covering(
 ) -> ExtensionResult:
     """Extend a covering set through phi using a (k+1)-covering of the kernel.
 
-    The result X' = L * section(X) satisfies: pi(X') = X exactly,
-    |X'| = |L| |X| <= n |X| / 2, and every subset of the source of size at
-    most k+1 whose image translates into X translates into X'.  At k = 0 a
-    1-covering is any nonempty subset, so L is the singleton identity and
-    no randomness is consumed.
+    phi must be the cyclic reduction C_{N n} -> C_N onto the base set's
+    group.  The result X' = {b + N v : b in X, v in L} satisfies:
+    pi(X') = X exactly, |X'| = |L| |X| <= n |X| / 2, and every subset of
+    the source of size at most k+1 whose image translates into X translates
+    into X'.  At k = 0 a 1-covering is any nonempty subset, so L is the
+    singleton identity and no randomness is consumed.
     """
+    if not phi.is_cyclic_reduction or phi.target.order != base.group.order:
+        raise ValueError(
+            f"{phi.name} is not the cyclic reduction onto {base.group.name}: "
+            f"stage sets are digit products over a cyclic chain"
+        )
     if k < 0:
         raise FeasibilityError(f"extension parameter must be >= 0, got {k}")
-    if base_size(base) == 0:
+    if base.size == 0:
         raise FeasibilityError("cannot extend an empty covering set")
     kernel = phi.kernel_group
     if kernel.order < 2:
@@ -306,11 +259,10 @@ def extend_covering(
             trials=trials,
         )
         cover = certificate.covering_set
-    subset = FactoredSubset(phi, base, cover)
-    if 2 * subset.size > kernel.order * base_size(base):
+    subset = FactoredSubset(base, cover)
+    if 2 * subset.size > kernel.order * base.size:
         raise SoundnessError(
-            f"extension size {subset.size} exceeds n|X|/2 = "
-            f"{kernel.order * base_size(base) / 2}"
+            f"extension size {subset.size} exceeds n|X|/2 = {kernel.order * base.size / 2}"
         )
     return ExtensionResult(subset=subset, kernel_cover=cover, certificate=certificate)
 
@@ -375,7 +327,7 @@ class Tower:
         return self.stages[i - 1].subset
 
     def member(self, i: int, x: int) -> bool:
-        """Factored membership test for X_i, O(i) oracle calls."""
+        """Digit membership test for X_i, one divmod per stage."""
         if not 0 <= i <= self.depth:
             raise ValueError(f"stage {i} out of range for depth {self.depth}")
         if not 0 <= x < self.spec.group_order(i):
@@ -383,16 +335,24 @@ class Tower:
         return x in self.stage_set(i)
 
     def set_size(self, i: int) -> int:
-        return base_size(self.stage_set(i))
+        return self.stage_set(i).size
 
     def dense_mask(self, i: int) -> int:
-        """Bitmask of X_i over G_i; only for dense-representable stages."""
+        """Bitmask of X_i over G_i; only for dense-representable stages.
+
+        X_i is X_{i-1} shifted by N v for each v in L_i, N = |G_{i-1}|.
+        """
         if i not in self._dense_masks:
             if self.spec.group_order(i) > DENSE_STAGE_LIMIT:
                 raise MemoryError(f"stage {i} group order exceeds the dense limit")
-            bits = 0
-            for x in enumerate_elements(self.stage_set(i)):
-                bits |= 1 << x
+            subset = self.stage_set(i)
+            if i == 0:
+                bits = subset.bits
+            else:
+                below, step = self.dense_mask(i - 1), subset.modulus
+                bits = 0
+                for v in subset.kernel_cover.indices():
+                    bits |= below << (step * v)
             self._dense_masks[i] = bits
         return self._dense_masks[i]
 
@@ -439,11 +399,9 @@ def build_tower(
 
     Stage s needs the strengthened admissibility of its kernel at parameter
     k = s-1; stage 1 is exempt because the singleton identity is already a
-    1-covering.  Claim checks: projection containment member by member on
-    dense stages and from the stage map's contract on the cover and base
-    elements above the dense limit (see check_projection_claim); the 2^{-i}
-    measure bound as an exact integer comparison; and sampled thin-set
-    translations.
+    1-covering.  Claim checks: projection containment from how each stage
+    set is built (see check_projection_claim); the 2^{-i} measure bound as an
+    exact integer comparison; and sampled thin-set translations.
     """
     for s in range(2, spec.depth + 1):
         adm = spec.admissibility(s)
@@ -496,43 +454,30 @@ def build_tower(
 
 
 def check_projection_claim(tower: Tower) -> None:
-    """Every member of X_s projects into X_{s-1}, checked at every stage.
+    """Every member of X_s projects into X_{s-1}, checked exactly at every stage.
 
-    Dense stages map each enumerated member x and test pi(x) in X_{s-1},
-    which assumes nothing of the map.  Above the dense limit, X_s is
-    {embed(v) * section(b) : v in L_s, b in X_{s-1}}, so pi(X_s) lies in
-    X_{s-1} by the homomorphism law once pi(embed(v)) = e for every cover
-    element v and pi(section(b)) = b for every b in X_{s-1}; both are
-    checked element by element.  The law holds by construction for
-    cyclic_tower_map, and check_epimorphism tests it (on every pair up to
-    order 4096, on 4096 random pairs above) before the element checks.
+    X_s = {b + N v : b in X_{s-1}, v in L_s} with N = |G_{s-1}|, and
+    reduction mod N sends b + N v to b, so pi(X_s) lies in X_{s-1} by
+    integer arithmetic once three facts hold: the set is built over
+    X_{s-1}, its modulus is |G_{s-1}|, and its cover L_s lives in the stage
+    kernel C_{n_{s-1}} (so that b + N v stays in G_s).  Each is checked.
     """
+    spec = tower.spec
     for s in range(1, tower.depth + 1):
-        stage = tower.stages[s - 1]
-        subset, phi = stage.subset, stage.phi
-        if subset.phi is not phi:
-            raise SoundnessError(f"stage {s}: the set is not factored through the stage map")
+        subset = tower.stages[s - 1].subset
         if subset.base != tower.stage_set(s - 1):
-            raise SoundnessError(f"stage {s}: the set is not factored over X_{s - 1}")
-        prev = subset.base
-        dense = (
-            tower.spec.group_order(s) <= DENSE_STAGE_LIMIT
-            and subset.size <= _DENSE_SET_LIMIT
-        )
-        if dense:
-            for x in enumerate_elements(subset):
-                if phi.map(x) not in prev:
-                    raise SoundnessError(f"stage {s}: member {x} projects outside X_{s - 1}")
-            continue
-        check_epimorphism(phi)
-        identity = phi.target.identity
-        for v in subset.kernel_cover.indices():
-            if phi.map(phi.embed_kernel(v)) != identity:
-                raise SoundnessError(f"stage {s}: cover element {v} embeds outside the kernel")
-        for b in iter_members(prev):
-            image = phi.map(phi.section(b))
-            if image != b:
-                raise SoundnessError(f"stage {s}: section({b}) projects to {image}, not {b}")
+            raise SoundnessError(f"stage {s}: the set is not built over X_{s - 1}")
+        if subset.modulus != spec.group_order(s - 1):
+            raise SoundnessError(
+                f"stage {s}: modulus {subset.modulus} is not |G_{s - 1}| = "
+                f"{spec.group_order(s - 1)}"
+            )
+        kernel_order = spec.kernel_orders[s - 1]
+        if subset.kernel_cover.group.order != kernel_order:
+            raise SoundnessError(
+                f"stage {s}: the cover lives in {subset.kernel_cover.group.name}, "
+                f"not in the stage kernel C{kernel_order}"
+            )
 
 
 def check_translation_claim(tower: Tower, samples: int = 100) -> None:
@@ -699,10 +644,11 @@ def translate_thin(
     SoundnessError with the offending state.
 
     The result is verified once, at the top: every g * y, y in Y, is tested
-    by factored membership in X_d.  That test maps g * y through every stage
-    and checks its image against each X_i, so it covers every lower level of
-    the chain as well; a wrong shift or an unsound stage set anywhere in the
-    chain raises SoundnessError there.
+    by digit membership in X_d.  That test reads every mixed-radix digit of
+    g * y against its stage cover, so it covers every lower level of the
+    chain as well; a wrong shift or an unsound stage set anywhere in the
+    chain raises SoundnessError there.  The lift goes through the stage
+    maps and the check through divmod, so the two share no code path.
     """
     d = thin.depth
     if d > tower.depth:
@@ -761,17 +707,12 @@ def _witness_level(tower: Tower, thin: ThinSet, i: int, limit: int) -> GroupSubs
 
 
 def pullback_dense(phi: Epimorphism, target_bits: int) -> int:
-    """Bitmask over the source of the preimage of a target bitmask."""
+    """Bitmask over C_{m n} of the preimage of a bitmask over C_m, phi reducing mod m."""
     m = phi.target.order
-    big = phi.source.order
-    if getattr(phi, "is_cyclic_reduction", False):
-        repunit = ((1 << big) - 1) // ((1 << m) - 1)
-        return target_bits * repunit
-    out = 0
-    for x in range(big):
-        if (target_bits >> phi.map(x)) & 1:
-            out |= 1 << x
-    return out
+    if not phi.is_cyclic_reduction or target_bits < 0 or target_bits >> m:
+        raise ValueError(f"{phi.name} is not a cyclic reduction onto the bitmask's carrier")
+    repunit = ((1 << phi.source.order) - 1) // ((1 << m) - 1)
+    return target_bits * repunit
 
 
 def witness_sets_nested(tower: Tower, witness_levels: list[Optional[GroupSubset]]) -> bool:
@@ -806,7 +747,14 @@ def dimension_estimate(spec: TowerSpec, elements, depth: int | None = None) -> f
 
 
 def tower_from_document(doc: dict) -> Tower:
-    """Rebuild a tower from its serialized document, membership bit-exact."""
+    """Rebuild a tower from its serialized document, membership bit-exact.
+
+    The covers (nonempty, inside their kernels), the listed sizes and the
+    halving bound 2|L_s| <= n_{s-1} are checked again and raise
+    IntegrityError when broken.  The measure bound
+    |X_s| 2^s <= |G_s| needs no check of its own: |X_s| = |L_1| ... |L_s| and
+    |G_s| = n_0 ... n_{s-1}, so it holds once every stage up to s halves.
+    """
     if doc.get("kind") != "tower":
         raise IntegrityError(f"not a tower document: kind={doc.get('kind')!r}")
     spec = TowerSpec(doc["kernel_orders"])
@@ -820,13 +768,21 @@ def tower_from_document(doc: dict) -> Tower:
         )
     for s, stage_doc in enumerate(stage_docs, start=1):
         phi = spec.quotient_map(s)
-        cover = GroupSubset.from_indices(phi.kernel_group, stage_doc["cover"])
+        try:
+            cover = GroupSubset.from_indices(phi.kernel_group, stage_doc["cover"])
+            subset = FactoredSubset(current, cover)
+        except ValueError as exc:
+            raise IntegrityError(f"stage {s}: {exc}") from exc
         if cover.size != stage_doc["cover_size"]:
             raise IntegrityError(
                 f"stage {s}: cover_size {stage_doc['cover_size']} disagrees with "
                 f"{cover.size} listed elements"
             )
-        subset = FactoredSubset(phi, current, cover)
+        if 2 * cover.size > phi.kernel_order:
+            raise IntegrityError(
+                f"stage {s}: cover of size {cover.size} is over half the kernel "
+                f"order {phi.kernel_order}"
+            )
         if subset.size != stage_doc["set_size"]:
             raise IntegrityError(
                 f"stage {s}: set_size {stage_doc['set_size']} disagrees with the "

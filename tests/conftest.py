@@ -191,3 +191,24 @@ def full_rotation_translate_into(group, y, x):
 def naive_set_bits(x):
     """Set-bit indices of x >= 0, ascending, read off its binary string."""
     return [i for i, c in enumerate(reversed(bin(x)[2:])) if c == "1"]
+
+
+def naive_factored_members(phi, base, cover):
+    """embed(v) * section(b) for b in base and v in cover, through the stage map phi.
+
+    The factored enumeration the tower used before its sets became digit
+    products: it goes through the epimorphism's section and kernel embedding,
+    never through divmod.  Sorted, with repeats kept, so a length check
+    catches a product that fails to be injective.
+    """
+    mul = phi.source.mul
+    shifts = [phi.embed_kernel(v) for v in cover]
+    return sorted(mul(shift, phi.section(b)) for b in base for shift in shifts)
+
+
+def naive_stage_members(tower, i):
+    """Members of the tower's X_i, by naive_factored_members stage after stage."""
+    members = [0]
+    for stage in tower.stages[:i]:
+        members = naive_factored_members(stage.phi, members, stage.kernel_cover.indices())
+    return members

@@ -258,6 +258,18 @@ def test_tower_translate_from_document_and_thin_file(capsys, tmp_path):
     assert doc["samples"] == 2 and doc["success"] == 2
 
 
+def test_tower_translate_refuses_a_document_over_the_halving_bound(capsys, tmp_path):
+    tower_path = tmp_path / "tower.json"
+    run(capsys, "tower", "build", "--spec", "tower:20,1024", "--seed", "3", "--out", str(tower_path))
+    doc = json.loads(tower_path.read_text())
+    assert doc["stages"][0]["set_size"] == 1
+    doc["stages"][1].update(cover=list(range(600)), cover_size=600, set_size=600)
+    tower_path.write_text(json.dumps(doc))
+    code, stdout, err = run(capsys, "tower", "translate", "--seed", "5", "--in", str(tower_path))
+    assert code == EXIT_INTEGRITY and stdout == ""
+    assert "stage 2: cover of size 600 is over half the kernel order 1024" in err
+
+
 def test_tower_dim_command(capsys):
     code, stdout, _ = run(
         capsys, "tower", "dim", "--spec", "tower:20,1024", "--seed", "4", "--samples", "5"

@@ -1,11 +1,14 @@
+import copy
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from conftest import naive_factored_members, naive_stage_members
 
 from covtrans import (
     CyclicGroup,
+    DirectProductGroup,
     GroupSubset,
     build_tower,
     check_epimorphism,
@@ -16,6 +19,7 @@ from covtrans import (
     make_slalom,
     make_thin_set,
     parse_tower_descriptor,
+    product_projection,
     sample_thin_set,
     slalom_pullback,
     thin_bound,
@@ -28,8 +32,17 @@ from covtrans import (
 import covtrans.tower as tower_module
 from covtrans.errors import FeasibilityError, IntegrityError, SoundnessError
 from covtrans.groups import cyclic_tower_map
-from covtrans.tower import check_projection_claim, enumerate_elements, pullback_dense
+from covtrans.tower import check_projection_claim, pullback_dense
 from covtrans.util import canonical_json
+
+
+@pytest.fixture(scope="module")
+def seed11_tower():
+    """The depth-3 tower of the acceptance suite, its claims left to each test.
+
+    Tests restore whatever they patch.
+    """
+    return build_tower(TowerSpec([20, 1024, 131072]), 11, verify_claims=False)
 
 
 def test_thin_bound_is_fixed():
@@ -82,19 +95,19 @@ def test_extend_trivial_parameter_uses_identity_cover():
     assert ext.kernel_cover.indices() == [0]
     assert ext.certificate is None
     assert ext.subset.size == 3
-    # the canonical section of a cyclic reduction keeps representatives small
-    assert enumerate_elements(ext.subset) == [0, 3, 7]
+    # the base digits, each with the cover digit 0
+    assert [x for x in range(400) if x in ext.subset] == [0, 3, 7]
 
 
 def test_extend_projects_back_exactly():
     phi = cyclic_tower_map(4, 4096)
     base = GroupSubset.from_indices(CyclicGroup(4), [0, 2])
     ext = extend_covering(phi, base, 1, seed=5)
-    members = enumerate_elements(ext.subset)
+    members = naive_factored_members(phi, base.indices(), ext.kernel_cover.indices())
     assert {phi.map(x) for x in members} == {0, 2}
-    assert ext.subset.size == ext.kernel_cover.size * 2
+    assert ext.subset.size == ext.kernel_cover.size * 2 == len(set(members))
     assert 2 * ext.subset.size <= phi.kernel_order * 2  # |X'| <= n |X| / 2
-    # factored membership agrees with the enumeration
+    # digit membership agrees with the enumeration through the stage map
     member_set = set(members)
     rng = random.Random(8)
     for _ in range(500):
@@ -108,7 +121,9 @@ def test_extend_preserves_translatability():
     base = GroupSubset.from_indices(target, range(10))
     ext = extend_covering(phi, base, 1, seed=2)
     assert ext.subset.size <= 1024 * 10 // 2
-    dense = GroupSubset.from_indices(phi.source, enumerate_elements(ext.subset))
+    dense = GroupSubset.from_indices(
+        phi.source, naive_factored_members(phi, base.indices(), ext.kernel_cover.indices())
+    )
     from covtrans import translate_into
 
     rng = random.Random(4)
@@ -128,7 +143,9 @@ def test_extend_whole_group_collapse():
     base = GroupSubset.from_indices(CyclicGroup(1), [0])
     ext = extend_covering(phi, base, 1, seed=9)
     assert ext.subset.size == ext.kernel_cover.size <= 512
-    dense = GroupSubset.from_indices(phi.source, enumerate_elements(ext.subset))
+    dense = GroupSubset.from_indices(
+        phi.source, naive_factored_members(phi, base.indices(), ext.kernel_cover.indices())
+    )
     from covtrans import translate_into
 
     rng = random.Random(10)
@@ -148,6 +165,23 @@ def test_extend_error_cases():
     iso = cyclic_tower_map(4, 4)
     with pytest.raises(FeasibilityError, match="kernel"):
         extend_covering(iso, base, 0, seed=1)
+
+
+def test_maps_outside_the_digit_core_are_rejected():
+    # stage sets are digit products over a cyclic chain: any other map
+    # would build a wrong set silently, so it is refused up front
+    product = DirectProductGroup(CyclicGroup(4), CyclicGroup(64))
+    left = product_projection(product, "left")  # onto C4, but not a cyclic reduction
+    base = GroupSubset.from_indices(CyclicGroup(4), [0, 2])
+    with pytest.raises(ValueError, match="not the cyclic reduction"):
+        extend_covering(left, base, 0, seed=1)
+    with pytest.raises(ValueError, match="not the cyclic reduction onto C4"):
+        extend_covering(cyclic_tower_map(8, 512), base, 0, seed=1)  # base over C4, map onto C8
+    with pytest.raises(ValueError, match="not a cyclic reduction"):
+        pullback_dense(left, base.bits)
+    with pytest.raises(ValueError, match="not a cyclic reduction"):
+        pullback_dense(cyclic_tower_map(2, 512), base.bits)  # a mask over C4, map onto C2
+    assert pullback_dense(cyclic_tower_map(4, 12), base.bits) == 0b010101010101
 
 
 def test_build_depth_two_tower():
@@ -188,49 +222,80 @@ def test_stage_one_exempt_with_warning():
     assert any("stage 1" in w for w in tower.warnings())
 
 
-def test_projection_claim_rejects_broken_stage_maps(monkeypatch):
-    tower = build_tower(TowerSpec([20, 1024, 131072]), 11)  # the claims pass on a sound build
+def test_projection_claim_rejects_broken_stage_maps(seed11_tower, monkeypatch):
+    # The claim holds by integer arithmetic once each stage set is built over
+    # X_{s-1}, reduces mod |G_{s-1}| and takes its cover from the stage
+    # kernel; breaking any one of the three must be caught.
+    tower = seed11_tower
     check_projection_claim(tower)
-    phi = tower.stages[2].phi
-    base_element = enumerate_elements(tower.stage_set(2))[-1]
-    cover_element = tower.stages[2].kernel_cover.indices()[-1]
-    section, embed = phi.section, phi.embed_kernel
+    stage3 = tower.stages[2].subset
     with monkeypatch.context() as m:
-        m.setattr(phi, "section", lambda h: section(h) + (h == base_element))
-        with pytest.raises(SoundnessError, match="section"):
+        m.setattr(stage3, "base", tower.stage_set(1))
+        with pytest.raises(SoundnessError, match="not built over X_2"):
             check_projection_claim(tower)
     with monkeypatch.context() as m:
-        m.setattr(phi, "embed_kernel", lambda v: embed(v) + (v == cover_element))
-        with pytest.raises(SoundnessError, match=f"cover element {cover_element} embeds"):
+        m.setattr(tower.stages[0].subset, "base", GroupSubset.full(CyclicGroup(1)))
+        check_projection_claim(tower)  # the same set {0} of C1, another object
+        m.setattr(tower.stages[0].subset, "base", GroupSubset.full(CyclicGroup(20)))
+        with pytest.raises(SoundnessError, match="not built over X_0"):
             check_projection_claim(tower)
     with monkeypatch.context() as m:
-        m.setattr(tower.stages[2].subset, "base", tower.stage_set(1))
-        with pytest.raises(SoundnessError, match="not factored over X_2"):
+        m.setattr(stage3, "modulus", 1024)  # the stage-2 kernel order, not |G_2|
+        with pytest.raises(SoundnessError, match="modulus 1024 is not .G_2. = 20480"):
             check_projection_claim(tower)
+    wide = GroupSubset.from_indices(CyclicGroup(2 * 131072), stage3.kernel_cover.indices())
     with monkeypatch.context() as m:
-        m.setattr(tower.stages[2].subset, "phi", cyclic_tower_map(20480, 20480 * 131072))
-        with pytest.raises(SoundnessError, match="not factored through the stage map"):
-            check_projection_claim(tower)
-    # Stage 2 is dense: its members are mapped one by one, so a section that
-    # lands in the wrong coset shows as a member projecting outside X_1.
-    x1 = set(enumerate_elements(tower.stage_set(1)))
-    moved = next(b for b in sorted(x1) if (b + 1) % 20 not in x1)
-    phi2 = tower.stages[1].phi
-    section2 = phi2.section
-    with monkeypatch.context() as m:
-        m.setattr(phi2, "section", lambda h: section2(h) + (h == moved))
-        with pytest.raises(SoundnessError, match="projects outside X_1"):
+        m.setattr(stage3, "kernel_cover", wide)
+        with pytest.raises(SoundnessError, match="C262144, not in the stage kernel C131072"):
             check_projection_claim(tower)
     check_projection_claim(tower)
+
+
+def test_digit_membership_matches_naive_factored_members(seed11_tower):
+    # X_3 has over five million members, too many to list in a test, so the
+    # reference lists X_2 in full and X_3 fiber by fiber: the members above
+    # b are embed(v) * section(b), v in L_3, all of which map to b.
+    tower = seed11_tower
+    stage3 = tower.stages[2]
+    phi3, cover3 = stage3.phi, stage3.kernel_cover.indices()
+    x2 = naive_stage_members(tower, 2)
+    assert len(set(x2)) == len(x2) == tower.set_size(2)
+    x2_set = set(x2)
+    fibers: dict[int, set[int]] = {}
+
+    def naive_member(x):
+        b = phi3.map(x)
+        if b not in x2_set:
+            return False
+        if b not in fibers:
+            fibers[b] = set(naive_factored_members(phi3, [b], cover3))
+        return x in fibers[b]
+
+    rng = random.Random(23)
+    mul, embed, section = phi3.source.mul, phi3.embed_kernel, phi3.section
+    bases = rng.sample(x2, 8)
+    uniform = [rng.randrange(tower.spec.group_order(3)) for _ in range(3000)]
+    sampled = [mul(embed(rng.choice(cover3)), section(rng.choice(bases))) for _ in range(3000)]
+    # uniform elements of the fibers above members of X_2: the cover digit decides
+    fibered = [mul(embed(rng.randrange(131072)), section(rng.choice(bases))) for _ in range(3000)]
+    for x in uniform + sampled + fibered:
+        assert tower.member(3, x) == naive_member(x), x
+    assert all(tower.member(3, x) for x in sampled)
+    order3, top = tower.spec.group_order(3), stage3.subset
+    assert not any(x - order3 in top or x + order3 in top for x in sampled)
+    assert any(tower.member(3, x) for x in uniform)
+    assert not all(tower.member(3, x) for x in fibered)
 
 
 def test_membership_factored_dense_agreement():
     spec = TowerSpec([20, 1024])
     tower = build_tower(spec, 3)
-    dense = set(enumerate_elements(tower.stage_set(2)))
-    assert len(dense) == tower.set_size(2)
+    members = naive_stage_members(tower, 2)
+    dense = set(members)
+    assert len(dense) == len(members) == tower.set_size(2)
     for x in range(20480):
         assert tower.member(2, x) == (x in dense)
+    assert tower.dense_mask(2) == sum(1 << x for x in dense)
 
 
 def test_membership_requires_projection():
@@ -450,3 +515,29 @@ def test_tower_document_roundtrip_and_integrity():
     tampered2["stages"][1]["set_size"] += 1
     with pytest.raises(IntegrityError):
         tower_from_document(tampered2)
+
+
+def with_cover(doc, s, cover):
+    """A copy of a tower document with stage s's cover replaced and its sizes updated."""
+    out = copy.deepcopy(doc)
+    below = out["stages"][s - 2]["set_size"] if s > 1 else 1
+    out["stages"][s - 1].update(
+        cover=list(cover), cover_size=len(cover), set_size=len(cover) * below
+    )
+    return out
+
+
+def test_loaded_tower_rechecks_bounds():
+    doc = build_tower(TowerSpec([20, 1024]), 3).document()
+    over = "stage 2: cover of size 600 is over half the kernel order 1024"
+    with pytest.raises(IntegrityError, match=over):
+        tower_from_document(with_cover(doc, 2, range(600)))
+    loaded = tower_from_document(with_cover(doc, 2, range(512)))  # n/2 itself is allowed
+    assert loaded.set_size(2) == 512 and loaded.member(2, 20 * 511)
+    # X_1 = C20 breaks the measure bound at stage 1, through the halving bound
+    with pytest.raises(IntegrityError, match="stage 1: cover of size 20 is over half"):
+        tower_from_document(with_cover(doc, 1, range(20)))
+    with pytest.raises(IntegrityError, match="stage 2: index 1024 out of range"):
+        tower_from_document(with_cover(doc, 2, [0, 1024]))
+    with pytest.raises(IntegrityError, match="stage 2: kernel cover must be nonempty"):
+        tower_from_document(with_cover(doc, 2, []))
