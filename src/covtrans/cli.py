@@ -291,6 +291,8 @@ def _load_or_build_tower(config: dict):
     if config.get("in"):
         with open(config["in"], "r", encoding="utf-8") as fh:
             return tower_from_document(json.load(fh))
+    if config.get("spec") is None:
+        raise ValueError(f"{config['command']} needs --spec or --in")
     spec = parse_tower_descriptor(config["spec"])
     return build_tower(spec, config["seed"], verify_claims=False)
 
@@ -410,7 +412,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--out", default=None)
 
     v = cov_actions.add_parser("verify", help="independently re-verify a certificate")
-    v.add_argument("--in", dest="infile", required=True)
+    v.add_argument("--in", dest="in", required=True)
     v.add_argument("--mode", default="auto")
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
@@ -458,7 +460,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tt.add_argument("--samples", type=int, default=100)
     tt.add_argument("--depth", type=int, default=None)
     tt.add_argument("--fullness", type=float, default=1.0)
-    tt.add_argument("--in", dest="infile", default=None, help="tower document to load")
+    tt.add_argument("--in", dest="in", default=None, help="tower document to load")
     tt.add_argument("--thin", default=None, help="JSON file with explicit thin sets")
     tt.add_argument("--out", default=None)
 
@@ -468,78 +470,24 @@ def _build_parser() -> argparse.ArgumentParser:
     td.add_argument("--samples", type=int, default=10)
     td.add_argument("--depth", type=int, default=None)
     td.add_argument("--elements", default=None, help="comma-separated element indices")
-    td.add_argument("--in", dest="infile", default=None)
+    td.add_argument("--in", dest="in", default=None)
     td.add_argument("--out", default=None)
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> dict:
-    if args.section == "covering":
-        command = f"covering {args.action}"
-    elif args.section == "tower":
-        command = f"tower {args.action}"
-    else:
-        command = args.section
-    config: dict = {"command": command}
-    if command == "covering construct":
-        config.update(
-            group=args.group,
-            k=args.k,
-            l=args.l,
-            seed=args.seed,
-            max_attempts=args.max_attempts,
-            mode=args.mode,
-            threads=args.threads,
-        )
-    elif command == "covering verify":
-        config.update(**{"in": args.infile}, mode=args.mode, seed=args.seed, threads=args.threads)
-    elif command in ("covering exact-cov", "covering bounds"):
-        config.update(group=args.group, k=args.k)
-    elif command == "covering shrink":
-        config.update(group=args.group, k=args.k, l=args.l, seed=args.seed)
-    elif command == "cov-table":
-        config.update(groups=args.groups, k=args.k, seed=args.seed, format=args.format)
-    elif command == "tower build":
-        config.update(
-            spec=args.spec,
-            seed=args.seed,
-            max_attempts=args.max_attempts,
-            mode=args.mode,
-            threads=args.threads,
-            claim3_samples=args.claim3_samples,
-        )
-    elif command == "tower translate":
-        if args.spec is None and args.infile is None:
-            raise ValueError("tower translate needs --spec or --in")
-        config.update(
-            spec=args.spec,
-            seed=args.seed,
-            samples=args.samples,
-            depth=args.depth,
-            fullness=args.fullness,
-        )
-        config["in"] = args.infile
-        config["thin"] = args.thin
-    elif command == "tower dim":
-        if args.spec is None and args.infile is None:
-            raise ValueError("tower dim needs --spec or --in")
-        config.update(
-            spec=args.spec,
-            seed=args.seed,
-            samples=args.samples,
-            depth=args.depth,
-            elements=args.elements,
-        )
-        config["in"] = args.infile
-    config["out"] = args.out
-    return config
+    """The run configuration: "command", then the parsed options in parser order."""
+    options = vars(args).copy()
+    command = options.pop("section")
+    action = options.pop("action", None)
+    if action is not None:
+        command = f"{command} {action}"
+    return {"command": command, **options}
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    config = _config_from_args(_build_parser().parse_args(argv))
     try:
-        config = _config_from_args(args)
         payload, code = run_config(config)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ from itertools import combinations
 
 from .errors import BudgetExceededError, ConstructionError, FeasibilityError, SoundnessError
 from .groups import FiniteGroup
-from .subsets import ROTATION_WINDOW, GroupSubset, _translate_bits, random_subset
+from .subsets import GroupSubset, _translate_bits, random_subset, translates_meet
 from .util import derive_seed, lowest_set_bit, step_budget
 
 DEFAULT_MAX_ATTEMPTS = 100
@@ -86,72 +86,13 @@ class VerificationRecord:
         }
 
 
-def _resolve_mode(mode: str, exhaustive_steps: int) -> str:
+def _resolve_mode(mode: str, complete_in_budget: bool) -> str:
+    """The mode a verifier runs: auto is exhaustive iff a complete check fits the budget."""
     if mode == "auto":
-        return "exhaustive" if exhaustive_steps <= step_budget() else "sampled"
+        return "exhaustive" if complete_in_budget else "sampled"
     if mode in ("exhaustive", "sampled"):
         return mode
     raise ValueError(f"unknown verification mode {mode!r}")
-
-
-def _translates_meet(group: FiniteGroup, first: GroupSubset, rest: list[GroupSubset]):
-    """Predicate meets(shifts): do X_1 and the right translates rest[i] * shifts[i] meet?
-
-    Built once per verification call, so each trial pays only for the search,
-    which stops at the first common element.  Rotation carriers AND the sets
-    in ascending windows of ROTATION_WINDOW bits: window [a, a + W) of X h is
-    bits a + n - h onward of X's cached doubled image (see
-    GroupSubset._rotation_image).  Bits past W or past n are cleared by X_1's
-    window.  Other carriers walk X_1's members and look each
-    x * shifts[i]^{-1} up in a flag array of rest[i].  A set listed more than
-    once in rest gets one image.
-    """
-    n = group.order
-    if group.additive_rotation:
-        first_bytes = first.bits.to_bytes((n + 7) >> 3, "little")
-        windows = []  # (start bit, X_1's bits there); empty windows cannot meet
-        for a in range(0, n, ROTATION_WINDOW):
-            bits = int.from_bytes(first_bytes[a >> 3 : (a + ROTATION_WINDOW) >> 3], "little")
-            if bits:
-                windows.append((a, bits))
-        images = [s._rotation_image() for s in rest]
-        span = (ROTATION_WINDOW >> 3) + 1
-
-        def meets(shifts: list[int]) -> bool:
-            reads = [(image, n - h) for image, h in zip(images, shifts)]
-            for a, acc in windows:
-                for image, offset in reads:
-                    start = a + offset
-                    lo = start >> 3
-                    acc &= int.from_bytes(image[lo : lo + span], "little") >> (start & 7)
-                    if not acc:
-                        break
-                else:
-                    return True
-            return False
-
-        return meets
-
-    mul, inv = group.mul, group.inv
-    members = first._member_list()
-    flag_of = {}
-    for key, s in {id(s): s for s in rest}.items():
-        flag = flag_of[key] = bytearray(n)
-        for x in s._member_list():
-            flag[x] = 1
-    flags = [flag_of[id(s)] for s in rest]
-
-    def meets(shifts: list[int]) -> bool:
-        lookups = [(flag, inv(h)) for flag, h in zip(flags, shifts)]
-        for x in members:
-            for flag, h_inv in lookups:
-                if not flag[mul(x, h_inv)]:
-                    break
-            else:
-                return True
-        return False
-
-    return meets
 
 
 def verify_intersecting(
@@ -171,8 +112,8 @@ def verify_intersecting(
     tuple over all n^k.  The budget still counts n^k steps.  Sampled mode
     checks `trials` uniform tuples drawn from the given seed, each
     normalised the same way, and reports the tuple as drawn.  A sampled
-    trial stops at the first common element (see _translates_meet) rather
-    than translating every X_i in full.
+    trial stops at the first common element (see subsets.translates_meet)
+    rather than translating every X_i in full.
     """
     k = len(subsets)
     if k < 1:
@@ -180,9 +121,9 @@ def verify_intersecting(
     n = group.order
     for s in subsets:
         s._require_same_carrier(GroupSubset.empty(group))
-    resolved = _resolve_mode(mode, n**k)
-    if resolved == "exhaustive":
-        if n**k > step_budget():
+    scan_in_budget = n**k <= step_budget()
+    if _resolve_mode(mode, scan_in_budget) == "exhaustive":
+        if not scan_in_budget:
             raise BudgetExceededError(
                 f"exhaustive verification needs n^k = {n**k} steps "
                 f"(budget {step_budget()}); use sampled mode"
@@ -192,7 +133,7 @@ def verify_intersecting(
             mode="exhaustive", result=witness is None, witness=witness, method="tuple-scan"
         )
     randrange = random.Random(seed).randrange
-    meets = _translates_meet(group, subsets[0], subsets[1:])
+    meets = translates_meet(group, subsets[0], subsets[1:])
     for t in range(trials):
         tup = tuple([randrange(n) for _ in range(k)])
         inv_first = group.inv(tup[0])
@@ -526,7 +467,7 @@ def verify_k_covering(
     the complete O(n^2) quotient-set criterion is used instead.  Sampled
     mode checks `trials` uniform Y drawn from the given seed, each
     normalised the same way, and reports Y as drawn; a trial stops at the
-    first element common to X and the X y^{-1} y_1 (see _translates_meet).
+    first element common to X and the X y^{-1} y_1 (see subsets.translates_meet).
     """
     n = group.order
     if k < 1:
@@ -537,13 +478,7 @@ def verify_k_covering(
     exhaustive_steps = n * math.comb(n, k)
     scan_in_budget = exhaustive_steps <= step_budget()
     pairwise_available = k == 2 and n <= _PAIRWISE_PRODUCT_LIMIT
-    if mode == "auto":
-        resolved = "exhaustive" if scan_in_budget or pairwise_available else "sampled"
-    elif mode in ("exhaustive", "sampled"):
-        resolved = mode
-    else:
-        raise ValueError(f"unknown verification mode {mode!r}")
-    if resolved == "exhaustive":
+    if _resolve_mode(mode, scan_in_budget or pairwise_available) == "exhaustive":
         if scan_in_budget:
             witness = _exhaustive_covering_witness(group, x, k)
             return VerificationRecord(
@@ -562,7 +497,7 @@ def verify_k_covering(
             f"(budget {step_budget()}); use sampled mode"
         )
     rng = random.Random(seed)
-    meets = _translates_meet(group, x, [x] * (k - 1))
+    meets = translates_meet(group, x, [x] * (k - 1))
     for t in range(trials):
         ys = sorted(rng.sample(range(n), k))
         if not meets([group.mul(group.inv(y), ys[0]) for y in ys[1:]]):
@@ -574,17 +509,6 @@ def verify_k_covering(
                 method="subset-sample",
             )
     return VerificationRecord(mode="sampled", result=True, trials=trials, method="subset-sample")
-
-
-def two_covering_difference_criterion(group: FiniteGroup, x: GroupSubset) -> tuple[bool, bool]:
-    """(is 2-covering, quotient set equals G); the booleans always agree."""
-    n = group.order
-    if n > _PAIRWISE_PRODUCT_LIMIT:
-        raise BudgetExceededError(
-            f"pairwise criterion limited to order <= {_PAIRWISE_PRODUCT_LIMIT}, got {n}"
-        )
-    is_covering = verify_k_covering(group, x, 2, mode="exhaustive").result
-    return is_covering, difference_product_full(group, x)
 
 
 EXACT_COVERING_ORDER_LIMIT = 16

@@ -9,6 +9,7 @@ from .groups import FiniteGroup
 from .util import iter_set_bits, lowest_set_bit
 
 ROTATION_WINDOW = 4096  # bits of a rotated set read per step by the windowed searches
+_WINDOW_SPAN = (ROTATION_WINDOW >> 3) + 1  # bytes holding W bits from any bit offset
 _OR_BUILD_ORDER = 4096  # from_indices builds masks by OR up to this carrier order
 
 
@@ -70,7 +71,8 @@ class GroupSubset:
         return self.bits != 0
 
     def __contains__(self, i: int) -> bool:
-        return 0 <= i < self.group.order and (self.bits >> i) & 1 == 1
+        # one byte of the cached image, not a shift of the whole mask
+        return 0 <= i < self.group.order and self._rotation_image()[i >> 3] >> (i & 7) & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
         return iter_set_bits(self.bits)
@@ -85,7 +87,8 @@ class GroupSubset:
 
         On a rotation carrier, bits a .. a + W of X * g^{-1} are bits
         a + g .. a + g + W of this image, for 0 <= g < n: a window of any
-        rotation is one slice, with no rotation of the whole mask.
+        rotation is one slice, with no rotation of the whole mask.  On any
+        carrier its low half is the mask itself, which membership reads.
         """
         if self._image is None:
             n = self.group.order
@@ -199,6 +202,29 @@ def random_subset(group: FiniteGroup, p: float, rng: random.Random) -> GroupSubs
     return GroupSubset(group, int.from_bytes(buf, "little"))
 
 
+def _first_common_window(windows, reads) -> tuple[int, int] | None:
+    """First (a, bits) left non-zero after ANDing every read into a window.
+
+    `windows` yields (a, bits): a window's start bit and the bits to AND
+    into.  `reads` lists (image, offset) pairs; a read's window [a, a + W)
+    is bits a + offset onward of a doubled image (see
+    GroupSubset._rotation_image), and the window's bits cut it to W bits or
+    fewer.  Each window stops at its first empty AND.
+    """
+    span = _WINDOW_SPAN
+    from_bytes = int.from_bytes
+    for a, acc in windows:
+        for image, offset in reads:
+            start = a + offset
+            lo = start >> 3
+            acc &= from_bytes(image[lo : lo + span], "little") >> (start & 7)
+            if not acc:
+                break
+        else:
+            return a, acc
+    return None
+
+
 def translate_into(group: FiniteGroup, y, x: GroupSubset) -> int | None:
     """Smallest-index g with g*Y contained in X, or None if no translate works.
 
@@ -215,19 +241,11 @@ def translate_into(group: FiniteGroup, y, x: GroupSubset) -> int | None:
     n = group.order
     if group.additive_rotation:
         image = x._rotation_image()
-        starts = [yi % n for yi in ys]
-        span = (ROTATION_WINDOW >> 3) + 1
-        for a in range(0, n, ROTATION_WINDOW):
-            acc = (1 << min(ROTATION_WINDOW, n - a)) - 1
-            for start in starts:
-                start += a
-                lo = start >> 3
-                acc &= int.from_bytes(image[lo : lo + span], "little") >> (start & 7)
-                if not acc:
-                    break
-            else:
-                return a + lowest_set_bit(acc)
-        return None
+        windows = (
+            (a, (1 << min(ROTATION_WINDOW, n - a)) - 1) for a in range(0, n, ROTATION_WINDOW)
+        )
+        hit = _first_common_window(windows, [(image, yi % n) for yi in ys])
+        return None if hit is None else hit[0] + lowest_set_bit(hit[1])
     acc = None
     for yi in ys:
         t = _translate_bits(group, x, group.inv(yi), left=False)
@@ -235,3 +253,53 @@ def translate_into(group: FiniteGroup, y, x: GroupSubset) -> int | None:
         if not acc:
             return None
     return lowest_set_bit(acc)
+
+
+def translates_meet(group: FiniteGroup, first: GroupSubset, rest: list[GroupSubset]):
+    """Predicate meets(shifts): do X_1 and the right translates rest[i] * shifts[i] meet?
+
+    Built once per verification call, so each trial pays only for the search,
+    which stops at the first common element.  Rotation carriers AND the sets
+    in ascending windows of ROTATION_WINDOW bits: window [a, a + W) of X h is
+    bits a + n - h onward of X's cached doubled image.  Only X_1's non-empty
+    windows are read, and X_1's bits there clear what lies past W or past n.
+    Other carriers walk X_1's members and look each x * shifts[i]^{-1} up in
+    a flag array of rest[i].  A set listed more than once in rest gets one
+    image.
+    """
+    n = group.order
+    if group.additive_rotation:
+        first_bytes = first.bits.to_bytes((n + 7) >> 3, "little")
+        windows = []  # (start bit, X_1's bits there); empty windows cannot meet
+        for a in range(0, n, ROTATION_WINDOW):
+            bits = int.from_bytes(first_bytes[a >> 3 : (a + ROTATION_WINDOW) >> 3], "little")
+            if bits:
+                windows.append((a, bits))
+        images = [s._rotation_image() for s in rest]
+
+        def meets(shifts: list[int]) -> bool:
+            reads = [(image, n - h) for image, h in zip(images, shifts)]
+            return _first_common_window(windows, reads) is not None
+
+        return meets
+
+    mul, inv = group.mul, group.inv
+    members = first._member_list()
+    flag_of = {}
+    for key, s in {id(s): s for s in rest}.items():
+        flag = flag_of[key] = bytearray(n)
+        for x in s._member_list():
+            flag[x] = 1
+    flags = [flag_of[id(s)] for s in rest]
+
+    def meets(shifts: list[int]) -> bool:
+        lookups = [(flag, inv(h)) for flag, h in zip(flags, shifts)]
+        for x in members:
+            for flag, h_inv in lookups:
+                if not flag[mul(x, h_inv)]:
+                    break
+            else:
+                return True
+        return False
+
+    return meets

@@ -632,7 +632,6 @@ def translate_thin(
     thin: ThinSet,
     *,
     collect_witness_sets: bool = True,
-    witness_limit: int = WITNESS_STAGE_LIMIT,
 ) -> ThinTranslation:
     """Constructive stagewise translation of a thin set into the top stage.
 
@@ -683,7 +682,7 @@ def translate_thin(
     witness_levels: list[Optional[GroupSubset]] = []
     if collect_witness_sets:
         for i in range(d + 1):
-            witness_levels.append(_witness_level(tower, thin, i, witness_limit))
+            witness_levels.append(_witness_level(tower, thin, i))
     return ThinTranslation(
         depth=d,
         translator=g,
@@ -693,10 +692,10 @@ def translate_thin(
     )
 
 
-def _witness_level(tower: Tower, thin: ThinSet, i: int, limit: int) -> GroupSubset | None:
+def _witness_level(tower: Tower, thin: ThinSet, i: int) -> GroupSubset | None:
     """T_i at level i: all h in G_i with h * Y_i inside X_i (exact bitmask)."""
     group = tower.spec.group(i)
-    if group.order > limit:
+    if group.order > WITNESS_STAGE_LIMIT:
         return None
     mask = tower.dense_mask(i)
     acc = (1 << group.order) - 1

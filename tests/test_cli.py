@@ -286,6 +286,16 @@ def test_tower_dim_command(capsys):
     assert code == EXIT_OK and len(doc["estimates"]) == 1
 
 
+@pytest.mark.parametrize("action", ["translate", "dim"])
+def test_tower_commands_need_a_spec_or_a_document(capsys, action):
+    code, stdout, err = run(capsys, "tower", action, "--seed", "1")
+    assert (code, stdout) == (EXIT_USAGE, "")
+    assert err == f"error: tower {action} needs --spec or --in\n"
+    config = {"command": f"tower {action}", "spec": None, "seed": 1, "in": None}
+    with pytest.raises(ValueError, match=f"^tower {action} needs --spec or --in$"):
+        run_config(config)
+
+
 def test_documents_are_byte_reproducible():
     config = {
         "command": "covering construct",

@@ -30,16 +30,15 @@ from covtrans import (
     member_size_cap,
     random_subset,
     sample_probability,
-    two_covering_difference_criterion,
     verify_intersecting,
     verify_k_covering,
 )
-from covtrans.covering import _translates_meet
 from covtrans.errors import (
     BudgetExceededError,
     ConstructionError,
     FeasibilityError,
 )
+from covtrans.subsets import translates_meet
 from covtrans.util import canonical_json
 
 REL = 1e-12
@@ -363,7 +362,7 @@ def test_meet_test_finds_one_common_element_at_window_edges():
             for h in [*range(8), n - 1] + [rng.randrange(n) for _ in range(4)]:
                 for other in ((j - h) % n, (j - h + 1) % n):
                     second = GroupSubset.from_indices(group, [other])
-                    meets = _translates_meet(group, first, [second, second])
+                    meets = translates_meet(group, first, [second, second])
                     expected = bool(first.bits & second.right_translate(h).bits)
                     assert meets([h, h]) == expected
 
@@ -382,22 +381,19 @@ def test_pairwise_criterion_agreement():
         g = CyclicGroup(n)
         for t in range(50):
             x = random_subset(g, 0.05 + 0.9 * (t / 50), rng)
-            covering, product_full = two_covering_difference_criterion(g, x)
-            assert covering == product_full
+            covering = verify_k_covering(g, x, 2, mode="exhaustive").result
+            assert covering == difference_product_full(g, x)
 
 
 def test_pairwise_criterion_frozen_examples():
+    def both(g, x):
+        return verify_k_covering(g, x, 2, mode="exhaustive").result, difference_product_full(g, x)
+
     g7 = CyclicGroup(7)
-    assert two_covering_difference_criterion(g7, GroupSubset.from_indices(g7, [1, 2, 4])) == (
-        True,
-        True,
-    )
-    assert two_covering_difference_criterion(g7, GroupSubset.full(g7)) == (True, True)
+    assert both(g7, GroupSubset.from_indices(g7, [1, 2, 4])) == (True, True)
+    assert both(g7, GroupSubset.full(g7)) == (True, True)
     g4 = CyclicGroup(4)
-    assert two_covering_difference_criterion(g4, GroupSubset.from_indices(g4, [0, 1])) == (
-        False,
-        False,
-    )
+    assert both(g4, GroupSubset.from_indices(g4, [0, 1])) == (False, False)
 
 
 def test_difference_route_when_scan_over_budget(monkeypatch):

@@ -35,6 +35,24 @@ def test_out_of_range_rejected():
         GroupSubset(g, 1 << 4)
 
 
+@pytest.mark.parametrize(
+    "group",
+    [CyclicGroup(1), CyclicGroup(20), CyclicGroup(4099), SymmetricGroup(4)],
+    ids=["C1", "C20", "C4099", "S4"],
+)
+def test_membership_reads_the_mask_bit(group):
+    # Membership reads one byte of the doubled image, whose upper half repeats
+    # the mask: n, n + 1 and 2n - 1 must still read as non-members.
+    n = group.order
+    rng = random.Random(n)
+    spots = {0, n - 1, n, n + 1, 2 * n - 1, -1, -8, 7, 8, 9, 15, 16, 4095, 4096, 4097, 4098}
+    full = (1 << n) - 1
+    for bits in (0, full, rng.getrandbits(n), full // 3, 1 | 1 << (n - 1)):
+        s = GroupSubset(group, bits)
+        for i in sorted(spots):
+            assert (i in s) == (i >= 0 and (bits >> i) & 1 == 1), (bits, i)
+
+
 def test_from_indices_matches_or_loop():
     rng = random.Random(8)
     for n in (1, 7, 8, 9, 20, 4096, 4097, 5040):  # both sides of the OR-build cut

@@ -1,0 +1,92 @@
+"""Property tests of the windowed searches against whole-set translates.
+
+Both searches in covtrans.subsets AND 4096-bit windows read from a set's
+doubled image; these compare them with full rotations on cyclic groups of
+order near one and two windows, where a single planted common element
+lands on or next to a window edge.
+"""
+
+import random
+
+from conftest import full_rotation_translate_into
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from covtrans import CyclicGroup, GroupSubset
+from covtrans.subsets import translate_into, translates_meet
+
+PROPERTY_SETTINGS = settings(max_examples=150, derandomize=True, database=None, deadline=None)
+
+orders = st.one_of(st.integers(4088, 4104), st.integers(8184, 8200))
+
+
+def edges(n):
+    """Elements of C_n in the last byte of a window, or at a window's or a byte's start."""
+    ends = [min(a + 4096, n) for a in range(0, n, 4096)]
+    starts = [0, 1, 7, 8, 4096, 4097, 8192]
+    return [v % n for v in starts + [e - d for e in ends for d in range(1, 9)]]
+
+
+def spots(n):
+    """An element of C_n, drawn often at an edge."""
+    return st.one_of(st.sampled_from(edges(n)), st.integers(0, n - 1))
+
+
+def noise(draw, n) -> int:
+    """A random mask over C_n with few, some or many members."""
+    density = draw(st.sampled_from([0.0, 0.0005, 0.01, 0.3]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return sum(1 << i for i in range(n) if rng.random() < density)
+
+
+@st.composite
+def translate_cases(draw):
+    n = draw(orders)
+    ys = draw(st.lists(spots(n), min_size=1, max_size=4))
+    bits = noise(draw, n)
+    if draw(st.booleans()):
+        target = draw(st.sampled_from(edges(n)))
+        for y in ys:
+            bits |= 1 << (target + y) % n
+    return CyclicGroup(n), ys, bits
+
+
+@given(translate_cases())
+@PROPERTY_SETTINGS
+def test_translate_into_matches_full_rotation(case):
+    group, ys, bits = case
+    x = GroupSubset(group, bits)
+    assert translate_into(group, ys, x) == full_rotation_translate_into(group, ys, x)
+
+
+@st.composite
+def meet_cases(draw):
+    n = draw(orders)
+    k = draw(st.integers(1, 3))
+    shifts = [draw(st.integers(0, n - 1)) for _ in range(k - 1)]
+    first = noise(draw, n)
+    rest = [noise(draw, n) for _ in shifts]
+    if draw(st.booleans()):
+        common = draw(st.sampled_from(edges(n)))
+        first |= 1 << common
+        rest = [bits | 1 << (common - h) % n for bits, h in zip(rest, shifts)]
+    return CyclicGroup(n), first, rest, shifts, draw(st.booleans())
+
+
+@given(meet_cases())
+@PROPERTY_SETTINGS
+def test_translates_meet_matches_full_rotation(case):
+    group, first_bits, rest_bits, shifts, shared = case
+    first = GroupSubset(group, first_bits)
+    if shared:
+        # one set listed k - 1 times, holding every planted element
+        union = 0
+        for bits in rest_bits:
+            union |= bits
+        rest = [GroupSubset(group, union)] * len(rest_bits)
+    else:
+        rest = [GroupSubset(group, bits) for bits in rest_bits]
+    acc = first.bits
+    for s, h in zip(rest, shifts):
+        acc &= s.right_translate(h).bits
+    assert translates_meet(group, first, rest)(shifts) == bool(acc)
