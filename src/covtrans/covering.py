@@ -473,7 +473,9 @@ def verify_k_covering(
     if k < 1:
         raise ValueError(f"covering parameter must be >= 1, got {k}")
     if k > n:
-        # no size-k subsets exist, so any X (even empty) covers vacuously
+        # no size-k subsets exist, so any X (even empty) covers vacuously;
+        # an unknown mode is still refused, as it is for every other k
+        _resolve_mode(mode, True)
         return VerificationRecord(mode="exhaustive", result=True, method="vacuous")
     exhaustive_steps = n * math.comb(n, k)
     scan_in_budget = exhaustive_steps <= step_budget()
@@ -517,12 +519,21 @@ EXACT_COVERING_ORDER_LIMIT = 16
 def exact_covering_number(group: FiniteGroup, k: int) -> int:
     """Minimum size of a k-covering subset, by size-incremental search.
 
-    Candidate sizes grow from 0 and subsets of a given size are tried in
-    lexicographic order; no isomorphism reduction (pointless at n <= 16).
-    Each candidate gets the exhaustive subset scan, which examines only the
-    C(n-1,k-1) subsets containing e and translates the candidate by y^{-1}
-    only when the scan first reaches y, so a candidate that fails early
-    costs a few translates.  The scan's budget still counts C(n,k)*n.
+    Two proofs shrink the search, so every value is that of the full search.
+    Counting: choosing g with gY inside X for each k-subset Y, the map
+    Y -> (g, gY) is injective into G x (k-subsets of X), so a k-covering X
+    of size s has n*C(s,k) >= C(n,k); sizes start at the least such s.
+    Anchoring: every left translate of a k-covering set is k-covering, and
+    one of them contains e, so only the C(n-1,s-1) candidates containing e
+    (index 0) are tried, the first entries of the lexicographic order on
+    all C(n,s).  When k > n, C(n,k) = 0, the bound is s = 0, and the empty
+    set, the one candidate of that size, covers vacuously.
+
+    Each candidate gets verify_k_covering's exhaustive check; its subset
+    scan examines only the C(n-1,k-1) subsets containing e and translates
+    the candidate by y^{-1} only when the scan first reaches y, so a
+    candidate that fails early costs a few translates.  The scan's budget
+    still counts C(n,k)*n.  No isomorphism reduction (pointless at n <= 16).
     """
     n = group.order
     if n > EXACT_COVERING_ORDER_LIMIT:
@@ -531,9 +542,15 @@ def exact_covering_number(group: FiniteGroup, k: int) -> int:
         )
     if k < 1:
         raise ValueError(f"covering parameter must be >= 1, got {k}")
-    for s in range(n + 1):
-        for comb in combinations(range(n), s):
-            candidate = GroupSubset.from_indices(group, comb)
+    subsets_to_cover = math.comb(n, k)
+    first = next(s for s in range(n + 1) if n * math.comb(s, k) >= subsets_to_cover)
+    for s in range(first, n + 1):
+        if s == 0:
+            anchored = [()]  # reached only when k > n: the empty set
+        else:
+            anchored = ((0,) + rest for rest in combinations(range(1, n), s - 1))
+        for members in anchored:
+            candidate = GroupSubset.from_indices(group, members)
             if verify_k_covering(group, candidate, k, mode="exhaustive").result:
                 return s
     raise SoundnessError(f"no covering subset found in {group.describe()} at k={k}")

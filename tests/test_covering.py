@@ -20,6 +20,7 @@ from covtrans import (
     GroupSubset,
     construct_intersecting_family,
     construct_k_covering,
+    covering,
     covering_condition,
     covering_number_bounds,
     difference_product_full,
@@ -262,6 +263,21 @@ def test_verify_k_covering_trivial_cases():
     assert verify_k_covering(tiny, GroupSubset.empty(tiny), 3).result
 
 
+@pytest.mark.parametrize("k", [2, 5])
+def test_verify_k_covering_refuses_an_unknown_mode_for_every_k(k):
+    # k = 5 > n takes the vacuous path, which must check the mode all the same
+    g = CyclicGroup(3)
+    with pytest.raises(ValueError, match="unknown verification mode 'bogus'"):
+        verify_k_covering(g, GroupSubset.empty(g), k, mode="bogus")
+
+
+@pytest.mark.parametrize("mode", ["auto", "exhaustive", "sampled"])
+def test_verify_k_covering_vacuous_record_in_every_valid_mode(mode):
+    g = CyclicGroup(3)
+    rec = verify_k_covering(g, GroupSubset.empty(g), 5, mode=mode)
+    assert (rec.mode, rec.method, rec.result) == ("exhaustive", "vacuous", True)
+
+
 def test_verify_k_covering_frozen_c4():
     g = CyclicGroup(4)
     assert verify_k_covering(g, GroupSubset.from_indices(g, [0, 1, 2]), 2, mode="exhaustive").result
@@ -432,16 +448,77 @@ def test_exact_covering_frozen_values():
     assert exact_covering_number(DihedralGroup(4), 2) == 4
     assert exact_covering_number(DihedralGroup(3), 2) == 4
     assert exact_covering_number(CyclicGroup(5), 3) == 4
+    assert exact_covering_number(CyclicGroup(3), 3) == 3
     for g in (CyclicGroup(5), DihedralGroup(3)):
         assert exact_covering_number(g, 1) == 1
     with pytest.raises(BudgetExceededError):
         exact_covering_number(CyclicGroup(17), 2)
 
 
+# exact_covering_number over the 29 groups of acceptance test 3 at k = 1, 2,
+# frozen from the unreduced search (every size from 0, every candidate)
+EXACT_SWEEP_K2 = {
+    **{f"C{n}": v for n, v in zip(range(2, 17), (2, 2, 3, 3, 3, 3, 4, 4, 4, 4, 4, 4, 5, 5, 5))},
+    **{f"D{m}": v for m, v in zip(range(3, 9), (4, 4, 5, 5, 6, 6))},
+    "S3": 4,
+    "EA(2,2)": 3,
+    "EA(2,3)": 5,
+    "EA(2,4)": 6,
+    "EA(3,2)": 4,
+    "C2xC4": 4,
+    "C2xC6": 5,
+    "C4xC4": 6,
+}
+
+
+def test_exact_covering_sweep_values():
+    assert len(EXACT_SWEEP_K2) == 29
+    for descriptor, value in EXACT_SWEEP_K2.items():
+        group = group_from_descriptor(descriptor)
+        assert exact_covering_number(group, 1) == 1, descriptor
+        assert exact_covering_number(group, 2) == value, descriptor
+
+
 def test_exact_covering_matches_naive_oracle():
-    for group in (CyclicGroup(6), CyclicGroup(9), DihedralGroup(3)):
+    for descriptor in ("C6", "C9", "D3", "S3", "C2xC4", "EA(2,3)"):
+        group = group_from_descriptor(descriptor)
         for k in (1, 2, 3):
-            assert exact_covering_number(group, k) == naive_exact_cov(group, k)
+            assert exact_covering_number(group, k) == naive_exact_cov(group, k), (descriptor, k)
+
+
+@pytest.mark.parametrize("descriptor", ["C1", "C2", "C3", "C4", "C5", "D3"])
+def test_exact_covering_at_and_beyond_the_order(descriptor):
+    group = group_from_descriptor(descriptor)
+    n = group.order
+    for k in range(max(1, n - 1), n + 3):
+        assert exact_covering_number(group, k) == naive_exact_cov(group, k), k
+    # no k-subsets exist above the order, so the empty set covers vacuously
+    assert exact_covering_number(group, n + 1) == 0
+    assert exact_covering_number(group, n + 2) == 0
+
+
+@pytest.mark.parametrize("descriptor, k", [("C16", 2), ("D6", 2), ("C2xC4", 2), ("C9", 3)])
+def test_exact_covering_tries_only_anchored_candidates_from_the_counting_bound(
+    descriptor, k, monkeypatch
+):
+    group = group_from_descriptor(descriptor)
+    n = group.order
+    tried = []
+    verify = covering.verify_k_covering
+
+    def recording(g, x, kk, mode="auto", **kwargs):
+        tried.append(x.indices())
+        return verify(g, x, kk, mode, **kwargs)
+
+    monkeypatch.setattr(covering, "verify_k_covering", recording)
+    value = exact_covering_number(group, k)
+    # the least size s that n*C(s,k) >= C(n,k) allows
+    least = min(s for s in range(n + 1) if n * math.comb(s, k) >= math.comb(n, k))
+    assert tried and len(tried[0]) == least
+    assert all(members[0] == 0 and len(members) >= least for members in tried)
+    assert len(tried[-1]) == value
+    # the anchored candidates of each size are tried in lexicographic order
+    assert tried == sorted(tried, key=lambda members: (len(members), members))
 
 
 def test_exact_covering_lower_bound_holds_up_to_k3():
