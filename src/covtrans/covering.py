@@ -109,7 +109,11 @@ def verify_intersecting(
     only the n^(k-1) tuples with g_1 = e, by bit-vector intersections.  A
     failing tuple exists iff one with leading index 0 does, and that one
     sorts first, so the witness is still the lexicographically first empty
-    tuple over all n^k.  The budget still counts n^k steps.  Sampled mode
+    tuple over all n^k.  At k = 2 the scan over g_2 is one quotient set:
+    X_1 meets X_2 g exactly when g is in X_2^{-1} X_1, so the tuple (e, g)
+    fails exactly for the g outside it, and building it from |X_2|
+    translates of X_1 still proves every tuple.  The budget still counts
+    n^k steps, and the method is still "tuple-scan".  Sampled mode
     checks `trials` uniform tuples drawn from the given seed, each
     normalised the same way, and reports the tuple as drawn.  A sampled
     trial stops at the first common element (see subsets.translates_meet)
@@ -151,6 +155,9 @@ def _exhaustive_intersecting_witness(
 
     The X_i g_i meet iff the X_i g_i g_1^{-1} meet, so a failing tuple
     exists iff one with g_1 = e (index 0) does, and that one sorts first.
+    At k = 2, X_1 meets X_2 g iff a = b g for some a in X_1 and b in X_2,
+    that is iff g is in the quotient set X_2^{-1} X_1; the first failing
+    tuple is (0, g) with g its lowest missing element.
     """
     n = group.order
     k = len(subsets)
@@ -159,11 +166,8 @@ def _exhaustive_intersecting_witness(
         # Right translation is a bijection, so every X_1 g is empty or none is.
         return None if first else (0,)
     if k == 2:
-        second = subsets[1]
-        for g2 in range(n):
-            if not first & _translate_bits(group, second, g2, left=False):
-                return (0, g2)
-        return None
+        missing = ~_quotient_bits(group, subsets[1], subsets[0]) & ((1 << n) - 1)
+        return None if missing == 0 else (0, lowest_set_bit(missing))
     tables = [
         [_translate_bits(group, s, g, left=False) for g in range(n)] for s in subsets[1:]
     ]
@@ -411,15 +415,21 @@ def _exhaustive_covering_witness(
     return None
 
 
-def _quotient_bits(group: FiniteGroup, x: GroupSubset) -> int:
-    """Bitmask of the quotient set {a^{-1} b : a, b in X}, the union of the a^{-1} X.
+def _quotient_bits(group: FiniteGroup, x: GroupSubset, y: GroupSubset | None = None) -> int:
+    """Bitmask of the quotient set X^{-1} Y = {a^{-1} b : a in X, b in Y}, Y = X by default.
 
-    Stops early once the union is the whole group.
+    It is the union of the left translates a^{-1} Y over a in X: |X|
+    translates of Y.  The difference-set criterion takes Y = X; the k = 2
+    tuple scan takes X = X_2 and Y = X_1, whose quotient set holds exactly
+    the g with X_1 meeting X_2 g.  Stops early once the union is the whole
+    group.
     """
+    if y is None:
+        y = x
     full = (1 << group.order) - 1
     bits = 0
     for a in x:
-        bits |= _translate_bits(group, x, group.inv(a), left=True)
+        bits |= _translate_bits(group, y, group.inv(a), left=True)
         if bits == full:
             break
     return bits

@@ -87,20 +87,16 @@ class DirectProductGroup(FiniteGroup):
         self.order = left.order * right.order
         self.name = name or f"{left.name}x{right.name}"
 
-    def _split(self, x: int) -> tuple[int, int]:
-        return divmod(x, self.right.order)
-
-    def _join(self, a: int, b: int) -> int:
-        return a * self.right.order + b
-
     def mul(self, a: int, b: int) -> int:
-        a1, a2 = self._split(a)
-        b1, b2 = self._split(b)
-        return self._join(self.left.mul(a1, b1), self.right.mul(a2, b2))
+        m = self.right.order
+        a1, a2 = divmod(a, m)
+        b1, b2 = divmod(b, m)
+        return self.left.mul(a1, b1) * m + self.right.mul(a2, b2)
 
     def inv(self, a: int) -> int:
-        a1, a2 = self._split(a)
-        return self._join(self.left.inv(a1), self.right.inv(a2))
+        m = self.right.order
+        a1, a2 = divmod(a, m)
+        return self.left.inv(a1) * m + self.right.inv(a2)
 
 
 class DihedralGroup(FiniteGroup):

@@ -183,6 +183,29 @@ def test_verify_budget_guard(monkeypatch):
     assert rec.mode == "sampled" and rec.result and rec.trials == 50
 
 
+def test_pair_tuple_scan_has_no_order_gate_beyond_the_budget(monkeypatch):
+    # the k = 2 tuple scan shares its kernel with the difference-set route,
+    # but not that route's order limit: only the n^2 budget decides
+    g = CyclicGroup(10007)
+    assert g.order > covering._PAIRWISE_PRODUCT_LIMIT
+    full = GroupSubset.full(g)
+    point = GroupSubset.from_indices(g, [0])
+    monkeypatch.setenv("COVTRANS_BUDGET", str(g.order**2 - 1))
+    with pytest.raises(BudgetExceededError, match="sampled"):
+        verify_intersecting(g, [full, full], mode="exhaustive")
+    monkeypatch.setenv("COVTRANS_BUDGET", str(g.order**2))
+    for mode in ("exhaustive", "auto"):
+        rec = verify_intersecting(g, [full, full], mode=mode)
+        assert (rec.mode, rec.method, rec.result, rec.witness) == (
+            "exhaustive",
+            "tuple-scan",
+            True,
+            None,
+        )
+    rec = verify_intersecting(g, [point, point], mode="exhaustive")
+    assert (rec.method, rec.result, rec.witness) == ("tuple-scan", False, (0, 1))
+
+
 def test_construct_family_desk_case():
     g = CyclicGroup(512)
     fam = construct_intersecting_family(g, 2, seed=7)

@@ -79,6 +79,17 @@ def test_product_is_componentwise():
     assert element_orders(g) == element_orders(CyclicGroup(6)) == [1, 2, 3, 3, 6, 6]
 
 
+@pytest.mark.parametrize("descriptor", ["C2xC4", "C4xC4", "C2xS3"])
+def test_product_mul_and_inv_match_componentwise_formula(descriptor):
+    g = group_from_descriptor(descriptor)
+    left, right = g.left, g.right
+    m = right.order
+    for a in range(g.order):
+        assert g.inv(a) == left.inv(a // m) * m + right.inv(a % m)
+        for b in range(g.order):
+            assert g.mul(a, b) == left.mul(a // m, b // m) * m + right.mul(a % m, b % m)
+
+
 def test_klein_four_self_inverse():
     g = DirectProductGroup(CyclicGroup(2), CyclicGroup(2))
     assert g.order == 4

@@ -1,0 +1,81 @@
+"""Property tests of the quotient-set kernel against the naive oracles.
+
+Both complete k = 2 checks build a quotient set {a^{-1} b : a in X, b in Y}:
+the tuple scan of an intersecting pair takes X = X_2 and Y = X_1, the
+difference-set criterion of a 2-covering set takes X = Y.  These compare
+their witnesses with the conftest oracles, which translate plain python
+sets, on non-abelian carriers (where X_2^{-1} X_1, X_1^{-1} X_2, X_1 X_2^{-1}
+and X_2 X_1 all differ) as well as on rotation and XOR carriers.
+"""
+
+import random
+
+from conftest import naive_first_empty_tuple, naive_first_untranslatable
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from covtrans import GroupSubset, group_from_descriptor, verify_intersecting
+from covtrans.covering import _missing_difference_witness, _quotient_bits
+
+PROPERTY_SETTINGS = settings(max_examples=120, derandomize=True, database=None, deadline=None)
+
+NON_ABELIAN = ["S3", "S4", "D4", "D5", "D6", "D7", "C2xS3", "S3xC2"]
+
+carriers = st.one_of(
+    st.sampled_from(NON_ABELIAN),
+    st.integers(3, 32).map(lambda n: f"C{n}"),
+    st.integers(1, 5).map(lambda d: f"EA(2,{d})"),
+).map(group_from_descriptor)
+
+
+def subsets(draw, group) -> GroupSubset:
+    """A subset of the carrier: empty, full, or of low, middling or high density."""
+    density = draw(st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.8, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return GroupSubset.from_indices(group, [i for i in range(group.order) if rng.random() < density])
+
+
+@st.composite
+def pairs(draw):
+    group = draw(carriers)
+    return group, subsets(draw, group), subsets(draw, group)
+
+
+@st.composite
+def singles(draw):
+    group = draw(carriers)
+    return group, subsets(draw, group)
+
+
+@given(pairs())
+@PROPERTY_SETTINGS
+def test_pair_tuple_scan_matches_naive_first_empty_tuple(case):
+    group, x1, x2 = case
+    expected = naive_first_empty_tuple(group, [x1.indices(), x2.indices()])
+    rec = verify_intersecting(group, [x1, x2], mode="exhaustive")
+    assert (rec.mode, rec.method) == ("exhaustive", "tuple-scan")
+    assert (rec.result, rec.witness) == (expected is None, expected)
+
+
+@given(singles())
+@PROPERTY_SETTINGS
+def test_difference_witness_matches_naive_first_untranslatable(case):
+    group, x = case
+    assert _missing_difference_witness(group, x) == naive_first_untranslatable(
+        group, x.indices(), 2
+    )
+
+
+def test_pair_tuple_scan_uses_x2_inverse_x1_not_x1_inverse_x2():
+    # in S3, X_2^{-1} X_1 = {0, 1, 2, 4}, while X_1^{-1} X_2 = {0, 1, 2, 3}
+    group = group_from_descriptor("S3")
+    x1 = GroupSubset.from_indices(group, [0, 3])
+    x2 = GroupSubset.from_indices(group, [2, 3])
+    assert _quotient_bits(group, x2, x1) != _quotient_bits(group, x1, x2)
+    expected = naive_first_empty_tuple(group, [x1.indices(), x2.indices()])
+    assert expected == (0, 3)
+    rec = verify_intersecting(group, [x1, x2], mode="exhaustive")
+    assert (rec.result, rec.witness) == (False, (0, 3))
+    swapped = verify_intersecting(group, [x2, x1], mode="exhaustive")
+    assert swapped.witness == naive_first_empty_tuple(group, [x2.indices(), x1.indices()])
+    assert swapped.witness == (0, 4)
