@@ -45,7 +45,7 @@ from .tower import (
     tower_from_document,
     translate_thin,
 )
-from .util import canonical_json, derive_seed, format_real
+from .util import canonical_json, derive_seed, doc_field, format_real
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -58,8 +58,10 @@ EXIT_INTEGRITY = 6
 _TRANSLATE_SALT = 0x7472616E
 _DIM_SALT = 0x64696D
 _SHRINK_SALT = 0x736872
-# --threads and the "threads" config key stay so that older documents'
-# embedded configs still rerun byte-for-byte; verification is single-threaded.
+# Verification is single-threaded.  rerun_document passes an embedded config
+# straight to run_config, which ignores keys it does not read, so reruns need
+# no parser option; --threads stays so that existing command lines keep
+# working and the configs the CLI writes keep "threads": 1.
 _THREADS_HELP = "accepted for compatibility; verification is single-threaded"
 
 
@@ -105,47 +107,47 @@ def _cmd_covering_construct(config: dict) -> tuple[str, int]:
 
 
 def _load_subset(group, listed: list, what: str) -> GroupSubset:
-    if len(set(listed)) != len(listed):
-        raise IntegrityError(f"{what} lists duplicate elements")
     try:
+        if len(set(listed)) != len(listed):
+            raise IntegrityError(f"{what} lists duplicate elements")
         return GroupSubset.from_indices(group, listed)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise IntegrityError(f"{what}: {exc}") from exc
 
 
 def _cmd_covering_verify(config: dict) -> tuple[str, int]:
     with open(config["in"], "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    kind = doc.get("kind")
+    kind = doc.get("kind") if isinstance(doc, dict) else None
     if kind not in ("intersecting-family", "k-covering"):
         raise IntegrityError(f"cannot verify documents of kind {kind!r}")
-    group = group_from_descriptor(doc["group"])
-    k = int(doc["k"])
+    descriptor = doc_field(doc, "group", str)
+    group = group_from_descriptor(descriptor)
+    k = doc_field(doc, "k", int)
     mode, trials = _parse_mode(config["mode"])
     if kind == "intersecting-family":
-        listed = doc["subsets"]
-        if len(listed) != k or len(doc["sizes"]) != k:
+        listed, sizes = doc_field(doc, "subsets", list), doc_field(doc, "sizes", list)
+        if len(listed) != k or len(sizes) != k:
             raise IntegrityError(
-                f"family lists {len(listed)} subsets and {len(doc['sizes'])} sizes but k = {k}"
+                f"family lists {len(listed)} subsets and {len(sizes)} sizes but k = {k}"
             )
         subsets = [_load_subset(group, lst, f"subset {i + 1}") for i, lst in enumerate(listed)]
-        for i, (subset, declared) in enumerate(zip(subsets, doc["sizes"])):
+        for i, (subset, declared) in enumerate(zip(subsets, sizes)):
             if subset.size != declared:
                 raise IntegrityError(
                     f"subset {i + 1} declares size {declared} but lists {subset.size} elements"
                 )
         record = verify_intersecting(group, subsets, mode, trials=trials, seed=config["seed"])
     else:
-        x = _load_subset(group, doc["elements"], "covering set")
-        if x.size != doc["size"]:
-            raise IntegrityError(
-                f"covering set declares size {doc['size']} but lists {x.size} elements"
-            )
+        x = _load_subset(group, doc_field(doc, "elements", list), "covering set")
+        size = doc_field(doc, "size", int)
+        if x.size != size:
+            raise IntegrityError(f"covering set declares size {size} but lists {x.size} elements")
         record = verify_k_covering(group, x, k, mode, trials=trials, seed=config["seed"])
     verdict = {
         "kind": "verification-verdict",
         "input_kind": kind,
-        "group": doc["group"],
+        "group": descriptor,
         "k": k,
         "verification": record.document(),
         "config": config,
@@ -304,7 +306,7 @@ def _cmd_tower_translate(config: dict) -> tuple[str, int]:
     results = []
     if config.get("thin"):
         with open(config["thin"], "r", encoding="utf-8") as fh:
-            listed = json.load(fh)["thin_sets"]
+            listed = doc_field(json.load(fh), "thin_sets", list, "thin-set file")
         thin_sets = [make_thin_set(spec, depth, elems) for elems in listed]
     else:
         rng = random.Random(derive_seed(config["seed"], _TRANSLATE_SALT))

@@ -99,15 +99,6 @@ class GroupSubset:
         """Member indices in ascending order."""
         return list(self._member_list())
 
-    def random_member(self, rng: random.Random) -> int:
-        if not self.bits:
-            raise ValueError("cannot sample from an empty subset")
-        members = self._member_list()
-        return members[rng.randrange(len(members))]
-
-    def lowest(self) -> int | None:
-        return lowest_set_bit(self.bits)
-
     def _require_same_carrier(self, other: "GroupSubset") -> None:
         if self.group is not other.group and (
             self.group.order != other.group.order or self.group.name != other.group.name

@@ -17,12 +17,12 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from types import NoneType
 from typing import Optional, Union
 
 from .covering import (
     DEFAULT_MAX_ATTEMPTS,
     DEFAULT_SAMPLE_TRIALS,
-    CoveringCertificate,
     VerificationRecord,
     construct_k_covering,
     covering_condition_value,
@@ -30,7 +30,7 @@ from .covering import (
 from .errors import FeasibilityError, IntegrityError, SoundnessError
 from .groups import CyclicGroup, Epimorphism, cyclic_tower_map
 from .subsets import GroupSubset, translate_into
-from .util import derive_seed
+from .util import derive_seed, doc_field
 
 DENSE_STAGE_LIMIT = 1 << 27  # dense enumeration allowed up to this group order
 WITNESS_STAGE_LIMIT = 1 << 20  # per-level translator sets materialized up to this
@@ -114,17 +114,19 @@ class TowerSpec:
 
     def quotient_map(self, s: int) -> Epimorphism:
         """The reduction G_s -> G_{s-1}, for 1 <= s <= depth."""
-        if not 1 <= s <= self.depth:
-            raise ValueError(f"stage {s} out of range for depth {self.depth}")
-        if s not in self._maps:
-            self._maps[s] = cyclic_tower_map(self.group_order(s - 1), self.group_order(s))
-        return self._maps[s]
+        phi = self._maps.get(s)
+        if phi is None:
+            if not 1 <= s <= self.depth:
+                raise ValueError(f"stage {s} out of range for depth {self.depth}")
+            phi = self._maps[s] = cyclic_tower_map(self.group_order(s - 1), self.group_order(s))
+        return phi
 
     def project(self, d: int, i: int, x: int) -> int:
         """Composed projection G_d -> G_i (i <= d): reduction mod |G_i|."""
-        if not 0 <= i <= d <= self.depth:
+        orders = self._group_orders  # one entry per stage 0..depth
+        if not 0 <= i <= d < len(orders):
             raise ValueError(f"invalid projection {d} -> {i} at depth {self.depth}")
-        return x % self._group_orders[i]
+        return x % orders[i]
 
     def admissibility(self, s: int) -> StageAdmissibility:
         if not 1 <= s <= self.depth:
@@ -197,12 +199,40 @@ StageSet = Union[GroupSubset, FactoredSubset]
 
 
 @dataclass
-class ExtensionResult:
-    """Output of one quotient extension: the new set and the cover used."""
+class TowerStage:
+    """Stage s of a tower: X_s as a digit product over X_{s-1}, with its evidence.
 
+    Only what cannot be derived is stored.  The kernel cover L_s is
+    subset.kernel_cover, which the lift and membership both read; the stage
+    map and the admissibility report come from the TowerSpec, and the
+    measure is |X_s| / |G_s|.  seed is the stage's derived seed, attempts
+    the construction attempts L_s took and verification the record of its
+    s-covering check; the singleton cover of stage 1 takes 0 attempts and
+    has no verification.
+    """
+
+    index: int
     subset: FactoredSubset
-    kernel_cover: GroupSubset
-    certificate: CoveringCertificate | None  # None for the trivial 1-covering {e}
+    seed: int
+    attempts: int
+    verification: VerificationRecord | None
+
+    def document(self) -> dict:
+        subset, cover = self.subset, self.subset.kernel_cover
+        measure = Fraction(subset.size, subset.group.order)
+        return {
+            "stage": self.index,
+            "group_order": subset.group.order,
+            "kernel_order": cover.group.order,
+            "covering_k": self.index,
+            "seed": self.seed,
+            "attempts": self.attempts,
+            "cover_size": cover.size,
+            "set_size": subset.size,
+            "measure": f"{measure.numerator}/{measure.denominator}",
+            "cover": cover.indices(),
+            "verification": self.verification.document() if self.verification else None,
+        }
 
 
 def extend_covering(
@@ -214,15 +244,17 @@ def extend_covering(
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     mode: str = "auto",
     trials: int = DEFAULT_SAMPLE_TRIALS,
-) -> ExtensionResult:
+) -> TowerStage:
     """Extend a covering set through phi using a (k+1)-covering of the kernel.
 
     phi must be the cyclic reduction C_{N n} -> C_N onto the base set's
-    group.  The result X' = {b + N v : b in X, v in L} satisfies:
-    pi(X') = X exactly, |X'| = |L| |X| <= n |X| / 2, and every subset of
-    the source of size at most k+1 whose image translates into X translates
-    into X'.  At k = 0 a 1-covering is any nonempty subset, so L is the
-    singleton identity and no randomness is consumed.
+    group.  Returns the stage with index k + 1 whose set
+    X' = {b + N v : b in X, v in L} satisfies: pi(X') = X exactly,
+    |X'| = |L| |X| <= n |X| / 2, and every subset of the source of size at
+    most k+1 whose image translates into X translates into X'.  At k = 0 a
+    1-covering is any nonempty subset, so L is the singleton identity, no
+    randomness is consumed and the stage records 0 attempts and no
+    verification.
     """
     if not phi.is_cyclic_reduction or phi.target.order != base.group.order:
         raise ValueError(
@@ -241,7 +273,7 @@ def extend_covering(
         )
     if k == 0:
         cover = GroupSubset.from_indices(kernel, [kernel.identity])
-        certificate = None
+        attempts, verification = 0, None
     else:
         if not extension_admissible(kernel.order, k, strengthened=True):
             raise FeasibilityError(
@@ -259,60 +291,24 @@ def extend_covering(
             trials=trials,
         )
         cover = certificate.covering_set
+        attempts, verification = certificate.family.attempts_used, certificate.family.verification
     subset = FactoredSubset(base, cover)
     if 2 * subset.size > kernel.order * base.size:
         raise SoundnessError(
             f"extension size {subset.size} exceeds n|X|/2 = {kernel.order * base.size / 2}"
         )
-    return ExtensionResult(subset=subset, kernel_cover=cover, certificate=certificate)
-
-
-@dataclass
-class TowerStage:
-    index: int
-    phi: Epimorphism
-    subset: FactoredSubset
-    kernel_cover: GroupSubset
-    certificate: CoveringCertificate | None
-    admissibility: StageAdmissibility
-    measure: Fraction
-    stage_seed: int | None = None
-    loaded_verification: VerificationRecord | None = None
-
-    @property
-    def covering_parameter(self) -> int:
-        """The cover is a (index)-covering of the stage kernel."""
-        return self.index
-
-    def verification_record(self) -> VerificationRecord | None:
-        if self.certificate is not None:
-            return self.certificate.family.verification
-        return self.loaded_verification
-
-    def document(self) -> dict:
-        record = self.verification_record()
-        return {
-            "stage": self.index,
-            "group_order": self.subset.group.order,
-            "kernel_order": self.phi.kernel_order,
-            "covering_k": self.covering_parameter,
-            "seed": self.stage_seed,
-            "attempts": self.certificate.family.attempts_used if self.certificate else 0,
-            "cover_size": self.kernel_cover.size,
-            "set_size": self.subset.size,
-            "measure": f"{self.measure.numerator}/{self.measure.denominator}",
-            "cover": self.kernel_cover.indices(),
-            "verification": record.document() if record else None,
-        }
+    return TowerStage(
+        index=k + 1, subset=subset, seed=seed, attempts=attempts, verification=verification
+    )
 
 
 class Tower:
-    """A built tower: spec, seed, and the per-stage sets and covers."""
+    """A tower: spec, seed, and the stages appended so far over X_0 = {e}."""
 
-    def __init__(self, spec: TowerSpec, seed: int, stages: list[TowerStage]):
+    def __init__(self, spec: TowerSpec, seed: int):
         self.spec = spec
         self.seed = seed
-        self.stages = stages
+        self.stages: list[TowerStage] = []
         self._dense_masks: dict[int, int] = {}
         self._base = GroupSubset.from_indices(spec.group(0), [0])
 
@@ -357,12 +353,12 @@ class Tower:
         return self._dense_masks[i]
 
     def measures(self) -> list[Fraction]:
-        return [stage.measure for stage in self.stages]
+        return [Fraction(stage.subset.size, stage.subset.group.order) for stage in self.stages]
 
     def warnings(self) -> list[str]:
         out = []
         for stage in self.stages:
-            adm = stage.admissibility
+            adm = self.spec.admissibility(stage.index)
             if adm.literal_ok and not adm.strengthened_ok:
                 out.append(
                     f"stage {adm.stage}: admissible under the literal hypothesis "
@@ -379,7 +375,9 @@ class Tower:
             "depth": self.depth,
             "seed": self.seed,
             "section": "least-nonnegative-representative",
-            "admissibility": [stage.admissibility.document() for stage in self.stages],
+            "admissibility": [
+                self.spec.admissibility(stage.index).document() for stage in self.stages
+            ],
             "stages": [stage.document() for stage in self.stages],
             "warnings": self.warnings(),
         }
@@ -413,40 +411,24 @@ def build_tower(
                 f"(literal form gives {adm.literal_value:.6g}, "
                 f"{'ok' if adm.literal_ok else 'also failing'})"
             )
-    stages: list[TowerStage] = []
-    current: StageSet = GroupSubset.from_indices(spec.group(0), [0])
+    tower = Tower(spec, seed)
     for s in range(1, spec.depth + 1):
-        phi = spec.quotient_map(s)
-        stage_seed = derive_seed(seed, s)
-        ext = extend_covering(
-            phi,
-            current,
+        stage = extend_covering(
+            spec.quotient_map(s),
+            tower.stage_set(s - 1),
             s - 1,
-            seed=stage_seed,
+            seed=derive_seed(seed, s),
             max_attempts=max_attempts,
             mode=mode,
             trials=trials,
         )
         order = spec.group_order(s)
-        if ext.subset.size * (2**s) > order:
+        if stage.subset.size * (2**s) > order:
             raise SoundnessError(
-                f"stage {s} breaks the measure bound: |X_{s}| = {ext.subset.size} "
+                f"stage {s} breaks the measure bound: |X_{s}| = {stage.subset.size} "
                 f"> |G_{s}| / 2^{s} = {order / 2 ** s}"
             )
-        stages.append(
-            TowerStage(
-                index=s,
-                phi=phi,
-                subset=ext.subset,
-                kernel_cover=ext.kernel_cover,
-                certificate=ext.certificate,
-                admissibility=spec.admissibility(s),
-                measure=Fraction(ext.subset.size, order),
-                stage_seed=stage_seed,
-            )
-        )
-        current = ext.subset
-    tower = Tower(spec, seed, stages)
+        tower.stages.append(stage)
     if verify_claims:
         check_projection_claim(tower)
         check_translation_claim(tower, samples=claim3_samples)
@@ -513,9 +495,8 @@ def make_thin_set(spec: TowerSpec, depth: int, elements) -> ThinSet:
         if not 0 <= x < order:
             raise ValueError(f"element {x} out of range for stage {depth}")
     projections = [elems]
-    for i in range(depth, 0, -1):
-        lower = spec.quotient_map(i).map
-        projections.append(tuple(sorted({lower(x) for x in projections[-1]})))
+    for i in range(depth - 1, -1, -1):
+        projections.append(tuple(sorted({spec.project(i + 1, i, x) for x in projections[-1]})))
     projections.reverse()
     for i, image in enumerate(projections):
         if len(image) > thin_bound(i):
@@ -657,20 +638,19 @@ def translate_thin(
     shifts: list[int] = []
     for s in range(1, d + 1):
         stage = tower.stages[s - 1]
-        phi = stage.phi
+        phi, cover = tower.spec.quotient_map(s), stage.subset.kernel_cover
         mul, inv = phi.source.mul, phi.source.inv
         g_tilde = phi.section(g)
         offsets = set()
         for y in thin.projections[s]:
             w = mul(g_tilde, y)
             offsets.add(phi.kernel_coords(mul(w, inv(phi.section(phi.map(w))))))
-        u = translate_into(phi.kernel_group, sorted(offsets), stage.kernel_cover)
+        u = translate_into(phi.kernel_group, sorted(offsets), cover)
         if u is None:
             raise SoundnessError(
                 f"stage {s}: offsets {sorted(offsets)} have no translate into the "
-                f"{stage.covering_parameter}-cover of size {stage.kernel_cover.size}; "
-                f"the cover's verification was "
-                f"{stage.verification_record().mode if stage.verification_record() else 'trivial'}"
+                f"{s}-cover of size {cover.size}; the cover's verification was "
+                f"{stage.verification.mode if stage.verification else 'trivial'}"
             )
         g = mul(phi.embed_kernel(u), g_tilde)
         chain.append(g)
@@ -720,7 +700,7 @@ def witness_sets_nested(tower: Tower, witness_levels: list[Optional[GroupSubset]
         low, high = witness_levels[i], witness_levels[i + 1]
         if low is None or high is None:
             continue
-        lifted = pullback_dense(tower.stages[i].phi, low.bits)
+        lifted = pullback_dense(tower.spec.quotient_map(i + 1), low.bits)
         if high.bits & ~lifted:
             return False
     return True
@@ -748,63 +728,71 @@ def dimension_estimate(spec: TowerSpec, elements, depth: int | None = None) -> f
 def tower_from_document(doc: dict) -> Tower:
     """Rebuild a tower from its serialized document, membership bit-exact.
 
-    The covers (nonempty, inside their kernels), the listed sizes and the
-    halving bound 2|L_s| <= n_{s-1} are checked again and raise
-    IntegrityError when broken.  The measure bound
-    |X_s| 2^s <= |G_s| needs no check of its own: |X_s| = |L_1| ... |L_s| and
-    |G_s| = n_0 ... n_{s-1}, so it holds once every stage up to s halves.
+    Stages are appended to one Tower exactly as build_tower appends them,
+    each over the stage set below, so the rebuilt tower re-emits its
+    document: every stage keeps its seed, attempts and verification record.
+    A missing or mistyped field raises IntegrityError naming it.  The covers
+    (nonempty, inside their kernels), the listed sizes and the halving bound
+    2|L_s| <= n_{s-1} are checked again and raise IntegrityError when
+    broken.  The measure bound |X_s| 2^s <= |G_s| needs no check of its own:
+    |X_s| = |L_1| ... |L_s| and |G_s| = n_0 ... n_{s-1}, so it holds once
+    every stage up to s halves.
     """
-    if doc.get("kind") != "tower":
-        raise IntegrityError(f"not a tower document: kind={doc.get('kind')!r}")
-    spec = TowerSpec(doc["kernel_orders"])
-    seed = int(doc["seed"])
-    stages: list[TowerStage] = []
-    current: StageSet = GroupSubset.from_indices(spec.group(0), [0])
-    stage_docs = doc["stages"]
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    if kind != "tower":
+        raise IntegrityError(f"not a tower document: kind={kind!r}")
+    try:
+        spec = TowerSpec(doc_field(doc, "kernel_orders", list))
+    except (TypeError, ValueError) as exc:
+        raise IntegrityError(f"kernel_orders: {exc}") from exc
+    tower = Tower(spec, doc_field(doc, "seed", int))
+    stage_docs = doc_field(doc, "stages", list)
     if len(stage_docs) != spec.depth:
         raise IntegrityError(
             f"tower document lists {len(stage_docs)} stages for depth {spec.depth}"
         )
     for s, stage_doc in enumerate(stage_docs, start=1):
-        phi = spec.quotient_map(s)
+        where = f"stage {s}"
+        kernel = spec.quotient_map(s).kernel_group
         try:
-            cover = GroupSubset.from_indices(phi.kernel_group, stage_doc["cover"])
-            subset = FactoredSubset(current, cover)
-        except ValueError as exc:
-            raise IntegrityError(f"stage {s}: {exc}") from exc
-        if cover.size != stage_doc["cover_size"]:
+            cover = GroupSubset.from_indices(kernel, doc_field(stage_doc, "cover", list, where))
+            subset = FactoredSubset(tower.stage_set(s - 1), cover)
+        except (TypeError, ValueError) as exc:
+            raise IntegrityError(f"{where}: {exc}") from exc
+        cover_size = doc_field(stage_doc, "cover_size", int, where)
+        if cover.size != cover_size:
             raise IntegrityError(
-                f"stage {s}: cover_size {stage_doc['cover_size']} disagrees with "
-                f"{cover.size} listed elements"
+                f"{where}: cover_size {cover_size} disagrees with {cover.size} listed elements"
             )
-        if 2 * cover.size > phi.kernel_order:
+        if 2 * cover.size > kernel.order:
             raise IntegrityError(
-                f"stage {s}: cover of size {cover.size} is over half the kernel "
-                f"order {phi.kernel_order}"
+                f"{where}: cover of size {cover.size} is over half the kernel "
+                f"order {kernel.order}"
             )
-        if subset.size != stage_doc["set_size"]:
+        set_size = doc_field(stage_doc, "set_size", int, where)
+        if subset.size != set_size:
             raise IntegrityError(
-                f"stage {s}: set_size {stage_doc['set_size']} disagrees with the "
-                f"factored product {subset.size}"
+                f"{where}: set_size {set_size} disagrees with the factored product {subset.size}"
             )
-        stage = TowerStage(
-            index=s,
-            phi=phi,
-            subset=subset,
-            kernel_cover=cover,
-            certificate=None,
-            admissibility=spec.admissibility(s),
-            measure=Fraction(subset.size, spec.group_order(s)),
-            stage_seed=stage_doc.get("seed"),
+        raw = doc_field(stage_doc, "verification", (dict, NoneType), where)
+        tower.stages.append(
+            TowerStage(
+                index=s,
+                subset=subset,
+                seed=doc_field(stage_doc, "seed", int, where),
+                attempts=doc_field(stage_doc, "attempts", int, where),
+                verification=None if raw is None else _load_verification(raw, where),
+            )
         )
-        raw = stage_doc.get("verification")
-        if raw is not None:
-            stage.loaded_verification = VerificationRecord(
-                mode=raw["mode"],
-                result=raw["result"],
-                trials=raw["trials"],
-                witness=tuple(raw["witness"]) if raw.get("witness") is not None else None,
-            )
-        stages.append(stage)
-        current = subset
-    return Tower(spec, seed, stages)
+    return tower
+
+
+def _load_verification(raw: dict, where: str) -> VerificationRecord:
+    where = f"{where} verification"
+    witness = doc_field(raw, "witness", (list, NoneType), where)
+    return VerificationRecord(
+        mode=doc_field(raw, "mode", str, where),
+        result=doc_field(raw, "result", bool, where),
+        trials=doc_field(raw, "trials", (int, NoneType), where),
+        witness=None if witness is None else tuple(witness),
+    )

@@ -5,15 +5,13 @@ from __future__ import annotations
 import json
 import os
 
+from .errors import IntegrityError
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 DEFAULT_STEP_BUDGET = 10**8
 BUDGET_ENV_VAR = "COVTRANS_BUDGET"
-
-
-def popcount(x: int) -> int:
-    return x.bit_count()
 
 
 def lowest_set_bit(x: int) -> int | None:
@@ -79,6 +77,21 @@ def step_budget() -> int:
 def format_real(x: float) -> str:
     """Reals are always printed with 12 significant digits, '.' separator."""
     return format(float(x), ".12g")
+
+
+def doc_field(doc, key: str, kind, where: str = "document"):
+    """doc[key], whose type must be kind or one of a tuple of kinds, exactly.
+
+    Exact types, because documents hold plain JSON values and a bool is an
+    int to isinstance.  A document that is not a dict, lacks the field or
+    holds a value of another type raises IntegrityError naming the field.
+    """
+    if not isinstance(doc, dict) or key not in doc:
+        raise IntegrityError(f"{where}: missing field {key!r}")
+    value = doc[key]
+    if type(value) not in (kind if isinstance(kind, tuple) else (kind,)):
+        raise IntegrityError(f"{where}: field {key!r} has type {type(value).__name__}")
+    return value
 
 
 def canonical_json(obj, indent: int = 2) -> str:

@@ -210,5 +210,6 @@ def naive_stage_members(tower, i):
     """Members of the tower's X_i, by naive_factored_members stage after stage."""
     members = [0]
     for stage in tower.stages[:i]:
-        members = naive_factored_members(stage.phi, members, stage.kernel_cover.indices())
+        phi = tower.spec.quotient_map(stage.index)
+        members = naive_factored_members(phi, members, stage.subset.kernel_cover.indices())
     return members

@@ -166,7 +166,7 @@ def test_6_tower_depth_two():
                     direct |= 1 << g
             lifted = res.witness_levels[i].bits
             for s in range(i + 1, 3):
-                lifted = pullback_dense(tower.stages[s - 1].phi, lifted)
+                lifted = pullback_dense(spec.quotient_map(s), lifted)
             assert direct == lifted
     _report(6, "depth-2 tower with 1000 verified translations", started, limit=30.0)
 
@@ -177,7 +177,7 @@ def test_7_tower_depth_three_factored():
     stage3 = spec.admissibility(3)
     assert stage3.strengthened_ok and stage3.strengthened_value < 131072
     tower = build_tower(spec, 11)
-    assert tower.set_size(3) == tower.stages[2].kernel_cover.size * tower.set_size(2)
+    assert tower.set_size(3) == tower.stages[2].subset.kernel_cover.size * tower.set_size(2)
     assert tower.set_size(3) * 8 <= spec.group_order(3)
 
     rng = random.Random(7)

@@ -162,6 +162,23 @@ def test_verify_empty_set_certificate(capsys, tmp_path):
     assert code == EXIT_VERIFY_FAILED  # stored verdict is ignored, re-check fails
 
 
+def run_on_document(capsys, tmp_path, doc, *argv):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return run(capsys, *argv, "--in", str(path))
+
+
+def test_verify_names_a_missing_or_mistyped_field(capsys, tmp_path):
+    code, stdout, err = run_on_document(
+        capsys, tmp_path, {"kind": "k-covering", "group": "C8"}, "covering", "verify"
+    )
+    assert (code, stdout) == (EXIT_INTEGRITY, "")
+    assert err == "integrity error: document: missing field 'k'\n"
+    doc = {"kind": "k-covering", "group": "C8", "k": 1, "elements": "0,1", "size": 2}
+    code, _, err = run_on_document(capsys, tmp_path, doc, "covering", "verify")
+    assert code == EXIT_INTEGRITY and "field 'elements' has type str" in err
+
+
 def test_exact_cov_and_bounds_commands(capsys):
     code, stdout, _ = run(capsys, "covering", "exact-cov", "--group", "C7", "--k", "2")
     assert code == EXIT_OK
@@ -268,6 +285,23 @@ def test_tower_translate_refuses_a_document_over_the_halving_bound(capsys, tmp_p
     code, stdout, err = run(capsys, "tower", "translate", "--seed", "5", "--in", str(tower_path))
     assert code == EXIT_INTEGRITY and stdout == ""
     assert "stage 2: cover of size 600 is over half the kernel order 1024" in err
+
+
+def test_tower_translate_names_a_missing_field(capsys, tmp_path):
+    code, stdout, err = run_on_document(
+        capsys, tmp_path, {"kind": "tower", "seed": 1}, "tower", "translate", "--seed", "1"
+    )
+    assert (code, stdout) == (EXIT_INTEGRITY, "")
+    assert err == "integrity error: document: missing field 'kernel_orders'\n"
+
+
+def test_tower_dim_names_a_mistyped_field(capsys, tmp_path):
+    _, text, _ = run(capsys, "tower", "build", "--spec", "tower:20,1024", "--seed", "3")
+    doc = json.loads(text)
+    doc["stages"][1]["attempts"] = "1"
+    code, stdout, err = run_on_document(capsys, tmp_path, doc, "tower", "dim", "--seed", "1")
+    assert (code, stdout) == (EXIT_INTEGRITY, "")
+    assert err == "integrity error: stage 2: field 'attempts' has type str\n"
 
 
 def test_tower_dim_command(capsys):

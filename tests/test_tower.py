@@ -1,5 +1,7 @@
 import copy
+import json
 import math
+import re
 import random
 from fractions import Fraction
 
@@ -92,8 +94,9 @@ def test_extend_trivial_parameter_uses_identity_cover():
     phi = cyclic_tower_map(20, 400)
     base = GroupSubset.from_indices(CyclicGroup(20), [0, 3, 7])
     ext = extend_covering(phi, base, 0, seed=1)
-    assert ext.kernel_cover.indices() == [0]
-    assert ext.certificate is None
+    assert ext.index == 1
+    assert ext.subset.kernel_cover.indices() == [0]
+    assert ext.attempts == 0 and ext.verification is None
     assert ext.subset.size == 3
     # the base digits, each with the cover digit 0
     assert [x for x in range(400) if x in ext.subset] == [0, 3, 7]
@@ -103,9 +106,9 @@ def test_extend_projects_back_exactly():
     phi = cyclic_tower_map(4, 4096)
     base = GroupSubset.from_indices(CyclicGroup(4), [0, 2])
     ext = extend_covering(phi, base, 1, seed=5)
-    members = naive_factored_members(phi, base.indices(), ext.kernel_cover.indices())
+    members = naive_factored_members(phi, base.indices(), ext.subset.kernel_cover.indices())
     assert {phi.map(x) for x in members} == {0, 2}
-    assert ext.subset.size == ext.kernel_cover.size * 2 == len(set(members))
+    assert ext.subset.size == ext.subset.kernel_cover.size * 2 == len(set(members))
     assert 2 * ext.subset.size <= phi.kernel_order * 2  # |X'| <= n |X| / 2
     # digit membership agrees with the enumeration through the stage map
     member_set = set(members)
@@ -122,7 +125,7 @@ def test_extend_preserves_translatability():
     ext = extend_covering(phi, base, 1, seed=2)
     assert ext.subset.size <= 1024 * 10 // 2
     dense = GroupSubset.from_indices(
-        phi.source, naive_factored_members(phi, base.indices(), ext.kernel_cover.indices())
+        phi.source, naive_factored_members(phi, base.indices(), ext.subset.kernel_cover.indices())
     )
     from covtrans import translate_into
 
@@ -142,9 +145,9 @@ def test_extend_whole_group_collapse():
     phi = cyclic_tower_map(1, 1024)
     base = GroupSubset.from_indices(CyclicGroup(1), [0])
     ext = extend_covering(phi, base, 1, seed=9)
-    assert ext.subset.size == ext.kernel_cover.size <= 512
+    assert ext.subset.size == ext.subset.kernel_cover.size <= 512
     dense = GroupSubset.from_indices(
-        phi.source, naive_factored_members(phi, base.indices(), ext.kernel_cover.indices())
+        phi.source, naive_factored_members(phi, base.indices(), ext.subset.kernel_cover.indices())
     )
     from covtrans import translate_into
 
@@ -194,9 +197,10 @@ def test_build_depth_two_tower():
     assert tower.measures()[1] <= Fraction(1, 4)
     assert tower.measures()[1] == Fraction(tower.set_size(2), 20480)
     # stage covers: 1-covering then 2-covering
-    assert tower.stages[0].kernel_cover.indices() == [0]
-    assert tower.stages[1].certificate is not None
-    assert tower.stages[1].certificate.family.verification.mode == "exhaustive"
+    assert tower.stages[0].subset.kernel_cover.indices() == [0]
+    assert tower.stages[0].attempts == 0 and tower.stages[0].verification is None
+    assert tower.stages[1].attempts >= 1
+    assert tower.stages[1].verification.mode == "exhaustive"
 
 
 def test_build_depth_zero():
@@ -257,7 +261,7 @@ def test_digit_membership_matches_naive_factored_members(seed11_tower):
     # b are embed(v) * section(b), v in L_3, all of which map to b.
     tower = seed11_tower
     stage3 = tower.stages[2]
-    phi3, cover3 = stage3.phi, stage3.kernel_cover.indices()
+    phi3, cover3 = tower.spec.quotient_map(3), stage3.subset.kernel_cover.indices()
     x2 = naive_stage_members(tower, 2)
     assert len(set(x2)) == len(x2) == tower.set_size(2)
     x2_set = set(x2)
@@ -413,7 +417,9 @@ def test_translate_thin_chain_consistency():
 def test_translate_thin_final_membership_catches_unsound_lifts(monkeypatch):
     # On a loaded depth-3 tower, the one membership check at the top must
     # catch a wrong kernel shift at any of the three stages, and a stage-2
-    # set whose cover lacks an element the lift used.
+    # set whose cover lacks an element the lift used.  The lift and the check
+    # read the same cover object, so the second case hands the lift the
+    # sound cover in place of the thinned one.
     spec = TowerSpec([20, 1024, 131072])
     tower = tower_from_document(build_tower(spec, 11, verify_claims=False).document())
     rng = random.Random(19)
@@ -438,17 +444,21 @@ def test_translate_thin_final_membership_catches_unsound_lifts(monkeypatch):
                 translate_thin(tower, thin, collect_witness_sets=False)
 
     # for each level-2 image y, drop the cover element that g_2 * y lands on
-    stage2 = tower.stages[1]
-    src, phi2 = stage2.phi.source, stage2.phi
+    # from the stage-2 set, while the lift is still handed the sound cover
+    stage2, phi2 = tower.stages[1].subset, spec.quotient_map(2)
+    src, cover2 = phi2.source, stage2.kernel_cover
     for y in thin.projections[2]:
         w = src.mul(sound.stage_translators[2], y)
         used = phi2.kernel_coords(src.mul(w, src.inv(phi2.section(phi2.map(w)))))
-        assert used in stage2.kernel_cover
-        thinned = GroupSubset.from_indices(
-            stage2.kernel_cover.group, [v for v in stage2.kernel_cover.indices() if v != used]
-        )
+        assert used in cover2
+        thinned = GroupSubset.from_indices(cover2.group, [v for v in cover2.indices() if v != used])
+
+        def sound_lift(group, offsets, cover, thinned=thinned):
+            return real(group, offsets, cover2 if cover is thinned else cover)
+
         with monkeypatch.context() as m:
-            m.setattr(stage2.subset, "kernel_cover", thinned)
+            m.setattr(stage2, "kernel_cover", thinned)
+            m.setattr(tower_module, "translate_into", sound_lift)
             with pytest.raises(SoundnessError, match="fails membership"):
                 translate_thin(tower, thin, collect_witness_sets=False)
     assert translate_thin(tower, thin, collect_witness_sets=False) == sound
@@ -473,7 +483,7 @@ def test_translator_sets_match_direct_definition():
                     direct_bits |= 1 << g
             lifted = level.bits
             for s in range(i + 1, 3):
-                lifted = pullback_dense(tower.stages[s - 1].phi, lifted)
+                lifted = pullback_dense(spec.quotient_map(s), lifted)
             # unions of full fibers: the directly computed set IS the pullback
             assert direct_bits == lifted
 
@@ -505,7 +515,7 @@ def test_tower_document_roundtrip_and_integrity():
     for _ in range(500):
         x = rng.randrange(20480)
         assert rebuilt.member(2, x) == tower.member(2, x)
-    assert rebuilt.stages[1].verification_record().mode == "exhaustive"
+    assert rebuilt.stages[1].verification.mode == "exhaustive"
 
     tampered = tower.document()
     tampered["stages"][1]["cover_size"] += 1
@@ -515,6 +525,39 @@ def test_tower_document_roundtrip_and_integrity():
     tampered2["stages"][1]["set_size"] += 1
     with pytest.raises(IntegrityError):
         tower_from_document(tampered2)
+
+
+def test_loaded_tower_reemits_its_document(seed11_tower):
+    # every stage keeps its seed, attempts and verification record
+    for tower in (build_tower(TowerSpec([20, 1024]), 3), seed11_tower):
+        doc = tower.document()
+        assert doc["stages"][1]["attempts"] >= 1
+        assert tower_from_document(doc).document() == doc
+        text = canonical_json(doc)
+        assert canonical_json(tower_from_document(json.loads(text)).document()) == text
+
+
+def test_loaded_tower_names_a_missing_or_mistyped_field():
+    doc = build_tower(TowerSpec([20, 1024]), 3).document()
+
+    def broken(change):
+        out = copy.deepcopy(doc)
+        change(out)
+        return out
+
+    stage2 = "stage 2 verification"
+    for bad, message in [
+        ({"kind": "tower", "seed": 1}, "document: missing field 'kernel_orders'"),
+        (broken(lambda d: d.update(seed="3")), "document: field 'seed' has type str"),
+        (broken(lambda d: d.update(kernel_orders=[20, None])), "kernel_orders: "),
+        (broken(lambda d: d["stages"][1].pop("attempts")), "stage 2: missing field 'attempts'"),
+        (broken(lambda d: d["stages"][1].update(cover="0")), "stage 2: field 'cover' has type str"),
+        (broken(lambda d: d["stages"][1]["verification"].update(result=1)), f"{stage2}: field 'result'"),
+        (broken(lambda d: d["stages"][0].update(cover=["0"])), "stage 1: "),
+        ([doc], "not a tower document: kind=None"),
+    ]:
+        with pytest.raises(IntegrityError, match=re.escape(message)):
+            tower_from_document(bad)
 
 
 def with_cover(doc, s, cover):
