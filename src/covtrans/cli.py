@@ -45,7 +45,7 @@ from .tower import (
     tower_from_document,
     translate_thin,
 )
-from .util import canonical_json, derive_seed, doc_field, format_real
+from .util import canonical_json, derive_seed, doc_field, format_real, require_indices
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -107,12 +107,14 @@ def _cmd_covering_construct(config: dict) -> tuple[str, int]:
 
 
 def _load_subset(group, listed: list, what: str) -> GroupSubset:
+    require_indices(listed, what)
     try:
-        if len(set(listed)) != len(listed):
-            raise IntegrityError(f"{what} lists duplicate elements")
-        return GroupSubset.from_indices(group, listed)
-    except (TypeError, ValueError) as exc:
+        subset = GroupSubset.from_indices(group, listed)
+    except ValueError as exc:
         raise IntegrityError(f"{what}: {exc}") from exc
+    if subset.size != len(listed):
+        raise IntegrityError(f"{what} lists duplicate elements")
+    return subset
 
 
 def _cmd_covering_verify(config: dict) -> tuple[str, int]:
@@ -122,7 +124,10 @@ def _cmd_covering_verify(config: dict) -> tuple[str, int]:
     if kind not in ("intersecting-family", "k-covering"):
         raise IntegrityError(f"cannot verify documents of kind {kind!r}")
     descriptor = doc_field(doc, "group", str)
-    group = group_from_descriptor(descriptor)
+    try:
+        group = group_from_descriptor(descriptor)
+    except ValueError as exc:
+        raise IntegrityError(f"document: field 'group': {exc}") from exc
     k = doc_field(doc, "k", int)
     mode, trials = _parse_mode(config["mode"])
     if kind == "intersecting-family":
@@ -131,7 +136,10 @@ def _cmd_covering_verify(config: dict) -> tuple[str, int]:
             raise IntegrityError(
                 f"family lists {len(listed)} subsets and {len(sizes)} sizes but k = {k}"
             )
-        subsets = [_load_subset(group, lst, f"subset {i + 1}") for i, lst in enumerate(listed)]
+        subsets = [
+            _load_subset(group, lst, f"field 'subsets' list {i + 1}")
+            for i, lst in enumerate(listed)
+        ]
         for i, (subset, declared) in enumerate(zip(subsets, sizes)):
             if subset.size != declared:
                 raise IntegrityError(
@@ -139,7 +147,7 @@ def _cmd_covering_verify(config: dict) -> tuple[str, int]:
                 )
         record = verify_intersecting(group, subsets, mode, trials=trials, seed=config["seed"])
     else:
-        x = _load_subset(group, doc_field(doc, "elements", list), "covering set")
+        x = _load_subset(group, doc_field(doc, "elements", list), "field 'elements'")
         size = doc_field(doc, "size", int)
         if x.size != size:
             raise IntegrityError(f"covering set declares size {size} but lists {x.size} elements")

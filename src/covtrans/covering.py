@@ -17,7 +17,7 @@ from itertools import combinations
 from .errors import BudgetExceededError, ConstructionError, FeasibilityError, SoundnessError
 from .groups import FiniteGroup
 from .subsets import GroupSubset, _translate_bits, random_subset, translates_meet
-from .util import derive_seed, lowest_set_bit, step_budget
+from .util import derive_seed, lowest_set_bit, step_budget, uniform_draws
 
 DEFAULT_MAX_ATTEMPTS = 100
 DEFAULT_SAMPLE_TRIALS = 100_000
@@ -114,10 +114,13 @@ def verify_intersecting(
     fails exactly for the g outside it, and building it from |X_2|
     translates of X_1 still proves every tuple.  The budget still counts
     n^k steps, and the method is still "tuple-scan".  Sampled mode
-    checks `trials` uniform tuples drawn from the given seed, each
-    normalised the same way, and reports the tuple as drawn.  A sampled
-    trial stops at the first common element (see subsets.translates_meet)
-    rather than translating every X_i in full.
+    checks `trials` uniform tuples drawn from the given seed, k
+    consecutive util.uniform_draws values each (the values randrange would
+    give, generated in bulk), and reports the tuple as drawn.  A sampled
+    trial hands the drawn translators to subsets.translates_meet, which
+    normalises by g_1 itself, reads only windows on rotation carriers (no
+    oracle call) and stops at the first common element rather than
+    translating every X_i in full.
     """
     k = len(subsets)
     if k < 1:
@@ -136,12 +139,10 @@ def verify_intersecting(
         return VerificationRecord(
             mode="exhaustive", result=witness is None, witness=witness, method="tuple-scan"
         )
-    randrange = random.Random(seed).randrange
+    draws = uniform_draws(seed, n)
     meets = translates_meet(group, subsets[0], subsets[1:])
-    for t in range(trials):
-        tup = tuple([randrange(n) for _ in range(k)])
-        inv_first = group.inv(tup[0])
-        if not meets([group.mul(g, inv_first) for g in tup[1:]]):
+    for t, tup in zip(range(trials), zip(*[draws] * k)):
+        if not meets(tup):
             return VerificationRecord(
                 mode="sampled", result=False, trials=t + 1, witness=tup, method="tuple-sample"
             )
@@ -475,9 +476,10 @@ def verify_k_covering(
     reports the lexicographically first untranslatable Y over all C(n,k).
     The budget still counts C(n,k)*n steps; when that is exceeded at k = 2
     the complete O(n^2) quotient-set criterion is used instead.  Sampled
-    mode checks `trials` uniform Y drawn from the given seed, each
-    normalised the same way, and reports Y as drawn; a trial stops at the
-    first element common to X and the X y^{-1} y_1 (see subsets.translates_meet).
+    mode checks `trials` uniform Y drawn from the given seed by rng.sample,
+    and reports Y as drawn.  Y translates into X iff the right translates
+    X y^{-1}, y in Y, meet, so a trial hands the y^{-1} to
+    subsets.translates_meet, which stops at the first common element.
     """
     n = group.order
     if k < 1:
@@ -509,10 +511,11 @@ def verify_k_covering(
             f"(budget {step_budget()}); use sampled mode"
         )
     rng = random.Random(seed)
+    inv = group.inv
     meets = translates_meet(group, x, [x] * (k - 1))
     for t in range(trials):
         ys = sorted(rng.sample(range(n), k))
-        if not meets([group.mul(group.inv(y), ys[0]) for y in ys[1:]]):
+        if not meets([inv(y) for y in ys]):
             return VerificationRecord(
                 mode="sampled",
                 result=False,

@@ -247,16 +247,18 @@ def translate_into(group: FiniteGroup, y, x: GroupSubset) -> int | None:
 
 
 def translates_meet(group: FiniteGroup, first: GroupSubset, rest: list[GroupSubset]):
-    """Predicate meets(shifts): do X_1 and the right translates rest[i] * shifts[i] meet?
+    """Predicate meets(gs): do the right translates X_1 g_1, rest[0] g_2, ... meet?
 
-    Built once per verification call, so each trial pays only for the search,
-    which stops at the first common element.  Rotation carriers AND the sets
-    in ascending windows of ROTATION_WINDOW bits: window [a, a + W) of X h is
-    bits a + n - h onward of X's cached doubled image.  Only X_1's non-empty
-    windows are read, and X_1's bits there clear what lies past W or past n.
-    Other carriers walk X_1's members and look each x * shifts[i]^{-1} up in
-    a flag array of rest[i].  A set listed more than once in rest gets one
-    image.
+    gs lists the k translators as drawn.  The translates meet iff X_1 and the
+    rest[i] g_{i+2} g_1^{-1} do, and the predicate tests that, built once per
+    verification call so that each trial pays only for the search, which
+    stops at the first common element.  Rotation carriers AND the sets in
+    ascending windows of ROTATION_WINDOW bits: window [a, a + W) of
+    X (g_i - g_1) is bits a + ((g_1 - g_i) mod n) onward of X's cached doubled
+    image, so a trial makes no oracle call.  Only X_1's non-empty windows are
+    read, and X_1's bits there clear what lies past W or past n.  Other
+    carriers walk X_1's members and look each x g_1 g_i^{-1} up in a flag
+    array of X_i.  A set listed more than once in rest gets one image.
     """
     n = group.order
     if group.additive_rotation:
@@ -268,8 +270,9 @@ def translates_meet(group: FiniteGroup, first: GroupSubset, rest: list[GroupSubs
                 windows.append((a, bits))
         images = [s._rotation_image() for s in rest]
 
-        def meets(shifts: list[int]) -> bool:
-            reads = [(image, n - h) for image, h in zip(images, shifts)]
+        def meets(gs) -> bool:
+            g1 = gs[0]
+            reads = [(image, (g1 - g) % n) for image, g in zip(images, gs[1:])]
             return _first_common_window(windows, reads) is not None
 
         return meets
@@ -283,11 +286,12 @@ def translates_meet(group: FiniteGroup, first: GroupSubset, rest: list[GroupSubs
             flag[x] = 1
     flags = [flag_of[id(s)] for s in rest]
 
-    def meets(shifts: list[int]) -> bool:
-        lookups = [(flag, inv(h)) for flag, h in zip(flags, shifts)]
+    def meets(gs) -> bool:
+        g1 = gs[0]
+        lookups = [(flag, mul(g1, inv(g))) for flag, g in zip(flags, gs[1:])]
         for x in members:
-            for flag, h_inv in lookups:
-                if not flag[mul(x, h_inv)]:
+            for flag, shift in lookups:
+                if not flag[mul(x, shift)]:
                     break
             else:
                 return True

@@ -30,7 +30,7 @@ from .covering import (
 from .errors import FeasibilityError, IntegrityError, SoundnessError
 from .groups import CyclicGroup, Epimorphism, cyclic_tower_map
 from .subsets import GroupSubset, translate_into
-from .util import derive_seed, doc_field
+from .util import derive_seed, doc_field, require_indices
 
 DENSE_STAGE_LIMIT = 1 << 27  # dense enumeration allowed up to this group order
 WITNESS_STAGE_LIMIT = 1 << 20  # per-level translator sets materialized up to this
@@ -755,7 +755,9 @@ def tower_from_document(doc: dict) -> Tower:
         where = f"stage {s}"
         kernel = spec.quotient_map(s).kernel_group
         try:
-            cover = GroupSubset.from_indices(kernel, doc_field(stage_doc, "cover", list, where))
+            listed = doc_field(stage_doc, "cover", list, where)
+            require_indices(listed, f"{where}: field 'cover'")
+            cover = GroupSubset.from_indices(kernel, listed)
             subset = FactoredSubset(tower.stage_set(s - 1), cover)
         except (TypeError, ValueError) as exc:
             raise IntegrityError(f"{where}: {exc}") from exc

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import json
 import os
+import random
+import struct
+from itertools import chain, repeat
+from operator import rshift
 
 from .errors import IntegrityError
 
@@ -60,6 +64,38 @@ def derive_seed(master: int, *salts: int) -> int:
     return x
 
 
+_DRAW_BATCH = 4096  # Mersenne Twister words per getrandbits call in uniform_draws
+_DRAW_WORDS = struct.Struct(f"<{_DRAW_BATCH}I")
+
+
+def uniform_draws(seed: int, n: int):
+    """Endless iterator of the values random.Random(seed).randrange(n) returns, in order.
+
+    It copies CPython's _randbelow_with_getrandbits for n < 2^32: each
+    candidate is one 32-bit Mersenne Twister output shifted right by
+    32 - n.bit_length(), kept if below n.  The outputs come 4096 at a time
+    as the words of one getrandbits(32 * 4096) call, lowest word first, so
+    the per-draw work runs in C.  Larger n, which take several words per
+    candidate, fall back to randrange itself.
+    tests/test_subsets.py::test_uniform_draws_equal_randrange pins the copy.
+    """
+    if n < 1:
+        raise ValueError(f"cannot draw from an empty range, n = {n}")
+    rng = random.Random(seed)
+    width = n.bit_length()
+    if width > 32:
+        return map(rng.randrange, repeat(n))
+    getrandbits, unpack = rng.getrandbits, _DRAW_WORDS.unpack
+    shift, below = 32 - width, n.__gt__  # a candidate is word >> shift, kept if below n
+
+    def batches():
+        while True:
+            words = unpack(getrandbits(32 * _DRAW_BATCH).to_bytes(4 * _DRAW_BATCH, "little"))
+            yield filter(below, map(rshift, words, repeat(shift)))
+
+    return chain.from_iterable(batches())
+
+
 def step_budget() -> int:
     """Elementary-step budget for exhaustive verification (env-overridable)."""
     raw = os.environ.get(BUDGET_ENV_VAR)
@@ -92,6 +128,20 @@ def doc_field(doc, key: str, kind, where: str = "document"):
     if type(value) not in (kind if isinstance(kind, tuple) else (kind,)):
         raise IntegrityError(f"{where}: field {key!r} has type {type(value).__name__}")
     return value
+
+
+def require_indices(values: list, where: str) -> None:
+    """Raise IntegrityError naming where unless values is a list of exact ints.
+
+    Exact types for the reason doc_field gives: JSON true would otherwise
+    pass as index 1.  Loaders call this once per listed set, so that
+    GroupSubset.from_indices, which exact-cov calls per candidate, stays bare.
+    """
+    if type(values) is not list:
+        raise IntegrityError(f"{where} has type {type(values).__name__}")
+    for v in values:
+        if type(v) is not int:
+            raise IntegrityError(f"{where}: entry {json.dumps(v)} has type {type(v).__name__}")
 
 
 def canonical_json(obj, indent: int = 2) -> str:
@@ -138,6 +188,10 @@ def _emit(obj, out: list[str], indent: int, level: int) -> None:
         seq = list(obj)
         if not seq:
             out.append("[]")
+            return
+        if set(map(type, seq)) == {int}:
+            # member lists, the bulk of every document: one join, same bytes
+            out.append(f"[\n{pad}" + f",\n{pad}".join(map(str, seq)) + f"\n{close_pad}]")
             return
         out.append("[\n")
         for i, value in enumerate(seq):

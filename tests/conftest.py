@@ -5,9 +5,12 @@ bitmask or difference-set machinery they are used to check.  The two
 full-translate sampled loops and the full-rotation translate search at the
 end are the exception: they translate whole sets with
 GroupSubset.right_translate, whose own test compares it with naive
-translates, so that they stay fast on C131072.
+translates, so that they stay fast on C131072.  The last oracle is the
+element-by-element canonical JSON emitter that util.canonical_json
+replaced for lists of ints.
 """
 
+import json
 import random
 from itertools import combinations, product
 from math import factorial
@@ -213,3 +216,48 @@ def naive_stage_members(tower, i):
         phi = tower.spec.quotient_map(stage.index)
         members = naive_factored_members(phi, members, stage.subset.kernel_cover.indices())
     return members
+
+
+def reference_canonical_json(obj, indent: int = 2) -> str:
+    """canonical_json as emitted element by element, with no fast path for int lists."""
+    out = []
+
+    def emit(obj, level):
+        pad = " " * (indent * (level + 1))
+        close_pad = " " * (indent * level)
+        if obj is None:
+            out.append("null")
+        elif obj is True:
+            out.append("true")
+        elif obj is False:
+            out.append("false")
+        elif isinstance(obj, int):
+            out.append(str(obj))
+        elif isinstance(obj, float):
+            out.append(format(obj, ".12g"))
+        elif isinstance(obj, str):
+            out.append(json.dumps(obj))
+        elif isinstance(obj, dict):
+            if not obj:
+                out.append("{}")
+                return
+            out.append("{\n")
+            for i, (key, value) in enumerate(obj.items()):
+                out.append(pad + json.dumps(key) + ": ")
+                emit(value, level + 1)
+                out.append(",\n" if i + 1 < len(obj) else "\n")
+            out.append(close_pad + "}")
+        else:
+            seq = list(obj)
+            if not seq:
+                out.append("[]")
+                return
+            out.append("[\n")
+            for i, value in enumerate(seq):
+                out.append(pad)
+                emit(value, level + 1)
+                out.append(",\n" if i + 1 < len(seq) else "\n")
+            out.append(close_pad + "]")
+
+    emit(obj, 0)
+    return "".join(out)

@@ -177,6 +177,46 @@ def test_verify_names_a_missing_or_mistyped_field(capsys, tmp_path):
     doc = {"kind": "k-covering", "group": "C8", "k": 1, "elements": "0,1", "size": 2}
     code, _, err = run_on_document(capsys, tmp_path, doc, "covering", "verify")
     assert code == EXIT_INTEGRITY and "field 'elements' has type str" in err
+    doc.update(elements=[2, 2], size=1)
+    code, _, err = run_on_document(capsys, tmp_path, doc, "covering", "verify")
+    assert err == "integrity error: field 'elements' lists duplicate elements\n"
+
+
+def test_verify_refuses_an_unknown_group_as_a_document_fault(capsys, tmp_path):
+    doc = {"kind": "k-covering", "group": "Q8", "k": 2, "elements": [0], "size": 1}
+    code, stdout, err = run_on_document(capsys, tmp_path, doc, "covering", "verify")
+    assert (code, stdout) == (EXIT_INTEGRITY, "")
+    assert "field 'group'" in err and "Q8" in err
+
+
+def test_verify_refuses_a_bool_in_a_covering_set(capsys, tmp_path):
+    # JSON true is not index 1, alone or next to a 1 (not "duplicate elements")
+    for elements in ([True], [0, True], [1, True]):
+        doc = {"kind": "k-covering", "group": "C8", "k": 1, "elements": elements, "size": 2}
+        code, stdout, err = run_on_document(capsys, tmp_path, doc, "covering", "verify")
+        assert (code, stdout) == (EXIT_INTEGRITY, "")
+        assert err == "integrity error: field 'elements': entry true has type bool\n"
+
+
+def test_verify_refuses_a_bool_in_a_family_member(capsys, tmp_path):
+    doc = {
+        "kind": "intersecting-family", "group": "C8", "k": 2,
+        "subsets": [[0, 1], [False, 2]], "sizes": [2, 2],
+    }
+    code, stdout, err = run_on_document(capsys, tmp_path, doc, "covering", "verify")
+    assert (code, stdout) == (EXIT_INTEGRITY, "")
+    assert err == "integrity error: field 'subsets' list 2: entry false has type bool\n"
+
+
+def test_tower_commands_refuse_a_bool_in_a_cover(capsys, tmp_path):
+    _, text, _ = run(capsys, "tower", "build", "--spec", "tower:20,1024", "--seed", "3")
+    doc = json.loads(text)
+    assert doc["stages"][1]["cover"][0] == 1  # so true would load as this same cover
+    doc["stages"][1]["cover"][0] = True
+    for action in ("translate", "dim"):
+        code, stdout, err = run_on_document(capsys, tmp_path, doc, "tower", action, "--seed", "1")
+        assert (code, stdout) == (EXIT_INTEGRITY, "")
+        assert err == "integrity error: stage 2: field 'cover': entry true has type bool\n"
 
 
 def test_exact_cov_and_bounds_commands(capsys):

@@ -403,7 +403,7 @@ def test_meet_test_finds_one_common_element_at_window_edges():
                     second = GroupSubset.from_indices(group, [other])
                     meets = translates_meet(group, first, [second, second])
                     expected = bool(first.bits & second.right_translate(h).bits)
-                    assert meets([h, h]) == expected
+                    assert meets([0, h, h]) == expected
 
 
 def test_verify_k_covering_sampled_mode():

@@ -1,8 +1,11 @@
 import random
 import statistics
+from itertools import islice
 
 import pytest
 from conftest import full_rotation_translate_into, naive_set_bits
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from covtrans import (
     CyclicGroup,
@@ -15,7 +18,7 @@ from covtrans import (
     translate_into,
 )
 from covtrans.subsets import _translate_bits
-from covtrans.util import iter_set_bits
+from covtrans.util import iter_set_bits, uniform_draws
 
 
 def test_roundtrip_and_size():
@@ -79,6 +82,37 @@ def test_iter_set_bits_matches_naive_loop(width):
     for x in masks:
         assert x.bit_length() == width
         assert list(iter_set_bits(x)) == naive_set_bits(x)
+
+
+# n below 2^32 takes one 32-bit word per candidate; the powers of two and
+# their neighbours move the shift and the rejection rate to each extreme
+one_word_orders = st.one_of(
+    st.sampled_from([1, 2, 3, 10007]),
+    st.builds(lambda j, d: 2**j + d, st.integers(1, 31), st.sampled_from([-1, 0, 1])),
+)
+
+
+@given(one_word_orders, st.integers(0, 2**64 - 1))
+@example(1, 0)
+@example(2**31, 1)
+@example(2**31 + 1, 2)
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+def test_uniform_draws_equal_randrange(n, seed):
+    # 20,000 values take 20,000 to 40,000 words: several 4096-word batches
+    rng = random.Random(seed)
+    want = [rng.randrange(n) for _ in range(20_000)]
+    assert list(islice(uniform_draws(seed, n), 20_000)) == want
+
+
+@pytest.mark.parametrize("n", [2**32 - 1, 2**32, 2**32 + 1, 2**40 + 3])
+def test_uniform_draws_equal_randrange_on_either_side_of_one_word(n):
+    # from 2^32 on a candidate takes several words, and randrange draws them
+    for seed in (0, 7):
+        rng = random.Random(seed)
+        want = [rng.randrange(n) for _ in range(5000)]
+        assert list(islice(uniform_draws(seed, n), 5000)) == want
+    with pytest.raises(ValueError):
+        uniform_draws(0, 0)
 
 
 def test_set_algebra():

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import naive_factored_members, naive_stage_members
+from conftest import naive_factored_members, naive_stage_members, reference_canonical_json
 
 from covtrans import (
     CyclicGroup,
@@ -32,6 +32,7 @@ from covtrans import (
     TowerSpec,
 )
 import covtrans.tower as tower_module
+from covtrans.cli import EXIT_OK, main
 from covtrans.errors import FeasibilityError, IntegrityError, SoundnessError
 from covtrans.groups import cyclic_tower_map
 from covtrans.tower import check_projection_claim, pullback_dense
@@ -535,6 +536,22 @@ def test_loaded_tower_reemits_its_document(seed11_tower):
         assert tower_from_document(doc).document() == doc
         text = canonical_json(doc)
         assert canonical_json(tower_from_document(json.loads(text)).document()) == text
+
+
+def test_canonical_json_matches_the_reference_emitter(seed11_tower, tmp_path):
+    # the two largest documents: the seed-11 tower and 5000 translated thin sets
+    tower_doc = seed11_tower.document()
+    tower_path, translated = tmp_path / "tower.json", tmp_path / "translated.json"
+    tower_path.write_text(canonical_json(tower_doc))
+    argv = ["tower", "translate", "--in", str(tower_path), "--seed", "5", "--samples", "5000"]
+    assert main([*argv, "--out", str(translated)]) == EXIT_OK
+    edges = [[], [0], [True, 1], [False], [-1, -(2**70)], [2**63, 2**64 + 1], (3, 1, 2)]
+    nested = {"a": [[0, 1], [2, [3, []]], [0.5, None, "x"]], "b": edges, "c": {}}
+    for doc in (tower_doc, json.loads(translated.read_text()), *edges, nested, [nested]):
+        got, want = canonical_json(doc), reference_canonical_json(doc)
+        if got != want:  # a bare string assert would diff 367 KB documents
+            at = next(i for i, (a, b) in enumerate(zip(got + "\0", want + "\1")) if a != b)
+            pytest.fail(f"first difference at offset {at}: {got[at - 20 : at + 20]!r}")
 
 
 def test_loaded_tower_names_a_missing_or_mistyped_field():

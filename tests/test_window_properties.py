@@ -3,16 +3,19 @@
 Both searches in covtrans.subsets AND 4096-bit windows read from a set's
 doubled image; these compare them with full rotations on cyclic groups of
 order near one and two windows, where a single planted common element
-lands on or next to a window edge.
+lands on or next to a window edge.  The meet predicate takes the drawn
+translators g_1, ..., g_k, so it is also checked with g_1 arbitrary, with
+later g_i equal to g_1 (a read at offset 0), and on carriers that look its
+translators up through mul and inv.
 """
 
 import random
 
-from conftest import full_rotation_translate_into
+from conftest import full_rotation_translate_into, naive_empty_tuple_test
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covtrans import CyclicGroup, GroupSubset
+from covtrans import CyclicGroup, GroupSubset, group_from_descriptor
 from covtrans.subsets import translate_into, translates_meet
 
 PROPERTY_SETTINGS = settings(max_examples=150, derandomize=True, database=None, deadline=None)
@@ -89,4 +92,55 @@ def test_translates_meet_matches_full_rotation(case):
     acc = first.bits
     for s, h in zip(rest, shifts):
         acc &= s.right_translate(h).bits
-    assert translates_meet(group, first, rest)(shifts) == bool(acc)
+    assert translates_meet(group, first, rest)([0, *shifts]) == bool(acc)
+
+
+@st.composite
+def drawn_meet_cases(draw):
+    """k sets of C_n and translators as drawn: g_1 anywhere, a later g_i often equal to it."""
+    n = draw(orders)
+    k = draw(st.integers(1, 3))
+    g1 = draw(spots(n))
+    gs = [g1] + [draw(st.one_of(st.just(g1), spots(n))) for _ in range(k - 1)]
+    sets = [noise(draw, n) for _ in gs]
+    if draw(st.booleans()):
+        common = draw(st.sampled_from(edges(n)))
+        sets = [bits | 1 << (common - g) % n for bits, g in zip(sets, gs)]
+    return CyclicGroup(n), sets, gs
+
+
+@given(drawn_meet_cases())
+@PROPERTY_SETTINGS
+def test_translates_meet_takes_the_drawn_translators(case):
+    group, sets, gs = case
+    subsets = [GroupSubset(group, bits) for bits in sets]
+    acc = (1 << group.order) - 1
+    for s, g in zip(subsets, gs):
+        acc &= s.right_translate(g).bits
+    assert translates_meet(group, subsets[0], subsets[1:])(gs) == bool(acc)
+
+
+@st.composite
+def oracle_meet_cases(draw):
+    """k sets of a non-rotation carrier, translators as drawn, often a planted common element."""
+    group = group_from_descriptor(draw(st.sampled_from(["S4", "D6", "C2xC6"])))
+    n, k = group.order, draw(st.integers(1, 3))
+    g1 = draw(st.integers(0, n - 1))
+    gs = [g1] + [draw(st.one_of(st.just(g1), st.integers(0, n - 1))) for _ in range(k - 1)]
+    density = draw(st.sampled_from([0.1, 0.3, 0.6]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    member_lists = [{x for x in range(n) if rng.random() < density} for _ in gs]
+    if draw(st.booleans()):
+        common = draw(st.integers(0, n - 1))
+        for members, g in zip(member_lists, gs):
+            members.add(group.mul(common, group.inv(g)))
+    return group, [sorted(m) for m in member_lists], gs
+
+
+@given(oracle_meet_cases())
+@PROPERTY_SETTINGS
+def test_translates_meet_through_the_oracles_matches_naive_translates(case):
+    group, member_lists, gs = case
+    subsets = [GroupSubset.from_indices(group, members) for members in member_lists]
+    empty = naive_empty_tuple_test(group, member_lists)
+    assert translates_meet(group, subsets[0], subsets[1:])(gs) == (not empty(gs))
