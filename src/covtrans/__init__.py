@@ -35,12 +35,9 @@ from .groups import (
     Epimorphism,
     FiniteGroup,
     SymmetricGroup,
-    check_epimorphism,
     check_group_axioms,
-    cyclic_tower_map,
     element_orders,
     group_from_descriptor,
-    product_projection,
 )
 from .subsets import GroupSubset, random_subset, translate_into
 from .tower import (

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Callable
 
 from .errors import SoundnessError
 
@@ -313,178 +312,44 @@ def check_group_axioms(group: FiniteGroup, rng: random.Random | None = None, tri
 
 
 class Epimorphism:
-    """Surjective homomorphism with kernel access and a canonical section.
+    """The reduction x -> x mod N from C_{N n} onto C_N, one step of a tower.
 
-    The section picks one canonical preimage per target element (least
-    nonnegative representative for cyclic reductions, componentwise for
-    products), so factored membership tests are well-defined and O(1).
+    The kernel, generated by N, is presented as C_n through v -> N v, and
+    the section picks the least nonnegative representative h of each target
+    element, so factored membership tests are well-defined and O(1).
     """
 
-    def __init__(
-        self,
-        source: FiniteGroup,
-        target: FiniteGroup,
-        kernel_group: FiniteGroup,
-        map_fn: Callable[[int], int],
-        section_fn: Callable[[int], int],
-        embed_fn: Callable[[int], int],
-        coords_fn: Callable[[int], int],
-        name: str,
-    ):
-        if kernel_group.order * target.order != source.order:
-            raise ValueError(
-                f"kernel order {kernel_group.order} x target order {target.order}"
-                f" != source order {source.order}"
-            )
-        self.source = source
-        self.target = target
-        self.kernel_group = kernel_group
-        self._map = map_fn
-        self._section = section_fn
-        self._embed = embed_fn
-        self._coords = coords_fn
-        self.name = name
-        self.is_cyclic_reduction = False
+    def __init__(self, modulus_small: int, modulus_large: int):
+        if modulus_small < 1 or modulus_large < 1:
+            raise ValueError("moduli must be positive")
+        if modulus_large % modulus_small != 0:
+            raise ValueError(f"{modulus_small} does not divide {modulus_large}")
+        self.modulus = modulus_small
+        self.source = CyclicGroup(modulus_large)
+        self.target = CyclicGroup(modulus_small)
+        self.kernel_group = CyclicGroup(modulus_large // modulus_small)
+        self.name = f"C{modulus_large}->C{modulus_small}"
 
     @property
     def kernel_order(self) -> int:
         return self.kernel_group.order
 
     def map(self, x: int) -> int:
-        return self._map(x)
+        return x % self.modulus
 
     def section(self, h: int) -> int:
-        return self._section(h)
+        return h
 
     def embed_kernel(self, v: int) -> int:
         """Source index of the kernel-group element v."""
-        return self._embed(v)
+        return v * self.modulus
 
     def kernel_coords(self, x: int) -> int:
         """Kernel-group index of a source element lying in the kernel."""
-        return self._coords(x)
+        q, r = divmod(x, self.modulus)
+        if r:
+            raise ValueError(f"{x} is not in the kernel of reduction mod {self.modulus}")
+        return q
 
     def __repr__(self) -> str:
         return f"Epimorphism({self.name})"
-
-
-def cyclic_tower_map(modulus_small: int, modulus_large: int) -> Epimorphism:
-    """Reduction mod modulus_small from C_large onto C_small.
-
-    The kernel is the subgroup generated by modulus_small, presented as
-    C_{large/small}; the section is the least nonnegative representative.
-    """
-    if modulus_small < 1 or modulus_large < 1:
-        raise ValueError("moduli must be positive")
-    if modulus_large % modulus_small != 0:
-        raise ValueError(f"{modulus_small} does not divide {modulus_large}")
-    source = CyclicGroup(modulus_large)
-    target = CyclicGroup(modulus_small)
-    kernel = CyclicGroup(modulus_large // modulus_small)
-
-    def coords(x: int) -> int:
-        q, r = divmod(x, modulus_small)
-        if r:
-            raise ValueError(f"{x} is not in the kernel of reduction mod {modulus_small}")
-        return q
-
-    phi = Epimorphism(
-        source,
-        target,
-        kernel,
-        map_fn=lambda x: x % modulus_small,
-        section_fn=lambda h: h,
-        embed_fn=lambda v: v * modulus_small,
-        coords_fn=coords,
-        name=f"C{modulus_large}->C{modulus_small}",
-    )
-    phi.is_cyclic_reduction = True
-    return phi
-
-
-def product_projection(group: DirectProductGroup, factor: str) -> Epimorphism:
-    """Coordinate projection of a direct product; factor is "left" or "right"."""
-    r = group.right.order
-    if factor == "left":
-        def coords_left(x: int) -> int:
-            if x >= r:
-                raise ValueError(f"{x} is not in the kernel of the left projection")
-            return x
-
-        return Epimorphism(
-            group,
-            group.left,
-            group.right,
-            map_fn=lambda x: x // r,
-            section_fn=lambda h: h * r,
-            embed_fn=lambda v: v,
-            coords_fn=coords_left,
-            name=f"{group.name}->{group.left.name}",
-        )
-    if factor == "right":
-        def coords_right(x: int) -> int:
-            q, rem = divmod(x, r)
-            if rem:
-                raise ValueError(f"{x} is not in the kernel of the right projection")
-            return q
-
-        return Epimorphism(
-            group,
-            group.right,
-            group.left,
-            map_fn=lambda x: x % r,
-            section_fn=lambda h: h,
-            embed_fn=lambda v: v * r,
-            coords_fn=coords_right,
-            name=f"{group.name}->{group.right.name}",
-        )
-    raise ValueError(f"factor must be 'left' or 'right', got {factor!r}")
-
-
-def check_epimorphism(
-    phi: Epimorphism,
-    rng: random.Random | None = None,
-    pairs: int = 4096,
-    hom_exhaustive_limit: int = _ELEMENTWISE_CHECK_LIMIT,
-) -> None:
-    """Raise SoundnessError unless phi satisfies the quotient-map contract."""
-    rng = rng or random.Random(0)
-    src, tgt, ker = phi.source, phi.target, phi.kernel_group
-
-    if tgt.order <= 10**6:
-        for h in tgt.elements():
-            if phi.map(phi.section(h)) != h:
-                raise SoundnessError(f"{phi.name}: section fails at {h}")
-    if src.order <= hom_exhaustive_limit:
-        pair_iter = ((a, b) for a in src.elements() for b in src.elements())
-    else:
-        pair_iter = (
-            (src.random_element(rng), src.random_element(rng)) for _ in range(pairs)
-        )
-    for a, b in pair_iter:
-        if phi.map(src.mul(a, b)) != tgt.mul(phi.map(a), phi.map(b)):
-            raise SoundnessError(f"{phi.name}: homomorphism law fails at {(a, b)}")
-
-    if src.order <= 65536:
-        fiber = {x for x in src.elements() if phi.map(x) == tgt.identity}
-        embedded = {phi.embed_kernel(v) for v in ker.elements()}
-        if embedded != fiber:
-            raise SoundnessError(f"{phi.name}: kernel embedding misses the identity fiber")
-    else:
-        probe = (
-            list(ker.elements())
-            if ker.order <= _ELEMENTWISE_CHECK_LIMIT
-            else [ker.random_element(rng) for _ in range(_ELEMENTWISE_CHECK_LIMIT)]
-        )
-        for v in probe:
-            x = phi.embed_kernel(v)
-            if phi.map(x) != tgt.identity:
-                raise SoundnessError(f"{phi.name}: embed({v}) is outside the kernel")
-            if phi.kernel_coords(x) != v:
-                raise SoundnessError(f"{phi.name}: kernel coordinates disagree at {v}")
-    for v1 in (0, ker.order - 1):
-        v2 = ker.random_element(rng)
-        lhs = phi.embed_kernel(ker.mul(v1, v2))
-        rhs = src.mul(phi.embed_kernel(v1), phi.embed_kernel(v2))
-        if lhs != rhs:
-            raise SoundnessError(f"{phi.name}: kernel embedding is not a homomorphism")

@@ -28,9 +28,9 @@ from .covering import (
     covering_condition_value,
 )
 from .errors import FeasibilityError, IntegrityError, SoundnessError
-from .groups import CyclicGroup, Epimorphism, cyclic_tower_map
+from .groups import CyclicGroup, Epimorphism
 from .subsets import GroupSubset, translate_into
-from .util import derive_seed, doc_field, require_indices
+from .util import canonical_json, derive_seed, doc_field, require_indices
 
 DENSE_STAGE_LIMIT = 1 << 27  # dense enumeration allowed up to this group order
 WITNESS_STAGE_LIMIT = 1 << 20  # per-level translator sets materialized up to this
@@ -45,15 +45,14 @@ def thin_bound(i: int) -> int:
     return 1 if i == 0 else i
 
 
-def extension_admissible(kernel_order: int, k: int, strengthened: bool = True) -> bool:
+def extension_admissible(kernel_order: int, k: int) -> bool:
     """Check the kernel-size hypothesis for extending through a quotient.
 
-    The literal form tests (4k)^k (k log n + log 2) < n at the extension
-    parameter k itself; the strengthened form tests it at k+1, which is
-    what the kernel's (k+1)-covering construction actually requires.
+    Tests (4j)^j (j log n + log 2) < n at j = k+1, the strengthened reading,
+    which is what the kernel's (k+1)-covering construction requires.  The
+    literal reading at j = k is reported by TowerSpec.admissibility.
     """
-    j = k + 1 if strengthened else k
-    return covering_condition_value(kernel_order, j) < kernel_order
+    return covering_condition_value(kernel_order, k + 1) < kernel_order
 
 
 @dataclass(frozen=True)
@@ -118,7 +117,7 @@ class TowerSpec:
         if phi is None:
             if not 1 <= s <= self.depth:
                 raise ValueError(f"stage {s} out of range for depth {self.depth}")
-            phi = self._maps[s] = cyclic_tower_map(self.group_order(s - 1), self.group_order(s))
+            phi = self._maps[s] = Epimorphism(self.group_order(s - 1), self.group_order(s))
         return phi
 
     def project(self, d: int, i: int, x: int) -> int:
@@ -218,6 +217,10 @@ class TowerStage:
     verification: VerificationRecord | None
 
     def document(self) -> dict:
+        return self._document(self.subset.kernel_cover.indices())
+
+    def _document(self, listed) -> dict:
+        """The stage's document, with listed as its "cover" field."""
         subset, cover = self.subset, self.subset.kernel_cover
         measure = Fraction(subset.size, subset.group.order)
         return {
@@ -230,7 +233,7 @@ class TowerStage:
             "cover_size": cover.size,
             "set_size": subset.size,
             "measure": f"{measure.numerator}/{measure.denominator}",
-            "cover": cover.indices(),
+            "cover": listed,
             "verification": self.verification.document() if self.verification else None,
         }
 
@@ -256,7 +259,7 @@ def extend_covering(
     randomness is consumed and the stage records 0 attempts and no
     verification.
     """
-    if not phi.is_cyclic_reduction or phi.target.order != base.group.order:
+    if phi.target.order != base.group.order:
         raise ValueError(
             f"{phi.name} is not the cyclic reduction onto {base.group.name}: "
             f"stage sets are digit products over a cyclic chain"
@@ -275,7 +278,7 @@ def extend_covering(
         cover = GroupSubset.from_indices(kernel, [kernel.identity])
         attempts, verification = 0, None
     else:
-        if not extension_admissible(kernel.order, k, strengthened=True):
+        if not extension_admissible(kernel.order, k):
             raise FeasibilityError(
                 f"kernel order {kernel.order} too small for extension parameter {k}: "
                 f"literal (4k)^k(k log n + log 2) = "
@@ -368,6 +371,10 @@ class Tower:
         return out
 
     def document(self) -> dict:
+        return self._document([stage.document() for stage in self.stages])
+
+    def _document(self, stages: list) -> dict:
+        """The tower's document, with stages as its "stages" field."""
         return {
             "kind": "tower",
             "spec": self.spec.describe(),
@@ -378,7 +385,7 @@ class Tower:
             "admissibility": [
                 self.spec.admissibility(stage.index).document() for stage in self.stages
             ],
-            "stages": [stage.document() for stage in self.stages],
+            "stages": stages,
             "warnings": self.warnings(),
         }
 
@@ -688,7 +695,7 @@ def _witness_level(tower: Tower, thin: ThinSet, i: int) -> GroupSubset | None:
 def pullback_dense(phi: Epimorphism, target_bits: int) -> int:
     """Bitmask over C_{m n} of the preimage of a bitmask over C_m, phi reducing mod m."""
     m = phi.target.order
-    if not phi.is_cyclic_reduction or target_bits < 0 or target_bits >> m:
+    if target_bits < 0 or target_bits >> m:
         raise ValueError(f"{phi.name} is not a cyclic reduction onto the bitmask's carrier")
     repunit = ((1 << phi.source.order) - 1) // ((1 << m) - 1)
     return target_bits * repunit
@@ -729,14 +736,14 @@ def tower_from_document(doc: dict) -> Tower:
     """Rebuild a tower from its serialized document, membership bit-exact.
 
     Stages are appended to one Tower exactly as build_tower appends them,
-    each over the stage set below, so the rebuilt tower re-emits its
-    document: every stage keeps its seed, attempts and verification record.
-    A missing or mistyped field raises IntegrityError naming it.  The covers
-    (nonempty, inside their kernels), the listed sizes and the halving bound
-    2|L_s| <= n_{s-1} are checked again and raise IntegrityError when
+    each over the stage set below; every stage keeps its seed, attempts and
+    verification record.  A missing or mistyped field raises IntegrityError
+    naming it.  The covers (nonempty, inside their kernels) and the halving
+    bound 2|L_s| <= n_{s-1} are checked again and raise IntegrityError when
     broken.  The measure bound |X_s| 2^s <= |G_s| needs no check of its own:
     |X_s| = |L_1| ... |L_s| and |G_s| = n_0 ... n_{s-1}, so it holds once
-    every stage up to s halves.
+    every stage up to s halves.  Every other field is derived, so the
+    assembled tower must re-emit it: see _require_reemitted.
     """
     kind = doc.get("kind") if isinstance(doc, dict) else None
     if kind != "tower":
@@ -761,20 +768,10 @@ def tower_from_document(doc: dict) -> Tower:
             subset = FactoredSubset(tower.stage_set(s - 1), cover)
         except (TypeError, ValueError) as exc:
             raise IntegrityError(f"{where}: {exc}") from exc
-        cover_size = doc_field(stage_doc, "cover_size", int, where)
-        if cover.size != cover_size:
-            raise IntegrityError(
-                f"{where}: cover_size {cover_size} disagrees with {cover.size} listed elements"
-            )
         if 2 * cover.size > kernel.order:
             raise IntegrityError(
                 f"{where}: cover of size {cover.size} is over half the kernel "
                 f"order {kernel.order}"
-            )
-        set_size = doc_field(stage_doc, "set_size", int, where)
-        if subset.size != set_size:
-            raise IntegrityError(
-                f"{where}: set_size {set_size} disagrees with the factored product {subset.size}"
             )
         raw = doc_field(stage_doc, "verification", (dict, NoneType), where)
         tower.stages.append(
@@ -786,7 +783,35 @@ def tower_from_document(doc: dict) -> Tower:
                 verification=None if raw is None else _load_verification(raw, where),
             )
         )
+    _require_reemitted(tower, doc)
     return tower
+
+
+def _require_reemitted(tower: Tower, doc: dict) -> None:
+    """Raise IntegrityError at the first field of doc that differs from tower's own.
+
+    Sizes, measures, admissibility reports and warnings are all derived from
+    the covers, so a document that contradicts them is refused rather than
+    re-emitted changed.  Fields compare as canonical JSON text, which keeps
+    12 significant digits of a real.  The run config and the covers, which
+    the tower was built from, are left out: the covers are the bulk of the
+    document, and the tower's covers are not decoded for the comparison.
+    """
+    emitted = tower._document([stage._document(None) for stage in tower.stages])
+    _require_same_fields(emitted, doc, "document", ("config", "stages"))
+    for s, (mine, given) in enumerate(zip(emitted["stages"], doc["stages"]), start=1):
+        _require_same_fields(mine, given, f"stage {s}", ("cover",))
+
+
+def _require_same_fields(emitted: dict, doc: dict, where: str, skip: tuple[str, ...]) -> None:
+    for key in emitted:
+        if key not in doc:
+            raise IntegrityError(f"{where}: missing field {key!r}")
+        if key not in skip and canonical_json(emitted[key]) != canonical_json(doc[key]):
+            raise IntegrityError(f"{where}: field {key!r} disagrees with the loaded tower")
+    for key in doc:
+        if key not in emitted and key not in skip:
+            raise IntegrityError(f"{where}: unexpected field {key!r}")
 
 
 def _load_verification(raw: dict, where: str) -> VerificationRecord:

@@ -5,15 +5,18 @@ bitmask or difference-set machinery they are used to check.  The two
 full-translate sampled loops and the full-rotation translate search at the
 end are the exception: they translate whole sets with
 GroupSubset.right_translate, whose own test compares it with naive
-translates, so that they stay fast on C131072.  The last oracle is the
+translates, so that they stay fast on C131072.  Then come the
 element-by-element canonical JSON emitter that util.canonical_json
-replaced for lists of ints.
+replaced for lists of ints, the quotient-map contract of a tower's
+reduction, and a text comparison that stays fast on large documents.
 """
 
 import json
 import random
 from itertools import combinations, product
 from math import factorial
+
+import pytest
 
 
 def naive_is_k_covering(group, members, k) -> bool:
@@ -261,3 +264,54 @@ def reference_canonical_json(obj, indent: int = 2) -> str:
 
     emit(obj, 0)
     return "".join(out)
+
+
+_CONTRACT_EXHAUSTIVE_ORDER = 4096
+_CONTRACT_PROBES = 4096
+
+
+def naive_reduction_contract(phi) -> None:
+    """Assert the quotient-map contract of phi through its methods and group oracles.
+
+    map(section(h)) = h; map(a b) = map(a) map(b); {embed_kernel(v)} is the
+    fiber of e; kernel_coords inverts embed_kernel and raises off the kernel.
+    Every element and every pair of a source of order up to 4096 is checked;
+    above that, seeded random ones, with fiber elements drawn as
+    x section(map(x))^{-1}.
+    """
+    src, tgt, ker = phi.source, phi.target, phi.kernel_group
+    assert ker.order * tgt.order == src.order
+    e, rng = tgt.identity, random.Random(0)
+    exhaustive = src.order <= _CONTRACT_EXHAUSTIVE_ORDER
+
+    def elements(group):
+        if exhaustive:
+            return range(group.order)
+        return [rng.randrange(group.order) for _ in range(_CONTRACT_PROBES)]
+
+    for h in elements(tgt):
+        assert phi.map(phi.section(h)) == h, h
+    pairs = product(src.elements(), repeat=2) if exhaustive else zip(elements(src), elements(src))
+    for a, b in pairs:
+        assert phi.map(src.mul(a, b)) == tgt.mul(phi.map(a), phi.map(b)), (a, b)
+    for v in elements(ker):
+        assert phi.kernel_coords(phi.embed_kernel(v)) == v, v
+    if exhaustive:
+        fiber = {x for x in src.elements() if phi.map(x) == e}
+        assert {phi.embed_kernel(v) for v in ker.elements()} == fiber
+    else:
+        fiber = {src.mul(x, src.inv(phi.section(phi.map(x)))) for x in elements(src)}
+        for x in fiber:
+            assert phi.map(x) == e and phi.embed_kernel(phi.kernel_coords(x)) == x, x
+    for x in elements(src):
+        if phi.map(x) != e:
+            with pytest.raises(ValueError, match="not in the kernel"):
+                phi.kernel_coords(x)
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """Fail at the first differing offset; a bare assert would diff whole documents."""
+    if got != want:
+        at = next(i for i, (a, b) in enumerate(zip(got + "\0", want + "\1")) if a != b)
+        lo = max(at - 20, 0)
+        pytest.fail(f"first difference at offset {at}: {got[lo : at + 20]!r} vs {want[lo : at + 20]!r}")

@@ -8,7 +8,7 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import naive_stage_members
+from conftest import assert_same_text, naive_stage_members
 
 from covtrans import (
     CyclicGroup,
@@ -217,9 +217,10 @@ def test_9_documents_reproduce_byte_for_byte():
     }
     first, code = run_config(covering_config)
     second, _ = run_config(covering_config)
-    assert code == 0 and first == second
+    assert code == 0
+    assert_same_text(second, first)
     regenerated, _ = run_config(json.loads(first)["config"])
-    assert regenerated == first
+    assert_same_text(regenerated, first)
 
     tower_config = {
         "command": "tower build",
@@ -233,7 +234,8 @@ def test_9_documents_reproduce_byte_for_byte():
     }
     t_first, t_code = run_config(tower_config)
     t_second, _ = run_config(tower_config)
-    assert t_code == 0 and t_first == t_second
+    assert t_code == 0
+    assert_same_text(t_second, t_first)
     t_regenerated, _ = run_config(json.loads(t_first)["config"])
-    assert t_regenerated == t_first
+    assert_same_text(t_regenerated, t_first)
     _report(9, "documents regenerate byte-for-byte", started)

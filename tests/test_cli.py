@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from conftest import assert_same_text
 
 from covtrans.cli import (
     EXIT_ATTEMPTS_EXHAUSTED,
@@ -384,5 +385,14 @@ def test_documents_are_byte_reproducible():
     }
     first, _ = run_config(config)
     second, _ = run_config(config)
-    assert first == second
-    assert rerun_document(json.loads(first)) == first
+    assert_same_text(second, first)
+    assert_same_text(rerun_document(json.loads(first)), first)
+
+
+def test_tower_translate_refuses_a_contradicted_measure(capsys, tmp_path):
+    _, text, _ = run(capsys, "tower", "build", "--spec", "tower:20,1024", "--seed", "3")
+    doc = json.loads(text)
+    doc["stages"][1]["measure"] = "1/1"
+    code, stdout, err = run_on_document(capsys, tmp_path, doc, "tower", "translate", "--seed", "1")
+    assert (code, stdout) == (EXIT_INTEGRITY, "")
+    assert err == "integrity error: stage 2: field 'measure' disagrees with the loaded tower\n"

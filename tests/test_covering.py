@@ -3,6 +3,7 @@ import random
 
 import pytest
 from conftest import (
+    assert_same_text,
     full_translate_sampled_covering,
     full_translate_sampled_intersecting,
     naive_empty_tuple_test,
@@ -226,7 +227,7 @@ def test_construct_family_determinism():
     g = CyclicGroup(256)
     a = construct_intersecting_family(g, 2, seed=123)
     b = construct_intersecting_family(g, 2, seed=123)
-    assert canonical_json(a.document()) == canonical_json(b.document())
+    assert_same_text(canonical_json(b.document()), canonical_json(a.document()))
     c = construct_intersecting_family(g, 2, seed=124)
     assert [s.bits for s in a.subsets] != [s.bits for s in c.subsets]
 
@@ -607,6 +608,6 @@ def test_certificate_documents_are_deterministic():
     g = CyclicGroup(1024)
     a = construct_k_covering(g, 2, seed=9)
     b = construct_k_covering(g, 2, seed=9)
-    assert canonical_json(a.document()) == canonical_json(b.document())
+    assert_same_text(canonical_json(b.document()), canonical_json(a.document()))
     doc = a.document()
     assert list(doc)[:7] == ["kind", "group", "k", "p", "seed", "attempts", "sizes"]

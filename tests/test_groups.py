@@ -1,20 +1,27 @@
 import random
 
 import pytest
-from conftest import digitwise_mul, lehmer_index_of, lehmer_inv, lehmer_mul, lehmer_perm_of
+from conftest import (
+    digitwise_mul,
+    lehmer_index_of,
+    lehmer_inv,
+    lehmer_mul,
+    lehmer_perm_of,
+    naive_reduction_contract,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covtrans import (
     CyclicGroup,
     DihedralGroup,
     DirectProductGroup,
     ElementaryAbelianGroup,
+    Epimorphism,
     SymmetricGroup,
-    check_epimorphism,
     check_group_axioms,
-    cyclic_tower_map,
     element_orders,
     group_from_descriptor,
-    product_projection,
 )
 from covtrans.errors import SoundnessError
 
@@ -183,42 +190,53 @@ def test_axiom_checker_catches_broken_oracle():
 
 
 def test_cyclic_tower_map_contract():
-    phi = cyclic_tower_map(20, 20480)
+    phi = Epimorphism(20, 20480)
     assert phi.kernel_order == 1024
-    check_epimorphism(phi, random.Random(0))
+    naive_reduction_contract(phi)
     assert phi.map(phi.section(13)) == 13
     assert phi.kernel_coords(phi.embed_kernel(37)) == 37
 
-    identity_map = cyclic_tower_map(12, 12)
+    identity_map = Epimorphism(12, 12)
     assert identity_map.kernel_order == 1
-    check_epimorphism(identity_map, random.Random(0))
+    naive_reduction_contract(identity_map)
 
-    collapse = cyclic_tower_map(1, 9)
+    collapse = Epimorphism(1, 9)
     assert collapse.kernel_order == 9
     assert collapse.target.order == 1
-    check_epimorphism(collapse, random.Random(0))
+    naive_reduction_contract(collapse)
 
 
 def test_cyclic_tower_map_rejects_non_divisor():
     with pytest.raises(ValueError):
-        cyclic_tower_map(7, 20)
+        Epimorphism(7, 20)
+    with pytest.raises(ValueError, match="positive"):
+        Epimorphism(0, 20)
 
 
 def test_epimorphism_exhaustive_homomorphism_check():
     # source order 1024 is under the exhaustive threshold: all pairs scanned
-    check_epimorphism(cyclic_tower_map(32, 1024), random.Random(0))
+    naive_reduction_contract(Epimorphism(32, 1024))
 
 
-def test_product_projections():
-    g = DirectProductGroup(CyclicGroup(20), DihedralGroup(4))
-    left = product_projection(g, "left")
-    right = product_projection(g, "right")
-    check_epimorphism(left, random.Random(0))
-    check_epimorphism(right, random.Random(0))
-    assert left.kernel_order == 8
-    assert right.kernel_order == 20
-    with pytest.raises(ValueError):
-        product_projection(g, "middle")
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.integers(1, 64), st.integers(1, 64))
+def test_reduction_methods_are_their_divmod_definitions(modulus, kernel_order):
+    phi = Epimorphism(modulus, modulus * kernel_order)
+    assert (phi.source.order, phi.target.order, phi.kernel_order) == (
+        modulus * kernel_order,
+        modulus,
+        kernel_order,
+    )
+    for x in range(modulus * kernel_order):
+        q, r = divmod(x, modulus)
+        assert phi.map(x) == r
+        assert phi.embed_kernel(q) == q * modulus
+        if r:
+            with pytest.raises(ValueError):
+                phi.kernel_coords(x)
+        else:
+            assert phi.kernel_coords(x) == q
+    assert [phi.section(h) for h in range(modulus)] == list(range(modulus))
 
 
 def test_descriptor_parsing_roundtrip():

@@ -6,22 +6,25 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import naive_factored_members, naive_stage_members, reference_canonical_json
+from conftest import (
+    assert_same_text,
+    naive_factored_members,
+    naive_reduction_contract,
+    naive_stage_members,
+    reference_canonical_json,
+)
 
 from covtrans import (
     CyclicGroup,
-    DirectProductGroup,
+    Epimorphism,
     GroupSubset,
     build_tower,
-    check_epimorphism,
-    cyclic_tower_map,
     dimension_estimate,
     extend_covering,
     extension_admissible,
     make_slalom,
     make_thin_set,
     parse_tower_descriptor,
-    product_projection,
     sample_thin_set,
     slalom_pullback,
     thin_bound,
@@ -34,7 +37,6 @@ from covtrans import (
 import covtrans.tower as tower_module
 from covtrans.cli import EXIT_OK, main
 from covtrans.errors import FeasibilityError, IntegrityError, SoundnessError
-from covtrans.groups import cyclic_tower_map
 from covtrans.tower import check_projection_claim, pullback_dense
 from covtrans.util import canonical_json
 
@@ -56,10 +58,9 @@ def test_thin_bound_is_fixed():
 
 
 def test_extension_admissible_frozen_values():
-    assert extension_admissible(1024, 1, strengthened=True)
-    assert extension_admissible(20, 0, strengthened=True)
-    assert not extension_admissible(64, 1, strengthened=True)
-    assert extension_admissible(64, 1, strengthened=False)  # 19.4 < 64
+    assert extension_admissible(1024, 1)
+    assert extension_admissible(20, 0)
+    assert not extension_admissible(64, 1)
 
 
 def test_tower_spec_basics():
@@ -69,7 +70,7 @@ def test_tower_spec_basics():
     assert spec.describe() == "tower:20,1024,131072"
     assert parse_tower_descriptor("tower:20,1024,131072").kernel_orders == (20, 1024, 131072)
     for s in (1, 2, 3):
-        check_epimorphism(spec.quotient_map(s), random.Random(0))
+        naive_reduction_contract(spec.quotient_map(s))
     assert spec.project(3, 1, 20480 * 3 + 27) == 7
     with pytest.raises(ValueError):
         TowerSpec([20, 1])
@@ -92,7 +93,7 @@ def test_admissibility_report_both_readings():
 
 
 def test_extend_trivial_parameter_uses_identity_cover():
-    phi = cyclic_tower_map(20, 400)
+    phi = Epimorphism(20, 400)
     base = GroupSubset.from_indices(CyclicGroup(20), [0, 3, 7])
     ext = extend_covering(phi, base, 0, seed=1)
     assert ext.index == 1
@@ -104,7 +105,7 @@ def test_extend_trivial_parameter_uses_identity_cover():
 
 
 def test_extend_projects_back_exactly():
-    phi = cyclic_tower_map(4, 4096)
+    phi = Epimorphism(4, 4096)
     base = GroupSubset.from_indices(CyclicGroup(4), [0, 2])
     ext = extend_covering(phi, base, 1, seed=5)
     members = naive_factored_members(phi, base.indices(), ext.subset.kernel_cover.indices())
@@ -120,7 +121,7 @@ def test_extend_projects_back_exactly():
 
 
 def test_extend_preserves_translatability():
-    phi = cyclic_tower_map(20, 20480)
+    phi = Epimorphism(20, 20480)
     target = CyclicGroup(20)
     base = GroupSubset.from_indices(target, range(10))
     ext = extend_covering(phi, base, 1, seed=2)
@@ -143,7 +144,7 @@ def test_extend_preserves_translatability():
 
 def test_extend_whole_group_collapse():
     # trivial target: the extension is exactly the kernel cover
-    phi = cyclic_tower_map(1, 1024)
+    phi = Epimorphism(1, 1024)
     base = GroupSubset.from_indices(CyclicGroup(1), [0])
     ext = extend_covering(phi, base, 1, seed=9)
     assert ext.subset.size == ext.subset.kernel_cover.size <= 512
@@ -159,33 +160,27 @@ def test_extend_whole_group_collapse():
 
 
 def test_extend_error_cases():
-    phi = cyclic_tower_map(4, 256)  # kernel order 64
+    phi = Epimorphism(4, 256)  # kernel order 64
     base = GroupSubset.from_indices(CyclicGroup(4), [0])
     with pytest.raises(FeasibilityError, match="576"):
         extend_covering(phi, base, 1, seed=1)
     with pytest.raises(FeasibilityError):
         extend_covering(phi, GroupSubset.empty(CyclicGroup(4)), 0, seed=1)
     # an isomorphism has no room for the halving bound
-    iso = cyclic_tower_map(4, 4)
+    iso = Epimorphism(4, 4)
     with pytest.raises(FeasibilityError, match="kernel"):
         extend_covering(iso, base, 0, seed=1)
 
 
 def test_maps_outside_the_digit_core_are_rejected():
-    # stage sets are digit products over a cyclic chain: any other map
-    # would build a wrong set silently, so it is refused up front
-    product = DirectProductGroup(CyclicGroup(4), CyclicGroup(64))
-    left = product_projection(product, "left")  # onto C4, but not a cyclic reduction
+    # stage sets are digit products over a cyclic chain: a reduction onto
+    # another stage would build a wrong set silently, so it is refused up front
     base = GroupSubset.from_indices(CyclicGroup(4), [0, 2])
-    with pytest.raises(ValueError, match="not the cyclic reduction"):
-        extend_covering(left, base, 0, seed=1)
     with pytest.raises(ValueError, match="not the cyclic reduction onto C4"):
-        extend_covering(cyclic_tower_map(8, 512), base, 0, seed=1)  # base over C4, map onto C8
+        extend_covering(Epimorphism(8, 512), base, 0, seed=1)  # base over C4, map onto C8
     with pytest.raises(ValueError, match="not a cyclic reduction"):
-        pullback_dense(left, base.bits)
-    with pytest.raises(ValueError, match="not a cyclic reduction"):
-        pullback_dense(cyclic_tower_map(2, 512), base.bits)  # a mask over C4, map onto C2
-    assert pullback_dense(cyclic_tower_map(4, 12), base.bits) == 0b010101010101
+        pullback_dense(Epimorphism(2, 512), base.bits)  # a mask over C4, map onto C2
+    assert pullback_dense(Epimorphism(4, 12), base.bits) == 0b010101010101
 
 
 def test_build_depth_two_tower():
@@ -535,7 +530,7 @@ def test_loaded_tower_reemits_its_document(seed11_tower):
         assert doc["stages"][1]["attempts"] >= 1
         assert tower_from_document(doc).document() == doc
         text = canonical_json(doc)
-        assert canonical_json(tower_from_document(json.loads(text)).document()) == text
+        assert_same_text(canonical_json(tower_from_document(json.loads(text)).document()), text)
 
 
 def test_canonical_json_matches_the_reference_emitter(seed11_tower, tmp_path):
@@ -548,10 +543,7 @@ def test_canonical_json_matches_the_reference_emitter(seed11_tower, tmp_path):
     edges = [[], [0], [True, 1], [False], [-1, -(2**70)], [2**63, 2**64 + 1], (3, 1, 2)]
     nested = {"a": [[0, 1], [2, [3, []]], [0.5, None, "x"]], "b": edges, "c": {}}
     for doc in (tower_doc, json.loads(translated.read_text()), *edges, nested, [nested]):
-        got, want = canonical_json(doc), reference_canonical_json(doc)
-        if got != want:  # a bare string assert would diff 367 KB documents
-            at = next(i for i, (a, b) in enumerate(zip(got + "\0", want + "\1")) if a != b)
-            pytest.fail(f"first difference at offset {at}: {got[at - 20 : at + 20]!r}")
+        assert_same_text(canonical_json(doc), reference_canonical_json(doc))
 
 
 def test_loaded_tower_names_a_missing_or_mistyped_field():
@@ -578,11 +570,16 @@ def test_loaded_tower_names_a_missing_or_mistyped_field():
 
 
 def with_cover(doc, s, cover):
-    """A copy of a tower document with stage s's cover replaced and its sizes updated."""
+    """A copy of a tower document with stage s's cover replaced and its sizes and measure updated."""
     out = copy.deepcopy(doc)
     below = out["stages"][s - 2]["set_size"] if s > 1 else 1
-    out["stages"][s - 1].update(
-        cover=list(cover), cover_size=len(cover), set_size=len(cover) * below
+    stage = out["stages"][s - 1]
+    measure = Fraction(len(cover) * below, stage["group_order"])
+    stage.update(
+        cover=list(cover),
+        cover_size=len(cover),
+        set_size=len(cover) * below,
+        measure=f"{measure.numerator}/{measure.denominator}",
     )
     return out
 
@@ -601,3 +598,48 @@ def test_loaded_tower_rechecks_bounds():
         tower_from_document(with_cover(doc, 2, [0, 1024]))
     with pytest.raises(IntegrityError, match="stage 2: kernel cover must be nonempty"):
         tower_from_document(with_cover(doc, 2, []))
+
+
+def test_loaded_tower_refuses_derived_fields_that_contradict_its_covers():
+    # everything but the seeds, attempts, verification records and covers is
+    # derived, so a changed value would load and then re-emit differently
+    doc = build_tower(TowerSpec([20, 1024]), 3).document()
+
+    def broken(change):
+        out = copy.deepcopy(doc)
+        change(out)
+        return out
+
+    def bump(key):
+        return lambda d: d["stages"][1].update({key: d["stages"][1][key] + 1})
+
+    first_admissibility = doc["admissibility"][0]
+    for change, message in [
+        (lambda d: d["stages"][1].update(measure="1/1"), "stage 2: field 'measure'"),
+        (bump("group_order"), "stage 2: field 'group_order'"),
+        (bump("kernel_order"), "stage 2: field 'kernel_order'"),
+        (bump("covering_k"), "stage 2: field 'covering_k'"),
+        (bump("stage"), "stage 2: field 'stage'"),
+        (bump("cover_size"), "stage 2: field 'cover_size'"),
+        (bump("set_size"), "stage 2: field 'set_size'"),
+        (lambda d: d["stages"][1].update(stage=True), "stage 2: field 'stage'"),
+        (lambda d: d["stages"][1].pop("measure"), "stage 2: missing field 'measure'"),
+        (lambda d: d["stages"][0].update(note="x"), "stage 1: unexpected field 'note'"),
+        (lambda d: d.update(depth=3), "document: field 'depth'"),
+        (lambda d: d.update(spec="tower:20,1025"), "document: field 'spec'"),
+        (lambda d: d.update(section="x"), "document: field 'section'"),
+        (
+            lambda d: d["admissibility"][0].update(literal_ok=not first_admissibility["literal_ok"]),
+            "document: field 'admissibility'",
+        ),
+        (lambda d: d["admissibility"].pop(), "document: field 'admissibility'"),
+        (lambda d: d.update(warnings=["stage 2: x"]), "document: field 'warnings'"),
+        (lambda d: d.pop("warnings"), "document: missing field 'warnings'"),
+        (lambda d: d.update(extra=1), "document: unexpected field 'extra'"),
+    ]:
+        with pytest.raises(IntegrityError, match=re.escape(message)):
+            tower_from_document(broken(change))
+    # the run config is not derived, and a JSON round trip, which keeps 12
+    # significant digits of the admissibility reals, is no contradiction
+    text = canonical_json({**doc, "config": {"command": "tower build"}})
+    assert tower_from_document(json.loads(text)).document() == doc
