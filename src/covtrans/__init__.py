@@ -52,7 +52,6 @@ from .tower import (
     build_tower,
     dimension_estimate,
     extend_covering,
-    extension_admissible,
     make_slalom,
     make_thin_set,
     parse_tower_descriptor,
@@ -62,6 +61,7 @@ from .tower import (
     thin_set_valid,
     tower_from_document,
     translate_thin,
+    witness_levels,
     witness_sets_nested,
 )
 

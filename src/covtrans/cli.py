@@ -78,7 +78,7 @@ def _parse_mode(token: str) -> tuple[str, int]:
         except ValueError as exc:
             raise ValueError(f"bad sampled trial count {raw!r} in mode {token!r}") from exc
         if trials < 1:
-            raise ValueError(f"sampled trial count must be >= 1, got {trials}")
+            raise ValueError(f"sampled trial count must be >= 1, got {trials} in mode {token!r}")
         return "sampled", trials
     raise ValueError(f"unknown verification mode {token!r}")
 
@@ -315,6 +315,8 @@ def _cmd_tower_translate(config: dict) -> tuple[str, int]:
     if config.get("thin"):
         with open(config["thin"], "r", encoding="utf-8") as fh:
             listed = doc_field(json.load(fh), "thin_sets", list, "thin-set file")
+        for i, elems in enumerate(listed, start=1):
+            require_indices(elems, f"thin-set file: thin_sets entry {i}")
         thin_sets = [make_thin_set(spec, depth, elems) for elems in listed]
     else:
         rng = random.Random(derive_seed(config["seed"], _TRANSLATE_SALT))
@@ -323,7 +325,7 @@ def _cmd_tower_translate(config: dict) -> tuple[str, int]:
             for _ in range(config["samples"])
         ]
     for thin in thin_sets:
-        translation = translate_thin(tower, thin, collect_witness_sets=False)
+        translation = translate_thin(tower, thin)
         results.append(
             {
                 "elements": list(thin.elements),

@@ -18,7 +18,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from types import NoneType
-from typing import Optional, Union
 
 from .covering import (
     DEFAULT_MAX_ATTEMPTS,
@@ -43,16 +42,6 @@ def thin_bound(i: int) -> int:
     if i < 0:
         raise ValueError(f"level must be >= 0, got {i}")
     return 1 if i == 0 else i
-
-
-def extension_admissible(kernel_order: int, k: int) -> bool:
-    """Check the kernel-size hypothesis for extending through a quotient.
-
-    Tests (4j)^j (j log n + log 2) < n at j = k+1, the strengthened reading,
-    which is what the kernel's (k+1)-covering construction requires.  The
-    literal reading at j = k is reported by TowerSpec.admissibility.
-    """
-    return covering_condition_value(kernel_order, k + 1) < kernel_order
 
 
 @dataclass(frozen=True)
@@ -194,7 +183,7 @@ class FactoredSubset:
         return f"FactoredSubset({self.group.name}, size={self.size})"
 
 
-StageSet = Union[GroupSubset, FactoredSubset]
+StageSet = GroupSubset | FactoredSubset
 
 
 @dataclass
@@ -217,7 +206,8 @@ class TowerStage:
     verification: VerificationRecord | None
 
     def document(self) -> dict:
-        return self._document(self.subset.kernel_cover.indices())
+        # list(cover) decodes the mask without caching the member list on it
+        return self._document(list(self.subset.kernel_cover))
 
     def _document(self, listed) -> dict:
         """The stage's document, with listed as its "cover" field."""
@@ -257,7 +247,8 @@ def extend_covering(
     most k+1 whose image translates into X translates into X'.  At k = 0 a
     1-covering is any nonempty subset, so L is the singleton identity, no
     randomness is consumed and the stage records 0 attempts and no
-    verification.
+    verification.  Above k = 0 the admissibility test is construct_k_covering's
+    covering condition at k + 1, which raises FeasibilityError with its value.
     """
     if phi.target.order != base.group.order:
         raise ValueError(
@@ -278,13 +269,6 @@ def extend_covering(
         cover = GroupSubset.from_indices(kernel, [kernel.identity])
         attempts, verification = 0, None
     else:
-        if not extension_admissible(kernel.order, k):
-            raise FeasibilityError(
-                f"kernel order {kernel.order} too small for extension parameter {k}: "
-                f"literal (4k)^k(k log n + log 2) = "
-                f"{covering_condition_value(kernel.order, k):.6g}, strengthened "
-                f"{covering_condition_value(kernel.order, k + 1):.6g}, both must be < n"
-            )
         certificate = construct_k_covering(
             kernel,
             k + 1,
@@ -400,13 +384,16 @@ def build_tower(
     verify_claims: bool = True,
     claim3_samples: int = 100,
 ) -> Tower:
-    """Build every stage, then check the nesting/size/translation claims.
+    """Build every stage, then check the projection and translation claims.
 
     Stage s needs the strengthened admissibility of its kernel at parameter
-    k = s-1; stage 1 is exempt because the singleton identity is already a
-    1-covering.  Claim checks: projection containment from how each stage
-    set is built (see check_projection_claim); the 2^{-i} measure bound as an
-    exact integer comparison; and sampled thin-set translations.
+    k = s-1 (stage 1 is exempt: the singleton identity is a 1-covering); the
+    spec is checked at every stage before any is built, reporting both
+    readings.  The measure bound |X_s| 2^s <= |G_s| is not checked again:
+    with |X_s| = |L_1| ... |L_s| and |G_s| = n_0 ... n_{s-1} it is the
+    product of the halving bounds 2|L_s| <= n_{s-1} that extend_covering
+    enforces.  Claim checks: projection containment from how each stage set
+    is built (see check_projection_claim), and sampled thin-set translations.
     """
     for s in range(2, spec.depth + 1):
         adm = spec.admissibility(s)
@@ -429,12 +416,6 @@ def build_tower(
             mode=mode,
             trials=trials,
         )
-        order = spec.group_order(s)
-        if stage.subset.size * (2**s) > order:
-            raise SoundnessError(
-                f"stage {s} breaks the measure bound: |X_{s}| = {stage.subset.size} "
-                f"> |G_{s}| / 2^{s} = {order / 2 ** s}"
-            )
         tower.stages.append(stage)
     if verify_claims:
         check_projection_claim(tower)
@@ -476,7 +457,7 @@ def check_translation_claim(tower: Tower, samples: int = 100) -> None:
     rng = random.Random(derive_seed(tower.seed, _CLAIM3_SALT))
     for _ in range(samples):
         thin = sample_thin_set(tower.spec, tower.depth, rng)
-        translate_thin(tower, thin, collect_witness_sets=False)
+        translate_thin(tower, thin)
 
 
 @dataclass(frozen=True)
@@ -611,16 +592,9 @@ class ThinTranslation:
     depth: int
     translator: int
     stage_translators: tuple[int, ...]  # g_0, ..., g_d with pi(g_{i+1}) = g_i
-    kernel_shifts: tuple[int, ...]  # u_1, ..., u_d in kernel coordinates
-    witness_levels: list[Optional[GroupSubset]]  # T_i at level i, when materialized
 
 
-def translate_thin(
-    tower: Tower,
-    thin: ThinSet,
-    *,
-    collect_witness_sets: bool = True,
-) -> ThinTranslation:
+def translate_thin(tower: Tower, thin: ThinSet) -> ThinTranslation:
     """Constructive stagewise translation of a thin set into the top stage.
 
     Given g_i with g_i * Y_i inside X_i, the lift takes the canonical
@@ -635,14 +609,14 @@ def translate_thin(
     g * y against its stage cover, so it covers every lower level of the
     chain as well; a wrong shift or an unsound stage set anywhere in the
     chain raises SoundnessError there.  The lift goes through the stage
-    maps and the check through divmod, so the two share no code path.
+    maps and the check through divmod, so the two share no code path.  The
+    full translator sets T_0, ..., T_d come from witness_levels, on request.
     """
     d = thin.depth
     if d > tower.depth:
         raise ValueError(f"thin set depth {d} exceeds tower depth {tower.depth}")
     g = 0
     chain = [0]
-    shifts: list[int] = []
     for s in range(1, d + 1):
         stage = tower.stages[s - 1]
         phi, cover = tower.spec.quotient_map(s), stage.subset.kernel_cover
@@ -661,35 +635,26 @@ def translate_thin(
             )
         g = mul(phi.embed_kernel(u), g_tilde)
         chain.append(g)
-        shifts.append(u)
     top = tower.spec.group(d)
     for y in thin.elements:
         if not tower.member(d, top.mul(g, y)):
             raise SoundnessError(f"final translator {g} fails membership at depth {d}")
-    witness_levels: list[Optional[GroupSubset]] = []
-    if collect_witness_sets:
-        for i in range(d + 1):
-            witness_levels.append(_witness_level(tower, thin, i))
-    return ThinTranslation(
-        depth=d,
-        translator=g,
-        stage_translators=tuple(chain),
-        kernel_shifts=tuple(shifts),
-        witness_levels=witness_levels,
-    )
+    return ThinTranslation(depth=d, translator=g, stage_translators=tuple(chain))
 
 
-def _witness_level(tower: Tower, thin: ThinSet, i: int) -> GroupSubset | None:
-    """T_i at level i: all h in G_i with h * Y_i inside X_i (exact bitmask)."""
-    group = tower.spec.group(i)
-    if group.order > WITNESS_STAGE_LIMIT:
-        return None
-    mask = tower.dense_mask(i)
-    acc = (1 << group.order) - 1
-    x_subset = GroupSubset(group, mask)
-    for y in thin.projections[i]:
-        acc &= x_subset.right_translate(group.inv(y)).bits
-    return GroupSubset(group, acc)
+def witness_levels(tower: Tower, thin: ThinSet) -> list[GroupSubset | None]:
+    """T_i = {h in G_i : h * Y_i inside X_i} for i = 0..d, None above WITNESS_STAGE_LIMIT."""
+    levels = []
+    for i, image in enumerate(thin.projections):
+        group, level = tower.spec.group(i), None
+        if group.order <= WITNESS_STAGE_LIMIT:
+            x_subset = GroupSubset(group, tower.dense_mask(i))
+            acc = (1 << group.order) - 1
+            for y in image:
+                acc &= x_subset.right_translate(group.inv(y)).bits
+            level = GroupSubset(group, acc)
+        levels.append(level)
+    return levels
 
 
 def pullback_dense(phi: Epimorphism, target_bits: int) -> int:
@@ -701,10 +666,10 @@ def pullback_dense(phi: Epimorphism, target_bits: int) -> int:
     return target_bits * repunit
 
 
-def witness_sets_nested(tower: Tower, witness_levels: list[Optional[GroupSubset]]) -> bool:
+def witness_sets_nested(tower: Tower, levels: list[GroupSubset | None]) -> bool:
     """Check T_{i+1} within the pullback of T_i wherever both materialized."""
-    for i in range(len(witness_levels) - 1):
-        low, high = witness_levels[i], witness_levels[i + 1]
+    for i in range(len(levels) - 1):
+        low, high = levels[i], levels[i + 1]
         if low is None or high is None:
             continue
         lifted = pullback_dense(tower.spec.quotient_map(i + 1), low.bits)
@@ -740,10 +705,9 @@ def tower_from_document(doc: dict) -> Tower:
     verification record.  A missing or mistyped field raises IntegrityError
     naming it.  The covers (nonempty, inside their kernels) and the halving
     bound 2|L_s| <= n_{s-1} are checked again and raise IntegrityError when
-    broken.  The measure bound |X_s| 2^s <= |G_s| needs no check of its own:
-    |X_s| = |L_1| ... |L_s| and |G_s| = n_0 ... n_{s-1}, so it holds once
-    every stage up to s halves.  Every other field is derived, so the
-    assembled tower must re-emit it: see _require_reemitted.
+    broken; the measure bound follows from the halving bounds (see
+    build_tower).  Every other field is derived, so the assembled tower must
+    re-emit it: see _require_reemitted.
     """
     kind = doc.get("kind") if isinstance(doc, dict) else None
     if kind != "tower":

@@ -29,6 +29,7 @@ from covtrans import (
     sample_thin_set,
     translate_thin,
     verify_k_covering,
+    witness_levels,
     witness_sets_nested,
 )
 from covtrans.cli import run_config
@@ -150,12 +151,13 @@ def test_6_tower_depth_two():
         res = translate_thin(tower, thin)
         for y in thin.elements:
             assert tower.member(2, group.mul(res.translator, y))
-        assert witness_sets_nested(tower, res.witness_levels)
-        translations.append((thin, res))
+        levels = witness_levels(tower, thin)
+        assert witness_sets_nested(tower, levels)
+        translations.append((thin, levels))
 
     # fiber-union structure: the level sets pulled back to G_2 equal the
     # directly computed translator sets, checked on a subsample
-    for thin, res in translations[:10]:
+    for thin, levels in translations[:10]:
         for i in (1, 2):
             direct = 0
             for g in range(20480):
@@ -164,7 +166,7 @@ def test_6_tower_depth_two():
                     for y in thin.elements
                 ):
                     direct |= 1 << g
-            lifted = res.witness_levels[i].bits
+            lifted = levels[i].bits
             for s in range(i + 1, 3):
                 lifted = pullback_dense(spec.quotient_map(s), lifted)
             assert direct == lifted
@@ -184,7 +186,7 @@ def test_7_tower_depth_three_factored():
     group = spec.group(3)
     for _ in range(100):
         thin = sample_thin_set(spec, 3, rng)
-        res = translate_thin(tower, thin, collect_witness_sets=False)
+        res = translate_thin(tower, thin)
         for y in thin.elements:
             assert tower.member(3, group.mul(res.translator, y))
     _report(7, "depth-3 tower in factored form", started, limit=120.0)

@@ -106,11 +106,23 @@ def test_parse_error_names_token(capsys):
     code, _, err = run(capsys, "covering", "construct", "--group", "Q8", "--k", "2", "--seed", "1")
     assert code == EXIT_USAGE
     assert "Q8" in err
-    code, _, err = run(
-        capsys, "covering", "construct", "--group", "C64", "--k", "2", "--seed", "1",
-        "--mode", "turbo",
+    for token in ("turbo", "sampled:0", "sampled:x"):
+        code, stdout, err = run(
+            capsys, "covering", "construct", "--group", "C64", "--k", "2", "--seed", "1",
+            "--mode", token,
+        )
+        assert (code, stdout) == (EXIT_USAGE, "")
+        assert f"'{token}'" in err
+
+
+def test_sampled_mode_records_its_trial_count(capsys):
+    code, stdout, _ = run(
+        capsys, "covering", "construct", "--group", "C1024", "--k", "2", "--seed", "7",
+        "--mode", "sampled:7",
     )
-    assert code == EXIT_USAGE and "turbo" in err
+    assert code == EXIT_OK
+    verification = json.loads(stdout)["verification"]
+    assert (verification["mode"], verification["trials"]) == ("sampled", 7)
 
 
 def test_verify_roundtrip_and_failures(capsys, tmp_path):
@@ -314,6 +326,30 @@ def test_tower_translate_from_document_and_thin_file(capsys, tmp_path):
     assert code == EXIT_OK
     doc = json.loads(stdout)
     assert doc["samples"] == 2 and doc["success"] == 2
+
+
+def test_tower_translate_refuses_malformed_thin_set_entries(capsys, tmp_path):
+    # each entry must be a list of exact ints: int() would otherwise read "7"
+    # as 7, 1.5 as 1, true as 1 and a dict's keys as indices
+    tower_path = tmp_path / "tower.json"
+    run(capsys, "tower", "build", "--spec", "tower:20,1024", "--seed", "3", "--out", str(tower_path))
+    thin_path = tmp_path / "thin.json"
+    where = "integrity error: thin-set file: thin_sets entry"
+    cases = [
+        ([["7"]], f'{where} 1: entry "7" has type str'),
+        ([[1.5]], f"{where} 1: entry 1.5 has type float"),
+        ([{"5": 1}], f"{where} 1 has type dict"),
+        ([[True, 3.9]], f"{where} 1: entry true has type bool"),
+        ([7], f"{where} 1 has type int"),
+        ([[5], [3.9]], f"{where} 2: entry 3.9 has type float"),
+    ]
+    for thin_sets, message in cases:
+        thin_path.write_text(json.dumps({"thin_sets": thin_sets}))
+        code, stdout, err = run(
+            capsys, "tower", "translate", "--seed", "3", "--in", str(tower_path),
+            "--depth", "2", "--thin", str(thin_path),
+        )
+        assert (code, stdout, err) == (EXIT_INTEGRITY, "", message + "\n")
 
 
 def test_tower_translate_refuses_a_document_over_the_halving_bound(capsys, tmp_path):

@@ -1,0 +1,66 @@
+"""Pinned document bytes: each command's document against a committed sha256.
+
+The commands run through the CLI parser and run_config in a temporary
+directory, reading earlier documents under relative file names, so the
+config embedded in each document is the same on every machine.  A change
+that alters a document on purpose updates its digest here in the same
+change and says so in CHANGES.md.
+"""
+
+import hashlib
+
+from covtrans.cli import EXIT_OK, _build_parser, _config_from_args, run_config
+
+# (file the document is saved as for later commands, or None; argv; sha256)
+GOLDEN = [
+    (
+        None,
+        "covering construct --group C1024 --k 2 --seed 7",
+        "e6d5c2bd14e5d7f03ce31e429b00be162a409164b9fd416eaaf651ea86288d74",
+    ),
+    (
+        "d60.json",
+        "covering construct --group D60 --k 2 --l 71 --seed 5",
+        "e59dd36c325ea7ac71d10bc48f555945db2a2abe62eb82c4a3ddf7fc6df695a0",
+    ),
+    (
+        None,
+        "covering verify --in d60.json",
+        "913aec6cadacbcf49ad22489810c6f4f1eb34c6a5f210d06d8d34bc6bf603e16",
+    ),
+    (
+        None,
+        "covering exact-cov --group C7 --k 2",
+        "f1017f24ee3f67942bc962639b7281628976a5d5613a0eafad81853027269a42",
+    ),
+    (
+        "tower.json",
+        "tower build --spec tower:20,1024 --seed 3",
+        "4d82c8bf82bbae29be924fb33461d123e97122e785cadf8dd396cd17c24cd0a0",
+    ),
+    (
+        None,
+        "tower translate --seed 3 --samples 50 --in tower.json",
+        "d64264586025399007c05d391c59c484d2a052a56fc1d56ad87948da33de81bb",
+    ),
+    (
+        None,
+        "tower dim --seed 4 --in tower.json",
+        "cff612d5d537bcc64b87ffbd10a6cbacf995841e61dacb358f5836947621ee58",
+    ),
+]
+
+
+def test_documents_match_their_pinned_digests(monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    parser = _build_parser()
+    changed = []
+    for saved_as, argv, digest in GOLDEN:
+        payload, code = run_config(_config_from_args(parser.parse_args(argv.split())))
+        assert code == EXIT_OK, argv
+        if saved_as is not None:
+            (tmp_path / saved_as).write_text(payload, encoding="utf-8")
+        got = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        if got != digest:
+            changed.append(f"{argv}: {got}")
+    assert changed == []

@@ -21,7 +21,6 @@ from covtrans import (
     build_tower,
     dimension_estimate,
     extend_covering,
-    extension_admissible,
     make_slalom,
     make_thin_set,
     parse_tower_descriptor,
@@ -31,6 +30,7 @@ from covtrans import (
     thin_set_valid,
     tower_from_document,
     translate_thin,
+    witness_levels,
     witness_sets_nested,
     TowerSpec,
 )
@@ -58,9 +58,10 @@ def test_thin_bound_is_fixed():
 
 
 def test_extension_admissible_frozen_values():
-    assert extension_admissible(1024, 1)
-    assert extension_admissible(20, 0)
-    assert not extension_admissible(64, 1)
+    # stage s extends through kernel n_{s-1} at parameter k = s - 1
+    assert TowerSpec([20, 1024]).admissibility(2).strengthened_ok
+    assert TowerSpec([20]).admissibility(1).strengthened_ok
+    assert not TowerSpec([20, 64]).admissibility(2).strengthened_ok
 
 
 def test_tower_spec_basics():
@@ -403,9 +404,10 @@ def test_translate_thin_chain_consistency():
         # the lifting chain is exactly the projection chain of the result
         assert res.stage_translators[1] == spec.project(2, 1, g)
         assert res.stage_translators[2] == g
-        assert witness_sets_nested(tower, res.witness_levels)
+        levels = witness_levels(tower, thin)
+        assert witness_sets_nested(tower, levels)
         # the returned translator lives in every materialized level set
-        for i, level in enumerate(res.witness_levels):
+        for i, level in enumerate(levels):
             if level is not None:
                 assert spec.project(2, i, g) in level
 
@@ -422,7 +424,7 @@ def test_translate_thin_final_membership_catches_unsound_lifts(monkeypatch):
     thin = next(
         t for t in (sample_thin_set(spec, 3, rng) for _ in range(50)) if len(t.projections[2]) == 2
     )
-    sound = translate_thin(tower, thin, collect_witness_sets=False)
+    sound = translate_thin(tower, thin)
     real = tower_module.translate_into
 
     for kernel_order in (20, 1024, 131072):
@@ -437,7 +439,7 @@ def test_translate_thin_final_membership_catches_unsound_lifts(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(tower_module, "translate_into", wrong_shift)
             with pytest.raises(SoundnessError, match="fails membership"):
-                translate_thin(tower, thin, collect_witness_sets=False)
+                translate_thin(tower, thin)
 
     # for each level-2 image y, drop the cover element that g_2 * y lands on
     # from the stage-2 set, while the lift is still handed the sound cover
@@ -456,8 +458,8 @@ def test_translate_thin_final_membership_catches_unsound_lifts(monkeypatch):
             m.setattr(stage2, "kernel_cover", thinned)
             m.setattr(tower_module, "translate_into", sound_lift)
             with pytest.raises(SoundnessError, match="fails membership"):
-                translate_thin(tower, thin, collect_witness_sets=False)
-    assert translate_thin(tower, thin, collect_witness_sets=False) == sound
+                translate_thin(tower, thin)
+    assert translate_thin(tower, thin) == sound
 
 
 def test_translator_sets_match_direct_definition():
@@ -467,9 +469,10 @@ def test_translator_sets_match_direct_definition():
     group = spec.group(2)
     for _ in range(3):
         thin = sample_thin_set(spec, 2, rng)
-        res = translate_thin(tower, thin)
+        levels = witness_levels(tower, thin)
+        assert translate_thin(tower, thin).translator in levels[2]
         for i in (1, 2):
-            level = res.witness_levels[i]
+            level = levels[i]
             direct_bits = 0
             for g in range(20480):
                 if all(
