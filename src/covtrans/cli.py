@@ -129,6 +129,8 @@ def _cmd_covering_verify(config: dict) -> tuple[str, int]:
     except ValueError as exc:
         raise IntegrityError(f"document: field 'group': {exc}") from exc
     k = doc_field(doc, "k", int)
+    if k < 1:
+        raise IntegrityError(f"document: field 'k' must be >= 1, got {k}")
     mode, trials = _parse_mode(config["mode"])
     if kind == "intersecting-family":
         listed, sizes = doc_field(doc, "subsets", list), doc_field(doc, "sizes", list)
@@ -297,6 +299,13 @@ def _cmd_tower_build(config: dict) -> tuple[str, int]:
     return _emit(doc), EXIT_OK
 
 
+def _sample_count(config: dict) -> int:
+    """config["samples"], refused when negative; 0 is a valid count."""
+    if config["samples"] < 0:
+        raise ValueError(f"--samples must be >= 0, got {config['samples']}")
+    return config["samples"]
+
+
 def _load_or_build_tower(config: dict):
     if config.get("in"):
         with open(config["in"], "r", encoding="utf-8") as fh:
@@ -322,7 +331,7 @@ def _cmd_tower_translate(config: dict) -> tuple[str, int]:
         rng = random.Random(derive_seed(config["seed"], _TRANSLATE_SALT))
         thin_sets = [
             sample_thin_set(spec, depth, rng, config["fullness"])
-            for _ in range(config["samples"])
+            for _ in range(_sample_count(config))
         ]
     for thin in thin_sets:
         translation = translate_thin(tower, thin)
@@ -356,7 +365,7 @@ def _cmd_tower_dim(config: dict) -> tuple[str, int]:
     else:
         rng = random.Random(derive_seed(config["seed"], _DIM_SALT))
         samples = []
-        for _ in range(config["samples"]):
+        for _ in range(_sample_count(config)):
             thin = sample_thin_set(spec, depth, rng)
             samples.append(
                 {

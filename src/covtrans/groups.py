@@ -64,11 +64,11 @@ class CyclicGroup(FiniteGroup):
 
     additive_rotation = True
 
-    def __init__(self, n: int, name: str | None = None):
+    def __init__(self, n: int):
         if n < 1:
             raise ValueError(f"cyclic group order must be >= 1, got {n}")
         self.order = n
-        self.name = name or f"C{n}"
+        self.name = f"C{n}"
 
     def mul(self, a: int, b: int) -> int:
         return (a + b) % self.order
@@ -80,11 +80,11 @@ class CyclicGroup(FiniteGroup):
 class DirectProductGroup(FiniteGroup):
     """Direct product with mixed-radix indices: index = i_left * |right| + i_right."""
 
-    def __init__(self, left: FiniteGroup, right: FiniteGroup, name: str | None = None):
+    def __init__(self, left: FiniteGroup, right: FiniteGroup):
         self.left = left
         self.right = right
         self.order = left.order * right.order
-        self.name = name or f"{left.name}x{right.name}"
+        self.name = f"{left.name}x{right.name}"
 
     def mul(self, a: int, b: int) -> int:
         m = self.right.order
@@ -263,7 +263,6 @@ def group_from_descriptor(descriptor: str) -> FiniteGroup:
     group = factors[0]
     for rhs in factors[1:]:
         group = DirectProductGroup(group, rhs)
-    group.name = "x".join(f.name for f in factors)
     return group
 
 
@@ -329,10 +328,6 @@ class Epimorphism:
         self.target = CyclicGroup(modulus_small)
         self.kernel_group = CyclicGroup(modulus_large // modulus_small)
         self.name = f"C{modulus_large}->C{modulus_small}"
-
-    @property
-    def kernel_order(self) -> int:
-        return self.kernel_group.order
 
     def map(self, x: int) -> int:
         return x % self.modulus

@@ -229,7 +229,7 @@ class TowerStage:
 
 
 def extend_covering(
-    phi: Epimorphism,
+    kernel_order: int,
     base: StageSet,
     k: int,
     *,
@@ -238,33 +238,28 @@ def extend_covering(
     mode: str = "auto",
     trials: int = DEFAULT_SAMPLE_TRIALS,
 ) -> TowerStage:
-    """Extend a covering set through phi using a (k+1)-covering of the kernel.
+    """Extend a covering set of C_N to C_{N n} using a (k+1)-covering of C_n.
 
-    phi must be the cyclic reduction C_{N n} -> C_N onto the base set's
-    group.  Returns the stage with index k + 1 whose set
-    X' = {b + N v : b in X, v in L} satisfies: pi(X') = X exactly,
-    |X'| = |L| |X| <= n |X| / 2, and every subset of the source of size at
-    most k+1 whose image translates into X translates into X'.  At k = 0 a
+    n is kernel_order and N the order of the base set's group.  Returns the
+    stage with index k + 1 whose set X' = {b + N v : b in X, v in L}
+    satisfies: reduction mod N maps X' onto X exactly,
+    |X'| = |L| |X| <= n |X| / 2, and every subset of C_{N n} of size at most
+    k+1 whose image translates into X translates into X'.  At k = 0 a
     1-covering is any nonempty subset, so L is the singleton identity, no
     randomness is consumed and the stage records 0 attempts and no
     verification.  Above k = 0 the admissibility test is construct_k_covering's
     covering condition at k + 1, which raises FeasibilityError with its value.
     """
-    if phi.target.order != base.group.order:
-        raise ValueError(
-            f"{phi.name} is not the cyclic reduction onto {base.group.name}: "
-            f"stage sets are digit products over a cyclic chain"
-        )
     if k < 0:
         raise FeasibilityError(f"extension parameter must be >= 0, got {k}")
     if base.size == 0:
         raise FeasibilityError("cannot extend an empty covering set")
-    kernel = phi.kernel_group
-    if kernel.order < 2:
+    if kernel_order < 2:
         raise FeasibilityError(
             "extension needs a nontrivial kernel: the halving bound is vacuously "
             "false through an isomorphism"
         )
+    kernel = CyclicGroup(kernel_order)
     if k == 0:
         cover = GroupSubset.from_indices(kernel, [kernel.identity])
         attempts, verification = 0, None
@@ -280,9 +275,9 @@ def extend_covering(
         cover = certificate.covering_set
         attempts, verification = certificate.family.attempts_used, certificate.family.verification
     subset = FactoredSubset(base, cover)
-    if 2 * subset.size > kernel.order * base.size:
+    if 2 * subset.size > kernel_order * base.size:
         raise SoundnessError(
-            f"extension size {subset.size} exceeds n|X|/2 = {kernel.order * base.size / 2}"
+            f"extension size {subset.size} exceeds n|X|/2 = {kernel_order * base.size / 2}"
         )
     return TowerStage(
         index=k + 1, subset=subset, seed=seed, attempts=attempts, verification=verification
@@ -395,6 +390,8 @@ def build_tower(
     enforces.  Claim checks: projection containment from how each stage set
     is built (see check_projection_claim), and sampled thin-set translations.
     """
+    if claim3_samples < 0:
+        raise ValueError(f"claim3_samples must be >= 0, got {claim3_samples}")
     for s in range(2, spec.depth + 1):
         adm = spec.admissibility(s)
         if not adm.strengthened_ok:
@@ -408,7 +405,7 @@ def build_tower(
     tower = Tower(spec, seed)
     for s in range(1, spec.depth + 1):
         stage = extend_covering(
-            spec.quotient_map(s),
+            spec.kernel_orders[s - 1],
             tower.stage_set(s - 1),
             s - 1,
             seed=derive_seed(seed, s),
@@ -522,7 +519,7 @@ def sample_thin_set(
     for i in range(1, depth + 1):
         phi = spec.quotient_map(i)
         mul, embed, section = phi.source.mul, phi.embed_kernel, phi.section
-        kernel_order = phi.kernel_order
+        kernel_order = spec.kernel_orders[i - 1]
         prev = levels[i - 1]
         chosen: list[int] = []
         for _ in range(thin_bound(i)):
@@ -597,20 +594,20 @@ class ThinTranslation:
 def translate_thin(tower: Tower, thin: ThinSet) -> ThinTranslation:
     """Constructive stagewise translation of a thin set into the top stage.
 
-    Given g_i with g_i * Y_i inside X_i, the lift takes the canonical
-    preimage of g_i, reads off the kernel offsets of the shifted fiber
-    elements, and translates that offset set into the stage's kernel cover
-    (smallest kernel element first); the shifted preimage is g_{i+1}.  A
+    Given g_{s-1} with g_{s-1} * Y_{s-1} inside X_{s-1}, the lift reads the
+    top digits (g_{s-1} + y) mod |G_s| // N of the level-s image, N = |G_{s-1}|,
+    translates them into the stage's kernel cover (smallest element first) and
+    sets g_s = g_{s-1} + N u: integer arithmetic on the spec's orders.  A
     failed lift contradicts the per-stage covering guarantee and raises
     SoundnessError with the offending state.
 
-    The result is verified once, at the top: every g * y, y in Y, is tested
+    Soundness rests on one check, at the top: every g * y, y in Y, is tested
     by digit membership in X_d.  That test reads every mixed-radix digit of
     g * y against its stage cover, so it covers every lower level of the
-    chain as well; a wrong shift or an unsound stage set anywhere in the
-    chain raises SoundnessError there.  The lift goes through the stage
-    maps and the check through divmod, so the two share no code path.  The
-    full translator sets T_0, ..., T_d come from witness_levels, on request.
+    chain as well, and it accepts any working translator, however found; a
+    wrong shift or an unsound stage set anywhere in the chain raises
+    SoundnessError there.  The full translator sets T_0, ..., T_d come from
+    witness_levels, on request.
     """
     d = thin.depth
     if d > tower.depth:
@@ -619,21 +616,17 @@ def translate_thin(tower: Tower, thin: ThinSet) -> ThinTranslation:
     chain = [0]
     for s in range(1, d + 1):
         stage = tower.stages[s - 1]
-        phi, cover = tower.spec.quotient_map(s), stage.subset.kernel_cover
-        mul, inv = phi.source.mul, phi.source.inv
-        g_tilde = phi.section(g)
-        offsets = set()
-        for y in thin.projections[s]:
-            w = mul(g_tilde, y)
-            offsets.add(phi.kernel_coords(mul(w, inv(phi.section(phi.map(w))))))
-        u = translate_into(phi.kernel_group, sorted(offsets), cover)
+        cover = stage.subset.kernel_cover
+        modulus, order = tower.spec.group_order(s - 1), tower.spec.group_order(s)
+        offsets = sorted({(g + y) % order // modulus for y in thin.projections[s]})
+        u = translate_into(cover.group, offsets, cover)
         if u is None:
             raise SoundnessError(
-                f"stage {s}: offsets {sorted(offsets)} have no translate into the "
+                f"stage {s}: offsets {offsets} have no translate into the "
                 f"{s}-cover of size {cover.size}; the cover's verification was "
                 f"{stage.verification.mode if stage.verification else 'trivial'}"
             )
-        g = mul(phi.embed_kernel(u), g_tilde)
+        g += u * modulus
         chain.append(g)
     top = tower.spec.group(d)
     for y in thin.elements:
@@ -657,12 +650,12 @@ def witness_levels(tower: Tower, thin: ThinSet) -> list[GroupSubset | None]:
     return levels
 
 
-def pullback_dense(phi: Epimorphism, target_bits: int) -> int:
-    """Bitmask over C_{m n} of the preimage of a bitmask over C_m, phi reducing mod m."""
-    m = phi.target.order
-    if target_bits < 0 or target_bits >> m:
-        raise ValueError(f"{phi.name} is not a cyclic reduction onto the bitmask's carrier")
-    repunit = ((1 << phi.source.order) - 1) // ((1 << m) - 1)
+def pullback_dense(modulus: int, kernel_order: int, target_bits: int) -> int:
+    """The preimage over C_{N n} of a bitmask over C_N, N = modulus, n = kernel_order."""
+    if target_bits < 0 or target_bits >> modulus:
+        name = f"C{modulus * kernel_order}->C{modulus}"
+        raise ValueError(f"{name} is not a cyclic reduction onto the bitmask's carrier")
+    repunit = ((1 << (modulus * kernel_order)) - 1) // ((1 << modulus) - 1)
     return target_bits * repunit
 
 
@@ -672,7 +665,7 @@ def witness_sets_nested(tower: Tower, levels: list[GroupSubset | None]) -> bool:
         low, high = levels[i], levels[i + 1]
         if low is None or high is None:
             continue
-        lifted = pullback_dense(tower.spec.quotient_map(i + 1), low.bits)
+        lifted = pullback_dense(tower.spec.group_order(i), tower.spec.kernel_orders[i], low.bits)
         if high.bits & ~lifted:
             return False
     return True
@@ -724,7 +717,7 @@ def tower_from_document(doc: dict) -> Tower:
         )
     for s, stage_doc in enumerate(stage_docs, start=1):
         where = f"stage {s}"
-        kernel = spec.quotient_map(s).kernel_group
+        kernel = CyclicGroup(spec.kernel_orders[s - 1])
         try:
             listed = doc_field(stage_doc, "cover", list, where)
             require_indices(listed, f"{where}: field 'cover'")

@@ -16,6 +16,7 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 DEFAULT_STEP_BUDGET = 10**8
 BUDGET_ENV_VAR = "COVTRANS_BUDGET"
+_INDENT = 2  # spaces per nesting level in canonical_json
 
 
 def lowest_set_bit(x: int) -> int | None:
@@ -144,20 +145,20 @@ def require_indices(values: list, where: str) -> None:
             raise IntegrityError(f"{where}: entry {json.dumps(v)} has type {type(v).__name__}")
 
 
-def canonical_json(obj, indent: int = 2) -> str:
+def canonical_json(obj) -> str:
     """Deterministic JSON: insertion-ordered keys, 12-significant-digit reals.
 
     Stock json.dumps leaves float formatting to repr, which does not pin the
     byte representation we promise for certificates.
     """
     out: list[str] = []
-    _emit(obj, out, indent, 0)
+    _emit(obj, out, 0)
     return "".join(out)
 
 
-def _emit(obj, out: list[str], indent: int, level: int) -> None:
-    pad = " " * (indent * (level + 1))
-    close_pad = " " * (indent * level)
+def _emit(obj, out: list[str], level: int) -> None:
+    pad = " " * (_INDENT * (level + 1))
+    close_pad = " " * (_INDENT * level)
     if obj is None:
         out.append("null")
     elif obj is True:
@@ -181,7 +182,7 @@ def _emit(obj, out: list[str], indent: int, level: int) -> None:
             out.append(pad)
             out.append(json.dumps(key))
             out.append(": ")
-            _emit(value, out, indent, level + 1)
+            _emit(value, out, level + 1)
             out.append(",\n" if i + 1 < len(obj) else "\n")
         out.append(close_pad + "}")
     elif isinstance(obj, (list, tuple)):
@@ -196,7 +197,7 @@ def _emit(obj, out: list[str], indent: int, level: int) -> None:
         out.append("[\n")
         for i, value in enumerate(seq):
             out.append(pad)
-            _emit(value, out, indent, level + 1)
+            _emit(value, out, level + 1)
             out.append(",\n" if i + 1 < len(seq) else "\n")
         out.append(close_pad + "]")
     else:

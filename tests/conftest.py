@@ -6,9 +6,11 @@ full-translate sampled loops and the full-rotation translate search at the
 end are the exception: they translate whole sets with
 GroupSubset.right_translate, whose own test compares it with naive
 translates, so that they stay fast on C131072.  Then come the
-element-by-element canonical JSON emitter that util.canonical_json
-replaced for lists of ints, the quotient-map contract of a tower's
-reduction, and a text comparison that stays fast on large documents.
+tower's stage members and thin-set lift computed through its stage maps
+(the lift shares translate_into with the library), the element-by-element
+canonical JSON emitter that util.canonical_json replaced for lists of ints,
+the quotient-map contract of a tower's reduction, and a text comparison
+that stays fast on large documents.
 """
 
 import json
@@ -17,6 +19,8 @@ from itertools import combinations, product
 from math import factorial
 
 import pytest
+
+from covtrans import translate_into
 
 
 def naive_is_k_covering(group, members, k) -> bool:
@@ -219,6 +223,31 @@ def naive_stage_members(tower, i):
         phi = tower.spec.quotient_map(stage.index)
         members = naive_factored_members(phi, members, stage.subset.kernel_cover.indices())
     return members
+
+
+def reference_lift(tower, thin):
+    """(translator, stage_translators) of translate_thin, lifted through the stage maps.
+
+    The lift as the tower computed it before it became integer arithmetic:
+    take the canonical preimage section(g) of g_{s-1}, read the kernel
+    coordinates of each shifted fiber element w section(map(w))^{-1}, and
+    embed the translator u found back as embed_kernel(u) section(g).  It
+    shares translate_into with the library and no arithmetic.
+    """
+    g, chain = 0, [0]
+    for s in range(1, thin.depth + 1):
+        phi, cover = tower.spec.quotient_map(s), tower.stages[s - 1].subset.kernel_cover
+        mul, inv = phi.source.mul, phi.source.inv
+        g_tilde = phi.section(g)
+        offsets = set()
+        for y in thin.projections[s]:
+            w = mul(g_tilde, y)
+            offsets.add(phi.kernel_coords(mul(w, inv(phi.section(phi.map(w))))))
+        u = translate_into(phi.kernel_group, sorted(offsets), cover)
+        assert u is not None, (s, sorted(offsets))
+        g = mul(phi.embed_kernel(u), g_tilde)
+        chain.append(g)
+    return g, tuple(chain)
 
 
 def reference_canonical_json(obj, indent: int = 2) -> str:

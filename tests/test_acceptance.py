@@ -168,7 +168,7 @@ def test_6_tower_depth_two():
                     direct |= 1 << g
             lifted = levels[i].bits
             for s in range(i + 1, 3):
-                lifted = pullback_dense(spec.quotient_map(s), lifted)
+                lifted = pullback_dense(spec.group_order(s - 1), spec.kernel_orders[s - 1], lifted)
             assert direct == lifted
     _report(6, "depth-2 tower with 1000 verified translations", started, limit=30.0)
 

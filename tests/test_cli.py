@@ -364,6 +364,40 @@ def test_tower_translate_refuses_a_document_over_the_halving_bound(capsys, tmp_p
     assert "stage 2: cover of size 600 is over half the kernel order 1024" in err
 
 
+def test_tower_commands_refuse_a_negative_count(capsys, tmp_path):
+    tower_path = tmp_path / "tower.json"
+    build = ("tower", "build", "--spec", "tower:20,1024", "--seed", "3")
+    code, _, _ = run(capsys, *build, "--claim3-samples", "0", "--out", str(tower_path))
+    assert code == EXIT_OK  # 0 is a count: no translation claim is sampled
+    code, stdout, err = run(capsys, *build, "--claim3-samples", "-4")
+    assert (code, stdout, err) == (EXIT_USAGE, "", "error: claim3_samples must be >= 0, got -4\n")
+    for action, count in (("translate", "-3"), ("dim", "-2")):
+        argv = ("tower", action, "--seed", "1", "--in", str(tower_path))
+        code, stdout, err = run(capsys, *argv, "--samples", count)
+        message = f"error: --samples must be >= 0, got {count}\n"
+        assert (code, stdout, err) == (EXIT_USAGE, "", message)
+        code, stdout, _ = run(capsys, *argv, "--samples", "0")
+        assert code == EXIT_OK and json.loads(stdout)["config"]["samples"] == 0
+
+
+def test_verify_refuses_a_covering_parameter_below_one(capsys, tmp_path):
+    documents = (
+        {"kind": "k-covering", "group": "C8", "elements": [0, 1], "size": 2},
+        {"kind": "intersecting-family", "group": "C8", "subsets": [], "sizes": []},
+    )
+    for doc in documents:
+        for k in (0, -1):
+            code, stdout, err = run_on_document(
+                capsys, tmp_path, {**doc, "k": k}, "covering", "verify"
+            )
+            assert (code, stdout) == (EXIT_INTEGRITY, "")
+            assert err == f"integrity error: document: field 'k' must be >= 1, got {k}\n"
+    # k above the order is vacuous: no k-subset exists to translate
+    vacuous = {**documents[0], "k": 9}
+    code, stdout, _ = run_on_document(capsys, tmp_path, vacuous, "covering", "verify")
+    assert code == EXIT_OK and json.loads(stdout)["verification"]["result"] is True
+
+
 def test_tower_translate_names_a_missing_field(capsys, tmp_path):
     code, stdout, err = run_on_document(
         capsys, tmp_path, {"kind": "tower", "seed": 1}, "tower", "translate", "--seed", "1"

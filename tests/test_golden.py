@@ -48,6 +48,17 @@ GOLDEN = [
         "tower dim --seed 4 --in tower.json",
         "cff612d5d537bcc64b87ffbd10a6cbacf995841e61dacb358f5836947621ee58",
     ),
+    # depth 3: the 200 translations run the lift through the C131072 kernel
+    (
+        "tower3.json",
+        "tower build --spec tower:20,1024,131072 --seed 11",
+        "1380fc90e2ec9eb8925a3c169a5333ea5953eb140908af54a551375060db7deb",
+    ),
+    (
+        None,
+        "tower translate --seed 3 --samples 200 --in tower3.json",
+        "af6f864895ec0b8705234561a8be1c419eb181ecdc71a6e878260b7303add067",
+    ),
 ]
 
 

@@ -12,6 +12,7 @@ from conftest import (
     naive_reduction_contract,
     naive_stage_members,
     reference_canonical_json,
+    reference_lift,
 )
 
 from covtrans import (
@@ -94,9 +95,8 @@ def test_admissibility_report_both_readings():
 
 
 def test_extend_trivial_parameter_uses_identity_cover():
-    phi = Epimorphism(20, 400)
     base = GroupSubset.from_indices(CyclicGroup(20), [0, 3, 7])
-    ext = extend_covering(phi, base, 0, seed=1)
+    ext = extend_covering(20, base, 0, seed=1)
     assert ext.index == 1
     assert ext.subset.kernel_cover.indices() == [0]
     assert ext.attempts == 0 and ext.verification is None
@@ -108,11 +108,11 @@ def test_extend_trivial_parameter_uses_identity_cover():
 def test_extend_projects_back_exactly():
     phi = Epimorphism(4, 4096)
     base = GroupSubset.from_indices(CyclicGroup(4), [0, 2])
-    ext = extend_covering(phi, base, 1, seed=5)
+    ext = extend_covering(1024, base, 1, seed=5)
     members = naive_factored_members(phi, base.indices(), ext.subset.kernel_cover.indices())
     assert {phi.map(x) for x in members} == {0, 2}
     assert ext.subset.size == ext.subset.kernel_cover.size * 2 == len(set(members))
-    assert 2 * ext.subset.size <= phi.kernel_order * 2  # |X'| <= n |X| / 2
+    assert 2 * ext.subset.size <= phi.kernel_group.order * 2  # |X'| <= n |X| / 2
     # digit membership agrees with the enumeration through the stage map
     member_set = set(members)
     rng = random.Random(8)
@@ -125,7 +125,7 @@ def test_extend_preserves_translatability():
     phi = Epimorphism(20, 20480)
     target = CyclicGroup(20)
     base = GroupSubset.from_indices(target, range(10))
-    ext = extend_covering(phi, base, 1, seed=2)
+    ext = extend_covering(1024, base, 1, seed=2)
     assert ext.subset.size <= 1024 * 10 // 2
     dense = GroupSubset.from_indices(
         phi.source, naive_factored_members(phi, base.indices(), ext.subset.kernel_cover.indices())
@@ -147,7 +147,7 @@ def test_extend_whole_group_collapse():
     # trivial target: the extension is exactly the kernel cover
     phi = Epimorphism(1, 1024)
     base = GroupSubset.from_indices(CyclicGroup(1), [0])
-    ext = extend_covering(phi, base, 1, seed=9)
+    ext = extend_covering(1024, base, 1, seed=9)
     assert ext.subset.size == ext.subset.kernel_cover.size <= 512
     dense = GroupSubset.from_indices(
         phi.source, naive_factored_members(phi, base.indices(), ext.subset.kernel_cover.indices())
@@ -161,27 +161,23 @@ def test_extend_whole_group_collapse():
 
 
 def test_extend_error_cases():
-    phi = Epimorphism(4, 256)  # kernel order 64
     base = GroupSubset.from_indices(CyclicGroup(4), [0])
     with pytest.raises(FeasibilityError, match="576"):
-        extend_covering(phi, base, 1, seed=1)
+        extend_covering(64, base, 1, seed=1)
     with pytest.raises(FeasibilityError):
-        extend_covering(phi, GroupSubset.empty(CyclicGroup(4)), 0, seed=1)
-    # an isomorphism has no room for the halving bound
-    iso = Epimorphism(4, 4)
+        extend_covering(64, GroupSubset.empty(CyclicGroup(4)), 0, seed=1)
+    # an isomorphism (kernel order 1) has no room for the halving bound
     with pytest.raises(FeasibilityError, match="kernel"):
-        extend_covering(iso, base, 0, seed=1)
+        extend_covering(1, base, 0, seed=1)
 
 
 def test_maps_outside_the_digit_core_are_rejected():
-    # stage sets are digit products over a cyclic chain: a reduction onto
-    # another stage would build a wrong set silently, so it is refused up front
+    # a mask over C4 pulled back through a reduction onto C2 would repeat
+    # bits past its carrier silently, so it is refused up front
     base = GroupSubset.from_indices(CyclicGroup(4), [0, 2])
-    with pytest.raises(ValueError, match="not the cyclic reduction onto C4"):
-        extend_covering(Epimorphism(8, 512), base, 0, seed=1)  # base over C4, map onto C8
     with pytest.raises(ValueError, match="not a cyclic reduction"):
-        pullback_dense(Epimorphism(2, 512), base.bits)  # a mask over C4, map onto C2
-    assert pullback_dense(Epimorphism(4, 12), base.bits) == 0b010101010101
+        pullback_dense(2, 256, base.bits)  # a mask over C4, reduction C512 -> C2
+    assert pullback_dense(4, 3, base.bits) == 0b010101010101
 
 
 def test_build_depth_two_tower():
@@ -198,6 +194,15 @@ def test_build_depth_two_tower():
     assert tower.stages[0].attempts == 0 and tower.stages[0].verification is None
     assert tower.stages[1].attempts >= 1
     assert tower.stages[1].verification.mode == "exhaustive"
+
+
+def test_build_refuses_a_negative_claim_count_before_any_stage(monkeypatch):
+    def no_stage(*args, **kwargs):
+        raise AssertionError("a stage was built")
+
+    monkeypatch.setattr(tower_module, "extend_covering", no_stage)
+    with pytest.raises(ValueError, match="claim3_samples must be >= 0, got -1"):
+        build_tower(TowerSpec([20, 1024]), 3, claim3_samples=-1)
 
 
 def test_build_depth_zero():
@@ -462,6 +467,49 @@ def test_translate_thin_final_membership_catches_unsound_lifts(monkeypatch):
     assert translate_thin(tower, thin) == sound
 
 
+def test_integer_lift_matches_the_stage_map_reference(seed11_tower, monkeypatch):
+    # translate_thin lifts by integer arithmetic on the spec's orders; the
+    # reference lifts through the stage maps.  Both must pick the same
+    # translator at every stage, on sampled thin sets at every depth and on
+    # listed ones reaching the top of G_3, where g + y wraps mod |G_s|.
+    # translate_into reads its offsets mod n, so an unreduced offset would
+    # pick the same translator: the lift must hand it kernel elements.
+    tower, spec = seed11_tower, seed11_tower.spec
+    real = tower_module.translate_into
+
+    def kernel_offsets_only(group, offsets, cover):
+        assert all(0 <= v < group.order for v in offsets), (group.order, offsets)
+        return real(group, offsets, cover)
+
+    monkeypatch.setattr(tower_module, "translate_into", kernel_offsets_only)
+    top = spec.group_order(3)
+    rng = random.Random(29)
+    thin_sets = [
+        sample_thin_set(spec, depth, rng, fullness)
+        for depth in (1, 2, 3)
+        for fullness in (1.0, 0.5)
+        for _ in range(25)
+    ]
+    listed = [
+        (3, []),
+        (3, [0]),
+        (1, [19]),
+        (2, [20479]),
+        (3, [top - 1]),
+        (3, [top - 1, top - 21, 20479]),  # one level-1 image, two level-2 images
+        (3, [top - 20461, 20459, top - 20501]),
+    ]
+    thin_sets += [make_thin_set(spec, depth, elements) for depth, elements in listed]
+    wrapped = 0
+    for thin in thin_sets:
+        got = translate_thin(tower, thin)
+        assert (got.translator, got.stage_translators) == reference_lift(tower, thin), thin
+        for s in range(1, thin.depth + 1):
+            g = got.stage_translators[s - 1]
+            wrapped += any(g + y >= spec.group_order(s) for y in thin.projections[s])
+    assert wrapped  # the reduction mod |G_s| was exercised
+
+
 def test_translator_sets_match_direct_definition():
     spec = TowerSpec([20, 1024])
     tower = build_tower(spec, 21)
@@ -482,7 +530,7 @@ def test_translator_sets_match_direct_definition():
                     direct_bits |= 1 << g
             lifted = level.bits
             for s in range(i + 1, 3):
-                lifted = pullback_dense(spec.quotient_map(s), lifted)
+                lifted = pullback_dense(spec.group_order(s - 1), spec.kernel_orders[s - 1], lifted)
             # unions of full fibers: the directly computed set IS the pullback
             assert direct_bits == lifted
 
