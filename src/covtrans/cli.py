@@ -134,6 +134,7 @@ def _cmd_covering_verify(config: dict) -> tuple[str, int]:
     mode, trials = _parse_mode(config["mode"])
     if kind == "intersecting-family":
         listed, sizes = doc_field(doc, "subsets", list), doc_field(doc, "sizes", list)
+        require_indices(sizes, "field 'sizes'")
         if len(listed) != k or len(sizes) != k:
             raise IntegrityError(
                 f"family lists {len(listed)} subsets and {len(sizes)} sizes but k = {k}"
@@ -145,7 +146,8 @@ def _cmd_covering_verify(config: dict) -> tuple[str, int]:
         for i, (subset, declared) in enumerate(zip(subsets, sizes)):
             if subset.size != declared:
                 raise IntegrityError(
-                    f"subset {i + 1} declares size {declared} but lists {subset.size} elements"
+                    f"field 'sizes': subset {i + 1} declares size {declared} "
+                    f"but lists {subset.size} elements"
                 )
         record = verify_intersecting(group, subsets, mode, trials=trials, seed=config["seed"])
     else:

@@ -71,7 +71,7 @@ def covering_condition_value(n: int, k: int) -> float:
 class VerificationRecord:
     """Outcome of a verification pass; `witness` names the first failure."""
 
-    mode: str  # "exhaustive" | "sampled" | "none"
+    mode: str  # "exhaustive" | "sampled"
     result: bool
     trials: int | None = None
     witness: tuple[int, ...] | None = None
@@ -167,8 +167,7 @@ def _exhaustive_intersecting_witness(
         # Right translation is a bijection, so every X_1 g is empty or none is.
         return None if first else (0,)
     if k == 2:
-        missing = ~_quotient_bits(group, subsets[1], subsets[0]) & ((1 << n) - 1)
-        return None if missing == 0 else (0, lowest_set_bit(missing))
+        return _quotient_witness(group, subsets[1], subsets[0], 0)
     tables = [
         [_translate_bits(group, s, g, left=False) for g in range(n)] for s in subsets[1:]
     ]
@@ -416,24 +415,26 @@ def _exhaustive_covering_witness(
     return None
 
 
-def _quotient_bits(group: FiniteGroup, x: GroupSubset, y: GroupSubset | None = None) -> int:
-    """Bitmask of the quotient set X^{-1} Y = {a^{-1} b : a in X, b in Y}, Y = X by default.
+def _quotient_witness(
+    group: FiniteGroup, x: GroupSubset, y: GroupSubset, start: int
+) -> tuple[int, int] | None:
+    """(0, g) for the least g >= start outside the quotient set X^{-1} Y, or None.
 
-    It is the union of the left translates a^{-1} Y over a in X: |X|
-    translates of Y.  The difference-set criterion takes Y = X; the k = 2
-    tuple scan takes X = X_2 and Y = X_1, whose quotient set holds exactly
-    the g with X_1 meeting X_2 g.  Stops early once the union is the whole
-    group.
+    X^{-1} Y = {a^{-1} b : a in X, b in Y} is the union of the left
+    translates a^{-1} Y over a in X: |X| translates of Y, stopping once the
+    union is the whole group.  The k = 2 tuple scan takes X = X_2, Y = X_1
+    and start 0: X_1 meets X_2 g exactly when g is in X_2^{-1} X_1.  The
+    difference-set criterion takes X = Y and start 1: pairs {0, d} have
+    distinct entries, so the identity quotient is irrelevant.
     """
-    if y is None:
-        y = x
     full = (1 << group.order) - 1
     bits = 0
     for a in x:
         bits |= _translate_bits(group, y, group.inv(a), left=True)
         if bits == full:
-            break
-    return bits
+            return None
+    missing = (~bits & full) >> start
+    return None if missing == 0 else (0, start + lowest_set_bit(missing))
 
 
 def difference_product_full(group: FiniteGroup, x: GroupSubset) -> bool:
@@ -447,16 +448,7 @@ def difference_product_full(group: FiniteGroup, x: GroupSubset) -> bool:
         raise BudgetExceededError(
             f"difference-product scan limited to order <= {_PAIRWISE_PRODUCT_LIMIT}, got {n}"
         )
-    return _quotient_bits(group, x) == (1 << n) - 1
-
-
-def _missing_difference_witness(group: FiniteGroup, x: GroupSubset) -> tuple[int, int] | None:
-    """Smallest untranslatable pair {0, d}: d is the least missing quotient."""
-    # the identity quotient is irrelevant: pairs have distinct entries
-    missing = ~_quotient_bits(group, x) & ((1 << group.order) - 1) & ~1
-    if missing == 0:
-        return None
-    return (0, lowest_set_bit(missing))
+    return _quotient_witness(group, x, x, 0) is None
 
 
 def verify_k_covering(
@@ -499,7 +491,7 @@ def verify_k_covering(
                 mode="exhaustive", result=witness is None, witness=witness, method="subset-scan"
             )
         if pairwise_available:
-            witness = _missing_difference_witness(group, x)
+            witness = _quotient_witness(group, x, x, 1)
             return VerificationRecord(
                 mode="exhaustive",
                 result=witness is None,

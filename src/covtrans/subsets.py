@@ -225,17 +225,21 @@ def translate_into(group: FiniteGroup, y, x: GroupSubset) -> int | None:
     ROTATION_WINDOW bits, each read from X's cached doubled image (window
     [a, a + W) of X - y starts at bit a + y), and stop at the first
     non-empty window.  Other carriers intersect whole translated bitmasks.
+    A y outside 0..n-1 raises ValueError on every carrier.
     """
     ys = list(y) if not isinstance(y, GroupSubset) else y.indices()
     if not ys:
         return group.identity
     n = group.order
+    low, high = min(ys), max(ys)
+    if low < 0 or high >= n:
+        raise ValueError(f"y = {low if low < 0 else high} is not an element of {group.name}")
     if group.additive_rotation:
         image = x._rotation_image()
         windows = (
             (a, (1 << min(ROTATION_WINDOW, n - a)) - 1) for a in range(0, n, ROTATION_WINDOW)
         )
-        hit = _first_common_window(windows, [(image, yi % n) for yi in ys])
+        hit = _first_common_window(windows, [(image, yi) for yi in ys])
         return None if hit is None else hit[0] + lowest_set_bit(hit[1])
     acc = None
     for yi in ys:

@@ -17,6 +17,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
+from operator import lt
 from types import NoneType
 
 from .covering import (
@@ -83,7 +85,6 @@ class TowerSpec:
         for n in orders:
             group_orders.append(group_orders[-1] * n)
         self._group_orders = tuple(group_orders)
-        self._groups: dict[int, CyclicGroup] = {}
         self._maps: dict[int, Epimorphism] = {}
 
     @property
@@ -96,9 +97,7 @@ class TowerSpec:
         return self._group_orders[i]
 
     def group(self, i: int) -> CyclicGroup:
-        if i not in self._groups:
-            self._groups[i] = CyclicGroup(self.group_order(i))
-        return self._groups[i]
+        return CyclicGroup(self.group_order(i))
 
     def quotient_map(self, s: int) -> Epimorphism:
         """The reduction G_s -> G_{s-1}, for 1 <= s <= depth."""
@@ -108,13 +107,6 @@ class TowerSpec:
                 raise ValueError(f"stage {s} out of range for depth {self.depth}")
             phi = self._maps[s] = Epimorphism(self.group_order(s - 1), self.group_order(s))
         return phi
-
-    def project(self, d: int, i: int, x: int) -> int:
-        """Composed projection G_d -> G_i (i <= d): reduction mod |G_i|."""
-        orders = self._group_orders  # one entry per stage 0..depth
-        if not 0 <= i <= d < len(orders):
-            raise ValueError(f"invalid projection {d} -> {i} at depth {self.depth}")
-        return x % orders[i]
 
     def admissibility(self, s: int) -> StageAdmissibility:
         if not 1 <= s <= self.depth:
@@ -481,7 +473,8 @@ def make_thin_set(spec: TowerSpec, depth: int, elements) -> ThinSet:
             raise ValueError(f"element {x} out of range for stage {depth}")
     projections = [elems]
     for i in range(depth - 1, -1, -1):
-        projections.append(tuple(sorted({spec.project(i + 1, i, x) for x in projections[-1]})))
+        modulus = spec.group_order(i)
+        projections.append(tuple(sorted({x % modulus for x in projections[-1]})))
     projections.reverse()
     for i, image in enumerate(projections):
         if len(image) > thin_bound(i):
@@ -573,12 +566,8 @@ def slalom_pullback(spec: TowerSpec, slalom: Slalom) -> ThinSet:
     d = slalom.depth
     if d > spec.depth:
         raise ValueError(f"slalom depth {d} exceeds {spec.describe()}")
-    level_sets = [set(level) for level in slalom.levels]
-    kept = [
-        x
-        for x in slalom.levels[d]
-        if all(spec.project(d, i, x) in level_sets[i] for i in range(d))
-    ]
+    below = [(spec.group_order(i), set(level)) for i, level in enumerate(slalom.levels[:d])]
+    kept = [x for x in slalom.levels[d] if all(x % m in level for m, level in below)]
     return make_thin_set(spec, d, kept)
 
 
@@ -628,9 +617,9 @@ def translate_thin(tower: Tower, thin: ThinSet) -> ThinTranslation:
             )
         g += u * modulus
         chain.append(g)
-    top = tower.spec.group(d)
+    top = tower.spec.group_order(d)
     for y in thin.elements:
-        if not tower.member(d, top.mul(g, y)):
+        if not tower.member(d, (g + y) % top):
             raise SoundnessError(f"final translator {g} fails membership at depth {d}")
     return ThinTranslation(depth=d, translator=g, stage_translators=tuple(chain))
 
@@ -684,8 +673,9 @@ def dimension_estimate(spec: TowerSpec, elements, depth: int | None = None) -> f
         raise ValueError(f"elements out of range for stage {d} (order {order})")
     best = None
     for i in range(1, d + 1):
-        image = {spec.project(d, i, x) for x in elems}
-        ratio = math.log(len(image)) / math.log(spec.group_order(i))
+        modulus = spec.group_order(i)
+        image = {x % modulus for x in elems}
+        ratio = math.log(len(image)) / math.log(modulus)
         best = ratio if best is None else min(best, ratio)
     return best
 
@@ -696,19 +686,22 @@ def tower_from_document(doc: dict) -> Tower:
     Stages are appended to one Tower exactly as build_tower appends them,
     each over the stage set below; every stage keeps its seed, attempts and
     verification record.  A missing or mistyped field raises IntegrityError
-    naming it.  The covers (nonempty, inside their kernels) and the halving
-    bound 2|L_s| <= n_{s-1} are checked again and raise IntegrityError when
-    broken; the measure bound follows from the halving bounds (see
-    build_tower).  Every other field is derived, so the assembled tower must
-    re-emit it: see _require_reemitted.
+    naming it; kernel orders and the entries of covers and witnesses must
+    be JSON integers.  The covers (strictly ascending, nonempty, inside
+    their kernels) and the halving bound 2|L_s| <= n_{s-1} are checked again
+    and raise IntegrityError when broken; the measure bound follows from the
+    halving bounds (see build_tower).  Every other field is derived, so the
+    assembled tower must re-emit it: see _require_reemitted.
     """
     kind = doc.get("kind") if isinstance(doc, dict) else None
     if kind != "tower":
         raise IntegrityError(f"not a tower document: kind={kind!r}")
+    orders = doc_field(doc, "kernel_orders", list)
+    require_indices(orders, "document: field 'kernel_orders'")
     try:
-        spec = TowerSpec(doc_field(doc, "kernel_orders", list))
-    except (TypeError, ValueError) as exc:
-        raise IntegrityError(f"kernel_orders: {exc}") from exc
+        spec = TowerSpec(orders)
+    except ValueError as exc:
+        raise IntegrityError(f"document: field 'kernel_orders': {exc}") from exc
     tower = Tower(spec, doc_field(doc, "seed", int))
     stage_docs = doc_field(doc, "stages", list)
     if len(stage_docs) != spec.depth:
@@ -721,10 +714,14 @@ def tower_from_document(doc: dict) -> Tower:
         try:
             listed = doc_field(stage_doc, "cover", list, where)
             require_indices(listed, f"{where}: field 'cover'")
+            if not all(map(lt, listed, islice(listed, 1, None))):
+                raise IntegrityError(
+                    f"{where}: field 'cover' lists an index twice or out of ascending order"
+                )
             cover = GroupSubset.from_indices(kernel, listed)
             subset = FactoredSubset(tower.stage_set(s - 1), cover)
-        except (TypeError, ValueError) as exc:
-            raise IntegrityError(f"{where}: {exc}") from exc
+        except ValueError as exc:
+            raise IntegrityError(f"{where}: {exc} (field 'cover')") from exc
         if 2 * cover.size > kernel.order:
             raise IntegrityError(
                 f"{where}: cover of size {cover.size} is over half the kernel "
@@ -750,8 +747,10 @@ def _require_reemitted(tower: Tower, doc: dict) -> None:
     Sizes, measures, admissibility reports and warnings are all derived from
     the covers, so a document that contradicts them is refused rather than
     re-emitted changed.  Fields compare as canonical JSON text, which keeps
-    12 significant digits of a real.  The run config and the covers, which
-    the tower was built from, are left out: the covers are the bulk of the
+    12 significant digits of a real, and by JSON type, since that text
+    prints the real 224.0 as 224: only where the tower emits a real may the
+    document hold an integer.  The run config and the covers, which the
+    tower was built from, are left out: the covers are the bulk of the
     document, and the tower's covers are not decoded for the comparison.
     """
     emitted = tower._document([stage._document(None) for stage in tower.stages])
@@ -764,16 +763,32 @@ def _require_same_fields(emitted: dict, doc: dict, where: str, skip: tuple[str, 
     for key in emitted:
         if key not in doc:
             raise IntegrityError(f"{where}: missing field {key!r}")
-        if key not in skip and canonical_json(emitted[key]) != canonical_json(doc[key]):
+        if key not in skip and not (
+            canonical_json(emitted[key]) == canonical_json(doc[key])
+            and _same_json_types(emitted[key], doc[key])
+        ):
             raise IntegrityError(f"{where}: field {key!r} disagrees with the loaded tower")
     for key in doc:
         if key not in emitted and key not in skip:
             raise IntegrityError(f"{where}: unexpected field {key!r}")
 
 
+def _same_json_types(mine, given) -> bool:
+    """Whether given, which prints as mine does, holds the same JSON types."""
+    if isinstance(mine, float):
+        return type(given) in (int, float)
+    if isinstance(mine, dict):
+        return all(map(_same_json_types, mine.values(), given.values()))
+    if isinstance(mine, list):
+        return all(map(_same_json_types, mine, given))
+    return type(given) is type(mine)
+
+
 def _load_verification(raw: dict, where: str) -> VerificationRecord:
     where = f"{where} verification"
     witness = doc_field(raw, "witness", (list, NoneType), where)
+    if witness is not None:
+        require_indices(witness, f"{where}: field 'witness'")
     return VerificationRecord(
         mode=doc_field(raw, "mode", str, where),
         result=doc_field(raw, "result", bool, where),

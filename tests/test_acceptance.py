@@ -162,7 +162,7 @@ def test_6_tower_depth_two():
             direct = 0
             for g in range(20480):
                 if all(
-                    tower.member(i, spec.project(2, i, group.mul(g, y)))
+                    tower.member(i, group.mul(g, y) % spec.group_order(i))
                     for y in thin.elements
                 ):
                     direct |= 1 << g

@@ -466,3 +466,15 @@ def test_tower_translate_refuses_a_contradicted_measure(capsys, tmp_path):
     code, stdout, err = run_on_document(capsys, tmp_path, doc, "tower", "translate", "--seed", "1")
     assert (code, stdout) == (EXIT_INTEGRITY, "")
     assert err == "integrity error: stage 2: field 'measure' disagrees with the loaded tower\n"
+
+
+def test_verify_refuses_loose_family_sizes(capsys, tmp_path):
+    doc = {"kind": "intersecting-family", "group": "C8", "k": 1, "subsets": [[1]], "sizes": [1]}
+    code, _, _ = run_on_document(capsys, tmp_path, doc, "covering", "verify")
+    assert code == EXIT_OK
+    for size, entry, kind in ((True, "true", "bool"), (1.0, "1.0", "float"), ("1", '"1"', "str")):
+        code, stdout, err = run_on_document(
+            capsys, tmp_path, {**doc, "sizes": [size]}, "covering", "verify"
+        )
+        assert (code, stdout) == (EXIT_INTEGRITY, "")
+        assert err == f"integrity error: field 'sizes': entry {entry} has type {kind}\n"

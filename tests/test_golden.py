@@ -14,9 +14,15 @@ from covtrans.cli import EXIT_OK, _build_parser, _config_from_args, run_config
 # (file the document is saved as for later commands, or None; argv; sha256)
 GOLDEN = [
     (
-        None,
+        "c1024.json",
         "covering construct --group C1024 --k 2 --seed 7",
         "e6d5c2bd14e5d7f03ce31e429b00be162a409164b9fd416eaaf651ea86288d74",
+    ),
+    # C(1024, 2) * 1024 steps exceed the budget: the difference-set route
+    (
+        None,
+        "covering verify --in c1024.json",
+        "9ddbb15cfaddcaf2ae780b0fa7d8b13ab85162771a99a9770e41bd39842b403f",
     ),
     (
         "d60.json",

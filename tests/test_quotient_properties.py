@@ -8,14 +8,16 @@ sets, on non-abelian carriers (where X_2^{-1} X_1, X_1^{-1} X_2, X_1 X_2^{-1}
 and X_2 X_1 all differ) as well as on rotation and XOR carriers.
 """
 
+import os
 import random
+from unittest import mock
 
 from conftest import naive_first_empty_tuple, naive_first_untranslatable
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covtrans import GroupSubset, group_from_descriptor, verify_intersecting
-from covtrans.covering import _missing_difference_witness, _quotient_bits
+from covtrans import GroupSubset, group_from_descriptor, verify_intersecting, verify_k_covering
+from covtrans.covering import _quotient_witness
 
 PROPERTY_SETTINGS = settings(max_examples=120, derandomize=True, database=None, deadline=None)
 
@@ -61,9 +63,12 @@ def test_pair_tuple_scan_matches_naive_first_empty_tuple(case):
 @PROPERTY_SETTINGS
 def test_difference_witness_matches_naive_first_untranslatable(case):
     group, x = case
-    assert _missing_difference_witness(group, x) == naive_first_untranslatable(
-        group, x.indices(), 2
-    )
+    expected = naive_first_untranslatable(group, x.indices(), 2)
+    assert _quotient_witness(group, x, x, 1) == expected
+    # the same witness through verify_k_covering, with the subset scan over budget
+    with mock.patch.dict(os.environ, {"COVTRANS_BUDGET": "1"}):
+        rec = verify_k_covering(group, x, 2, mode="exhaustive")
+    assert (rec.method, rec.result, rec.witness) == ("difference-set", expected is None, expected)
 
 
 def test_pair_tuple_scan_uses_x2_inverse_x1_not_x1_inverse_x2():
@@ -71,7 +76,7 @@ def test_pair_tuple_scan_uses_x2_inverse_x1_not_x1_inverse_x2():
     group = group_from_descriptor("S3")
     x1 = GroupSubset.from_indices(group, [0, 3])
     x2 = GroupSubset.from_indices(group, [2, 3])
-    assert _quotient_bits(group, x2, x1) != _quotient_bits(group, x1, x2)
+    assert _quotient_witness(group, x2, x1, 0) != _quotient_witness(group, x1, x2, 0)
     expected = naive_first_empty_tuple(group, [x1.indices(), x2.indices()])
     assert expected == (0, 3)
     rec = verify_intersecting(group, [x1, x2], mode="exhaustive")

@@ -233,6 +233,15 @@ def test_translate_into_whole_group_and_obstructions():
     assert found == min(candidates)
 
 
+def test_translate_into_refuses_non_elements():
+    # rotation carriers would otherwise read y mod n; every carrier refuses alike
+    c20, s3 = CyclicGroup(20), SymmetricGroup(3)
+    for group, ys, bad in [(c20, [0, 20], 20), (c20, [-1], -1), (s3, [6], 6)]:
+        x = GroupSubset.full(group)
+        with pytest.raises(ValueError, match=rf"y = {bad} is not an element of {group.name}"):
+            translate_into(group, ys, x)
+
+
 @pytest.mark.parametrize("n", [20, 4099, 131072])
 def test_windowed_translate_into_matches_full_rotation(n):
     g = CyclicGroup(n)

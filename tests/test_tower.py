@@ -73,7 +73,7 @@ def test_tower_spec_basics():
     assert parse_tower_descriptor("tower:20,1024,131072").kernel_orders == (20, 1024, 131072)
     for s in (1, 2, 3):
         naive_reduction_contract(spec.quotient_map(s))
-    assert spec.project(3, 1, 20480 * 3 + 27) == 7
+    assert make_thin_set(spec, 3, [20480 * 3 + 27]).projections[1] == (7,)
     with pytest.raises(ValueError):
         TowerSpec([20, 1])
     with pytest.raises(ValueError):
@@ -309,7 +309,7 @@ def test_membership_requires_projection():
     tower = build_tower(spec, 7)
     # X_1 = {0}: anything whose level-1 image is nonzero is outside X_2
     for x in (1, 21, 12345):
-        if spec.project(2, 1, x) != 0:
+        if x % spec.group_order(1) != 0:
             assert not tower.member(2, x)
 
 
@@ -353,7 +353,7 @@ def test_make_thin_set_projections_match_per_element_projection():
                 thin = make_thin_set(spec, depth, elements)
                 assert thin.elements == tuple(sorted(elements))
                 assert thin.projections == tuple(
-                    tuple(sorted({spec.project(depth, i, x) for x in elements}))
+                    tuple(sorted({x % spec.group_order(i) for x in elements}))
                     for i in range(depth + 1)
                 )
     # a set over budget at several levels names the lowest one
@@ -376,7 +376,7 @@ def test_slalom_validation_and_pullback():
     assert slalom_pullback(spec, excluded).elements == (3,)  # 7 is in fiber 7
 
     x = 1043
-    pointwise = make_slalom(spec, [[0], [spec.project(2, 1, x)], [x, 5]])
+    pointwise = make_slalom(spec, [[0], [x % spec.group_order(1)], [x, 5]])
     assert x in slalom_pullback(spec, pointwise).elements
 
     empty_level = make_slalom(spec, [[0], [], [3, 1043]])
@@ -407,14 +407,14 @@ def test_translate_thin_chain_consistency():
         for y in thin.elements:
             assert tower.member(2, group.mul(g, y))
         # the lifting chain is exactly the projection chain of the result
-        assert res.stage_translators[1] == spec.project(2, 1, g)
+        assert res.stage_translators[1] == g % spec.group_order(1)
         assert res.stage_translators[2] == g
         levels = witness_levels(tower, thin)
         assert witness_sets_nested(tower, levels)
         # the returned translator lives in every materialized level set
         for i, level in enumerate(levels):
             if level is not None:
-                assert spec.project(2, i, g) in level
+                assert g % spec.group_order(i) in level
 
 
 def test_translate_thin_final_membership_catches_unsound_lifts(monkeypatch):
@@ -524,7 +524,7 @@ def test_translator_sets_match_direct_definition():
             direct_bits = 0
             for g in range(20480):
                 if all(
-                    tower.member(i, spec.project(2, i, group.mul(g, y)))
+                    tower.member(i, group.mul(g, y) % spec.group_order(i))
                     for y in thin.elements
                 ):
                     direct_bits |= 1 << g
@@ -606,14 +606,29 @@ def test_loaded_tower_names_a_missing_or_mistyped_field():
         return out
 
     stage2 = "stage 2 verification"
+    assert doc["stages"][1]["cover"][0] == 1  # so inserting 1 repeats an index
+    unsorted = "stage 2: field 'cover' lists an index twice or out of ascending order"
     for bad, message in [
         ({"kind": "tower", "seed": 1}, "document: missing field 'kernel_orders'"),
         (broken(lambda d: d.update(seed="3")), "document: field 'seed' has type str"),
-        (broken(lambda d: d.update(kernel_orders=[20, None])), "kernel_orders: "),
+        (
+            broken(lambda d: d.update(kernel_orders=[20, None])),
+            "document: field 'kernel_orders': entry null has type NoneType",
+        ),
         (broken(lambda d: d["stages"][1].pop("attempts")), "stage 2: missing field 'attempts'"),
         (broken(lambda d: d["stages"][1].update(cover="0")), "stage 2: field 'cover' has type str"),
         (broken(lambda d: d["stages"][1]["verification"].update(result=1)), f"{stage2}: field 'result'"),
+        (
+            broken(lambda d: d["stages"][1]["verification"].update(witness=[0, 1.0])),
+            f"{stage2}: field 'witness': entry 1.0 has type float",
+        ),
         (broken(lambda d: d["stages"][0].update(cover=["0"])), "stage 1: "),
+        (
+            broken(lambda d: d.update(kernel_orders=[20.0, 1024])),
+            "document: field 'kernel_orders': entry 20.0 has type float",
+        ),
+        (broken(lambda d: d["stages"][1]["cover"].insert(0, 1)), unsorted),
+        (broken(lambda d: d["stages"][1]["cover"].reverse()), unsorted),
         ([doc], "not a tower document: kind=None"),
     ]:
         with pytest.raises(IntegrityError, match=re.escape(message)):
@@ -665,6 +680,7 @@ def test_loaded_tower_refuses_derived_fields_that_contradict_its_covers():
         return lambda d: d["stages"][1].update({key: d["stages"][1][key] + 1})
 
     first_admissibility = doc["admissibility"][0]
+    assert doc["stages"][1]["cover_size"] == 224
     for change, message in [
         (lambda d: d["stages"][1].update(measure="1/1"), "stage 2: field 'measure'"),
         (bump("group_order"), "stage 2: field 'group_order'"),
@@ -674,6 +690,10 @@ def test_loaded_tower_refuses_derived_fields_that_contradict_its_covers():
         (bump("cover_size"), "stage 2: field 'cover_size'"),
         (bump("set_size"), "stage 2: field 'set_size'"),
         (lambda d: d["stages"][1].update(stage=True), "stage 2: field 'stage'"),
+        # canonical text prints 2.0 as 2, so the JSON type is compared too
+        (lambda d: d["stages"][1].update(stage=2.0), "stage 2: field 'stage'"),
+        (lambda d: d["stages"][1].update(cover_size=224.0), "stage 2: field 'cover_size'"),
+        (lambda d: d.update(depth=2.0), "document: field 'depth'"),
         (lambda d: d["stages"][1].pop("measure"), "stage 2: missing field 'measure'"),
         (lambda d: d["stages"][0].update(note="x"), "stage 1: unexpected field 'note'"),
         (lambda d: d.update(depth=3), "document: field 'depth'"),
