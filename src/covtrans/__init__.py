@@ -35,14 +35,11 @@ from .groups import (
     Epimorphism,
     FiniteGroup,
     SymmetricGroup,
-    check_group_axioms,
-    element_orders,
     group_from_descriptor,
 )
 from .subsets import GroupSubset, random_subset, translate_into
 from .tower import (
     FactoredSubset,
-    Slalom,
     StageAdmissibility,
     ThinSet,
     ThinTranslation,
@@ -52,17 +49,12 @@ from .tower import (
     build_tower,
     dimension_estimate,
     extend_covering,
-    make_slalom,
     make_thin_set,
     parse_tower_descriptor,
     sample_thin_set,
-    slalom_pullback,
     thin_bound,
-    thin_set_valid,
     tower_from_document,
     translate_thin,
-    witness_levels,
-    witness_sets_nested,
 )
 
 __version__ = "0.1.0"

@@ -263,7 +263,7 @@ def construct_intersecting_family(
     """
     n = group.order
     p = sample_probability(n, k)
-    cap = 2.0 * p * n
+    cap = member_size_cap(n, k)
     if target_size is not None:
         if not cap < target_size <= n:
             raise FeasibilityError(

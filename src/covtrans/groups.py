@@ -10,12 +10,6 @@ multiplication table.
 from __future__ import annotations
 
 import itertools
-import random
-
-from .errors import SoundnessError
-
-_AXIOM_EXHAUSTIVE_LIMIT = 64
-_ELEMENTWISE_CHECK_LIMIT = 4096
 
 
 class FiniteGroup:
@@ -38,22 +32,6 @@ class FiniteGroup:
 
     def describe(self) -> str:
         return self.name
-
-    def element_order(self, a: int) -> int:
-        """Multiplicative order of the element at index a."""
-        if not 0 <= a < self.order:
-            raise ValueError(f"index {a} out of range for {self.name}")
-        current = a
-        k = 1
-        while current != self.identity:
-            current = self.mul(current, a)
-            k += 1
-            if k > self.order:
-                raise SoundnessError(f"{self.name}: element {a} never reached identity")
-        return k
-
-    def random_element(self, rng: random.Random) -> int:
-        return rng.randrange(self.order)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name}, order={self.order})"
@@ -264,50 +242,6 @@ def group_from_descriptor(descriptor: str) -> FiniteGroup:
     for rhs in factors[1:]:
         group = DirectProductGroup(group, rhs)
     return group
-
-
-def element_orders(group: FiniteGroup) -> list[int]:
-    """Sorted multiset of element orders; an isomorphism diagnostic only."""
-    if group.order > _ELEMENTWISE_CHECK_LIMIT:
-        raise ValueError(f"element_orders limited to order <= {_ELEMENTWISE_CHECK_LIMIT}")
-    return sorted(group.element_order(x) for x in group.elements())
-
-
-def check_group_axioms(group: FiniteGroup, rng: random.Random | None = None, triples: int = 10_000) -> None:
-    """Raise SoundnessError unless the group oracles satisfy the axioms.
-
-    Identity, inverse and associativity are checked exhaustively for order
-    <= 64; above that, identity/inverse run over all elements up to order
-    4096 (sampled beyond) and associativity is spot-checked on random
-    triples -- exhaustive cubic checking is pointless for arithmetic oracles.
-    """
-    rng = rng or random.Random(0)
-    n = group.order
-    e = group.identity
-    if n <= _ELEMENTWISE_CHECK_LIMIT:
-        probe = list(group.elements())
-    else:
-        probe = [group.random_element(rng) for _ in range(_ELEMENTWISE_CHECK_LIMIT)]
-    for x in probe:
-        if group.mul(e, x) != x or group.mul(x, e) != x:
-            raise SoundnessError(f"{group.name}: identity law fails at {x}")
-        if group.mul(x, group.inv(x)) != e:
-            raise SoundnessError(f"{group.name}: inverse law fails at {x}")
-    if n <= _AXIOM_EXHAUSTIVE_LIMIT:
-        rng_elements = list(group.elements())
-        for a in rng_elements:
-            for b in rng_elements:
-                ab = group.mul(a, b)
-                for c in rng_elements:
-                    if group.mul(ab, c) != group.mul(a, group.mul(b, c)):
-                        raise SoundnessError(f"{group.name}: associativity fails at {(a, b, c)}")
-    else:
-        for _ in range(triples):
-            a = group.random_element(rng)
-            b = group.random_element(rng)
-            c = group.random_element(rng)
-            if group.mul(group.mul(a, b), c) != group.mul(a, group.mul(b, c)):
-                raise SoundnessError(f"{group.name}: associativity fails at {(a, b, c)}")
 
 
 class Epimorphism:

@@ -125,24 +125,9 @@ class GroupSubset:
     def __hash__(self):
         return hash((self.group.name, self.group.order, self.bits))
 
-    def complement(self) -> "GroupSubset":
-        n = self.group.order
-        return GroupSubset(self.group, ~self.bits & ((1 << n) - 1), n - self.size)
-
     def right_translate(self, g: int) -> "GroupSubset":
         """The set {x * g : x in self}; same cardinality (translation is a bijection)."""
         return GroupSubset(self.group, _translate_bits(self.group, self, g, left=False), self._size)
-
-    def left_translate(self, g: int) -> "GroupSubset":
-        """The set {g * x : x in self}."""
-        return GroupSubset(self.group, _translate_bits(self.group, self, g, left=True), self._size)
-
-    def inverse_set(self) -> "GroupSubset":
-        group = self.group
-        bits = 0
-        for x in iter_set_bits(self.bits):
-            bits |= 1 << group.inv(x)
-        return GroupSubset(group, bits, self._size)
 
     def __repr__(self) -> str:
         shown = self.indices()[:12]

@@ -33,9 +33,6 @@ from .groups import CyclicGroup, Epimorphism
 from .subsets import GroupSubset, translate_into
 from .util import canonical_json, derive_seed, doc_field, require_indices
 
-DENSE_STAGE_LIMIT = 1 << 27  # dense enumeration allowed up to this group order
-WITNESS_STAGE_LIMIT = 1 << 20  # per-level translator sets materialized up to this
-
 _CLAIM3_SALT = 0x636C33
 
 
@@ -283,7 +280,6 @@ class Tower:
         self.spec = spec
         self.seed = seed
         self.stages: list[TowerStage] = []
-        self._dense_masks: dict[int, int] = {}
         self._base = GroupSubset.from_indices(spec.group(0), [0])
 
     @property
@@ -306,25 +302,6 @@ class Tower:
 
     def set_size(self, i: int) -> int:
         return self.stage_set(i).size
-
-    def dense_mask(self, i: int) -> int:
-        """Bitmask of X_i over G_i; only for dense-representable stages.
-
-        X_i is X_{i-1} shifted by N v for each v in L_i, N = |G_{i-1}|.
-        """
-        if i not in self._dense_masks:
-            if self.spec.group_order(i) > DENSE_STAGE_LIMIT:
-                raise MemoryError(f"stage {i} group order exceeds the dense limit")
-            subset = self.stage_set(i)
-            if i == 0:
-                bits = subset.bits
-            else:
-                below, step = self.dense_mask(i - 1), subset.modulus
-                bits = 0
-                for v in subset.kernel_cover.indices():
-                    bits |= below << (step * v)
-            self._dense_masks[i] = bits
-        return self._dense_masks[i]
 
     def measures(self) -> list[Fraction]:
         return [Fraction(stage.subset.size, stage.subset.group.order) for stage in self.stages]
@@ -485,15 +462,6 @@ def make_thin_set(spec: TowerSpec, depth: int, elements) -> ThinSet:
     return ThinSet(depth=depth, elements=elems, projections=tuple(projections))
 
 
-def thin_set_valid(spec: TowerSpec, thin: ThinSet) -> bool:
-    """Recompute projections from scratch and recheck the thinness budget."""
-    try:
-        rebuilt = make_thin_set(spec, thin.depth, thin.elements)
-    except (FeasibilityError, ValueError):
-        return False
-    return rebuilt.projections == thin.projections
-
-
 def sample_thin_set(
     spec: TowerSpec, depth: int, rng: random.Random, fullness: float = 1.0
 ) -> ThinSet:
@@ -529,48 +497,6 @@ def sample_thin_set(
     return make_thin_set(spec, depth, kept)
 
 
-@dataclass(frozen=True)
-class Slalom:
-    """Per-level subsets S_0, ..., S_d with |S_i| within the thinness budget."""
-
-    levels: tuple[tuple[int, ...], ...]
-
-    @property
-    def depth(self) -> int:
-        return len(self.levels) - 1
-
-
-def make_slalom(spec: TowerSpec, levels) -> Slalom:
-    packed = tuple(tuple(sorted(set(int(x) for x in level))) for level in levels)
-    if len(packed) - 1 > spec.depth:
-        raise ValueError(f"slalom depth {len(packed) - 1} exceeds {spec.describe()}")
-    for i, level in enumerate(packed):
-        if len(level) > thin_bound(i):
-            raise FeasibilityError(
-                f"slalom level {i} has {len(level)} elements (budget {thin_bound(i)})"
-            )
-        order = spec.group_order(i)
-        for x in level:
-            if not 0 <= x < order:
-                raise ValueError(f"slalom level {i} element {x} out of range")
-    return Slalom(levels=packed)
-
-
-def slalom_pullback(spec: TowerSpec, slalom: Slalom) -> ThinSet:
-    """Elements of G_d whose every level-i image lies in S_i, as a ThinSet.
-
-    The level-i image of the result sits inside S_i, so the result is thin;
-    this realizes the finite-depth pullback of a slalom through the
-    diagonal embedding into the product of the quotients.
-    """
-    d = slalom.depth
-    if d > spec.depth:
-        raise ValueError(f"slalom depth {d} exceeds {spec.describe()}")
-    below = [(spec.group_order(i), set(level)) for i, level in enumerate(slalom.levels[:d])]
-    kept = [x for x in slalom.levels[d] if all(x % m in level for m, level in below)]
-    return make_thin_set(spec, d, kept)
-
-
 @dataclass
 class ThinTranslation:
     """A translator g with g*Y inside X_d, plus its stagewise lifting chain."""
@@ -595,8 +521,8 @@ def translate_thin(tower: Tower, thin: ThinSet) -> ThinTranslation:
     g * y against its stage cover, so it covers every lower level of the
     chain as well, and it accepts any working translator, however found; a
     wrong shift or an unsound stage set anywhere in the chain raises
-    SoundnessError there.  The full translator sets T_0, ..., T_d come from
-    witness_levels, on request.
+    SoundnessError there.  The lift needs one translator per stage, so the
+    full translator sets T_i = {h in G_i : h * Y_i inside X_i} are never built.
     """
     d = thin.depth
     if d > tower.depth:
@@ -624,42 +550,6 @@ def translate_thin(tower: Tower, thin: ThinSet) -> ThinTranslation:
     return ThinTranslation(depth=d, translator=g, stage_translators=tuple(chain))
 
 
-def witness_levels(tower: Tower, thin: ThinSet) -> list[GroupSubset | None]:
-    """T_i = {h in G_i : h * Y_i inside X_i} for i = 0..d, None above WITNESS_STAGE_LIMIT."""
-    levels = []
-    for i, image in enumerate(thin.projections):
-        group, level = tower.spec.group(i), None
-        if group.order <= WITNESS_STAGE_LIMIT:
-            x_subset = GroupSubset(group, tower.dense_mask(i))
-            acc = (1 << group.order) - 1
-            for y in image:
-                acc &= x_subset.right_translate(group.inv(y)).bits
-            level = GroupSubset(group, acc)
-        levels.append(level)
-    return levels
-
-
-def pullback_dense(modulus: int, kernel_order: int, target_bits: int) -> int:
-    """The preimage over C_{N n} of a bitmask over C_N, N = modulus, n = kernel_order."""
-    if target_bits < 0 or target_bits >> modulus:
-        name = f"C{modulus * kernel_order}->C{modulus}"
-        raise ValueError(f"{name} is not a cyclic reduction onto the bitmask's carrier")
-    repunit = ((1 << (modulus * kernel_order)) - 1) // ((1 << modulus) - 1)
-    return target_bits * repunit
-
-
-def witness_sets_nested(tower: Tower, levels: list[GroupSubset | None]) -> bool:
-    """Check T_{i+1} within the pullback of T_i wherever both materialized."""
-    for i in range(len(levels) - 1):
-        low, high = levels[i], levels[i + 1]
-        if low is None or high is None:
-            continue
-        lifted = pullback_dense(tower.spec.group_order(i), tower.spec.kernel_orders[i], low.bits)
-        if high.bits & ~lifted:
-            return False
-    return True
-
-
 def dimension_estimate(spec: TowerSpec, elements, depth: int | None = None) -> float:
     """Finite-depth lower envelope of log|image_i| / log|G_i| over 1 <= i <= d."""
     d = spec.depth if depth is None else depth
@@ -683,14 +573,13 @@ def dimension_estimate(spec: TowerSpec, elements, depth: int | None = None) -> f
 def tower_from_document(doc: dict) -> Tower:
     """Rebuild a tower from its serialized document, membership bit-exact.
 
-    Stages are appended to one Tower exactly as build_tower appends them,
-    each over the stage set below; every stage keeps its seed, attempts and
-    verification record.  A missing or mistyped field raises IntegrityError
-    naming it; kernel orders and the entries of covers and witnesses must
-    be JSON integers.  The covers (strictly ascending, nonempty, inside
-    their kernels) and the halving bound 2|L_s| <= n_{s-1} are checked again
-    and raise IntegrityError when broken; the measure bound follows from the
-    halving bounds (see build_tower).  Every other field is derived, so the
+    Stages are appended exactly as build_tower appends them, each over the
+    stage set below, with their seeds, attempts and the verification records
+    a build emits (see _load_verification).  A missing or mistyped field
+    raises IntegrityError naming it; kernel orders and cover entries must be
+    JSON integers.  The covers (strictly ascending, nonempty, inside their
+    kernels) and the halving bounds 2|L_s| <= n_{s-1}, whose product is the
+    measure bound, are checked again.  Every other field is derived, so the
     assembled tower must re-emit it: see _require_reemitted.
     """
     kind = doc.get("kind") if isinstance(doc, dict) else None
@@ -734,7 +623,7 @@ def tower_from_document(doc: dict) -> Tower:
                 subset=subset,
                 seed=doc_field(stage_doc, "seed", int, where),
                 attempts=doc_field(stage_doc, "attempts", int, where),
-                verification=None if raw is None else _load_verification(raw, where),
+                verification=_load_verification(raw, s, where),
             )
         )
     _require_reemitted(tower, doc)
@@ -784,14 +673,27 @@ def _same_json_types(mine, given) -> bool:
     return type(given) is type(mine)
 
 
-def _load_verification(raw: dict, where: str) -> VerificationRecord:
+def _load_verification(raw: dict | None, s: int, where: str) -> VerificationRecord | None:
+    """Stage s's record as a build emits it, or IntegrityError naming the field.
+
+    Null at stage 1, whose singleton cover is not verified; above it, a passing
+    exhaustive or sampled record with no witness, with trials (>= 1) when sampled.
+    """
+    if (raw is None) != (s == 1):
+        wanted = "null" if s == 1 else "a passing record"
+        raise IntegrityError(f"{where}: field 'verification' must be {wanted} at stage {s}")
+    if raw is None:
+        return None
     where = f"{where} verification"
-    witness = doc_field(raw, "witness", (list, NoneType), where)
-    if witness is not None:
-        require_indices(witness, f"{where}: field 'witness'")
-    return VerificationRecord(
-        mode=doc_field(raw, "mode", str, where),
-        result=doc_field(raw, "result", bool, where),
-        trials=doc_field(raw, "trials", (int, NoneType), where),
-        witness=None if witness is None else tuple(witness),
-    )
+    mode = doc_field(raw, "mode", str, where)
+    trials = doc_field(raw, "trials", (int, NoneType), where)
+    counted = trials is None if mode == "exhaustive" else trials is not None and trials >= 1
+    for field, ok, wanted in (
+        ("mode", mode in ("exhaustive", "sampled"), "'exhaustive' or 'sampled'"),
+        ("result", doc_field(raw, "result", bool, where), "true"),
+        ("witness", doc_field(raw, "witness", (list, NoneType), where) is None, "null"),
+        ("trials", counted, "null when exhaustive and a count >= 1 when sampled"),
+    ):
+        if not ok:
+            raise IntegrityError(f"{where}: field {field!r} must be {wanted}")
+    return VerificationRecord(mode=mode, result=True, trials=trials)

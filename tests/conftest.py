@@ -1,18 +1,23 @@
 """Shared naive oracles, deliberately independent of the library internals.
 
 These use plain python sets and explicit loops so they exercise none of the
-bitmask or difference-set machinery they are used to check.  The two
-full-translate sampled loops and the full-rotation translate search at the
-end are the exception: they translate whole sets with
-GroupSubset.right_translate, whose own test compares it with naive
-translates, so that they stay fast on C131072.  Then come the
-tower's stage members and thin-set lift computed through its stage maps
-(the lift shares translate_into with the library), the element-by-element
-canonical JSON emitter that util.canonical_json replaced for lists of ints,
-the quotient-map contract of a tower's reduction, and a text comparison
-that stays fast on large documents.
+bitmask or difference-set machinery they are used to check.  Besides the
+covering oracles and the reference group products there are the axiom
+checker, which asserts the identity, inverse and associativity laws of a
+group's oracles, and element orders by repeated multiplication.  The two
+full-translate sampled loops and the full-rotation translate search are the
+exception: they translate whole sets with GroupSubset.right_translate, whose
+own test compares it with naive translates, so that they stay fast on
+C131072.  Then come the tower's stage members and thin-set lift computed
+through its stage maps (the lift shares translate_into with the library), a
+thin set's translator sets T_i and their pullbacks along the tower's
+reductions (the sets are right translates of the stage masks), the
+element-by-element canonical JSON emitter that util.canonical_json replaced
+for lists of ints, the quotient-map contract of a tower's reduction, and a
+text comparison that stays fast on large documents.
 """
 
+import functools
 import json
 import random
 from itertools import combinations, product
@@ -20,7 +25,7 @@ from math import factorial
 
 import pytest
 
-from covtrans import translate_into
+from covtrans import GroupSubset, translate_into
 
 
 def naive_is_k_covering(group, members, k) -> bool:
@@ -143,6 +148,49 @@ def digitwise_mul(p: int, d: int, a: int, b: int) -> int:
     return out
 
 
+_AXIOM_EXHAUSTIVE_ORDER = 64
+_AXIOM_ELEMENTWISE_ORDER = 4096
+
+
+def check_group_axioms(group, rng, triples: int = 10_000) -> None:
+    """Assert the identity, inverse and associativity laws of group's oracles.
+
+    Identity and inverse are checked at every element up to order 4096 and
+    at 4096 random ones above; associativity at every triple up to order 64
+    and at `triples` random ones above.
+    """
+    n, e = group.order, group.identity
+    if n <= _AXIOM_ELEMENTWISE_ORDER:
+        probe = range(n)
+    else:
+        probe = [rng.randrange(n) for _ in range(_AXIOM_ELEMENTWISE_ORDER)]
+    for x in probe:
+        assert group.mul(e, x) == x == group.mul(x, e), f"{group.name}: identity law at {x}"
+        assert group.mul(x, group.inv(x)) == e, f"{group.name}: inverse law at {x}"
+    if n <= _AXIOM_EXHAUSTIVE_ORDER:
+        abcs = product(range(n), repeat=3)
+    else:
+        abcs = [(rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(triples)]
+    for a, b, c in abcs:
+        assert group.mul(group.mul(a, b), c) == group.mul(a, group.mul(b, c)), (
+            f"{group.name}: associativity at {(a, b, c)}"
+        )
+
+
+def element_order(group, a: int) -> int:
+    """Multiplicative order of a, by multiplying until the identity."""
+    current, k = a, 1
+    while current != group.identity:
+        current, k = group.mul(current, a), k + 1
+        assert k <= group.order, f"{group.name}: {a} never reaches the identity"
+    return k
+
+
+def element_orders(group) -> list[int]:
+    """Sorted multiset of element orders; an isomorphism diagnostic."""
+    return sorted(element_order(group, x) for x in range(group.order))
+
+
 def full_translate_sampled_intersecting(group, subsets, trials, seed):
     """(result, trials, witness) of the sampled tuple check, translating in full.
 
@@ -248,6 +296,49 @@ def reference_lift(tower, thin):
         g = mul(phi.embed_kernel(u), g_tilde)
         chain.append(g)
     return g, tuple(chain)
+
+
+@functools.lru_cache(maxsize=4)
+def naive_stage_masks(tower) -> tuple[int, ...]:
+    """Bitmasks of the tower's X_0, ..., X_d from naive_stage_members, once per tower."""
+    return tuple(
+        sum(1 << x for x in naive_stage_members(tower, i)) for i in range(tower.depth + 1)
+    )
+
+
+def witness_levels(tower, thin) -> list:
+    """Translator sets T_i = {h in G_i : h * Y_i inside X_i} for i = 0..d.
+
+    T_i is the intersection of the right translates X_i * y^{-1} over the
+    level-i image Y_i, each computed by GroupSubset.right_translate.
+    """
+    levels = []
+    for i, image in enumerate(thin.projections):
+        group = tower.spec.group(i)
+        stage = GroupSubset(group, naive_stage_masks(tower)[i])
+        acc = (1 << group.order) - 1
+        for y in image:
+            acc &= stage.right_translate(group.inv(y)).bits
+        levels.append(GroupSubset(group, acc))
+    return levels
+
+
+def pullback_dense(modulus: int, kernel_order: int, target_bits: int) -> int:
+    """The preimage over C_{N n} of a bitmask over C_N, N = modulus, n = kernel_order."""
+    if target_bits < 0 or target_bits >> modulus:
+        name = f"C{modulus * kernel_order}->C{modulus}"
+        raise ValueError(f"{name} is not a cyclic reduction onto the bitmask's carrier")
+    repunit = ((1 << (modulus * kernel_order)) - 1) // ((1 << modulus) - 1)
+    return target_bits * repunit
+
+
+def witness_sets_nested(tower, levels) -> bool:
+    """Whether each T_{i+1} lies within the pullback of T_i."""
+    for i, (low, high) in enumerate(zip(levels, levels[1:])):
+        lifted = pullback_dense(tower.spec.group_order(i), tower.spec.kernel_orders[i], low.bits)
+        if high.bits & ~lifted:
+            return False
+    return True
 
 
 def reference_canonical_json(obj, indent: int = 2) -> str:

@@ -8,7 +8,13 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import assert_same_text, naive_stage_members
+from conftest import (
+    assert_same_text,
+    naive_stage_members,
+    pullback_dense,
+    witness_levels,
+    witness_sets_nested,
+)
 
 from covtrans import (
     CyclicGroup,
@@ -29,11 +35,8 @@ from covtrans import (
     sample_thin_set,
     translate_thin,
     verify_k_covering,
-    witness_levels,
-    witness_sets_nested,
 )
 from covtrans.cli import run_config
-from covtrans.tower import pullback_dense
 
 
 def _report(number: int, name: str, started: float, limit: float | None = None) -> None:

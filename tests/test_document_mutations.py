@@ -8,8 +8,9 @@ invalid value (-1, "?", or -1 appended to a list), changes a declared size
 by one, or duplicates or swaps two entries of a list.  Each must exit 0 or
 exit 6 with a message that names the field; never a traceback, exit 1 or
 exit 2.  A tower that loads must re-emit its input exactly, JSON types
-included, through tower_from_document.  The run config is not read by
-either loader, so it is not mutated.
+included, through tower_from_document, and no mutated stage verification
+record loads.  The run config is not read by either loader, so it is not
+mutated.
 """
 
 import contextlib
@@ -173,11 +174,15 @@ def check_refusal(code, err, path):
 @example((("stages", 1, "cover_size"), "float", None))
 @example((("stages", 1, "cover"), "duplicate", 0))
 @example((("stages", 1, "cover"), "swap", 0))
+@example((("stages", 1, "verification", "mode"), "invalid", None))
 @MUTATION_SETTINGS
 def test_mutated_tower_loads_exactly_or_names_the_field(mutation):
     doc = mutated(documents()["tower"], *mutation)
     code, err = load(["tower", "translate", "--seed", "1", "--samples", "0"], doc)
     check_refusal(code, err, mutation[0])
+    if "verification" in mutation[0]:
+        # no mutation of a stage record leaves one that a build emits
+        assert code == EXIT_INTEGRITY, err
     if code == EXIT_OK:
         reemitted = json.loads(canonical_json(tower_from_document(doc).document()))
         given_doc = {key: value for key, value in doc.items() if key != "config"}

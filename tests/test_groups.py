@@ -2,7 +2,10 @@ import random
 
 import pytest
 from conftest import (
+    check_group_axioms,
     digitwise_mul,
+    element_order,
+    element_orders,
     lehmer_index_of,
     lehmer_inv,
     lehmer_mul,
@@ -19,11 +22,8 @@ from covtrans import (
     ElementaryAbelianGroup,
     Epimorphism,
     SymmetricGroup,
-    check_group_axioms,
-    element_orders,
     group_from_descriptor,
 )
-from covtrans.errors import SoundnessError
 
 
 @pytest.mark.parametrize(
@@ -117,7 +117,7 @@ def test_dihedral_structure():
     d3 = DihedralGroup(3)
     assert d3.order == 6
     reflections = [x for x in range(3, 6)]
-    assert all(d3.element_order(x) == 2 for x in reflections)
+    assert all(element_order(d3, x) == 2 for x in reflections)
     assert element_orders(d3) == [1, 2, 2, 2, 3, 3]
 
 
@@ -177,7 +177,7 @@ def test_elementary_abelian_xor_matches_digit_loop(d):
 def test_elementary_abelian_orders():
     g = ElementaryAbelianGroup(2, 3)
     assert g.order == 8
-    assert all(g.element_order(x) == 2 for x in range(1, 8))
+    assert all(element_order(g, x) == 2 for x in range(1, 8))
 
 
 def test_axiom_checker_catches_broken_oracle():
@@ -185,7 +185,7 @@ def test_axiom_checker_catches_broken_oracle():
         def inv(self, a):
             return a  # wrong for most elements
 
-    with pytest.raises(SoundnessError):
+    with pytest.raises(AssertionError, match="inverse law"):
         check_group_axioms(Broken(5), random.Random(0))
 
 

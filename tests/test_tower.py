@@ -11,8 +11,11 @@ from conftest import (
     naive_factored_members,
     naive_reduction_contract,
     naive_stage_members,
+    pullback_dense,
     reference_canonical_json,
     reference_lift,
+    witness_levels,
+    witness_sets_nested,
 )
 
 from covtrans import (
@@ -22,23 +25,18 @@ from covtrans import (
     build_tower,
     dimension_estimate,
     extend_covering,
-    make_slalom,
     make_thin_set,
     parse_tower_descriptor,
     sample_thin_set,
-    slalom_pullback,
     thin_bound,
-    thin_set_valid,
     tower_from_document,
     translate_thin,
-    witness_levels,
-    witness_sets_nested,
     TowerSpec,
 )
 import covtrans.tower as tower_module
-from covtrans.cli import EXIT_OK, main
+from covtrans.cli import EXIT_INTEGRITY, EXIT_OK, main
 from covtrans.errors import FeasibilityError, IntegrityError, SoundnessError
-from covtrans.tower import check_projection_claim, pullback_dense
+from covtrans.tower import check_projection_claim
 from covtrans.util import canonical_json
 
 
@@ -301,7 +299,6 @@ def test_membership_factored_dense_agreement():
     assert len(dense) == len(members) == tower.set_size(2)
     for x in range(20480):
         assert tower.member(2, x) == (x in dense)
-    assert tower.dense_mask(2) == sum(1 << x for x in dense)
 
 
 def test_membership_requires_projection():
@@ -323,10 +320,10 @@ def test_sample_thin_set_shapes():
     assert len(t2.projections[1]) <= 1  # single level-1 fiber
     for _ in range(1000):
         t3 = sample_thin_set(spec, 3, rng)
-        assert thin_set_valid(spec, t3)
+        assert make_thin_set(spec, t3.depth, t3.elements) == t3
         assert len(t3.elements) <= 3
     sparse = sample_thin_set(spec, 3, rng, fullness=0.4)
-    assert thin_set_valid(spec, sparse)
+    assert make_thin_set(spec, sparse.depth, sparse.elements) == sparse
     with pytest.raises(ValueError):
         sample_thin_set(spec, 4, rng)
     with pytest.raises(ValueError):
@@ -363,26 +360,6 @@ def test_make_thin_set_projections_match_per_element_projection():
         make_thin_set(spec, 3, [0, 20, 40])
 
 
-def test_slalom_validation_and_pullback():
-    spec = TowerSpec([20, 1024])
-    with pytest.raises(FeasibilityError):
-        make_slalom(spec, [[0], [1, 2], [3, 4]])  # level 1 over budget
-    slalom = make_slalom(spec, [[0], [3], [3, 1043]])
-    thin = slalom_pullback(spec, slalom)
-    assert thin.elements == (3, 1043)  # both sit in the level-1 fiber of 3
-    assert thin_set_valid(spec, thin)
-
-    excluded = make_slalom(spec, [[0], [3], [3, 7]])
-    assert slalom_pullback(spec, excluded).elements == (3,)  # 7 is in fiber 7
-
-    x = 1043
-    pointwise = make_slalom(spec, [[0], [x % spec.group_order(1)], [x, 5]])
-    assert x in slalom_pullback(spec, pointwise).elements
-
-    empty_level = make_slalom(spec, [[0], [], [3, 1043]])
-    assert slalom_pullback(spec, empty_level).elements == ()
-
-
 def test_translate_thin_basic_and_empty():
     spec = TowerSpec([20, 1024])
     tower = build_tower(spec, 3)
@@ -411,10 +388,9 @@ def test_translate_thin_chain_consistency():
         assert res.stage_translators[2] == g
         levels = witness_levels(tower, thin)
         assert witness_sets_nested(tower, levels)
-        # the returned translator lives in every materialized level set
+        # the returned translator lives in every level set
         for i, level in enumerate(levels):
-            if level is not None:
-                assert g % spec.group_order(i) in level
+            assert g % spec.group_order(i) in level
 
 
 def test_translate_thin_final_membership_catches_unsound_lifts(monkeypatch):
@@ -620,7 +596,7 @@ def test_loaded_tower_names_a_missing_or_mistyped_field():
         (broken(lambda d: d["stages"][1]["verification"].update(result=1)), f"{stage2}: field 'result'"),
         (
             broken(lambda d: d["stages"][1]["verification"].update(witness=[0, 1.0])),
-            f"{stage2}: field 'witness': entry 1.0 has type float",
+            f"{stage2}: field 'witness' must be null",
         ),
         (broken(lambda d: d["stages"][0].update(cover=["0"])), "stage 1: "),
         (
@@ -633,6 +609,50 @@ def test_loaded_tower_names_a_missing_or_mistyped_field():
     ]:
         with pytest.raises(IntegrityError, match=re.escape(message)):
             tower_from_document(bad)
+
+
+PASSING_RECORD = {"mode": "exhaustive", "trials": None, "result": True, "witness": None}
+
+
+@pytest.mark.parametrize(
+    "stage, record, message",
+    [
+        (2, {"mode": "?"}, "stage 2 verification: field 'mode' must be 'exhaustive' or"),
+        (2, {"result": False}, "stage 2 verification: field 'result' must be true"),
+        (2, {"witness": [0, 5]}, "stage 2 verification: field 'witness' must be null"),
+        (2, {"trials": 7}, "stage 2 verification: field 'trials' must be null when exhaustive"),
+        (2, {"mode": "sampled", "trials": None}, "stage 2 verification: field 'trials' must be"),
+        (2, {"mode": "sampled", "trials": 0}, "stage 2 verification: field 'trials' must be"),
+        (2, None, "stage 2: field 'verification' must be a passing record"),
+        (1, {}, "stage 1: field 'verification' must be null"),
+    ],
+    ids=[
+        "mode",
+        "result",
+        "witness",
+        "exhaustive-trials",
+        "sampled-null-trials",
+        "sampled-zero-trials",
+        "null",
+        "stage-1",
+    ],
+)
+def test_loaded_tower_refuses_a_stage_record_no_build_emits(
+    tmp_path, capsys, stage, record, message
+):
+    # stage 1's singleton cover has no record; every later stage has a
+    # passing exhaustive or sampled one, with trials exactly when sampled
+    doc = build_tower(TowerSpec([20, 1024]), 3).document()
+    assert doc["stages"][0]["verification"] is None
+    assert doc["stages"][1]["verification"] == PASSING_RECORD
+    changed = None if record is None else {**PASSING_RECORD, **record}
+    doc["stages"][stage - 1]["verification"] = changed
+    path = tmp_path / "tower.json"
+    path.write_text(canonical_json(doc))
+    argv = ["tower", "translate", "--in", str(path), "--seed", "1", "--samples", "5"]
+    assert main(argv) == EXIT_INTEGRITY
+    err = capsys.readouterr().err
+    assert err.startswith(f"integrity error: {message}") and err.count("\n") == 1, err
 
 
 def with_cover(doc, s, cover):
