@@ -12,11 +12,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 from .errors import BudgetExceededError, ConstructionError, FeasibilityError, SoundnessError
 from .groups import FiniteGroup
-from .subsets import GroupSubset, _translate_bits, random_subset, translates_meet
+from .subsets import GroupSubset, _translate_bits, first_disjoint_tuple, random_subset
 from .util import derive_seed, lowest_set_bit, step_budget, uniform_draws
 
 DEFAULT_MAX_ATTEMPTS = 100
@@ -116,10 +116,11 @@ def verify_intersecting(
     n^k steps, and the method is still "tuple-scan".  Sampled mode
     checks `trials` uniform tuples drawn from the given seed, k
     consecutive util.uniform_draws values each (the values randrange would
-    give, generated in bulk), and reports the tuple as drawn.  A sampled
-    trial hands the drawn translators to subsets.translates_meet, which
-    normalises by g_1 itself, reads only windows on rotation carriers (no
-    oracle call) and stops at the first common element rather than
+    give, generated in bulk), and reports the tuple as drawn.  The drawn
+    tuples stream, never all held at once, into one
+    subsets.first_disjoint_tuple scan, which normalises by g_1 itself,
+    reads only window-table entries on rotation carriers (no oracle call)
+    and stops each trial at its first common element rather than
     translating every X_i in full.
     """
     k = len(subsets)
@@ -140,12 +141,14 @@ def verify_intersecting(
             mode="exhaustive", result=witness is None, witness=witness, method="tuple-scan"
         )
     draws = uniform_draws(seed, n)
-    meets = translates_meet(group, subsets[0], subsets[1:])
-    for t, tup in zip(range(trials), zip(*[draws] * k)):
-        if not meets(tup):
-            return VerificationRecord(
-                mode="sampled", result=False, trials=t + 1, witness=tup, method="tuple-sample"
-            )
+    miss = first_disjoint_tuple(
+        group, subsets[0], subsets[1:], islice(zip(*[draws] * k), trials)
+    )
+    if miss is not None:
+        t, tup = miss
+        return VerificationRecord(
+            mode="sampled", result=False, trials=t + 1, witness=tup, method="tuple-sample"
+        )
     return VerificationRecord(mode="sampled", result=True, trials=trials, method="tuple-sample")
 
 
@@ -470,8 +473,10 @@ def verify_k_covering(
     the complete O(n^2) quotient-set criterion is used instead.  Sampled
     mode checks `trials` uniform Y drawn from the given seed by rng.sample,
     and reports Y as drawn.  Y translates into X iff the right translates
-    X y^{-1}, y in Y, meet, so a trial hands the y^{-1} to
-    subsets.translates_meet, which stops at the first common element.
+    X y^{-1}, y in Y, meet, so the sorted draws stream into one
+    subsets.first_disjoint_tuple scan as the inverses of the translators.
+    It normalises by y_1, testing X against the X (y_1^{-1} y_i)^{-1}: one
+    inv call per trial on non-rotation carriers and none on rotation ones.
     """
     n = group.order
     if k < 1:
@@ -503,18 +508,13 @@ def verify_k_covering(
             f"(budget {step_budget()}); use sampled mode"
         )
     rng = random.Random(seed)
-    inv = group.inv
-    meets = translates_meet(group, x, [x] * (k - 1))
-    for t in range(trials):
-        ys = sorted(rng.sample(range(n), k))
-        if not meets([inv(y) for y in ys]):
-            return VerificationRecord(
-                mode="sampled",
-                result=False,
-                trials=t + 1,
-                witness=tuple(ys),
-                method="subset-sample",
-            )
+    draws = (tuple(sorted(rng.sample(range(n), k))) for _ in range(trials))
+    miss = first_disjoint_tuple(group, x, [x] * (k - 1), draws, inverses=True)
+    if miss is not None:
+        t, ys = miss
+        return VerificationRecord(
+            mode="sampled", result=False, trials=t + 1, witness=ys, method="subset-sample"
+        )
     return VerificationRecord(mode="sampled", result=True, trials=trials, method="subset-sample")
 
 

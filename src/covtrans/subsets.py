@@ -9,14 +9,16 @@ from .groups import FiniteGroup
 from .util import iter_set_bits, lowest_set_bit
 
 ROTATION_WINDOW = 4096  # bits of a rotated set read per step by the windowed searches
-_WINDOW_SPAN = (ROTATION_WINDOW >> 3) + 1  # bytes holding W bits from any bit offset
+_TABLE_STEP = 1024  # bits between the starts of consecutive window-table entries
+_TABLE_SHIFT = _TABLE_STEP.bit_length() - 1
+_TABLE_LOW = _TABLE_STEP - 1
 _OR_BUILD_ORDER = 4096  # from_indices builds masks by OR up to this carrier order
 
 
 class GroupSubset:
     """Subset of a finite group stored as an integer bitmask over indices."""
 
-    __slots__ = ("group", "bits", "_size", "_members", "_image")
+    __slots__ = ("group", "bits", "_size", "_members", "_image", "_table")
 
     def __init__(self, group: FiniteGroup, bits: int, size: int | None = None):
         if bits < 0 or bits >> group.order:
@@ -26,6 +28,7 @@ class GroupSubset:
         self._size = size
         self._members: list[int] | None = None
         self._image: bytes | None = None
+        self._table: list[int] | None = None
 
     @classmethod
     def empty(cls, group: FiniteGroup) -> "GroupSubset":
@@ -72,7 +75,9 @@ class GroupSubset:
 
     def __contains__(self, i: int) -> bool:
         # one byte of the cached image, not a shift of the whole mask
-        return 0 <= i < self.group.order and self._rotation_image()[i >> 3] >> (i & 7) & 1 == 1
+        if self._image is None:
+            self._image = self.bits.to_bytes((self.group.order + 7) >> 3, "little")
+        return 0 <= i < self.group.order and self._image[i >> 3] >> (i & 7) & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
         return iter_set_bits(self.bits)
@@ -82,18 +87,27 @@ class GroupSubset:
             self._members = list(iter_set_bits(self.bits))
         return self._members
 
-    def _rotation_image(self) -> bytes:
-        """Little-endian bytes of the doubled mask bits | bits << n, cached.
+    def _window_table(self) -> list[int]:
+        """Entries j = bits [j B, j B + W + B) of the doubled mask bits | bits << n, cached.
 
-        On a rotation carrier, bits a .. a + W of X * g^{-1} are bits
-        a + g .. a + g + W of this image, for 0 <= g < n: a window of any
-        rotation is one slice, with no rotation of the whole mask.  On any
-        carrier its low half is the mask itself, which membership reads.
+        B is _TABLE_STEP and W is ROTATION_WINDOW.  On a rotation carrier,
+        bits a .. a + W of X * g^{-1} are bits s = a + g onward of the
+        doubled mask, for 0 <= g < n, and entry s >> log2 B shifted right by
+        s & (B - 1) starts with them: a window of any rotation is one shift
+        of one entry, with no rotation of the whole mask and no byte-by-byte
+        conversion per read.  Its bits past W are cleared by the window the
+        read is ANDed into.  Entries are byte slices of the doubled mask's
+        image, so the build shifts the 2n-bit mask once, not once per entry.
         """
-        if self._image is None:
+        if self._table is None:
             n = self.group.order
-            self._image = (self.bits | self.bits << n).to_bytes(2 * ((n + 7) >> 3), "little")
-        return self._image
+            doubled = (self.bits | self.bits << n).to_bytes(2 * ((n + 7) >> 3), "little")
+            step, span = _TABLE_STEP >> 3, (ROTATION_WINDOW + _TABLE_STEP) >> 3
+            self._table = [
+                int.from_bytes(doubled[lo : lo + span], "little")
+                for lo in range(0, len(doubled), step)
+            ]
+        return self._table
 
     def indices(self) -> list[int]:
         """Member indices in ascending order."""
@@ -178,39 +192,17 @@ def random_subset(group: FiniteGroup, p: float, rng: random.Random) -> GroupSubs
     return GroupSubset(group, int.from_bytes(buf, "little"))
 
 
-def _first_common_window(windows, reads) -> tuple[int, int] | None:
-    """First (a, bits) left non-zero after ANDing every read into a window.
-
-    `windows` yields (a, bits): a window's start bit and the bits to AND
-    into.  `reads` lists (image, offset) pairs; a read's window [a, a + W)
-    is bits a + offset onward of a doubled image (see
-    GroupSubset._rotation_image), and the window's bits cut it to W bits or
-    fewer.  Each window stops at its first empty AND.
-    """
-    span = _WINDOW_SPAN
-    from_bytes = int.from_bytes
-    for a, acc in windows:
-        for image, offset in reads:
-            start = a + offset
-            lo = start >> 3
-            acc &= from_bytes(image[lo : lo + span], "little") >> (start & 7)
-            if not acc:
-                break
-        else:
-            return a, acc
-    return None
-
-
 def translate_into(group: FiniteGroup, y, x: GroupSubset) -> int | None:
     """Smallest-index g with g*Y contained in X, or None if no translate works.
 
     g*y in X for all y is equivalent to g in the intersection of the right
     translates X*y^{-1}, so the answer is that intersection's lowest set bit.
     Rotation carriers AND the translates in ascending windows of
-    ROTATION_WINDOW bits, each read from X's cached doubled image (window
-    [a, a + W) of X - y starts at bit a + y), and stop at the first
-    non-empty window.  Other carriers intersect whole translated bitmasks.
-    A y outside 0..n-1 raises ValueError on every carrier.
+    ROTATION_WINDOW bits and stop at the first non-empty window.  Window
+    [a, a + W) of X - y is bits a + y onward of X's doubled mask, one
+    shifted entry of X's cached window table (see GroupSubset._window_table).
+    Other carriers intersect whole translated bitmasks.  A y outside
+    0..n-1 raises ValueError on every carrier.
     """
     ys = list(y) if not isinstance(y, GroupSubset) else y.indices()
     if not ys:
@@ -220,12 +212,17 @@ def translate_into(group: FiniteGroup, y, x: GroupSubset) -> int | None:
     if low < 0 or high >= n:
         raise ValueError(f"y = {low if low < 0 else high} is not an element of {group.name}")
     if group.additive_rotation:
-        image = x._rotation_image()
-        windows = (
-            (a, (1 << min(ROTATION_WINDOW, n - a)) - 1) for a in range(0, n, ROTATION_WINDOW)
-        )
-        hit = _first_common_window(windows, [(image, yi) for yi in ys])
-        return None if hit is None else hit[0] + lowest_set_bit(hit[1])
+        table = x._window_table()
+        for a in range(0, n, ROTATION_WINDOW):
+            acc = (1 << min(ROTATION_WINDOW, n - a)) - 1
+            for yi in ys:
+                start = a + yi
+                acc &= table[start >> _TABLE_SHIFT] >> (start & _TABLE_LOW)
+                if not acc:
+                    break
+            else:
+                return a + lowest_set_bit(acc)
+        return None
     acc = None
     for yi in ys:
         t = _translate_bits(group, x, group.inv(yi), left=False)
@@ -235,19 +232,31 @@ def translate_into(group: FiniteGroup, y, x: GroupSubset) -> int | None:
     return lowest_set_bit(acc)
 
 
-def translates_meet(group: FiniteGroup, first: GroupSubset, rest: list[GroupSubset]):
-    """Predicate meets(gs): do the right translates X_1 g_1, rest[0] g_2, ... meet?
+def first_disjoint_tuple(
+    group: FiniteGroup,
+    first: GroupSubset,
+    rest: list[GroupSubset],
+    tuples: Iterable[tuple[int, ...]],
+    *,
+    inverses: bool = False,
+) -> tuple[int, tuple[int, ...]] | None:
+    """(index, tuple) of the first tuple whose right translates do not meet, or None.
 
-    gs lists the k translators as drawn.  The translates meet iff X_1 and the
-    rest[i] g_{i+2} g_1^{-1} do, and the predicate tests that, built once per
-    verification call so that each trial pays only for the search, which
-    stops at the first common element.  Rotation carriers AND the sets in
-    ascending windows of ROTATION_WINDOW bits: window [a, a + W) of
-    X (g_i - g_1) is bits a + ((g_1 - g_i) mod n) onward of X's cached doubled
-    image, so a trial makes no oracle call.  Only X_1's non-empty windows are
-    read, and X_1's bits there clear what lies past W or past n.  Other
+    A tuple lists the translators g_1, ..., g_k of X_1 = first and
+    X_{i+1} = rest[i]; with inverses=True it lists y_i = g_i^{-1} instead,
+    so the translates are the X_i y_i^{-1}.  The translates meet iff X_1 and
+    the X_i g_i g_1^{-1} do, and g_i g_1^{-1} is y_i^{-1} y_1 with inverses.
+    All of a verification's trials run in this one scan, which stops at the
+    first common element of each trial and at the first tuple that fails.
+    Rotation carriers AND the sets in ascending windows of ROTATION_WINDOW
+    bits: window [a, a + W) of X (g_i - g_1) is bits a + ((g_1 - g_i) mod n)
+    onward of X's doubled mask, one shifted entry of its cached window
+    table, so a trial makes no oracle call.  Only X_1's non-empty windows
+    are read, and X_1's bits there clear what lies past W or past n.  Other
     carriers walk X_1's members and look each x g_1 g_i^{-1} up in a flag
-    array of X_i.  A set listed more than once in rest gets one image.
+    array of X_i; the shift g_1 g_i^{-1} is y_1^{-1} y_i with inverses, one
+    inv call per trial.  A set listed more than once in rest gets one flag
+    array or window table.
     """
     n = group.order
     if group.additive_rotation:
@@ -257,14 +266,21 @@ def translates_meet(group: FiniteGroup, first: GroupSubset, rest: list[GroupSubs
             bits = int.from_bytes(first_bytes[a >> 3 : (a + ROTATION_WINDOW) >> 3], "little")
             if bits:
                 windows.append((a, bits))
-        images = [s._rotation_image() for s in rest]
-
-        def meets(gs) -> bool:
+        later = list(enumerate((s._window_table() for s in rest), 1))
+        sign = -1 if inverses else 1  # (g_1 - g_i) mod n is (y_i - y_1) mod n
+        for index, gs in enumerate(tuples):
             g1 = gs[0]
-            reads = [(image, (g1 - g) % n) for image, g in zip(images, gs[1:])]
-            return _first_common_window(windows, reads) is not None
-
-        return meets
+            for a, acc in windows:
+                for i, table in later:
+                    start = a + (g1 - gs[i]) * sign % n
+                    acc &= table[start >> _TABLE_SHIFT] >> (start & _TABLE_LOW)
+                    if not acc:
+                        break
+                else:
+                    break
+            else:
+                return index, gs
+        return None
 
     mul, inv = group.mul, group.inv
     members = first._member_list()
@@ -274,16 +290,20 @@ def translates_meet(group: FiniteGroup, first: GroupSubset, rest: list[GroupSubs
         for x in s._member_list():
             flag[x] = 1
     flags = [flag_of[id(s)] for s in rest]
-
-    def meets(gs) -> bool:
-        g1 = gs[0]
-        lookups = [(flag, mul(g1, inv(g))) for flag, g in zip(flags, gs[1:])]
+    for index, gs in enumerate(tuples):
+        if inverses:
+            u = inv(gs[0])
+            shifts = [mul(u, y) for y in gs[1:]]
+        else:
+            g1 = gs[0]
+            shifts = [mul(g1, inv(g)) for g in gs[1:]]
+        lookups = list(zip(flags, shifts))
         for x in members:
             for flag, shift in lookups:
                 if not flag[mul(x, shift)]:
                     break
             else:
-                return True
-        return False
-
-    return meets
+                break
+        else:
+            return index, gs
+    return None

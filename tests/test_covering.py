@@ -40,7 +40,7 @@ from covtrans.errors import (
     ConstructionError,
     FeasibilityError,
 )
-from covtrans.subsets import translates_meet
+from covtrans.subsets import first_disjoint_tuple
 from covtrans.util import canonical_json
 
 REL = 1e-12
@@ -402,9 +402,59 @@ def test_meet_test_finds_one_common_element_at_window_edges():
             for h in [*range(8), n - 1] + [rng.randrange(n) for _ in range(4)]:
                 for other in ((j - h) % n, (j - h + 1) % n):
                     second = GroupSubset.from_indices(group, [other])
-                    meets = translates_meet(group, first, [second, second])
+                    miss = first_disjoint_tuple(group, first, [second, second], [(0, h, h)])
                     expected = bool(first.bits & second.right_translate(h).bits)
-                    assert meets([0, h, h]) == expected
+                    assert (miss is None) == expected
+
+
+@pytest.mark.parametrize("descriptor", ["C4099", "C131072", "S4", "D60"])
+@pytest.mark.parametrize("k", [2, 3])
+def test_scan_reports_a_planted_failure_at_the_first_middle_and_last_trial(descriptor, k):
+    # X_1 = {e}, X_k = G minus one element d, any sets between are all of G:
+    # a tuple fails exactly when g_1 g_k^{-1} = d.  Taking d from a chosen
+    # trial whose value of g_1 g_k^{-1} is new plants the first failure there.
+    group = group_from_descriptor(descriptor)
+    n = group.order
+    seed, trials = 17, 60
+    rng = random.Random(seed)
+    drawn = [tuple(rng.randrange(n) for _ in range(k)) for _ in range(trials)]
+    values = [group.mul(tup[0], group.inv(tup[-1])) for tup in drawn]
+    firsts = [t for t in range(trials) if values[t] not in values[:t]]
+    for t in (firsts[0], firsts[len(firsts) // 2], firsts[-1]):
+        d = values[t]
+        full = GroupSubset(group, (1 << n) - 1)
+        subsets = [GroupSubset.from_indices(group, [group.identity])]
+        subsets += [full] * (k - 2) + [GroupSubset(group, full.bits ^ 1 << d)]
+        for count in (t + 1, trials):
+            want = full_translate_sampled_intersecting(group, subsets, count, seed)
+            assert want == (False, t + 1, drawn[t])
+            got = verify_intersecting(group, subsets, mode="sampled", trials=count, seed=seed)
+            assert (got.result, got.trials, got.witness) == want
+            scanned = first_disjoint_tuple(group, subsets[0], subsets[1:], iter(drawn[:count]))
+            assert scanned == (t, drawn[t])
+        # as inverses y_i = g_i^{-1}: X_1 y_1^{-1} misses X_k y_k^{-1} when y_1^{-1} y_k = d
+        ys = [tuple(group.inv(g) for g in tup) for tup in drawn]
+        assert first_disjoint_tuple(group, subsets[0], subsets[1:], ys, inverses=True) == (t, ys[t])
+    assert firsts[0] == 0 and firsts[-1] > firsts[len(firsts) // 2] > 0
+
+
+def test_sampled_covering_check_inverts_once_per_trial():
+    # The scan normalises a drawn Y by y_1 (shift y_1^{-1} y_i), so each trial
+    # pays one inv on a carrier with oracles and none on a cyclic one.
+    for descriptor, k in (("S6", 3), ("C1031", 3)):
+        group = group_from_descriptor(descriptor)
+        x = construct_intersecting_family(group, k, seed=5, trials=500).union()
+        calls = []
+        inv = group.inv
+        group.inv = lambda a: calls.append(a) or inv(a)
+        try:
+            record = verify_k_covering(group, x, k, mode="sampled", trials=400, seed=9)
+        finally:
+            del group.inv
+        want = full_translate_sampled_covering(group, x, k, 400, seed=9)
+        assert (record.result, record.trials, record.witness) == want
+        per_trial = 0 if group.additive_rotation else 1
+        assert len(calls) == per_trial * record.trials
 
 
 def test_verify_k_covering_sampled_mode():

@@ -1,22 +1,32 @@
 """Property tests of the windowed searches against whole-set translates.
 
-Both searches in covtrans.subsets AND 4096-bit windows read from a set's
-doubled image; these compare them with full rotations on cyclic groups of
-order near one and two windows, where a single planted common element
-lands on or next to a window edge.  The meet predicate takes the drawn
-translators g_1, ..., g_k, so it is also checked with g_1 arbitrary, with
-later g_i equal to g_1 (a read at offset 0), and on carriers that look its
-translators up through mul and inv.
+Both searches in covtrans.subsets AND 4096-bit windows, each one shifted
+entry of a set's cached window table; the first property compares every
+table read with a byte-slice read of the doubled mask and with a full
+rotation, at orders on and beside the window and table-step edges.  The
+others compare the searches with full rotations on cyclic groups of order
+near one and two windows, where a single planted common element lands on
+or next to a window edge.  The scan takes the drawn translators g_1, ...,
+g_k, so it is also checked with g_1 arbitrary, with later g_i equal to g_1
+(a read at offset 0), and on carriers that look its translators up
+through mul and inv.
 """
 
 import random
 
 from conftest import full_rotation_translate_into, naive_empty_tuple_test
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from covtrans import CyclicGroup, GroupSubset, group_from_descriptor
-from covtrans.subsets import translate_into, translates_meet
+from covtrans.subsets import (
+    _TABLE_LOW,
+    _TABLE_SHIFT,
+    _TABLE_STEP,
+    ROTATION_WINDOW,
+    first_disjoint_tuple,
+    translate_into,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=150, derandomize=True, database=None, deadline=None)
 
@@ -40,6 +50,50 @@ def noise(draw, n) -> int:
     density = draw(st.sampled_from([0.0, 0.0005, 0.01, 0.3]))
     rng = random.Random(draw(st.integers(0, 2**32)))
     return sum(1 << i for i in range(n) if rng.random() < density)
+
+
+# below one table step, one step either side, and the window edges: n < B,
+# n a multiple of B or of W, and n not a multiple of 8
+table_orders = st.one_of(
+    st.just(20),
+    st.integers(1023, 1025),
+    st.integers(4088, 4104),
+    st.integers(8184, 8200),
+)
+
+
+@given(table_orders, st.sampled_from([0.0005, 0.01, 0.3, 1.0]), st.integers(0, 2**32))
+@example(1023, 0.3, 1)
+@example(1024, 0.3, 2)
+@example(4096, 0.3, 3)
+@example(4104, 1.0, 4)
+@example(8192, 0.01, 5)
+@example(8200, 0.3, 6)
+@settings(max_examples=16, derandomize=True, database=None, deadline=None)
+def test_window_table_reads_match_byte_slices_and_full_rotations(n, density, seed):
+    assert _TABLE_STEP == 1 << _TABLE_SHIFT and _TABLE_LOW == _TABLE_STEP - 1
+    group = CyclicGroup(n)
+    rng = random.Random(seed)
+    x = GroupSubset(group, sum(1 << i for i in range(n) if rng.random() < density))
+    table = x._window_table()
+    w = ROTATION_WINDOW
+    cut = (1 << w) - 1
+    image = (x.bits | x.bits << n).to_bytes(2 * ((n + 7) >> 3), "little")
+
+    def read(start):
+        return table[start >> _TABLE_SHIFT] >> (start & _TABLE_LOW) & cut
+
+    # every start a search can make, a + d with a < n and d < n
+    for start in range(2 * n - 1):
+        lo = start >> 3
+        sliced = int.from_bytes(image[lo : lo + (w >> 3) + 1], "little") >> (start & 7)
+        assert read(start) == sliced & cut
+    # window [a, a + W) of X - d, cut at n, is the read at a + d
+    for d in range(n):
+        rotated = x.right_translate(group.inv(d)).bits
+        for a in range(0, n, w):
+            edge = (1 << min(w, n - a)) - 1
+            assert read(a + d) & edge == rotated >> a & edge
 
 
 @st.composite
@@ -92,7 +146,7 @@ def test_translates_meet_matches_full_rotation(case):
     acc = first.bits
     for s, h in zip(rest, shifts):
         acc &= s.right_translate(h).bits
-    assert translates_meet(group, first, rest)([0, *shifts]) == bool(acc)
+    assert (first_disjoint_tuple(group, first, rest, [(0, *shifts)]) is None) == bool(acc)
 
 
 @st.composite
@@ -117,7 +171,7 @@ def test_translates_meet_takes_the_drawn_translators(case):
     acc = (1 << group.order) - 1
     for s, g in zip(subsets, gs):
         acc &= s.right_translate(g).bits
-    assert translates_meet(group, subsets[0], subsets[1:])(gs) == bool(acc)
+    assert (first_disjoint_tuple(group, subsets[0], subsets[1:], [gs]) is None) == bool(acc)
 
 
 @st.composite
@@ -143,4 +197,5 @@ def test_translates_meet_through_the_oracles_matches_naive_translates(case):
     group, member_lists, gs = case
     subsets = [GroupSubset.from_indices(group, members) for members in member_lists]
     empty = naive_empty_tuple_test(group, member_lists)
-    assert translates_meet(group, subsets[0], subsets[1:])(gs) == (not empty(gs))
+    met = first_disjoint_tuple(group, subsets[0], subsets[1:], [gs]) is None
+    assert met == (not empty(gs))
