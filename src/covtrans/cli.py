@@ -10,8 +10,11 @@ error, 3 infeasible parameters, 4 attempts exhausted, 5 budget exceeded,
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import random
+import re
 import sys
 
 from .covering import (
@@ -232,7 +235,9 @@ def _cmd_covering_shrink(config: dict) -> tuple[str, int]:
 
 
 def _cmd_cov_table(config: dict) -> tuple[str, int]:
-    groups = [group_from_descriptor(tok) for tok in config["groups"].split(",")]
+    # split only on commas outside parentheses, so EA(p,d) stays one token
+    tokens = re.split(r",(?![^(]*\))", config["groups"])
+    groups = [group_from_descriptor(tok) for tok in tokens]
     try:
         ks = [int(tok) for tok in config["k"].split(",")]
     except ValueError as exc:
@@ -267,22 +272,16 @@ def _cmd_cov_table(config: dict) -> tuple[str, int]:
     if config["format"] == "json":
         doc = {"kind": "covering-table", "seed": config["seed"], "rows": rows, "config": config}
         return _emit(doc), EXIT_OK
-    lines = ["group,n,k,lower,exact,achieved,upper"]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")  # quotes a name such as EA(2,3)
+    writer.writerow(["group", "n", "k", "lower", "exact", "achieved", "upper"])
     for row in rows:
-        lines.append(
-            ",".join(
-                [
-                    row["group"],
-                    str(row["n"]),
-                    str(row["k"]),
-                    format_real(row["lower"]),
-                    "" if row["exact"] is None else str(row["exact"]),
-                    "" if row["achieved"] is None else str(row["achieved"]),
-                    format_real(row["upper"]),
-                ]
-            )
+        lower, upper = format_real(row["lower"]), format_real(row["upper"])
+        # csv writes None (no exact or achieved value) as an empty field
+        writer.writerow(
+            [row["group"], row["n"], row["k"], lower, row["exact"], row["achieved"], upper]
         )
-    return "\n".join(lines) + "\n", EXIT_OK
+    return out.getvalue(), EXIT_OK
 
 
 def _cmd_tower_build(config: dict) -> tuple[str, int]:

@@ -534,11 +534,14 @@ def exact_covering_number(group: FiniteGroup, k: int) -> int:
     all C(n,s).  When k > n, C(n,k) = 0, the bound is s = 0, and the empty
     set, the one candidate of that size, covers vacuously.
 
-    Each candidate gets verify_k_covering's exhaustive check; its subset
-    scan examines only the C(n-1,k-1) subsets containing e and translates
-    the candidate by y^{-1} only when the scan first reaches y, so a
-    candidate that fails early costs a few translates.  The scan's budget
-    still counts C(n,k)*n.  No isomorphism reduction (pointless at n <= 16).
+    The search tabulates columns[y][x] = 1 << (x y^{-1}) once, n^2 mul
+    calls at n <= 16, and _anchored_candidate_covers decides each
+    candidate from it by the subset scan, with no oracle call, GroupSubset
+    or VerificationRecord per candidate.  The first candidate it accepts
+    is re-proven by verify_k_covering's exhaustive check, the library's one
+    k-covering verifier, and a refutation raises SoundnessError.  The table
+    is dropped when the search ends.  No isomorphism reduction (pointless
+    at n <= 16).
     """
     n = group.order
     if n > EXACT_COVERING_ORDER_LIMIT:
@@ -547,6 +550,11 @@ def exact_covering_number(group: FiniteGroup, k: int) -> int:
         )
     if k < 1:
         raise ValueError(f"covering parameter must be >= 1, got {k}")
+    mul = group.mul
+    columns = []
+    for y in range(n):
+        y_inv = group.inv(y)
+        columns.append([1 << mul(x, y_inv) for x in range(n)])
     subsets_to_cover = math.comb(n, k)
     first = next(s for s in range(n + 1) if n * math.comb(s, k) >= subsets_to_cover)
     for s in range(first, n + 1):
@@ -555,10 +563,51 @@ def exact_covering_number(group: FiniteGroup, k: int) -> int:
         else:
             anchored = ((0,) + rest for rest in combinations(range(1, n), s - 1))
         for members in anchored:
-            candidate = GroupSubset.from_indices(group, members)
-            if verify_k_covering(group, candidate, k, mode="exhaustive").result:
+            if _anchored_candidate_covers(columns, members, k):
+                winner = GroupSubset.from_indices(group, members)
+                if not verify_k_covering(group, winner, k, mode="exhaustive").result:
+                    raise SoundnessError(
+                        f"exact search accepted {list(members)} in {group.describe()} "
+                        f"at k={k}, but verify_k_covering refutes it"
+                    )
                 return s
     raise SoundnessError(f"no covering subset found in {group.describe()} at k={k}")
+
+
+def _anchored_candidate_covers(
+    columns: list[list[int]], members: tuple[int, ...], k: int
+) -> bool:
+    """True iff X = members is k-covering, by the subset scan on a column table.
+
+    columns[y][x] is 1 << (x y^{-1}), so the right translate X y^{-1} is the
+    OR of columns[y][x] over x in X.  As in _exhaustive_covering_witness,
+    Y = {e} + rest translates iff X meets every X y^{-1} with y in rest,
+    and only Y containing e need be scanned.  Each translate is built when
+    the scan first reaches y and kept for this candidate only.  It is kept
+    apart from that verifier, which translates one set once per shift, where
+    a table of n columns would cost more than its |X| mul calls; the search
+    translates thousands of sets by the same n - 1 shifts.
+    """
+    bits = 0
+    for x in members:
+        bits |= 1 << x
+    translates = [0] * len(columns)  # 0 until built; a non-empty X has no empty translate
+    for rest in combinations(range(1, len(columns)), k - 1):
+        acc = bits
+        for y in rest:
+            t = translates[y]
+            if not t:
+                column = columns[y]
+                t = 0
+                for x in members:
+                    t |= column[x]
+                translates[y] = t
+            acc &= t
+            if not acc:
+                break
+        if not acc:
+            return False
+    return True
 
 
 def covering_number_bounds(n: int, k: int) -> tuple[float, float]:

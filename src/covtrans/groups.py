@@ -4,7 +4,9 @@ Elements of a group of order n are the indices 0..n-1 and the identity is
 always index 0.  Groups expose only `mul` and `inv` oracles, never full
 multiplication tables, so cyclic groups of order ~10^9 cost O(1) memory.
 S_m keeps its m! decoded permutations (at most 8! of them), still not a
-multiplication table.
+multiplication table.  The one table built from these oracles is the
+columns of x y^{-1} that covering.exact_covering_number makes for its
+carriers of at most 16 elements and drops when its search ends.
 """
 
 from __future__ import annotations

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -280,6 +282,39 @@ def test_cov_table_json_reruns(capsys):
     payload, code = run_config(config)
     assert code == EXIT_OK
     doc = json.loads(payload)
+    assert rerun_document(doc) == payload
+
+
+def test_cov_table_reads_elementary_abelian_groups(capsys):
+    # EA(p,d) has a comma of its own: the list splits only outside parentheses
+    code, stdout, _ = run(
+        capsys, "cov-table", "--groups", "C5,EA(2,3),EA(3,2)", "--k", "2", "--seed", "1"
+    )
+    assert code == EXIT_OK
+    assert stdout.split("\n")[2].startswith('"EA(2,3)",8,2,')
+    rows = list(csv.reader(io.StringIO(stdout)))
+    assert all(len(row) == 7 for row in rows)
+    assert [row[:3] + row[4:5] for row in rows[1:]] == [
+        ["C5", "5", "2", "3"],
+        ["EA(2,3)", "8", "2", "5"],
+        ["EA(3,2)", "9", "2", "4"],
+    ]
+    config = {
+        "command": "cov-table",
+        "groups": "C5,EA(2,3),EA(3,2)",
+        "k": "2",
+        "seed": 1,
+        "format": "json",
+        "out": None,
+    }
+    payload, code = run_config(config)
+    assert code == EXIT_OK
+    doc = json.loads(payload)
+    assert [(row["group"], row["exact"]) for row in doc["rows"]] == [
+        ("C5", 3),
+        ("EA(2,3)", 5),
+        ("EA(3,2)", 4),
+    ]
     assert rerun_document(doc) == payload
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -39,6 +40,7 @@ from covtrans.errors import (
     BudgetExceededError,
     ConstructionError,
     FeasibilityError,
+    SoundnessError,
 )
 from covtrans.subsets import first_disjoint_tuple
 from covtrans.util import canonical_json
@@ -554,7 +556,11 @@ def test_exact_covering_sweep_values():
 
 
 def test_exact_covering_matches_naive_oracle():
-    for descriptor in ("C6", "C9", "D3", "S3", "C2xC4", "EA(2,3)"):
+    # D4-D6 are non-abelian, so x y^{-1} and y^{-1} x differ there; EA(3,2)
+    # and C2xC6 are product carriers, translated through mul, not rotation
+    for descriptor in (
+        "C6", "C9", "D3", "S3", "C2xC4", "EA(2,3)", "D4", "D5", "D6", "EA(3,2)", "C2xC6"
+    ):
         group = group_from_descriptor(descriptor)
         for k in (1, 2, 3):
             assert exact_covering_number(group, k) == naive_exact_cov(group, k), (descriptor, k)
@@ -571,20 +577,28 @@ def test_exact_covering_at_and_beyond_the_order(descriptor):
     assert exact_covering_number(group, n + 2) == 0
 
 
-@pytest.mark.parametrize("descriptor, k", [("C16", 2), ("D6", 2), ("C2xC4", 2), ("C9", 3)])
+@pytest.mark.parametrize(
+    "descriptor, k", [("C16", 2), ("D6", 2), ("C2xC4", 2), ("C4xC4", 2), ("C9", 3)]
+)
 def test_exact_covering_tries_only_anchored_candidates_from_the_counting_bound(
     descriptor, k, monkeypatch
 ):
     group = group_from_descriptor(descriptor)
     n = group.order
-    tried = []
+    tried, verified = [], []
+    decide = covering._anchored_candidate_covers
     verify = covering.verify_k_covering
 
-    def recording(g, x, kk, mode="auto", **kwargs):
-        tried.append(x.indices())
+    def recording(columns, members, kk):
+        tried.append(list(members))
+        return decide(columns, members, kk)
+
+    def verifying(g, x, kk, mode="auto", **kwargs):
+        verified.append((x.indices(), kk, mode))
         return verify(g, x, kk, mode, **kwargs)
 
-    monkeypatch.setattr(covering, "verify_k_covering", recording)
+    monkeypatch.setattr(covering, "_anchored_candidate_covers", recording)
+    monkeypatch.setattr(covering, "verify_k_covering", verifying)
     value = exact_covering_number(group, k)
     # the least size s that n*C(s,k) >= C(n,k) allows
     least = min(s for s in range(n + 1) if n * math.comb(s, k) >= math.comb(n, k))
@@ -593,6 +607,40 @@ def test_exact_covering_tries_only_anchored_candidates_from_the_counting_bound(
     assert len(tried[-1]) == value
     # the anchored candidates of each size are tried in lexicographic order
     assert tried == sorted(tried, key=lambda members: (len(members), members))
+    # one exhaustive re-proof per search, of the last candidate, the one accepted
+    assert verified == [(tried[-1], k, "exhaustive")]
+
+
+def test_exact_covering_decider_matches_the_quotient_criterion(monkeypatch):
+    # X is 2-covering iff every element other than e is some a^{-1} b with a, b
+    # in X.  D6 has anchored sets that are 2-covering from one side only (D3-D5
+    # have none), so a table of y^{-1} x columns in place of x y^{-1} fails here.
+    group = group_from_descriptor("D6")
+    n = group.order
+    tables = []
+    decide = covering._anchored_candidate_covers
+
+    def capturing(columns, members, k):
+        tables.append(columns)
+        return decide(columns, members, k)
+
+    monkeypatch.setattr(covering, "_anchored_candidate_covers", capturing)
+    exact_covering_number(group, 2)
+    columns = tables[0]
+    for size in range(1, n + 1):
+        for rest in itertools.combinations(range(1, n), size - 1):
+            members = (0,) + rest
+            quotients = {group.mul(group.inv(a), b) for a in members for b in members}
+            assert decide(columns, members, 2) == (len(quotients) == n), members
+
+
+def test_exact_covering_refuses_a_winner_the_verifier_refutes(monkeypatch):
+    group = CyclicGroup(16)
+    # the first anchored candidate at the counting bound (size 5) is not 2-covering
+    assert not naive_is_k_covering(group, [0, 1, 2, 3, 4], 2)
+    monkeypatch.setattr(covering, "_anchored_candidate_covers", lambda columns, members, k: True)
+    with pytest.raises(SoundnessError, match=r"\[0, 1, 2, 3, 4\]"):
+        exact_covering_number(group, 2)
 
 
 def test_exact_covering_lower_bound_holds_up_to_k3():

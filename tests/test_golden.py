@@ -39,6 +39,22 @@ GOLDEN = [
         "covering exact-cov --group C7 --k 2",
         "f1017f24ee3f67942bc962639b7281628976a5d5613a0eafad81853027269a42",
     ),
+    # exact values on carriers translated through mul, not rotation
+    (
+        None,
+        "covering exact-cov --group C4xC4 --k 2",
+        "66ded54f8a73730ab2b8216bc915ebf34ae794f861a9a0de7f9484f726951557",
+    ),
+    (
+        None,
+        "covering exact-cov --group D8 --k 2",
+        "48cd6c4ce53dd56429661df5dd194cade5d7ca127bcd709d9eb18f2e8c4f8e33",
+    ),
+    (
+        None,
+        "cov-table --groups D5,C2xC6,D8 --k 1,2,3 --seed 1 --format json",
+        "5155e0874c90a4844fd42dbe2604b2a44e91416454af3b0dd64862769d3b9d49",
+    ),
     (
         "tower.json",
         "tower build --spec tower:20,1024 --seed 3",
