@@ -10,7 +10,6 @@ from .covering import (
     covering_condition,
     covering_condition_value,
     covering_number_bounds,
-    difference_product_full,
     exact_covering_number,
     greedy_shrink_intersection,
     intersecting_family_feasible,

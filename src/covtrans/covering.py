@@ -128,7 +128,7 @@ def verify_intersecting(
         raise ValueError("family must contain at least one subset")
     n = group.order
     for s in subsets:
-        s._require_same_carrier(GroupSubset.empty(group))
+        s._require_same_carrier(group)
     scan_in_budget = n**k <= step_budget()
     if _resolve_mode(mode, scan_in_budget) == "exhaustive":
         if not scan_in_budget:
@@ -440,20 +440,6 @@ def _quotient_witness(
     return None if missing == 0 else (0, start + lowest_set_bit(missing))
 
 
-def difference_product_full(group: FiniteGroup, x: GroupSubset) -> bool:
-    """True iff the quotient set {a^{-1} b : a, b in X} is the whole group.
-
-    For an abelian carrier this is the literal difference-set criterion
-    X - X = G; left translation gY <= X for all pairs Y is equivalent to it.
-    """
-    n = group.order
-    if n > _PAIRWISE_PRODUCT_LIMIT:
-        raise BudgetExceededError(
-            f"difference-product scan limited to order <= {_PAIRWISE_PRODUCT_LIMIT}, got {n}"
-        )
-    return _quotient_witness(group, x, x, 0) is None
-
-
 def verify_k_covering(
     group: FiniteGroup,
     x: GroupSubset,
@@ -534,8 +520,8 @@ def exact_covering_number(group: FiniteGroup, k: int) -> int:
     all C(n,s).  When k > n, C(n,k) = 0, the bound is s = 0, and the empty
     set, the one candidate of that size, covers vacuously.
 
-    The search tabulates columns[y][x] = 1 << (x y^{-1}) once, n^2 mul
-    calls at n <= 16, and _anchored_candidate_covers decides each
+    At k >= 2 the search tabulates columns[y][x] = 1 << (x y^{-1}) once,
+    n^2 mul calls at n <= 16, and _anchored_candidate_covers decides each
     candidate from it by the subset scan, with no oracle call, GroupSubset
     or VerificationRecord per candidate.  The first candidate it accepts
     is re-proven by verify_k_covering's exhaustive check, the library's one
@@ -551,8 +537,8 @@ def exact_covering_number(group: FiniteGroup, k: int) -> int:
     if k < 1:
         raise ValueError(f"covering parameter must be >= 1, got {k}")
     mul = group.mul
-    columns = []
-    for y in range(n):
+    columns = []  # at k = 1 the scan's one rest is empty and reads no column
+    for y in range(n if k >= 2 else 0):
         y_inv = group.inv(y)
         columns.append([1 << mul(x, y_inv) for x in range(n)])
     subsets_to_cover = math.comb(n, k)
@@ -580,9 +566,10 @@ def _anchored_candidate_covers(
     """True iff X = members is k-covering, by the subset scan on a column table.
 
     columns[y][x] is 1 << (x y^{-1}), so the right translate X y^{-1} is the
-    OR of columns[y][x] over x in X.  As in _exhaustive_covering_witness,
-    Y = {e} + rest translates iff X meets every X y^{-1} with y in rest,
-    and only Y containing e need be scanned.  Each translate is built when
+    OR of columns[y][x] over x in X; at k = 1 no column is read, and the
+    table may be empty.  As in _exhaustive_covering_witness, Y = {e} + rest
+    translates iff X meets every X y^{-1} with y in rest, and only Y
+    containing e need be scanned.  Each translate is built when
     the scan first reaches y and kept for this candidate only.  It is kept
     apart from that verifier, which translates one set once per shift, where
     a table of n columns would cost more than its |X| mul calls; the search

@@ -29,9 +29,6 @@ class FiniteGroup:
     def inv(self, a: int) -> int:
         raise NotImplementedError
 
-    def elements(self) -> range:
-        return range(self.order)
-
     def describe(self) -> str:
         return self.name
 
@@ -130,20 +127,6 @@ class SymmetricGroup(FiniteGroup):
         self.order = len(self._perms)
         self.name = f"S{m}"
 
-    def _check(self, idx: int) -> None:
-        if not 0 <= idx < self.order:
-            raise ValueError(f"index {idx} out of range for {self.name}")
-
-    def perm_of(self, idx: int) -> list[int]:
-        self._check(idx)
-        return list(self._perms[idx])
-
-    def index_of(self, perm: list[int]) -> int:
-        idx = self._rank.get(tuple(perm))
-        if idx is None:
-            raise ValueError(f"{perm!r} is not a permutation of range({self.m})")
-        return idx
-
     def mul(self, a: int, b: int) -> int:
         perms = self._perms
         # a negative index would otherwise wrap silently into the list
@@ -153,7 +136,8 @@ class SymmetricGroup(FiniteGroup):
         return self._rank[tuple([pa[i] for i in perms[b]])]
 
     def inv(self, a: int) -> int:
-        self._check(a)
+        if not 0 <= a < self.order:
+            raise ValueError(f"index {a} out of range for {self.name}")
         out = [0] * self.m
         for i, v in enumerate(self._perms[a]):
             out[v] = i

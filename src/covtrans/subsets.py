@@ -35,10 +35,6 @@ class GroupSubset:
         return cls(group, 0, 0)
 
     @classmethod
-    def full(cls, group: FiniteGroup) -> "GroupSubset":
-        return cls(group, (1 << group.order) - 1, group.order)
-
-    @classmethod
     def from_indices(cls, group: FiniteGroup, indices: Iterable[int]) -> "GroupSubset":
         """The subset with the given member indices (repeats allowed).
 
@@ -69,9 +65,6 @@ class GroupSubset:
 
     def __len__(self) -> int:
         return self.size
-
-    def __bool__(self) -> bool:
-        return self.bits != 0
 
     def __contains__(self, i: int) -> bool:
         # one byte of the cached image, not a shift of the whole mask
@@ -113,18 +106,14 @@ class GroupSubset:
         """Member indices in ascending order."""
         return list(self._member_list())
 
-    def _require_same_carrier(self, other: "GroupSubset") -> None:
-        if self.group is not other.group and (
-            self.group.order != other.group.order or self.group.name != other.group.name
+    def _require_same_carrier(self, group: FiniteGroup) -> None:
+        if self.group is not group and (
+            self.group.order != group.order or self.group.name != group.name
         ):
-            raise ValueError(f"carrier mismatch: {self.group.name} vs {other.group.name}")
-
-    def __and__(self, other: "GroupSubset") -> "GroupSubset":
-        self._require_same_carrier(other)
-        return GroupSubset(self.group, self.bits & other.bits)
+            raise ValueError(f"carrier mismatch: {self.group.name} vs {group.name}")
 
     def __or__(self, other: "GroupSubset") -> "GroupSubset":
-        self._require_same_carrier(other)
+        self._require_same_carrier(other.group)
         return GroupSubset(self.group, self.bits | other.bits)
 
     def __eq__(self, other) -> bool:
@@ -138,10 +127,6 @@ class GroupSubset:
 
     def __hash__(self):
         return hash((self.group.name, self.group.order, self.bits))
-
-    def right_translate(self, g: int) -> "GroupSubset":
-        """The set {x * g : x in self}; same cardinality (translation is a bijection)."""
-        return GroupSubset(self.group, _translate_bits(self.group, self, g, left=False), self._size)
 
     def __repr__(self) -> str:
         shown = self.indices()[:12]
@@ -193,43 +178,36 @@ def random_subset(group: FiniteGroup, p: float, rng: random.Random) -> GroupSubs
 
 
 def translate_into(group: FiniteGroup, y, x: GroupSubset) -> int | None:
-    """Smallest-index g with g*Y contained in X, or None if no translate works.
+    """Smallest g with g + Y inside X on a rotation carrier, or None if none works.
 
-    g*y in X for all y is equivalent to g in the intersection of the right
-    translates X*y^{-1}, so the answer is that intersection's lowest set bit.
-    Rotation carriers AND the translates in ascending windows of
-    ROTATION_WINDOW bits and stop at the first non-empty window.  Window
-    [a, a + W) of X - y is bits a + y onward of X's doubled mask, one
-    shifted entry of X's cached window table (see GroupSubset._window_table).
-    Other carriers intersect whole translated bitmasks.  A y outside
-    0..n-1 raises ValueError on every carrier.
+    g + y in X for all y is equivalent to g in the intersection of the
+    rotations X - y, so the answer is that intersection's lowest set bit.
+    The rotations are ANDed in ascending windows of ROTATION_WINDOW bits,
+    stopping at the first non-empty window.  Window [a, a + W) of X - y is
+    bits a + y onward of X's doubled mask, one shifted entry of X's cached
+    window table (see GroupSubset._window_table).  Any other carrier, and a
+    y outside 0..n-1, raise ValueError.
     """
-    ys = list(y) if not isinstance(y, GroupSubset) else y.indices()
+    if not group.additive_rotation:
+        raise ValueError(f"translate_into needs a rotation carrier, got {group.name}")
+    ys = list(y)
     if not ys:
         return group.identity
     n = group.order
     low, high = min(ys), max(ys)
     if low < 0 or high >= n:
         raise ValueError(f"y = {low if low < 0 else high} is not an element of {group.name}")
-    if group.additive_rotation:
-        table = x._window_table()
-        for a in range(0, n, ROTATION_WINDOW):
-            acc = (1 << min(ROTATION_WINDOW, n - a)) - 1
-            for yi in ys:
-                start = a + yi
-                acc &= table[start >> _TABLE_SHIFT] >> (start & _TABLE_LOW)
-                if not acc:
-                    break
-            else:
-                return a + lowest_set_bit(acc)
-        return None
-    acc = None
-    for yi in ys:
-        t = _translate_bits(group, x, group.inv(yi), left=False)
-        acc = t if acc is None else acc & t
-        if not acc:
-            return None
-    return lowest_set_bit(acc)
+    table = x._window_table()
+    for a in range(0, n, ROTATION_WINDOW):
+        acc = (1 << min(ROTATION_WINDOW, n - a)) - 1
+        for yi in ys:
+            start = a + yi
+            acc &= table[start >> _TABLE_SHIFT] >> (start & _TABLE_LOW)
+            if not acc:
+                break
+        else:
+            return a + lowest_set_bit(acc)
+    return None
 
 
 def first_disjoint_tuple(

@@ -236,8 +236,11 @@ def extend_covering(
     k+1 whose image translates into X translates into X'.  At k = 0 a
     1-covering is any nonempty subset, so L is the singleton identity, no
     randomness is consumed and the stage records 0 attempts and no
-    verification.  Above k = 0 the admissibility test is construct_k_covering's
-    covering condition at k + 1, which raises FeasibilityError with its value.
+    verification; the halving bound 2|L| <= n holds since n >= 2.  Above
+    k = 0 the admissibility test is construct_k_covering's covering
+    condition at k + 1, which raises FeasibilityError with its value, and
+    construct_k_covering owns the halving bound: a union over n/2 raises
+    SoundnessError there.
     """
     if k < 0:
         raise FeasibilityError(f"extension parameter must be >= 0, got {k}")
@@ -264,10 +267,6 @@ def extend_covering(
         cover = certificate.covering_set
         attempts, verification = certificate.family.attempts_used, certificate.family.verification
     subset = FactoredSubset(base, cover)
-    if 2 * subset.size > kernel_order * base.size:
-        raise SoundnessError(
-            f"extension size {subset.size} exceeds n|X|/2 = {kernel_order * base.size / 2}"
-        )
     return TowerStage(
         index=k + 1, subset=subset, seed=seed, attempts=attempts, verification=verification
     )
@@ -299,12 +298,6 @@ class Tower:
         if not 0 <= x < self.spec.group_order(i):
             raise ValueError(f"index {x} out of range for stage {i}")
         return x in self.stage_set(i)
-
-    def set_size(self, i: int) -> int:
-        return self.stage_set(i).size
-
-    def measures(self) -> list[Fraction]:
-        return [Fraction(stage.subset.size, stage.subset.group.order) for stage in self.stages]
 
     def warnings(self) -> list[str]:
         out = []
@@ -355,9 +348,11 @@ def build_tower(
     spec is checked at every stage before any is built, reporting both
     readings.  The measure bound |X_s| 2^s <= |G_s| is not checked again:
     with |X_s| = |L_1| ... |L_s| and |G_s| = n_0 ... n_{s-1} it is the
-    product of the halving bounds 2|L_s| <= n_{s-1} that extend_covering
-    enforces.  Claim checks: projection containment from how each stage set
-    is built (see check_projection_claim), and sampled thin-set translations.
+    product of the halving bounds 2|L_s| <= n_{s-1}, which the singleton
+    cover meets at stage 1 and construct_k_covering enforces above it (see
+    extend_covering).  Claim checks: projection containment from how each
+    stage set is built (see check_projection_claim), and sampled thin-set
+    translations.
     """
     if claim3_samples < 0:
         raise ValueError(f"claim3_samples must be >= 0, got {claim3_samples}")

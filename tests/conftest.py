@@ -2,30 +2,35 @@
 
 These use plain python sets and explicit loops so they exercise none of the
 bitmask or difference-set machinery they are used to check.  Besides the
-covering oracles and the reference group products there are the axiom
+covering oracles, among them the quotient-set criterion
+difference_product_full, and the reference group products there are S_m's
+permutation decode and rank in lexicographic (Lehmer) order, the axiom
 checker, which asserts the identity, inverse and associativity laws of a
-group's oracles, and element orders by repeated multiplication.  The two
-full-translate sampled loops and the full-rotation translate search are the
-exception: they translate whole sets with GroupSubset.right_translate, whose
-own test compares it with naive translates, so that they stay fast on
-C131072.  Then come the tower's stage members and thin-set lift computed
-through its stage maps (the lift shares translate_into with the library), a
-thin set's translator sets T_i and their pullbacks along the tower's
-reductions (the sets are right translates of the stage masks), the
-element-by-element canonical JSON emitter that util.canonical_json replaced
-for lists of ints, the quotient-map contract of a tower's reduction, and a
-text comparison that stays fast on large documents.
+group's oracles, and element orders by repeated multiplication.  Whole sets
+are built by full_subset and translated by right_translate, a wrapper of
+subsets._translate_bits, whose own test compares it with naive translates:
+the two full-translate sampled loops and the full-rotation translate search
+use it so that they stay fast on C131072.  Then come the tower's stage
+measures, its stage members and thin-set lift computed through its stage
+maps (the lift shares translate_into with the library), a thin set's
+translator sets T_i and their pullbacks along the tower's reductions (the
+sets are right translates of the stage masks), the element-by-element
+canonical JSON emitter that util.canonical_json replaced for lists of ints,
+the quotient-map contract of a tower's reduction, and a text comparison
+that stays fast on large documents.
 """
 
 import functools
 import json
 import random
-from itertools import combinations, product
+from fractions import Fraction
+from itertools import combinations, permutations, product
 from math import factorial
 
 import pytest
 
 from covtrans import GroupSubset, translate_into
+from covtrans.subsets import _translate_bits
 
 
 def naive_is_k_covering(group, members, k) -> bool:
@@ -100,6 +105,46 @@ def naive_first_untranslatable(group, members, k):
         if untranslatable(ys):
             return ys
     return None
+
+
+def difference_product_full(group, members) -> bool:
+    """Whether the quotient set {a^{-1} b : a, b in X} is the whole group.
+
+    For an abelian carrier this is the difference-set criterion X - X = G,
+    and X is 2-covering iff it holds.  Built as a python set over mul and
+    inv, stopping once it holds all n elements.
+    """
+    xs = list(members)
+    quotients = set()
+    for a in xs:
+        a_inv = group.inv(a)
+        quotients.update(group.mul(a_inv, b) for b in xs)
+        if len(quotients) == group.order:
+            return True
+    return False
+
+
+@functools.lru_cache(maxsize=8)
+def _lexicographic_permutations(m: int):
+    perms = list(permutations(range(m)))
+    return perms, {p: i for i, p in enumerate(perms)}
+
+
+def perm_of(group, idx: int) -> list[int]:
+    """Permutation of range(m) with index idx in S_m: the idx-th in lexicographic order."""
+    perms, _ = _lexicographic_permutations(group.m)
+    if not 0 <= idx < len(perms):
+        raise ValueError(f"index {idx} out of range for {group.name}")
+    return list(perms[idx])
+
+
+def index_of(group, perm) -> int:
+    """Index in S_m of a permutation of range(m), the inverse of perm_of."""
+    _, rank = _lexicographic_permutations(group.m)
+    idx = rank.get(tuple(perm))
+    if idx is None:
+        raise ValueError(f"{perm!r} is not a permutation of range({group.m})")
+    return idx
 
 
 def lehmer_perm_of(m: int, idx: int) -> list[int]:
@@ -191,6 +236,16 @@ def element_orders(group) -> list[int]:
     return sorted(element_order(group, x) for x in range(group.order))
 
 
+def full_subset(group) -> GroupSubset:
+    """The whole group as a subset."""
+    return GroupSubset(group, (1 << group.order) - 1)
+
+
+def right_translate(subset, g: int) -> GroupSubset:
+    """The set {x * g : x in subset}, as subsets._translate_bits computes it."""
+    return GroupSubset(subset.group, _translate_bits(subset.group, subset, g, left=False))
+
+
 def full_translate_sampled_intersecting(group, subsets, trials, seed):
     """(result, trials, witness) of the sampled tuple check, translating in full.
 
@@ -205,7 +260,7 @@ def full_translate_sampled_intersecting(group, subsets, trials, seed):
         inv_first = group.inv(tup[0])
         acc = subsets[0].bits
         for s, g in zip(subsets[1:], tup[1:]):
-            acc &= s.right_translate(group.mul(g, inv_first)).bits
+            acc &= right_translate(s, group.mul(g, inv_first)).bits
         if not acc:
             return False, t + 1, tup
     return True, trials, None
@@ -222,7 +277,7 @@ def full_translate_sampled_covering(group, x, k, trials, seed):
         ys = sorted(rng.sample(range(group.order), k))
         acc = x.bits
         for y in ys[1:]:
-            acc &= x.right_translate(group.mul(group.inv(y), ys[0])).bits
+            acc &= right_translate(x, group.mul(group.inv(y), ys[0])).bits
         if not acc:
             return False, t + 1, tuple(ys)
     return True, trials, None
@@ -232,7 +287,7 @@ def full_rotation_translate_into(group, y, x):
     """Smallest g with g*Y inside X, or None, by intersecting whole translates.
 
     ANDs the full right translates X*y^{-1}, each computed by
-    GroupSubset.right_translate, and takes the lowest set bit.  The reference
+    right_translate, and takes the lowest set bit.  The reference
     for translate_into's windowed search on rotation carriers.
     """
     ys = list(y)
@@ -240,10 +295,15 @@ def full_rotation_translate_into(group, y, x):
         return group.identity
     acc = (1 << group.order) - 1
     for yi in ys:
-        acc &= x.right_translate(group.inv(yi)).bits
+        acc &= right_translate(x, group.inv(yi)).bits
     if not acc:
         return None
     return (acc & -acc).bit_length() - 1
+
+
+def stage_measures(tower) -> list[Fraction]:
+    """|X_s| / |G_s| for each built stage s, read off stage.subset."""
+    return [Fraction(stage.subset.size, stage.subset.group.order) for stage in tower.stages]
 
 
 def naive_set_bits(x):
@@ -310,7 +370,7 @@ def witness_levels(tower, thin) -> list:
     """Translator sets T_i = {h in G_i : h * Y_i inside X_i} for i = 0..d.
 
     T_i is the intersection of the right translates X_i * y^{-1} over the
-    level-i image Y_i, each computed by GroupSubset.right_translate.
+    level-i image Y_i, each computed by right_translate.
     """
     levels = []
     for i, image in enumerate(thin.projections):
@@ -318,7 +378,7 @@ def witness_levels(tower, thin) -> list:
         stage = GroupSubset(group, naive_stage_masks(tower)[i])
         acc = (1 << group.order) - 1
         for y in image:
-            acc &= stage.right_translate(group.inv(y)).bits
+            acc &= right_translate(stage, group.inv(y)).bits
         levels.append(GroupSubset(group, acc))
     return levels
 
@@ -411,14 +471,14 @@ def naive_reduction_contract(phi) -> None:
 
     for h in elements(tgt):
         assert phi.map(phi.section(h)) == h, h
-    pairs = product(src.elements(), repeat=2) if exhaustive else zip(elements(src), elements(src))
+    pairs = product(range(src.order), repeat=2) if exhaustive else zip(elements(src), elements(src))
     for a, b in pairs:
         assert phi.map(src.mul(a, b)) == tgt.mul(phi.map(a), phi.map(b)), (a, b)
     for v in elements(ker):
         assert phi.kernel_coords(phi.embed_kernel(v)) == v, v
     if exhaustive:
-        fiber = {x for x in src.elements() if phi.map(x) == e}
-        assert {phi.embed_kernel(v) for v in ker.elements()} == fiber
+        fiber = {x for x in range(src.order) if phi.map(x) == e}
+        assert {phi.embed_kernel(v) for v in range(ker.order)} == fiber
     else:
         fiber = {src.mul(x, src.inv(phi.section(phi.map(x)))) for x in elements(src)}
         for x in fiber:

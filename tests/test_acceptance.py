@@ -10,8 +10,10 @@ from fractions import Fraction
 
 from conftest import (
     assert_same_text,
+    difference_product_full,
     naive_stage_members,
     pullback_dense,
+    stage_measures,
     witness_levels,
     witness_sets_nested,
 )
@@ -26,7 +28,6 @@ from covtrans import (
     build_tower,
     construct_intersecting_family,
     construct_k_covering,
-    difference_product_full,
     exact_covering_number,
     greedy_shrink_intersection,
     group_from_descriptor,
@@ -141,10 +142,10 @@ def test_6_tower_depth_two():
     started = time.perf_counter()
     spec = TowerSpec([20, 1024])
     tower = build_tower(spec, 3)
-    assert tower.set_size(1) <= 10
-    assert tower.set_size(2) <= 5120
-    assert tower.measures()[0] <= Fraction(1, 2)
-    assert tower.measures()[1] <= Fraction(1, 4)
+    assert tower.stage_set(1).size <= 10
+    assert tower.stage_set(2).size <= 5120
+    assert stage_measures(tower)[0] <= Fraction(1, 2)
+    assert stage_measures(tower)[1] <= Fraction(1, 4)
 
     rng = random.Random(99)
     group = spec.group(2)
@@ -182,8 +183,9 @@ def test_7_tower_depth_three_factored():
     stage3 = spec.admissibility(3)
     assert stage3.strengthened_ok and stage3.strengthened_value < 131072
     tower = build_tower(spec, 11)
-    assert tower.set_size(3) == tower.stages[2].subset.kernel_cover.size * tower.set_size(2)
-    assert tower.set_size(3) * 8 <= spec.group_order(3)
+    size2, size3 = tower.stage_set(2).size, tower.stage_set(3).size
+    assert size3 == tower.stages[2].subset.kernel_cover.size * size2
+    assert size3 * 8 <= spec.group_order(3)
 
     rng = random.Random(7)
     group = spec.group(3)
@@ -201,7 +203,7 @@ def test_8_factored_and_dense_membership_agree():
     tower = build_tower(spec, 3)
     members = naive_stage_members(tower, 2)
     dense = set(members)
-    assert len(dense) == len(members) == tower.set_size(2)
+    assert len(dense) == len(members) == tower.stage_set(2).size
     mismatches = sum(1 for x in range(20480) if tower.member(2, x) != (x in dense))
     assert mismatches == 0
     _report(8, "factored membership equals dense enumeration", started)

@@ -5,6 +5,8 @@ import random
 import pytest
 from conftest import (
     assert_same_text,
+    difference_product_full,
+    full_subset,
     full_translate_sampled_covering,
     full_translate_sampled_intersecting,
     naive_empty_tuple_test,
@@ -14,6 +16,7 @@ from conftest import (
     naive_is_intersecting,
     naive_is_k_covering,
     naive_untranslatable_test,
+    right_translate,
 )
 
 from covtrans import (
@@ -25,7 +28,6 @@ from covtrans import (
     covering,
     covering_condition,
     covering_number_bounds,
-    difference_product_full,
     exact_covering_number,
     greedy_shrink_intersection,
     group_from_descriptor,
@@ -82,7 +84,7 @@ def test_covering_condition_frozen_values():
 
 def test_verify_intersecting_full_sets_and_singletons():
     g = CyclicGroup(6)
-    full = GroupSubset.full(g)
+    full = full_subset(g)
     rec = verify_intersecting(g, [full, full, full], mode="exhaustive")
     assert rec.result and rec.witness is None
 
@@ -98,6 +100,18 @@ def test_verify_intersecting_difference_set_pair():
     qr = GroupSubset.from_indices(g, [1, 2, 4])
     rec = verify_intersecting(g, [qr, qr], mode="exhaustive")
     assert rec.result  # all 49 translate pairs meet
+
+
+def test_verify_intersecting_refuses_a_member_on_another_carrier():
+    g = CyclicGroup(6)
+    twin = CyclicGroup(6)  # another object with the same order and name is the same carrier
+    members = [full_subset(g), GroupSubset.from_indices(twin, [0, 3])]
+    assert verify_intersecting(g, members, mode="exhaustive").result
+    for other in (CyclicGroup(7), DihedralGroup(3)):  # D3 has order 6 too
+        members = [full_subset(g), full_subset(other)]
+        for mode in ("exhaustive", "sampled"):
+            with pytest.raises(ValueError, match=f"carrier mismatch: {other.name} vs C6"):
+                verify_intersecting(g, members, mode=mode)
 
 
 def test_verify_intersecting_matches_naive_oracle():
@@ -178,7 +192,7 @@ def test_verify_intersecting_witnesses_match_naive_oracles():
 
 def test_verify_budget_guard(monkeypatch):
     g = CyclicGroup(512)
-    s = GroupSubset.full(g)
+    s = full_subset(g)
     monkeypatch.setenv("COVTRANS_BUDGET", "1000")
     with pytest.raises(BudgetExceededError, match="sampled"):
         verify_intersecting(g, [s, s], mode="exhaustive")
@@ -191,7 +205,7 @@ def test_pair_tuple_scan_has_no_order_gate_beyond_the_budget(monkeypatch):
     # but not that route's order limit: only the n^2 budget decides
     g = CyclicGroup(10007)
     assert g.order > covering._PAIRWISE_PRODUCT_LIMIT
-    full = GroupSubset.full(g)
+    full = full_subset(g)
     point = GroupSubset.from_indices(g, [0])
     monkeypatch.setenv("COVTRANS_BUDGET", str(g.order**2 - 1))
     with pytest.raises(BudgetExceededError, match="sampled"):
@@ -281,7 +295,7 @@ def test_construct_k_covering_bound_and_precondition():
 
 def test_verify_k_covering_trivial_cases():
     g = CyclicGroup(9)
-    assert verify_k_covering(g, GroupSubset.full(g), 3, mode="exhaustive").result
+    assert verify_k_covering(g, full_subset(g), 3, mode="exhaustive").result
     rec = verify_k_covering(g, GroupSubset.empty(g), 1, mode="exhaustive")
     assert not rec.result and rec.witness == (0,)
     # k > n: vacuously covering
@@ -405,7 +419,7 @@ def test_meet_test_finds_one_common_element_at_window_edges():
                 for other in ((j - h) % n, (j - h + 1) % n):
                     second = GroupSubset.from_indices(group, [other])
                     miss = first_disjoint_tuple(group, first, [second, second], [(0, h, h)])
-                    expected = bool(first.bits & second.right_translate(h).bits)
+                    expected = bool(first.bits & right_translate(second, h).bits)
                     assert (miss is None) == expected
 
 
@@ -483,7 +497,7 @@ def test_pairwise_criterion_frozen_examples():
 
     g7 = CyclicGroup(7)
     assert both(g7, GroupSubset.from_indices(g7, [1, 2, 4])) == (True, True)
-    assert both(g7, GroupSubset.full(g7)) == (True, True)
+    assert both(g7, full_subset(g7)) == (True, True)
     g4 = CyclicGroup(4)
     assert both(g4, GroupSubset.from_indices(g4, [0, 1])) == (False, False)
 
@@ -553,6 +567,22 @@ def test_exact_covering_sweep_values():
         group = group_from_descriptor(descriptor)
         assert exact_covering_number(group, 1) == 1, descriptor
         assert exact_covering_number(group, 2) == value, descriptor
+
+
+def test_exact_covering_at_k1_calls_no_oracle():
+    # at k = 1 the subset scan reads no x y^{-1} column, so none is built
+    group = DihedralGroup(8)
+    calls = []
+    mul, inv = group.mul, group.inv
+    group.mul = lambda a, b: calls.append("mul") or mul(a, b)
+    group.inv = lambda a: calls.append("inv") or inv(a)
+    try:
+        assert exact_covering_number(group, 1) == 1
+        assert calls == []
+        exact_covering_number(group, 2)  # the k = 2 search does build its table
+        assert calls.count("mul") >= 256 and calls.count("inv") >= 16
+    finally:
+        del group.mul, group.inv
 
 
 def test_exact_covering_matches_naive_oracle():
@@ -678,7 +708,7 @@ def test_covering_number_bounds():
 
 def test_greedy_shrink_full_group_and_small_set():
     g = CyclicGroup(100)
-    full = GroupSubset.full(g)
+    full = full_subset(g)
     res = greedy_shrink_intersection(g, full, 3)
     assert res.final_size == 100 and res.elements == (0, 0, 0)
 

@@ -6,11 +6,13 @@ from conftest import (
     digitwise_mul,
     element_order,
     element_orders,
+    index_of,
     lehmer_index_of,
     lehmer_inv,
     lehmer_mul,
     lehmer_perm_of,
     naive_reduction_contract,
+    perm_of,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -100,7 +102,7 @@ def test_product_mul_and_inv_match_componentwise_formula(descriptor):
 def test_klein_four_self_inverse():
     g = DirectProductGroup(CyclicGroup(2), CyclicGroup(2))
     assert g.order == 4
-    assert all(g.inv(x) == x for x in g.elements())
+    assert all(g.inv(x) == x for x in range(g.order))
 
 
 def test_trivial_factor_is_transparent():
@@ -124,9 +126,9 @@ def test_dihedral_structure():
 def test_symmetric_lehmer_roundtrip():
     s4 = SymmetricGroup(4)
     assert s4.order == 24
-    assert s4.perm_of(0) == [0, 1, 2, 3]
+    assert perm_of(s4, 0) == [0, 1, 2, 3]
     for idx in range(24):
-        assert s4.index_of(s4.perm_of(idx)) == idx
+        assert index_of(s4, perm_of(s4, idx)) == idx
     s3 = SymmetricGroup(3)
     assert sorted(element_orders(s3)) == [1, 2, 2, 2, 3, 3]
 
@@ -137,8 +139,8 @@ def test_symmetric_table_matches_lehmer_reference(m):
     if m <= 6:
         for idx in range(g.order):
             perm = lehmer_perm_of(m, idx)
-            assert g.perm_of(idx) == perm
-            assert g.index_of(perm) == idx == lehmer_index_of(m, perm)
+            assert perm_of(g, idx) == perm
+            assert index_of(g, perm) == idx == lehmer_index_of(m, perm)
             assert g.inv(idx) == lehmer_inv(m, idx)
     if m <= 5:
         pairs = [(a, b) for a in range(g.order) for b in range(g.order)]
@@ -159,10 +161,10 @@ def test_symmetric_rejects_bad_indices_and_non_permutations():
         with pytest.raises(ValueError):
             s3.inv(bad)
         with pytest.raises(ValueError):
-            s3.perm_of(bad)
+            perm_of(s3, bad)
     for perm in ([], [0], [2], [0, 1], [0, 0, 1], [1, 1, 1], [0, 1, 3], [0, 1, 2, 3], [-1, 0, 1]):
         with pytest.raises(ValueError):
-            s3.index_of(perm)
+            index_of(s3, perm)
 
 
 @pytest.mark.parametrize("d", range(1, 6))

@@ -1,0 +1,75 @@
+"""Every definition in src/covtrans is reached by a command or the benchmark.
+
+Each top-level function or class of src/covtrans/*.py, and each method that
+is not a dunder, must be named where the program or the benchmark reaches
+it: by a Name or Attribute node in src/covtrans outside __init__.py, whose
+exports reach nothing by themselves, or by a Name, Attribute or string
+constant in bench/*.py, since bench/tracing.py patches functions by their
+names as strings.  Tests do not count: a name that only tests use belongs
+in tests/conftest.py as a reference helper.
+
+The check goes by name, not by binding, so a definition that shares its
+name with a used one passes: a GroupSubset.full classmethod would pass on
+the local `full` of covering._quotient_witness, a FiniteGroup.elements
+method on ThinSet.elements, and a Tower.set_size method on bench's
+"set_size" document key.  Those three were checked by hand and removed
+when this test came.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "covtrans"
+BENCH = ROOT / "bench"
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _definitions(tree: ast.Module):
+    """(qualified name, bare name) of each top-level def and class and each method."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, (*defs, ast.ClassDef)):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, defs) and not _is_dunder(item.name):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def _references(tree: ast.Module, strings: bool) -> set[str]:
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def test_every_definition_in_src_is_reached_by_the_program_or_the_benchmark():
+    sources = sorted(SRC.glob("*.py"))
+    bench = sorted(BENCH.glob("*.py"))
+    assert sources and bench, (SRC, BENCH)
+    used = set()
+    for path in sources:
+        if path.name != "__init__.py":
+            used |= _references(_parse(path), strings=False)
+    for path in bench:
+        used |= _references(_parse(path), strings=True)
+    unused = [
+        f"{path.stem}.{qualified}"
+        for path in sources
+        for qualified, name in _definitions(_parse(path))
+        if name not in used
+    ]
+    assert unused == [], f"defined in src/covtrans but reached only by tests: {unused}"

@@ -8,12 +8,14 @@ from fractions import Fraction
 import pytest
 from conftest import (
     assert_same_text,
+    full_subset,
     naive_factored_members,
     naive_reduction_contract,
     naive_stage_members,
     pullback_dense,
     reference_canonical_json,
     reference_lift,
+    stage_measures,
     witness_levels,
     witness_sets_nested,
 )
@@ -181,12 +183,12 @@ def test_maps_outside_the_digit_core_are_rejected():
 def test_build_depth_two_tower():
     spec = TowerSpec([20, 1024])
     tower = build_tower(spec, 3)
-    assert tower.set_size(0) == 1
-    assert tower.set_size(1) == 1  # stage 1 cover is the identity singleton
-    assert tower.set_size(2) <= 5120
-    assert tower.measures()[0] <= Fraction(1, 2)
-    assert tower.measures()[1] <= Fraction(1, 4)
-    assert tower.measures()[1] == Fraction(tower.set_size(2), 20480)
+    assert tower.stage_set(0).size == 1
+    assert tower.stage_set(1).size == 1  # stage 1 cover is the identity singleton
+    assert tower.stage_set(2).size <= 5120
+    assert stage_measures(tower)[0] <= Fraction(1, 2)
+    assert stage_measures(tower)[1] <= Fraction(1, 4)
+    assert stage_measures(tower)[1] == Fraction(tower.stage_set(2).size, 20480)
     # stage covers: 1-covering then 2-covering
     assert tower.stages[0].subset.kernel_cover.indices() == [0]
     assert tower.stages[0].attempts == 0 and tower.stages[0].verification is None
@@ -207,7 +209,7 @@ def test_build_depth_zero():
     tower = build_tower(TowerSpec([]), 1)
     assert tower.depth == 0
     assert tower.member(0, 0)
-    assert tower.measures() == []
+    assert stage_measures(tower) == []
 
 
 def test_build_rejects_inadmissible_stage():
@@ -222,7 +224,7 @@ def test_stage_one_exempt_with_warning():
     spec = TowerSpec([8, 1024])
     assert not spec.admissibility(1).strengthened_ok
     tower = build_tower(spec, 5)
-    assert tower.set_size(1) == 1
+    assert tower.stage_set(1).size == 1
     assert any("stage 1" in w for w in tower.warnings())
 
 
@@ -238,9 +240,9 @@ def test_projection_claim_rejects_broken_stage_maps(seed11_tower, monkeypatch):
         with pytest.raises(SoundnessError, match="not built over X_2"):
             check_projection_claim(tower)
     with monkeypatch.context() as m:
-        m.setattr(tower.stages[0].subset, "base", GroupSubset.full(CyclicGroup(1)))
+        m.setattr(tower.stages[0].subset, "base", full_subset(CyclicGroup(1)))
         check_projection_claim(tower)  # the same set {0} of C1, another object
-        m.setattr(tower.stages[0].subset, "base", GroupSubset.full(CyclicGroup(20)))
+        m.setattr(tower.stages[0].subset, "base", full_subset(CyclicGroup(20)))
         with pytest.raises(SoundnessError, match="not built over X_0"):
             check_projection_claim(tower)
     with monkeypatch.context() as m:
@@ -263,7 +265,7 @@ def test_digit_membership_matches_naive_factored_members(seed11_tower):
     stage3 = tower.stages[2]
     phi3, cover3 = tower.spec.quotient_map(3), stage3.subset.kernel_cover.indices()
     x2 = naive_stage_members(tower, 2)
-    assert len(set(x2)) == len(x2) == tower.set_size(2)
+    assert len(set(x2)) == len(x2) == tower.stage_set(2).size
     x2_set = set(x2)
     fibers: dict[int, set[int]] = {}
 
@@ -296,7 +298,7 @@ def test_membership_factored_dense_agreement():
     tower = build_tower(spec, 3)
     members = naive_stage_members(tower, 2)
     dense = set(members)
-    assert len(dense) == len(members) == tower.set_size(2)
+    assert len(dense) == len(members) == tower.stage_set(2).size
     for x in range(20480):
         assert tower.member(2, x) == (x in dense)
 
@@ -676,7 +678,7 @@ def test_loaded_tower_rechecks_bounds():
     with pytest.raises(IntegrityError, match=over):
         tower_from_document(with_cover(doc, 2, range(600)))
     loaded = tower_from_document(with_cover(doc, 2, range(512)))  # n/2 itself is allowed
-    assert loaded.set_size(2) == 512 and loaded.member(2, 20 * 511)
+    assert loaded.stage_set(2).size == 512 and loaded.member(2, 20 * 511)
     # X_1 = C20 breaks the measure bound at stage 1, through the halving bound
     with pytest.raises(IntegrityError, match="stage 1: cover of size 20 is over half"):
         tower_from_document(with_cover(doc, 1, range(20)))

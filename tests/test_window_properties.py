@@ -14,7 +14,7 @@ through mul and inv.
 
 import random
 
-from conftest import full_rotation_translate_into, naive_empty_tuple_test
+from conftest import full_rotation_translate_into, naive_empty_tuple_test, right_translate
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -90,7 +90,7 @@ def test_window_table_reads_match_byte_slices_and_full_rotations(n, density, see
         assert read(start) == sliced & cut
     # window [a, a + W) of X - d, cut at n, is the read at a + d
     for d in range(n):
-        rotated = x.right_translate(group.inv(d)).bits
+        rotated = right_translate(x, group.inv(d)).bits
         for a in range(0, n, w):
             edge = (1 << min(w, n - a)) - 1
             assert read(a + d) & edge == rotated >> a & edge
@@ -145,7 +145,7 @@ def test_translates_meet_matches_full_rotation(case):
         rest = [GroupSubset(group, bits) for bits in rest_bits]
     acc = first.bits
     for s, h in zip(rest, shifts):
-        acc &= s.right_translate(h).bits
+        acc &= right_translate(s, h).bits
     assert (first_disjoint_tuple(group, first, rest, [(0, *shifts)]) is None) == bool(acc)
 
 
@@ -170,7 +170,7 @@ def test_translates_meet_takes_the_drawn_translators(case):
     subsets = [GroupSubset(group, bits) for bits in sets]
     acc = (1 << group.order) - 1
     for s, g in zip(subsets, gs):
-        acc &= s.right_translate(g).bits
+        acc &= right_translate(s, g).bits
     assert (first_disjoint_tuple(group, subsets[0], subsets[1:], [gs]) is None) == bool(acc)
 
 
