@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations, islice, repeat
 
 from .errors import BudgetExceededError, ConstructionError, FeasibilityError, SoundnessError
 from .groups import FiniteGroup
@@ -429,15 +429,34 @@ def _quotient_witness(
     and start 0: X_1 meets X_2 g exactly when g is in X_2^{-1} X_1.  The
     difference-set criterion takes X = Y and start 1: pairs {0, d} have
     distinct entries, so the identity quotient is irrelevant.
+
+    Rotation carriers OR each translate, one bitmask rotation, into an
+    n-bit int.  Every other carrier marks each product a^{-1} b in one
+    n-byte flag array, one store per product: a bitmask translate there
+    ORs each product's bit into a fresh int of up to n bits, copying it
+    once per member.  The full-group test and the least missed element
+    are then each one byte search.
     """
-    full = (1 << group.order) - 1
-    bits = 0
+    n = group.order
+    if group.additive_rotation:
+        full = (1 << n) - 1
+        bits = 0
+        for a in x:
+            bits |= _translate_bits(group, y, group.inv(a), left=True)
+            if bits == full:
+                return None
+        missing = (~bits & full) >> start
+        return None if missing == 0 else (0, start + lowest_set_bit(missing))
+    mul, inv = group.mul, group.inv
+    members = y._member_list()
+    seen = bytearray(n)
     for a in x:
-        bits |= _translate_bits(group, y, group.inv(a), left=True)
-        if bits == full:
+        for g in map(mul, repeat(inv(a)), members):
+            seen[g] = 1
+        if 0 not in seen:
             return None
-    missing = (~bits & full) >> start
-    return None if missing == 0 else (0, start + lowest_set_bit(missing))
+    g = seen.find(0, start)
+    return None if g < 0 else (0, g)
 
 
 def verify_k_covering(

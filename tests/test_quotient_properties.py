@@ -6,17 +6,31 @@ difference-set criterion of a 2-covering set takes X = Y.  These compare
 their witnesses with the conftest oracles, which translate plain python
 sets, on non-abelian carriers (where X_2^{-1} X_1, X_1^{-1} X_2, X_1 X_2^{-1}
 and X_2 X_1 all differ) as well as on rotation and XOR carriers.
+
+Rotation carriers OR bitmask rotations, every other carrier marks products in
+a flag array.  The twin-carrier test pits the two branches against each
+other on C_n and C1 x C_n, which multiply alike on the same indices, at
+orders up to 5040 where the full-group stop comes late or never.
 """
 
+import itertools
 import os
 import random
 from unittest import mock
 
+import pytest
 from conftest import naive_first_empty_tuple, naive_first_untranslatable
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covtrans import GroupSubset, group_from_descriptor, verify_intersecting, verify_k_covering
+from covtrans import (
+    CyclicGroup,
+    DirectProductGroup,
+    GroupSubset,
+    group_from_descriptor,
+    verify_intersecting,
+    verify_k_covering,
+)
 from covtrans.covering import _quotient_witness
 
 PROPERTY_SETTINGS = settings(max_examples=120, derandomize=True, database=None, deadline=None)
@@ -84,3 +98,40 @@ def test_pair_tuple_scan_uses_x2_inverse_x1_not_x1_inverse_x2():
     swapped = verify_intersecting(group, [x2, x1], mode="exhaustive")
     assert swapped.witness == naive_first_empty_tuple(group, [x2.indices(), x1.indices()])
     assert swapped.witness == (0, 4)
+
+
+def _twin_sets(n: int) -> dict[str, list[int]]:
+    """Empty, two disjoint sparse (about 2 sqrt(n) members), dense (about n/2) and full sets.
+
+    The sparse pair has no common member, so its quotient set misses 0 and
+    the witnesses at start 0 and 1 differ.
+    """
+    rng = random.Random(n)
+    sparse_p = min(0.5, 2 / n**0.5)
+    sparse = {i for i in range(n) if rng.random() < sparse_p}
+    return {
+        "empty": [],
+        "sparse": sorted(sparse),
+        "other sparse": [i for i in range(n) if i not in sparse and rng.random() < sparse_p],
+        "dense": [i for i in range(n) if rng.random() < 0.5],
+        "full": list(range(n)),
+    }
+
+
+@pytest.mark.parametrize("n", [7, 64, 1031, 5040])
+def test_flag_array_branch_matches_rotation_branch_on_a_twin_carrier(n):
+    # C1 x C_n multiplies exactly like C_n on the same indices, but it is not
+    # a rotation carrier, so its quotient sets take the flag-array branch
+    cyc = CyclicGroup(n)
+    twin = DirectProductGroup(CyclicGroup(1), CyclicGroup(n))
+    assert cyc.additive_rotation and not twin.additive_rotation
+    sets = _twin_sets(n)
+    for xs, ys in itertools.product(sets.values(), repeat=2):
+        for start in (0, 1):
+            expected = _quotient_witness(
+                cyc, GroupSubset.from_indices(cyc, xs), GroupSubset.from_indices(cyc, ys), start
+            )
+            got = _quotient_witness(
+                twin, GroupSubset.from_indices(twin, xs), GroupSubset.from_indices(twin, ys), start
+            )
+            assert got == expected, (n, len(xs), len(ys), start)
