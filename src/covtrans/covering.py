@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import combinations, islice, repeat
+from itertools import combinations, filterfalse, islice
 
 from .errors import BudgetExceededError, ConstructionError, FeasibilityError, SoundnessError
 from .groups import FiniteGroup
@@ -431,11 +431,13 @@ def _quotient_witness(
     distinct entries, so the identity quotient is irrelevant.
 
     Rotation carriers OR each translate, one bitmask rotation, into an
-    n-bit int.  Every other carrier marks each product a^{-1} b in one
-    n-byte flag array, one store per product: a bitmask translate there
-    ORs each product's bit into a fresh int of up to n bits, copying it
-    once per member.  The full-group test and the least missed element
-    are then each one byte search.
+    n-bit int.  Every other carrier adds each left translate a^{-1} Y, as
+    the indices group.left_products gives, to one set of at most n ints:
+    a bitmask translate there ORs each product's bit into a fresh int of up
+    to n bits, copying it once per member, and on S_m the batched oracle
+    computes a whole translate in C.  The union is the whole group once the
+    set holds n elements; otherwise the witness is the least index >= start
+    missing from it.
     """
     n = group.order
     if group.additive_rotation:
@@ -447,16 +449,14 @@ def _quotient_witness(
                 return None
         missing = (~bits & full) >> start
         return None if missing == 0 else (0, start + lowest_set_bit(missing))
-    mul, inv = group.mul, group.inv
-    members = y._member_list()
-    seen = bytearray(n)
+    products, inv = group.left_products(y._member_list()), group.inv
+    seen: set[int] = set()
     for a in x:
-        for g in map(mul, repeat(inv(a)), members):
-            seen[g] = 1
-        if 0 not in seen:
+        seen.update(products(inv(a)))
+        if len(seen) == n:
             return None
-    g = seen.find(0, start)
-    return None if g < 0 else (0, g)
+    g = next(filterfalse(seen.__contains__, range(start, n)), None)
+    return None if g is None else (0, g)
 
 
 def verify_k_covering(

@@ -1,11 +1,14 @@
 """Finite groups as element-index oracles.
 
 Elements of a group of order n are the indices 0..n-1 and the identity is
-always index 0.  Groups expose only `mul` and `inv` oracles, never full
-multiplication tables, so cyclic groups of order ~10^9 cost O(1) memory.
-S_m keeps its m! permutations as m-byte strings (at most 8! of them), still
-not a multiplication table; a product is one bytes.translate and one dict
-lookup.  The one table built from these oracles is the columns of x y^{-1}
+always index 0.  Groups expose `mul` and `inv` oracles and one batched
+oracle, `left_products(ys)`, which sends a to the products a y for y in ys;
+never full multiplication tables, so cyclic groups of order ~10^9 cost O(1)
+memory.  By default left_products calls `mul` once per product.  S_m keeps
+its m! permutations as m-byte strings (at most 8! of them), still not a
+multiplication table; a product is one bytes.translate and one dict lookup,
+and a whole left translate a ys is one bytes.translate of the joined images
+of ys.  The one table built from these oracles is the columns of x y^{-1}
 that covering.exact_covering_number makes for its carriers of at most 16
 elements and drops when its search ends.
 """
@@ -13,6 +16,7 @@ elements and drops when its search ends.
 from __future__ import annotations
 
 import itertools
+import struct
 
 
 class FiniteGroup:
@@ -29,6 +33,11 @@ class FiniteGroup:
 
     def inv(self, a: int) -> int:
         raise NotImplementedError
+
+    def left_products(self, ys: list[int]):
+        """A function sending a to an iterator of the indices a y, y in ys, in order."""
+        mul = self.mul
+        return lambda a: map(mul, itertools.repeat(a), ys)
 
     def describe(self) -> str:
         return self.name
@@ -112,7 +121,10 @@ class SymmetricGroup(FiniteGroup):
     and inv are one C-level byte relabelling and a dict lookup; there is
     no n x n table.  mul(a, b) composes "apply b, then a": p_b.translate(t)
     replaces each byte v of p_b by t[v], and t is p_a padded to the 256
-    entries a translation table needs.
+    entries a translation table needs.  left_products(ys) joins the images
+    of ys once, so each left factor a relabels all of them in one translate
+    by the same table, and one struct unpack splits the result back into
+    m-byte permutations to rank.
     """
 
     MAX_POINTS = 8
@@ -138,6 +150,23 @@ class SymmetricGroup(FiniteGroup):
         if not (0 <= a < self.order and 0 <= b < self.order):
             raise ValueError(f"indices {(a, b)} out of range for {self.name}")
         return self._rank[perms[b].translate(perms[a] + self._pad)]
+
+    def left_products(self, ys: list[int]):
+        n, perms, pad = self.order, self._perms, self._pad
+        low, high = (min(ys), max(ys)) if ys else (0, 0)
+        bad = low if low < 0 else high  # a negative index would wrap into the list
+        if not 0 <= bad < n:
+            raise ValueError(f"index {bad} out of range for {self.name}")
+        images = b"".join(map(perms.__getitem__, ys))
+        split = struct.Struct(f"{self.m}s" * len(ys)).unpack
+        rank = self._rank.__getitem__
+
+        def products(a: int):
+            if not 0 <= a < n:
+                raise ValueError(f"index {a} out of range for {self.name}")
+            return map(rank, split(images.translate(perms[a] + pad)))
+
+        return products
 
     def inv(self, a: int) -> int:
         if not 0 <= a < self.order:

@@ -356,16 +356,7 @@ def build_tower(
     """
     if claim3_samples < 0:
         raise ValueError(f"claim3_samples must be >= 0, got {claim3_samples}")
-    for s in range(2, spec.depth + 1):
-        adm = spec.admissibility(s)
-        if not adm.strengthened_ok:
-            raise FeasibilityError(
-                f"stage {s} inadmissible: kernel order {adm.kernel_order} at parameter "
-                f"k={adm.parameter} needs the strengthened value "
-                f"{adm.strengthened_value:.6g} < {adm.kernel_order} "
-                f"(literal form gives {adm.literal_value:.6g}, "
-                f"{'ok' if adm.literal_ok else 'also failing'})"
-            )
+    _require_admissible(spec)
     tower = Tower(spec, seed)
     for s in range(1, spec.depth + 1):
         stage = extend_covering(
@@ -382,6 +373,21 @@ def build_tower(
         check_projection_claim(tower)
         check_translation_claim(tower, samples=claim3_samples)
     return tower
+
+
+def _require_admissible(spec: TowerSpec) -> None:
+    """Raise FeasibilityError at the first stage s >= 2 whose kernel fails the
+    strengthened admissibility, reporting both readings; stage 1 is exempt."""
+    for s in range(2, spec.depth + 1):
+        adm = spec.admissibility(s)
+        if not adm.strengthened_ok:
+            raise FeasibilityError(
+                f"stage {s} inadmissible: kernel order {adm.kernel_order} at parameter "
+                f"k={adm.parameter} needs the strengthened value "
+                f"{adm.strengthened_value:.6g} < {adm.kernel_order} "
+                f"(literal form gives {adm.literal_value:.6g}, "
+                f"{'ok' if adm.literal_ok else 'also failing'})"
+            )
 
 
 def check_projection_claim(tower: Tower) -> None:
@@ -572,9 +578,11 @@ def tower_from_document(doc: dict) -> Tower:
     stage set below, with their seeds, attempts and the verification records
     a build emits (see _load_verification).  A missing or mistyped field
     raises IntegrityError naming it; kernel orders and cover entries must be
-    JSON integers.  The covers (strictly ascending, nonempty, inside their
-    kernels) and the halving bounds 2|L_s| <= n_{s-1}, whose product is the
-    measure bound, are checked again.  Every other field is derived, so the
+    JSON integers, and a spec that build_tower refuses as inadmissible is
+    refused before any cover is decoded.  The covers (strictly ascending,
+    nonempty, inside their kernels) and the halving bounds
+    2|L_s| <= n_{s-1}, whose product is the measure bound, are checked
+    again.  Every other field is derived, so the
     assembled tower must re-emit it: see _require_reemitted.
     """
     kind = doc.get("kind") if isinstance(doc, dict) else None
@@ -584,7 +592,8 @@ def tower_from_document(doc: dict) -> Tower:
     require_indices(orders, "document: field 'kernel_orders'")
     try:
         spec = TowerSpec(orders)
-    except ValueError as exc:
+        _require_admissible(spec)
+    except (ValueError, FeasibilityError) as exc:
         raise IntegrityError(f"document: field 'kernel_orders': {exc}") from exc
     tower = Tower(spec, doc_field(doc, "seed", int))
     stage_docs = doc_field(doc, "stages", list)

@@ -74,7 +74,9 @@ def uniform_draws(seed: int, n: int):
 
     It copies CPython's _randbelow_with_getrandbits for n < 2^32: each
     candidate is one 32-bit Mersenne Twister output shifted right by
-    32 - n.bit_length(), kept if below n.  The outputs come 4096 at a time
+    32 - n.bit_length(), kept if below n.  word >> shift < n holds exactly
+    when word < n << shift, so the raw words are filtered first and only
+    the kept ones are shifted.  The outputs come 4096 at a time
     as the words of one getrandbits(32 * 4096) call, lowest word first, so
     the per-draw work runs in C.  Larger n, which take several words per
     candidate, fall back to randrange itself.
@@ -87,12 +89,13 @@ def uniform_draws(seed: int, n: int):
     if width > 32:
         return map(rng.randrange, repeat(n))
     getrandbits, unpack = rng.getrandbits, _DRAW_WORDS.unpack
-    shift, below = 32 - width, n.__gt__  # a candidate is word >> shift, kept if below n
+    shift = 32 - width
+    below = (n << shift).__gt__
 
     def batches():
         while True:
             words = unpack(getrandbits(32 * _DRAW_BATCH).to_bytes(4 * _DRAW_BATCH, "little"))
-            yield filter(below, map(rshift, words, repeat(shift)))
+            yield map(rshift, filter(below, words), repeat(shift))
 
     return chain.from_iterable(batches())
 

@@ -5,6 +5,7 @@ import json
 import pytest
 from conftest import assert_same_text
 
+from covtrans import CyclicGroup, GroupSubset, TowerSpec
 from covtrans.cli import (
     EXIT_ATTEMPTS_EXHAUSTED,
     EXIT_BUDGET_EXCEEDED,
@@ -17,6 +18,9 @@ from covtrans.cli import (
     rerun_document,
     run_config,
 )
+from covtrans.covering import VerificationRecord
+from covtrans.tower import FactoredSubset, Tower, TowerStage
+from covtrans.util import canonical_json, derive_seed
 
 
 def run(capsys, *argv):
@@ -336,6 +340,30 @@ def test_tower_build_inadmissible_lists_both_values(capsys):
     code, _, err = run(capsys, "tower", "build", "--spec", "tower:20,64", "--seed", "1")
     assert code == EXIT_INFEASIBLE
     assert "576.698" in err and "19.4" in err
+
+
+def _inadmissible_tower_document() -> dict:
+    """tower:20,64 assembled by hand over a 3-member stage-2 cover a build never emits."""
+    spec = TowerSpec([20, 64])
+    tower = Tower(spec, 1)
+    base = FactoredSubset(tower.stage_set(0), GroupSubset.from_indices(CyclicGroup(20), [0]))
+    tower.stages.append(TowerStage(1, base, derive_seed(1, 1), 0, None))
+    cover = GroupSubset.from_indices(CyclicGroup(64), [0, 1, 5])
+    record = VerificationRecord("exhaustive", True)
+    tower.stages.append(TowerStage(2, FactoredSubset(base, cover), derive_seed(1, 2), 1, record))
+    return json.loads(canonical_json(tower.document()))
+
+
+def test_tower_commands_refuse_a_document_whose_spec_a_build_refuses(capsys, tmp_path):
+    # stage 2 of tower:20,64 needs the strengthened value 576.698 < 64, so
+    # `tower build` exits 3; loading it must fail the same way, as bad input
+    _, _, build_err = run(capsys, "tower", "build", "--spec", "tower:20,64", "--seed", "1")
+    doc = _inadmissible_tower_document()
+    for action in ("translate", "dim"):
+        code, stdout, err = run_on_document(capsys, tmp_path, doc, "tower", action, "--seed", "1")
+        assert (code, stdout) == (EXIT_INTEGRITY, "")
+        reason = build_err.removeprefix("infeasible: ")
+        assert err == f"integrity error: document: field 'kernel_orders': {reason}"
 
 
 def test_tower_translate_command(capsys):

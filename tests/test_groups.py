@@ -153,6 +153,13 @@ def test_symmetric_table_matches_lehmer_reference(m):
         pairs = [(rng.randrange(g.order), rng.randrange(g.order)) for _ in range(2000)]
     for a, b in pairs:
         assert g.mul(a, b) == lehmer_mul(m, a, b)
+    # the batched oracle: random ys with repeats, in the order given, and none
+    ys = [rng.randrange(g.order) for _ in range(60)]
+    ys += ys[:5]
+    products, no_products = g.left_products(ys), g.left_products([])
+    for a in [0, g.order - 1] + [rng.randrange(g.order) for _ in range(20)]:
+        assert list(products(a)) == [lehmer_mul(m, a, y) for y in ys]
+        assert list(no_products(a)) == []
 
 
 def test_symmetric_rejects_bad_indices_and_non_permutations():
@@ -164,6 +171,10 @@ def test_symmetric_rejects_bad_indices_and_non_permutations():
             s3.mul(0, bad)
         with pytest.raises(ValueError):
             s3.inv(bad)
+        with pytest.raises(ValueError):
+            s3.left_products([0, 5])(bad)
+        with pytest.raises(ValueError):
+            s3.left_products([0, bad, 5])
         with pytest.raises(ValueError):
             perm_of(s3, bad)
     for perm in ([], [0], [2], [0, 1], [0, 0, 1], [1, 1, 1], [0, 1, 3], [0, 1, 2, 3], [-1, 0, 1]):

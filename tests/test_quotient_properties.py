@@ -7,10 +7,12 @@ their witnesses with the conftest oracles, which translate plain python
 sets, on non-abelian carriers (where X_2^{-1} X_1, X_1^{-1} X_2, X_1 X_2^{-1}
 and X_2 X_1 all differ) as well as on rotation and XOR carriers.
 
-Rotation carriers OR bitmask rotations, every other carrier marks products in
-a flag array.  The twin-carrier test pits the two branches against each
-other on C_n and C1 x C_n, which multiply alike on the same indices, at
-orders up to 5040 where the full-group stop comes late or never.
+Rotation carriers OR bitmask rotations; every other carrier gathers the
+products of group.left_products into one set.  S_m computes a whole left
+translate by one byte relabelling; S3, S4 and S5 check that path on
+passing and failing sets.  The twin-carrier test pits the two branches against
+each other on C_n and C1 x C_n, which multiply alike on the same indices,
+at orders up to 5040 where the full-group stop comes late or never.
 """
 
 import itertools
@@ -35,7 +37,7 @@ from covtrans.covering import _quotient_witness
 
 PROPERTY_SETTINGS = settings(max_examples=120, derandomize=True, database=None, deadline=None)
 
-NON_ABELIAN = ["S3", "S4", "D4", "D5", "D6", "D7", "C2xS3", "S3xC2"]
+NON_ABELIAN = ["S3", "S4", "S5", "D4", "D5", "D6", "D7", "C2xS3", "S3xC2"]
 
 carriers = st.one_of(
     st.sampled_from(NON_ABELIAN),
@@ -121,7 +123,7 @@ def _twin_sets(n: int) -> dict[str, list[int]]:
 @pytest.mark.parametrize("n", [7, 64, 1031, 5040])
 def test_flag_array_branch_matches_rotation_branch_on_a_twin_carrier(n):
     # C1 x C_n multiplies exactly like C_n on the same indices, but it is not
-    # a rotation carrier, so its quotient sets take the flag-array branch
+    # a rotation carrier, so its quotient sets take the set branch
     cyc = CyclicGroup(n)
     twin = DirectProductGroup(CyclicGroup(1), CyclicGroup(n))
     assert cyc.additive_rotation and not twin.additive_rotation
