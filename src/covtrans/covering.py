@@ -171,9 +171,7 @@ def _exhaustive_intersecting_witness(
         return None if first else (0,)
     if k == 2:
         return _quotient_witness(group, subsets[1], subsets[0], 0)
-    tables = [
-        [_translate_bits(group, s, g, left=False) for g in range(n)] for s in subsets[1:]
-    ]
+    tables = [[_translate_bits(group, s, g) for g in range(n)] for s in subsets[1:]]
 
     def descend(level: int, acc: int, prefix: tuple[int, ...]):
         table = tables[level - 1]
@@ -400,6 +398,7 @@ def _exhaustive_covering_witness(
     iff one containing e (index 0) does, and that one sorts first.  Y =
     {e} + rest translates iff X meets every X y^{-1} with y in rest; each
     such translate is computed when the scan first reaches y, then kept.
+    verify_k_covering runs it at k = 1 and k >= 3 only.
     """
     n = group.order
     bits = x.bits
@@ -409,7 +408,7 @@ def _exhaustive_covering_witness(
         for y in rest:
             t = translates.get(y)
             if t is None:
-                t = translates[y] = _translate_bits(group, x, group.inv(y), left=False)
+                t = translates[y] = _translate_bits(group, x, group.inv(y))
             acc &= t
             if not acc:
                 break
@@ -427,24 +426,24 @@ def _quotient_witness(
     translates a^{-1} Y over a in X: |X| translates of Y, stopping once the
     union is the whole group.  The k = 2 tuple scan takes X = X_2, Y = X_1
     and start 0: X_1 meets X_2 g exactly when g is in X_2^{-1} X_1.  The
-    difference-set criterion takes X = Y and start 1: pairs {0, d} have
-    distinct entries, so the identity quotient is irrelevant.
+    difference-set criterion, the one exhaustive k = 2 covering check,
+    takes X = Y and start 1: pairs {0, d} have distinct entries.
 
-    Rotation carriers OR each translate, one bitmask rotation, into an
-    n-bit int.  Every other carrier adds each left translate a^{-1} Y, as
-    the indices group.left_products gives, to one set of at most n ints:
-    a bitmask translate there ORs each product's bit into a fresh int of up
-    to n bits, copying it once per member, and on S_m the batched oracle
-    computes a whole translate in C.  The union is the whole group once the
-    set holds n elements; otherwise the witness is the least index >= start
-    missing from it.
+    Rotation carriers OR each translate a^{-1} Y = Y a^{-1}, one bitmask
+    rotation, into an n-bit int.  Every other carrier adds each left
+    translate a^{-1} Y, as the indices group.left_products gives, to one
+    set of at most n ints: a bitmask translate there ORs each product's bit
+    into a fresh int of up to n bits, copying it once per member, and on
+    S_m the batched oracle computes a whole translate in C.  The union is
+    the whole group once the set holds n elements; otherwise the witness is
+    the least index >= start missing from it.
     """
     n = group.order
     if group.additive_rotation:
         full = (1 << n) - 1
         bits = 0
         for a in x:
-            bits |= _translate_bits(group, y, group.inv(a), left=True)
+            bits |= _translate_bits(group, y, group.inv(a))
             if bits == full:
                 return None
         missing = (~bits & full) >> start
@@ -474,8 +473,9 @@ def verify_k_covering(
     the C(n-1,k-1) subsets containing e.  An untranslatable Y exists iff one
     containing e (index 0) does, and that one sorts first, so failure still
     reports the lexicographically first untranslatable Y over all C(n,k).
-    The budget still counts C(n,k)*n steps; when that is exceeded at k = 2
-    the complete O(n^2) quotient-set criterion is used instead.  Sampled
+    The budget counts C(n,k)*n steps, and k = 2 is exhaustive past it up to
+    n = _PAIRWISE_PRODUCT_LIMIT.  At k = 2, at any budget, the proof is the
+    quotient set: {0, d} translates into X iff d is in X^{-1} X.  Sampled
     mode checks `trials` uniform Y drawn from the given seed by rng.sample,
     and reports Y as drawn.  Y translates into X iff the right translates
     X y^{-1}, y in Y, meet, so the sorted draws stream into one
@@ -492,25 +492,19 @@ def verify_k_covering(
         _resolve_mode(mode, True)
         return VerificationRecord(mode="exhaustive", result=True, method="vacuous")
     exhaustive_steps = n * math.comb(n, k)
-    scan_in_budget = exhaustive_steps <= step_budget()
-    pairwise_available = k == 2 and n <= _PAIRWISE_PRODUCT_LIMIT
-    if _resolve_mode(mode, scan_in_budget or pairwise_available) == "exhaustive":
-        if scan_in_budget:
-            witness = _exhaustive_covering_witness(group, x, k)
-            return VerificationRecord(
-                mode="exhaustive", result=witness is None, witness=witness, method="subset-scan"
+    fits = exhaustive_steps <= step_budget() or (k == 2 and n <= _PAIRWISE_PRODUCT_LIMIT)
+    if _resolve_mode(mode, fits) == "exhaustive":
+        if not fits:
+            raise BudgetExceededError(
+                f"exhaustive covering check needs C(n,k)*n = {exhaustive_steps} steps "
+                f"(budget {step_budget()}); use sampled mode"
             )
-        if pairwise_available:
-            witness = _quotient_witness(group, x, x, 1)
-            return VerificationRecord(
-                mode="exhaustive",
-                result=witness is None,
-                witness=witness,
-                method="difference-set",
-            )
-        raise BudgetExceededError(
-            f"exhaustive covering check needs C(n,k)*n = {exhaustive_steps} steps "
-            f"(budget {step_budget()}); use sampled mode"
+        if k == 2:
+            witness, method = _quotient_witness(group, x, x, 1), "difference-set"
+        else:
+            witness, method = _exhaustive_covering_witness(group, x, k), "subset-scan"
+        return VerificationRecord(
+            mode="exhaustive", result=witness is None, witness=witness, method=method
         )
     rng = random.Random(seed)
     draws = (tuple(sorted(rng.sample(range(n), k))) for _ in range(trials))
@@ -664,7 +658,7 @@ def greedy_shrink_intersection(group: FiniteGroup, x: GroupSubset, k: int) -> Gr
         best_bits = current & x.bits  # g = 0 keeps X in place
         best_count = best_bits.bit_count()
         for g in range(1, n):
-            cand = current & _translate_bits(group, x, g, left=False)
+            cand = current & _translate_bits(group, x, g)
             c = cand.bit_count()
             if c < best_count:
                 best_g, best_bits, best_count = g, cand, c

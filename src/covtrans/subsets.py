@@ -134,8 +134,8 @@ class GroupSubset:
         return f"GroupSubset({self.group.name}, size={self.size}, {{{', '.join(map(str, shown))}{tail}}})"
 
 
-def _translate_bits(group: FiniteGroup, subset: GroupSubset, g: int, left: bool) -> int:
-    """Bitmask of g*X (left) or X*g (right), X = subset.
+def _translate_bits(group: FiniteGroup, subset: GroupSubset, g: int) -> int:
+    """Bitmask of the right translate X*g, X = subset.
 
     Cyclic carriers rotate the bitmask; other carriers walk the subset's
     cached member list, so translating one set many times extracts its
@@ -151,12 +151,8 @@ def _translate_bits(group: FiniteGroup, subset: GroupSubset, g: int, left: bool)
         return ((bits << g) | (bits >> (n - g))) & ((1 << n) - 1)
     mul = group.mul
     out = 0
-    if left:
-        for x in subset._member_list():
-            out |= 1 << mul(g, x)
-    else:
-        for x in subset._member_list():
-            out |= 1 << mul(x, g)
+    for x in subset._member_list():
+        out |= 1 << mul(x, g)
     return out
 
 

@@ -22,11 +22,13 @@ from operator import lt
 from types import NoneType
 
 from .covering import (
+    _PAIRWISE_PRODUCT_LIMIT,
     DEFAULT_MAX_ATTEMPTS,
     DEFAULT_SAMPLE_TRIALS,
     VerificationRecord,
     construct_k_covering,
     covering_condition_value,
+    verify_k_covering,
 )
 from .errors import FeasibilityError, IntegrityError, SoundnessError
 from .groups import CyclicGroup, Epimorphism
@@ -582,7 +584,10 @@ def tower_from_document(doc: dict) -> Tower:
     refused before any cover is decoded.  The covers (strictly ascending,
     nonempty, inside their kernels) and the halving bounds
     2|L_s| <= n_{s-1}, whose product is the measure bound, are checked
-    again.  Every other field is derived, so the
+    again.  The stage-2 cover is proven 2-covering again, by
+    verify_k_covering's exhaustive quotient-set check, when its kernel has
+    order at most _PAIRWISE_PRODUCT_LIMIT; larger kernels and later stages
+    keep their stored record.  Every other field is derived, so the
     assembled tower must re-emit it: see _require_reemitted.
     """
     kind = doc.get("kind") if isinstance(doc, dict) else None
@@ -620,6 +625,13 @@ def tower_from_document(doc: dict) -> Tower:
                 f"{where}: cover of size {cover.size} is over half the kernel "
                 f"order {kernel.order}"
             )
+        if s == 2 and kernel.order <= _PAIRWISE_PRODUCT_LIMIT:
+            witness = verify_k_covering(kernel, cover, 2, mode="exhaustive").witness
+            if witness is not None:
+                raise IntegrityError(
+                    f"{where}: field 'cover' is not 2-covering: the pair {list(witness)} "
+                    f"has no translate into it"
+                )
         raw = doc_field(stage_doc, "verification", (dict, NoneType), where)
         tower.stages.append(
             TowerStage(

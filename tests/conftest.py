@@ -243,7 +243,7 @@ def full_subset(group) -> GroupSubset:
 
 def right_translate(subset, g: int) -> GroupSubset:
     """The set {x * g : x in subset}, as subsets._translate_bits computes it."""
-    return GroupSubset(subset.group, _translate_bits(subset.group, subset, g, left=False))
+    return GroupSubset(subset.group, _translate_bits(subset.group, subset, g))
 
 
 def full_translate_sampled_intersecting(group, subsets, trials, seed):

@@ -427,6 +427,24 @@ def test_tower_translate_refuses_a_document_over_the_halving_bound(capsys, tmp_p
     assert "stage 2: cover of size 600 is over half the kernel order 1024" in err
 
 
+def test_tower_commands_reprove_the_stage_2_cover(capsys, tmp_path):
+    # the lowest 131 members of the seed-3 stage-2 cover, with every derived
+    # field made to match: {0, 470} has no translate into it, and a translate
+    # of a sampled thin set may then miss the tower
+    _, text, _ = run(capsys, "tower", "build", "--spec", "tower:20,1024", "--seed", "3")
+    doc = json.loads(text)
+    stage = doc["stages"][1]
+    stage.update(cover=stage["cover"][:131], cover_size=131, set_size=131)
+    stage["measure"] = f"131/{stage['group_order']}"
+    message = (
+        "integrity error: stage 2: field 'cover' is not 2-covering: "
+        "the pair [0, 470] has no translate into it\n"
+    )
+    for argv in (("translate", "--samples", "200"), ("dim",)):
+        code, stdout, err = run_on_document(capsys, tmp_path, doc, "tower", *argv, "--seed", "4")
+        assert (code, stdout, err) == (EXIT_INTEGRITY, "", message)
+
+
 def test_tower_commands_refuse_a_negative_count(capsys, tmp_path):
     tower_path = tmp_path / "tower.json"
     build = ("tower", "build", "--spec", "tower:20,1024", "--seed", "3")

@@ -332,7 +332,7 @@ def test_verify_k_covering_matches_naive_oracle():
             x = random_subset(group, rng.uniform(0.1, 0.9), rng)
             for k in (1, 2):
                 got = verify_k_covering(group, x, k, mode="exhaustive")
-                assert got.method == "subset-scan"
+                assert got.method == ("difference-set" if k == 2 else "subset-scan")
                 assert got.result == naive_is_k_covering(group, x.indices(), k)
 
 
@@ -347,7 +347,7 @@ def test_verify_k_covering_witnesses_match_naive_oracles():
                 x = random_subset(group, rng.uniform(0.0, 0.6), rng)
                 expected = naive_first_untranslatable(group, x.indices(), k)
                 got = verify_k_covering(group, x, k, mode="exhaustive")
-                assert got.method == "subset-scan"
+                assert got.method == ("difference-set" if k == 2 else "subset-scan")
                 assert (got.result, got.witness) == (expected is None, expected)
                 outcomes.add((k, expected is None))
 
@@ -503,7 +503,7 @@ def test_pairwise_criterion_frozen_examples():
 
 
 def test_difference_route_when_scan_over_budget(monkeypatch):
-    # force the subset scan over budget; the complete pairwise route takes over
+    # k = 2 takes the one pairwise route whether or not n * C(n, 2) fits the budget
     g = CyclicGroup(64)
     x = GroupSubset.from_indices(g, range(40))
     monkeypatch.setenv("COVTRANS_BUDGET", "1000")
@@ -512,8 +512,58 @@ def test_difference_route_when_scan_over_budget(monkeypatch):
     assert rec.result == difference_product_full(g, x)
     monkeypatch.delenv("COVTRANS_BUDGET")
     honest = verify_k_covering(g, x, 2, mode="exhaustive")
-    assert honest.method == "subset-scan"
+    assert honest.method == "difference-set"
     assert (rec.result, rec.witness) == (honest.result, honest.witness)
+
+
+def _refuse_subset_scan(group, x, k):
+    raise AssertionError(f"subset scan reached at k = {k}")
+
+
+def test_exhaustive_k2_takes_one_route_at_every_budget(monkeypatch):
+    # the same k = 2 record unset, at budget 1 and at n * C(n, 2), none from the subset scan
+    monkeypatch.setattr(covering, "_exhaustive_covering_witness", _refuse_subset_scan)
+    rng = random.Random(37)
+    outcomes = set()
+    for desc in ("C12", "C16", "D6", "S4", "C2xC6"):
+        group = group_from_descriptor(desc)
+        n = group.order
+        for t in range(12):
+            x = random_subset(group, 0.15 + 0.6 * t / 12, rng)
+            records = set()
+            for budget in (None, "1", str(n * math.comb(n, 2))):
+                if budget is None:
+                    monkeypatch.delenv("COVTRANS_BUDGET", raising=False)
+                else:
+                    monkeypatch.setenv("COVTRANS_BUDGET", budget)
+                rec = verify_k_covering(group, x, 2, mode="exhaustive")
+                records.add((rec.mode, rec.result, rec.witness, rec.method))
+            expected = naive_first_untranslatable(group, x.indices(), 2)
+            assert records == {("exhaustive", expected is None, expected, "difference-set")}
+            outcomes.add((group.additive_rotation, expected is None))
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_k2_label_rule_above_the_pairwise_limit(monkeypatch):
+    # past _PAIRWISE_PRODUCT_LIMIT only n * C(n, 2) against the budget decides
+    monkeypatch.setattr(covering, "_exhaustive_covering_witness", _refuse_subset_scan)
+    g = CyclicGroup(10007)
+    n = g.order
+    assert n > covering._PAIRWISE_PRODUCT_LIMIT
+    x = GroupSubset.from_indices(g, range(100))  # X - X = {-99, ..., 99}
+    monkeypatch.delenv("COVTRANS_BUDGET", raising=False)
+    assert verify_k_covering(g, x, 2, trials=50).mode == "sampled"
+    with pytest.raises(BudgetExceededError, match="sampled"):
+        verify_k_covering(g, x, 2, mode="exhaustive")
+    monkeypatch.setenv("COVTRANS_BUDGET", str(n * math.comb(n, 2)))
+    for mode in ("auto", "exhaustive"):
+        rec = verify_k_covering(g, x, 2, mode)
+        assert (rec.mode, rec.result, rec.witness, rec.method) == (
+            "exhaustive",
+            False,
+            (0, 100),
+            "difference-set",
+        )
 
 
 @pytest.mark.parametrize("descriptor", ["D6", "S4", "EA(2,4)", "C2xC6", "C12"])

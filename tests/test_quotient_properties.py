@@ -81,7 +81,7 @@ def test_difference_witness_matches_naive_first_untranslatable(case):
     group, x = case
     expected = naive_first_untranslatable(group, x.indices(), 2)
     assert _quotient_witness(group, x, x, 1) == expected
-    # the same witness through verify_k_covering, with the subset scan over budget
+    # the same witness through verify_k_covering, which proves k = 2 by this kernel at any budget
     with mock.patch.dict(os.environ, {"COVTRANS_BUDGET": "1"}):
         rec = verify_k_covering(group, x, 2, mode="exhaustive")
     assert (rec.method, rec.result, rec.witness) == ("difference-set", expected is None, expected)

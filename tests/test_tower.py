@@ -677,8 +677,13 @@ def test_loaded_tower_rechecks_bounds():
     over = "stage 2: cover of size 600 is over half the kernel order 1024"
     with pytest.raises(IntegrityError, match=over):
         tower_from_document(with_cover(doc, 2, range(600)))
-    loaded = tower_from_document(with_cover(doc, 2, range(512)))  # n/2 itself is allowed
-    assert loaded.stage_set(2).size == 512 and loaded.member(2, 20 * 511)
+    # n/2 itself is allowed, but the stage-2 cover must still be 2-covering:
+    # 0..511 misses the difference 512, and 0..510 with 512 does not
+    missed = r"stage 2: field 'cover' is not 2-covering: the pair \[0, 512\]"
+    with pytest.raises(IntegrityError, match=missed):
+        tower_from_document(with_cover(doc, 2, range(512)))
+    loaded = tower_from_document(with_cover(doc, 2, [*range(511), 512]))
+    assert loaded.stage_set(2).size == 512 and loaded.member(2, 20 * 512)
     # X_1 = C20 breaks the measure bound at stage 1, through the halving bound
     with pytest.raises(IntegrityError, match="stage 1: cover of size 20 is over half"):
         tower_from_document(with_cover(doc, 1, range(20)))
