@@ -432,9 +432,9 @@ def _quotient_witness(
     Rotation carriers OR each translate a^{-1} Y = Y a^{-1}, one bitmask
     rotation, into an n-bit int.  Every other carrier adds each left
     translate a^{-1} Y, as the indices group.left_products gives, to one
-    set of at most n ints: a bitmask translate there ORs each product's bit
-    into a fresh int of up to n bits, copying it once per member, and on
-    S_m the batched oracle computes a whole translate in C.  The union is
+    set of at most n ints: a bitmask translate there builds a fresh n-bit
+    mask per translate, and on S_m the batched oracle computes a whole
+    translate in C.  The union is
     the whole group once the set holds n elements; otherwise the witness is
     the least index >= start missing from it.
     """

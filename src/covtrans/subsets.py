@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import repeat
 from typing import Iterable, Iterator
 
 from .groups import FiniteGroup
@@ -12,13 +13,14 @@ ROTATION_WINDOW = 4096  # bits of a rotated set read per step by the windowed se
 _TABLE_STEP = 1024  # bits between the starts of consecutive window-table entries
 _TABLE_SHIFT = _TABLE_STEP.bit_length() - 1
 _TABLE_LOW = _TABLE_STEP - 1
-_OR_BUILD_ORDER = 4096  # from_indices builds masks by OR up to this carrier order
+_DIGITS = bytes.maketrans(b"\0\1", b"01")  # flag bytes to binary digits
+_FLAGS = bytes.maketrans(b"01", b"\0\1")  # binary digits to flag bytes
 
 
 class GroupSubset:
     """Subset of a finite group stored as an integer bitmask over indices."""
 
-    __slots__ = ("group", "bits", "_size", "_members", "_image", "_table")
+    __slots__ = ("group", "bits", "_size", "_members", "_flags", "_table")
 
     def __init__(self, group: FiniteGroup, bits: int, size: int | None = None):
         if bits < 0 or bits >> group.order:
@@ -27,7 +29,7 @@ class GroupSubset:
         self.bits = bits
         self._size = size
         self._members: list[int] | None = None
-        self._image: bytes | None = None
+        self._flags: bytes | None = None
         self._table: list[int] | None = None
 
     @classmethod
@@ -38,24 +40,22 @@ class GroupSubset:
     def from_indices(cls, group: FiniteGroup, indices: Iterable[int]) -> "GroupSubset":
         """The subset with the given member indices (repeats allowed).
 
-        Carriers of order up to _OR_BUILD_ORDER OR each bit into an int, which
-        is cheapest on small masks; larger ones set bits in a bytearray and
-        convert once, because each OR into a long int copies it.
+        The only builder of masks from indices.  One min and one max check
+        the range, and a refusal names the least index if negative, else the
+        largest.  Flag bytes up to the largest index, reversed and read as
+        one binary numeral (exempt from the int-string digit limit), are the
+        mask, so memory goes with that index, not with the carrier order.
         """
-        n = group.order
-        if n <= _OR_BUILD_ORDER:
-            bits = 0
-            for i in indices:
-                if not 0 <= i < n:
-                    raise ValueError(f"index {i} out of range for {group.name}")
-                bits |= 1 << i
-            return cls(group, bits)
-        buf = bytearray((n + 7) >> 3)
-        for i in indices:
-            if not 0 <= i < n:
-                raise ValueError(f"index {i} out of range for {group.name}")
-            buf[i >> 3] |= 1 << (i & 7)
-        return cls(group, int.from_bytes(buf, "little"))
+        listed = list(indices)
+        if not listed:
+            return cls(group, 0, 0)
+        low, high = min(listed), max(listed)
+        if low < 0 or high >= group.order:
+            raise ValueError(f"index {low if low < 0 else high} out of range for {group.name}")
+        flags = bytearray(high + 1)
+        for i in listed:
+            flags[i] = 1
+        return cls(group, int(flags.translate(_DIGITS)[::-1], 2))
 
     @property
     def size(self) -> int:
@@ -67,10 +67,15 @@ class GroupSubset:
         return self.size
 
     def __contains__(self, i: int) -> bool:
-        # one byte of the cached image, not a shift of the whole mask
-        if self._image is None:
-            self._image = self.bits.to_bytes((self.group.order + 7) >> 3, "little")
-        return 0 <= i < self.group.order and self._image[i >> 3] >> (i & 7) & 1 == 1
+        # one byte of the cached byte image, not a shift of the whole mask
+        return 0 <= i < self.group.order and self._flag_image()[i] == 1
+
+    def _flag_image(self) -> bytes:
+        """One byte per element, 1 iff a member: bin(bits) reversed, translated, padded to n."""
+        if self._flags is None:
+            digits = bin(self.bits)[:1:-1].encode()
+            self._flags = digits.translate(_FLAGS).ljust(self.group.order, b"\0")
+        return self._flags
 
     def __iter__(self) -> Iterator[int]:
         return iter_set_bits(self.bits)
@@ -137,9 +142,9 @@ class GroupSubset:
 def _translate_bits(group: FiniteGroup, subset: GroupSubset, g: int) -> int:
     """Bitmask of the right translate X*g, X = subset.
 
-    Cyclic carriers rotate the bitmask; other carriers walk the subset's
-    cached member list, so translating one set many times extracts its
-    bits once.
+    Cyclic carriers rotate the bitmask; other carriers build it from the
+    products x*g over the subset's cached member list, so translating one
+    set many times extracts its bits once.
     """
     if not 0 <= g < group.order:
         raise ValueError(f"index {g} out of range for {group.name}")
@@ -149,28 +154,19 @@ def _translate_bits(group: FiniteGroup, subset: GroupSubset, g: int) -> int:
             return bits
         n = group.order
         return ((bits << g) | (bits >> (n - g))) & ((1 << n) - 1)
-    mul = group.mul
-    out = 0
-    for x in subset._member_list():
-        out |= 1 << mul(x, g)
-    return out
+    return GroupSubset.from_indices(group, map(group.mul, subset._member_list(), repeat(g))).bits
 
 
 def random_subset(group: FiniteGroup, p: float, rng: random.Random) -> GroupSubset:
     """Include each group element independently with probability p.
 
-    Deterministic given the generator state: exactly order-many uniform
-    draws are consumed, in index order.
+    Deterministic given the generator state: element i is a member iff the
+    i-th of exactly order-many uniform draws is below p.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"inclusion probability must be in [0, 1], got {p}")
-    n = group.order
-    buf = bytearray((n + 7) >> 3)
     rand = rng.random
-    for i in range(n):
-        if rand() < p:
-            buf[i >> 3] |= 1 << (i & 7)
-    return GroupSubset(group, int.from_bytes(buf, "little"))
+    return GroupSubset.from_indices(group, [i for i in range(group.order) if rand() < p])
 
 
 def translate_into(group: FiniteGroup, y, x: GroupSubset) -> int | None:
@@ -227,10 +223,10 @@ def first_disjoint_tuple(
     onward of X's doubled mask, one shifted entry of its cached window
     table, so a trial makes no oracle call.  Only X_1's non-empty windows
     are read, and X_1's bits there clear what lies past W or past n.  Other
-    carriers walk X_1's members and look each x g_1 g_i^{-1} up in a flag
-    array of X_i; the shift g_1 g_i^{-1} is y_1^{-1} y_i with inverses, one
-    inv call per trial.  A set listed more than once in rest gets one flag
-    array or window table.
+    carriers walk X_1's members and look each x g_1 g_i^{-1} up in X_i's
+    cached byte image; the shift g_1 g_i^{-1} is y_1^{-1} y_i with
+    inverses, one inv call per trial.  Byte images and window tables are
+    cached on the sets, so a set listed twice in rest is read from one.
     """
     n = group.order
     if group.additive_rotation:
@@ -258,12 +254,7 @@ def first_disjoint_tuple(
 
     mul, inv = group.mul, group.inv
     members = first._member_list()
-    flag_of = {}
-    for key, s in {id(s): s for s in rest}.items():
-        flag = flag_of[key] = bytearray(n)
-        for x in s._member_list():
-            flag[x] = 1
-    flags = [flag_of[id(s)] for s in rest]
+    flags = [s._flag_image() for s in rest]
     for index, gs in enumerate(tuples):
         if inverses:
             u = inv(gs[0])

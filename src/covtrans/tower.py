@@ -581,7 +581,9 @@ def tower_from_document(doc: dict) -> Tower:
     a build emits (see _load_verification).  A missing or mistyped field
     raises IntegrityError naming it; kernel orders and cover entries must be
     JSON integers, and a spec that build_tower refuses as inadmissible is
-    refused before any cover is decoded.  The covers (strictly ascending,
+    refused before any cover is decoded.  A decode allocates by the cover's
+    largest listed index, not by the declared kernel order (see
+    GroupSubset.from_indices).  The covers (strictly ascending,
     nonempty, inside their kernels) and the halving bounds
     2|L_s| <= n_{s-1}, whose product is the measure bound, are checked
     again.  The stage-2 cover is proven 2-covering again, by

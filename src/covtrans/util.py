@@ -140,7 +140,8 @@ def require_indices(values: list, where: str) -> None:
     Exact types for the reason doc_field gives: JSON true would otherwise
     pass as index 1.  Loaders call this once per listed set, so that
     GroupSubset.from_indices, which the tower build, shrink and the exact
-    search's winner also go through on indices they made, stays bare.
+    search's winner also go through on indices they made, stays bare: its
+    range check is one min and one max over the indices.
     """
     if type(values) is not list:
         raise IntegrityError(f"{where} has type {type(values).__name__}")

@@ -10,14 +10,15 @@ group's oracles, and element orders by repeated multiplication.  Whole sets
 are built by full_subset and translated by right_translate, a wrapper of
 subsets._translate_bits, whose own test compares it with naive translates:
 the two full-translate sampled loops and the full-rotation translate search
-use it so that they stay fast on C131072.  Then come the tower's stage
-measures, its stage members and thin-set lift computed through its stage
-maps (the lift shares translate_into with the library), a thin set's
-translator sets T_i and their pullbacks along the tower's reductions (the
-sets are right translates of the stage masks), the element-by-element
-canonical JSON emitter that util.canonical_json replaced for lists of ints,
-the quotient-map contract of a tower's reduction, and a text comparison
-that stays fast on large documents.
+use it so that they stay fast on C131072.  random_subset's masks are
+checked against a per-element loop over a bit buffer.  Then come the
+tower's stage measures, its stage members and thin-set lift computed
+through its stage maps (the lift shares translate_into with the library),
+a thin set's translator sets T_i and their pullbacks along the tower's
+reductions (the sets are right translates of the stage masks), the
+element-by-element canonical JSON emitter that util.canonical_json
+replaced for lists of ints, the quotient-map contract of a tower's
+reduction, and a text comparison that stays fast on large documents.
 """
 
 import functools
@@ -309,6 +310,19 @@ def stage_measures(tower) -> list[Fraction]:
 def naive_set_bits(x):
     """Set-bit indices of x >= 0, ascending, read off its binary string."""
     return [i for i, c in enumerate(reversed(bin(x)[2:])) if c == "1"]
+
+
+def reference_random_subset_bits(n: int, p: float, rng: random.Random) -> int:
+    """Mask of a random p-subset of n elements: bit i is set iff the i-th rng.random() is below p.
+
+    One draw per element in index order, into a bit buffer: it shares no
+    code with GroupSubset.from_indices, which random_subset builds through.
+    """
+    buf = bytearray((n + 7) >> 3)
+    for i in range(n):
+        if rng.random() < p:
+            buf[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buf, "little")
 
 
 def naive_factored_members(phi, base, cover):

@@ -5,9 +5,10 @@ Three documents are mutated: the seed-3 `tower:20,1024` tower, read by
 family, read by `covering verify --in`.  One mutation deletes a field or a
 list entry, retypes a value, puts a bool or a float for an int, puts an
 invalid value (-1, "?", or -1 appended to a list), changes a declared size
-by one, or duplicates or swaps two entries of a list.  Each must exit 0 or
-exit 6 with a message that names the field; never a traceback, exit 1 or
-exit 2.  A tower that loads must re-emit its input exactly, JSON types
+by one, raises a kernel order by the factor 2^16, or duplicates or swaps
+two entries of a list.  Each must exit 0 or exit 6 with a message that
+names the field; never a traceback, exit 1 or exit 2, and a raised kernel
+order exits 6.  A tower that loads must re-emit its input exactly, JSON types
 included, through tower_from_document, and no mutated stage verification
 record loads.  The run config is not read by either loader, so it is not
 mutated.
@@ -87,6 +88,8 @@ def operations(doc, path) -> list:
         ops += [("bool", None), ("float", None)]
         if "size" in str(path[-1]) or path[-2:-1] == ("sizes",):
             ops.append(("size", None))
+        if path[-2:-1] == ("kernel_orders",):
+            ops.append(("raise", None))
     if isinstance(value, list) and value:
         ops += [("drop", i) for i in range(min(len(value), 2))]
         if len(value) >= 2:
@@ -114,6 +117,8 @@ def mutated(doc, path, op, index):
         parent[key] = float(value)
     elif op == "size":
         parent[key] = value + 1
+    elif op == "raise":
+        parent[key] = value << 16
     elif op == "drop":
         del value[index]
     elif op == "duplicate":
@@ -175,13 +180,16 @@ def check_refusal(code, err, path):
 @example((("stages", 1, "cover"), "duplicate", 0))
 @example((("stages", 1, "cover"), "swap", 0))
 @example((("stages", 1, "verification", "mode"), "invalid", None))
+@example((("kernel_orders", 0), "raise", None))
+@example((("kernel_orders", 1), "raise", None))
 @MUTATION_SETTINGS
 def test_mutated_tower_loads_exactly_or_names_the_field(mutation):
     doc = mutated(documents()["tower"], *mutation)
     code, err = load(["tower", "translate", "--seed", "1", "--samples", "0"], doc)
     check_refusal(code, err, mutation[0])
-    if "verification" in mutation[0]:
-        # no mutation of a stage record leaves one that a build emits
+    if "verification" in mutation[0] or mutation[1] == "raise":
+        # no mutation of a stage record leaves one that a build emits, and
+        # the covers of a raised kernel no longer give the document's spec
         assert code == EXIT_INTEGRITY, err
     if code == EXIT_OK:
         reemitted = json.loads(canonical_json(tower_from_document(doc).document()))

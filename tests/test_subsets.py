@@ -1,9 +1,16 @@
 import random
 import statistics
+import sys
 from itertools import islice
 
 import pytest
-from conftest import full_rotation_translate_into, full_subset, naive_set_bits, right_translate
+from conftest import (
+    full_rotation_translate_into,
+    full_subset,
+    naive_set_bits,
+    reference_random_subset_bits,
+    right_translate,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -58,17 +65,27 @@ def test_membership_reads_the_mask_bit(group):
 
 def test_from_indices_matches_or_loop():
     rng = random.Random(8)
-    for n in (1, 7, 8, 9, 20, 4096, 4097, 5040):  # both sides of the OR-build cut
+    # byte boundaries, 4096 and its neighbours, and C131072, where a list of
+    # indices below 64 needs flags only up to its largest index
+    for n in (1, 7, 8, 9, 20, 4096, 4097, 5040, 131072):
         g = CyclicGroup(n)
-        members = [rng.randrange(n) for _ in range(n // 3 + 1)] + [n - 1, 0]
-        bits = 0
-        for i in members:
-            bits |= 1 << i
-        assert GroupSubset.from_indices(g, members).bits == bits
+        members = [rng.randrange(n) for _ in range(min(n // 3, 2000) + 1)] + [n - 1, 0]
+        low = [rng.randrange(min(n, 64)) for _ in range(40)]  # unsorted, with repeats
+        for listed in (members, low, low[::-1], [0], [n - 1]):
+            bits = 0
+            for i in listed:
+                bits |= 1 << i
+            assert GroupSubset.from_indices(g, listed).bits == bits
+            assert GroupSubset.from_indices(g, iter(listed)).bits == bits
         assert GroupSubset.from_indices(g, []).bits == 0
         for bad in (-1, -n, n, n + 8):
             with pytest.raises(ValueError, match="out of range"):
                 GroupSubset.from_indices(g, [0, bad])
+    # a refusal names the least index if it is negative, else the largest
+    c20 = CyclicGroup(20)
+    for listed, bad in (([5, -1, 99], -1), ([99, 5], 99), ([-3, -1], -3), ([20, 19], 20)):
+        with pytest.raises(ValueError, match=rf"^index {bad} out of range for C20$"):
+            GroupSubset.from_indices(c20, listed)
 
 
 @pytest.mark.parametrize("width", [0, 1, 64, 255, 256, 257, 4096, 131072])
@@ -193,6 +210,58 @@ def test_random_subset_extremes_and_determinism():
     assert a.bits != c.bits
     with pytest.raises(ValueError):
         random_subset(g, 1.5, random.Random(1))
+
+
+class _Ties(random.Random):
+    """A generator whose draws cycle through 0.0 and the tested probabilities exactly."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self._draws = [0.0, 0.062, 0.5, 1.0 - 2**-53, self.getrandbits(53) * 2**-53]
+
+    def random(self):
+        self._draws.append(self._draws.pop(0))
+        return self._draws[0]
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 1024, 131072])
+def test_random_subset_matches_the_per_element_loop(n):
+    # element i is a member iff the i-th draw is below p: a draw equal to p
+    # is not, and no draw is consumed beyond the n-th
+    g = CyclicGroup(n)
+    for make in (random.Random, _Ties):
+        for p in (0.0, 0.062, 0.5, 1.0):
+            ours, theirs = make(n), make(n)
+            assert random_subset(g, p, ours).bits == reference_random_subset_bits(n, p, theirs)
+            assert ours.random() == theirs.random(), (make, p)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-string digit limit here"
+)
+def test_masks_convert_as_binary_under_the_int_string_digit_limit():
+    # Masks are built from and read as binary numerals, which the limit
+    # exempts; a decimal conversion of these 4096- and 131072-bit masks
+    # would raise ValueError under it.
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        g = CyclicGroup(131072)
+        members = [0, 5, 4095, 4096, 70001, 131071]
+        s = GroupSubset.from_indices(g, members)
+        assert s.indices() == members
+        assert [i for i in (-1, 0, 1, 5, 4096, 70000, 131071, 131072) if i in s] == [
+            0, 5, 4096, 131071
+        ]
+        drawn = random_subset(g, 0.5, random.Random(4))
+        assert drawn.bits == reference_random_subset_bits(131072, 0.5, random.Random(4))
+        assert [i for i in range(131072) if i in drawn] == drawn.indices()
+        twin = DirectProductGroup(CyclicGroup(1), CyclicGroup(4096))
+        x = GroupSubset.from_indices(twin, [0, 1, 4095])
+        assert naive_set_bits(_translate_bits(twin, x, 1)) == [0, 1, 2]
+        assert 4095 in GroupSubset(twin, _translate_bits(twin, x, 4094))
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 def test_random_subset_binomial_statistics():

@@ -3,6 +3,7 @@ import json
 import math
 import re
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -691,6 +692,29 @@ def test_loaded_tower_rechecks_bounds():
         tower_from_document(with_cover(doc, 2, [0, 1024]))
     with pytest.raises(IntegrityError, match="stage 2: kernel cover must be nonempty"):
         tower_from_document(with_cover(doc, 2, []))
+
+
+@pytest.mark.parametrize("order", [2**26, 10**12], ids=["2^26", "10^12"])
+def test_loaded_tower_decodes_covers_by_their_largest_index(tmp_path, capsys, order):
+    # A cover is decoded over its largest listed index, not over the declared
+    # kernel: a decode over C(2^26) would take 16 MiB, over C(10^12) about
+    # 125 GB.  The covers here keep their seed-3 C1024 indices, so the load
+    # is refused only by the derived fields, after every cover is decoded.
+    doc = build_tower(TowerSpec([20, 1024]), 3).document()
+    doc["kernel_orders"] = [20, order]
+    refusal = "document: field 'spec' disagrees with the loaded tower"
+    tracemalloc.start()
+    try:
+        with pytest.raises(IntegrityError, match=re.escape(refusal)):
+            tower_from_document(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    path = tmp_path / "tower.json"
+    path.write_text(canonical_json(doc))
+    assert main(["tower", "dim", "--in", str(path), "--seed", "1"]) == EXIT_INTEGRITY
+    assert capsys.readouterr().err == f"integrity error: {refusal}\n"
 
 
 def test_loaded_tower_refuses_derived_fields_that_contradict_its_covers():
