@@ -4,7 +4,8 @@ The constructions draw Bernoulli(p) random subsets, reject draws whose
 members exceed the 2pn size cap or fail verification, and emit certificates
 recording the seed, the attempt count and the verification mode.  Exhaustive
 verification never silently downgrades: above the step budget the caller
-gets sampled mode and the certificate says so.
+gets sampled mode and the certificate says so.  Both exhaustive verifiers
+prove k = 1 and k >= 3 by one prefix scan, and k = 2 by one quotient set.
 """
 
 from __future__ import annotations
@@ -106,22 +107,22 @@ def verify_intersecting(
     """Check that every tuple of right translates X_1 g_1, ..., X_k g_k meets.
 
     The X_i g_i meet iff the X_i g_i g_1^{-1} meet, so exhaustive mode scans
-    only the n^(k-1) tuples with g_1 = e, by bit-vector intersections.  A
-    failing tuple exists iff one with leading index 0 does, and that one
-    sorts first, so the witness is still the lexicographically first empty
-    tuple over all n^k.  At k = 2 the scan over g_2 is one quotient set:
-    X_1 meets X_2 g exactly when g is in X_2^{-1} X_1, so the tuple (e, g)
-    fails exactly for the g outside it, and building it from |X_2|
-    translates of X_1 still proves every tuple.  The budget still counts
-    n^k steps, and the method is still "tuple-scan".  Sampled mode
-    checks `trials` uniform tuples drawn from the given seed, k
-    consecutive util.uniform_draws values each (the values randrange would
-    give, generated in bulk), and reports the tuple as drawn.  The drawn
-    tuples stream, never all held at once, into one
-    subsets.first_disjoint_tuple scan, which normalises by g_1 itself,
+    only the n^(k-1) tuples with g_1 = e.  A failing tuple exists iff one
+    with leading index 0 does, and that one sorts first, so the witness is
+    still the lexicographically first empty tuple over all n^k.  At k = 1
+    and k >= 3 _first_empty_meet scans one table of n translates X_i g per
+    later member.  At k = 2 the scan over g_2 is one quotient set: X_1 meets
+    X_2 g exactly when g is in X_2^{-1} X_1, so the tuple (e, g) fails
+    exactly for the g outside it, and building it from |X_2| translates of
+    X_1 still proves every tuple.  The budget counts n^k steps, and the
+    method is "tuple-scan".  Sampled mode checks `trials` uniform tuples
+    drawn from the given seed, k consecutive util.uniform_draws values each
+    (the values randrange would give, generated in bulk), and reports the
+    tuple as drawn.  The drawn tuples stream, never all held at once, into
+    one subsets.first_disjoint_tuple scan, which normalises by g_1 itself,
     reads only window-table entries on rotation carriers (no oracle call)
-    and stops each trial at its first common element rather than
-    translating every X_i in full.
+    and stops each trial at its first common element rather than translating
+    every X_i in full.
     """
     k = len(subsets)
     if k < 1:
@@ -136,7 +137,11 @@ def verify_intersecting(
                 f"exhaustive verification needs n^k = {n**k} steps "
                 f"(budget {step_budget()}); use sampled mode"
             )
-        witness = _exhaustive_intersecting_witness(group, subsets)
+        if k == 2:
+            witness = _quotient_witness(group, subsets[1], subsets[0], 0)
+        else:
+            tables = [[_translate_bits(group, s, g) for g in range(n)] for s in subsets[1:]]
+            witness = _first_empty_meet(subsets[0].bits, tables, ascending=False)
         return VerificationRecord(
             mode="exhaustive", result=witness is None, witness=witness, method="tuple-scan"
         )
@@ -144,51 +149,57 @@ def verify_intersecting(
     miss = first_disjoint_tuple(
         group, subsets[0], subsets[1:], islice(zip(*[draws] * k), trials)
     )
-    if miss is not None:
-        t, tup = miss
-        return VerificationRecord(
-            mode="sampled", result=False, trials=t + 1, witness=tup, method="tuple-sample"
-        )
-    return VerificationRecord(mode="sampled", result=True, trials=trials, method="tuple-sample")
+    return _sampled_record(miss, trials, "tuple-sample")
 
 
-def _exhaustive_intersecting_witness(
-    group: FiniteGroup, subsets: list[GroupSubset]
+def _sampled_record(miss: tuple | None, trials: int, method: str) -> VerificationRecord:
+    """A sampled record from first_disjoint_tuple's first miss (trial, tuple), or a pass."""
+    if miss is None:
+        return VerificationRecord(mode="sampled", result=True, trials=trials, method=method)
+    t, witness = miss
+    return VerificationRecord(
+        mode="sampled", result=False, trials=t + 1, witness=witness, method=method
+    )
+
+
+def _first_empty_meet(
+    first: int, tables: list[list[int]], ascending: bool
 ) -> tuple[int, ...] | None:
-    """Lexicographically first empty translate tuple, scanning only g_1 = e.
+    """Lexicographically first (0, g_2, ..., g_k) with an empty meet, or None.
 
-    The X_i g_i meet iff the X_i g_i g_1^{-1} meet, so a failing tuple
-    exists iff one with g_1 = e (index 0) does, and that one sorts first.
-    At k = 2, X_1 meets X_2 g iff a = b g for some a in X_1 and b in X_2,
-    that is iff g is in the quotient set X_2^{-1} X_1; the first failing
-    tuple is (0, g) with g its lowest missing element.
+    The meet is first & tables[0][g_2] & ... & tables[k-2][g_k], with k - 1
+    = len(tables); when ascending, only 0 < g_2 < ... < g_k are scanned, and
+    level j stops early enough to leave room for the entries after it.  The
+    scan ANDs one table entry per level into the meet of its prefix and
+    prunes at the first empty one: every completion of that prefix fails,
+    so the witness is its least completion, padded with zeros, or with
+    g + 1, g + 2, ... when ascending.  At k = 1 the one tuple is (0,): a
+    right translate of the set `first` is empty exactly when the set is.
     """
-    n = group.order
-    k = len(subsets)
-    first = subsets[0].bits
+    k = len(tables) + 1
     if k == 1:
-        # Right translation is a bijection, so every X_1 g is empty or none is.
         return None if first else (0,)
-    if k == 2:
-        return _quotient_witness(group, subsets[1], subsets[0], 0)
-    tables = [[_translate_bits(group, s, g) for g in range(n)] for s in subsets[1:]]
+    n = len(tables[0])
 
-    def descend(level: int, acc: int, prefix: tuple[int, ...]):
-        table = tables[level - 1]
-        last = level == k - 1
-        for g in range(n):
+    def span(lo: int, after: int):  # a level's candidates, `after` entries still to follow
+        return iter(range(lo, n - after) if ascending else range(n))
+
+    # (index, its meet, the next index's candidates) per prefix entry; no recursion: k can be n
+    stack = [(0, first, span(1, k - 2))]
+    while stack:
+        _, acc, candidates = stack[-1]
+        table, after = tables[len(stack) - 1], k - 1 - len(stack)
+        for g in candidates:
             cur = acc & table[g]
             if not cur:
-                # every completion of this prefix fails; the lexicographic
-                # first one pads with identity indices
-                return prefix + (g,) + (0,) * (k - 1 - level)
-            if not last:
-                hit = descend(level + 1, cur, prefix + (g,))
-                if hit is not None:
-                    return hit
-        return None
-
-    return descend(1, first, (0,))
+                pad = range(g + 1, g + 1 + after) if ascending else (0,) * after
+                return (*(entry[0] for entry in stack), g, *pad)
+            if after:  # go one level down; this level resumes after g once that one ends
+                stack.append((g, cur, span(g + 1, after - 1)))
+                break
+        else:
+            stack.pop()
+    return None
 
 
 @dataclass
@@ -199,7 +210,6 @@ class IntersectingFamily:
     k: int
     subsets: list[GroupSubset]
     probability: float
-    size_cap: float
     seed: int
     attempts_used: int
     verification: VerificationRecord
@@ -305,7 +315,6 @@ def construct_intersecting_family(
             k=k,
             subsets=subsets,
             probability=p,
-            size_cap=cap,
             seed=seed,
             attempts_used=attempt + 1,
             verification=record,
@@ -389,34 +398,6 @@ def construct_k_covering(
     return CoveringCertificate(group=group, k=k, covering_set=union, family=family, seed=seed)
 
 
-def _exhaustive_covering_witness(
-    group: FiniteGroup, x: GroupSubset, k: int
-) -> tuple[int, ...] | None:
-    """Lexicographically first untranslatable sorted Y, scanning only Y containing e.
-
-    Y translates into X iff y_1^{-1} Y does, so an untranslatable Y exists
-    iff one containing e (index 0) does, and that one sorts first.  Y =
-    {e} + rest translates iff X meets every X y^{-1} with y in rest; each
-    such translate is computed when the scan first reaches y, then kept.
-    verify_k_covering runs it at k = 1 and k >= 3 only.
-    """
-    n = group.order
-    bits = x.bits
-    translates: dict[int, int] = {}
-    for rest in combinations(range(1, n), k - 1):
-        acc = bits
-        for y in rest:
-            t = translates.get(y)
-            if t is None:
-                t = translates[y] = _translate_bits(group, x, group.inv(y))
-            acc &= t
-            if not acc:
-                break
-        if not acc:
-            return (0,) + rest
-    return None
-
-
 def _quotient_witness(
     group: FiniteGroup, x: GroupSubset, y: GroupSubset, start: int
 ) -> tuple[int, int] | None:
@@ -473,6 +454,8 @@ def verify_k_covering(
     the C(n-1,k-1) subsets containing e.  An untranslatable Y exists iff one
     containing e (index 0) does, and that one sorts first, so failure still
     reports the lexicographically first untranslatable Y over all C(n,k).
+    At k = 1 and k >= 3, {e} + rest translates iff X meets every X y^{-1},
+    y in rest: _first_empty_meet scans a table of all n of them, at ascending y.
     The budget counts C(n,k)*n steps, and k = 2 is exhaustive past it up to
     n = _PAIRWISE_PRODUCT_LIMIT.  At k = 2, at any budget, the proof is the
     quotient set: {0, d} translates into X iff d is in X^{-1} X.  Sampled
@@ -502,19 +485,16 @@ def verify_k_covering(
         if k == 2:
             witness, method = _quotient_witness(group, x, x, 1), "difference-set"
         else:
-            witness, method = _exhaustive_covering_witness(group, x, k), "subset-scan"
+            table = [_translate_bits(group, x, group.inv(y)) for y in range(n if k > 1 else 0)]
+            witness = _first_empty_meet(x.bits, [table] * (k - 1), ascending=True)
+            method = "subset-scan"
         return VerificationRecord(
             mode="exhaustive", result=witness is None, witness=witness, method=method
         )
     rng = random.Random(seed)
     draws = (tuple(sorted(rng.sample(range(n), k))) for _ in range(trials))
     miss = first_disjoint_tuple(group, x, [x] * (k - 1), draws, inverses=True)
-    if miss is not None:
-        t, ys = miss
-        return VerificationRecord(
-            mode="sampled", result=False, trials=t + 1, witness=ys, method="subset-sample"
-        )
-    return VerificationRecord(mode="sampled", result=True, trials=trials, method="subset-sample")
+    return _sampled_record(miss, trials, "subset-sample")
 
 
 EXACT_COVERING_ORDER_LIMIT = 16
@@ -580,13 +560,13 @@ def _anchored_candidate_covers(
 
     columns[y][x] is 1 << (x y^{-1}), so the right translate X y^{-1} is the
     OR of columns[y][x] over x in X; at k = 1 no column is read, and the
-    table may be empty.  As in _exhaustive_covering_witness, Y = {e} + rest
+    table may be empty.  As in verify_k_covering, Y = {e} + rest
     translates iff X meets every X y^{-1} with y in rest, and only Y
     containing e need be scanned.  Each translate is built when
     the scan first reaches y and kept for this candidate only.  It is kept
-    apart from that verifier, which translates one set once per shift, where
-    a table of n columns would cost more than its |X| mul calls; the search
-    translates thousands of sets by the same n - 1 shifts.
+    apart from that verifier's prefix scan, which translates one set by
+    each shift once; the search translates thousands of sets by the same
+    n - 1 shifts, so it tabulates the shifts once instead.
     """
     bits = 0
     for x in members:

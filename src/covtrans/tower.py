@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import islice
 from operator import lt
@@ -59,16 +59,7 @@ class StageAdmissibility:
     exempt: bool  # stage 1 always builds with the singleton kernel cover
 
     def document(self) -> dict:
-        return {
-            "stage": self.stage,
-            "kernel_order": self.kernel_order,
-            "parameter": self.parameter,
-            "literal_value": self.literal_value,
-            "literal_ok": self.literal_ok,
-            "strengthened_value": self.strengthened_value,
-            "strengthened_ok": self.strengthened_ok,
-            "exempt": self.exempt,
-        }
+        return asdict(self)
 
 
 class TowerSpec:

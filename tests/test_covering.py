@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 
 import pytest
 from conftest import (
@@ -165,9 +166,10 @@ def test_verify_intersecting_witnesses_match_naive_oracles():
     sampled_outcomes = set()
     for desc in WITNESS_GROUPS:
         group = group_from_descriptor(desc)
-        for k in (1, 2, 3):
+        for k in (1, 2, 3, 4) if group.order <= 8 else (1, 2, 3):
+            low, high = (0.02, 0.95) if k < 4 else (0.3, 1.0)  # sparse k = 4 families all fail
             for _ in range(4):
-                subsets = [random_subset(group, rng.uniform(0.02, 0.95), rng) for _ in range(k)]
+                subsets = [random_subset(group, rng.uniform(low, high), rng) for _ in range(k)]
                 members = [s.indices() for s in subsets]
                 expected = naive_first_empty_tuple(group, members)
                 got = verify_intersecting(group, subsets, mode="exhaustive")
@@ -187,7 +189,7 @@ def test_verify_intersecting_witnesses_match_naive_oracles():
                 assert (got.result, got.trials, got.witness) == replay
                 sampled_outcomes.add(replay[0])
     assert sampled_outcomes == {True, False}
-    assert outcomes == {(k, ok) for k in (1, 2, 3) for ok in (True, False)}
+    assert outcomes == {(k, ok) for k in (1, 2, 3, 4) for ok in (True, False)}
 
 
 def test_verify_budget_guard(monkeypatch):
@@ -342,9 +344,10 @@ def test_verify_k_covering_witnesses_match_naive_oracles():
     sampled_outcomes = set()
     for desc in WITNESS_GROUPS:
         group = group_from_descriptor(desc)
-        for k in (1, 2, 3):
+        for k in (1, 2, 3, 4) if group.order <= 8 else (1, 2, 3):
+            low, high = (0.0, 0.6) if k < 4 else (0.3, 1.0)  # sparse sets never 4-cover
             for _ in range(4):
-                x = random_subset(group, rng.uniform(0.0, 0.6), rng)
+                x = random_subset(group, rng.uniform(low, high), rng)
                 expected = naive_first_untranslatable(group, x.indices(), k)
                 got = verify_k_covering(group, x, k, mode="exhaustive")
                 assert got.method == ("difference-set" if k == 2 else "subset-scan")
@@ -363,7 +366,34 @@ def test_verify_k_covering_witnesses_match_naive_oracles():
                 assert (got.result, got.trials, got.witness) == replay
                 sampled_outcomes.add(replay[0])
     assert sampled_outcomes == {True, False}
-    assert outcomes == {(k, ok) for k in (1, 2, 3) for ok in (True, False)}
+    assert outcomes == {(k, ok) for k in (1, 2, 3, 4) for ok in (True, False)}
+
+
+@pytest.mark.parametrize("descriptor", ["C4", "C5", "D3", "S3"])
+def test_subset_scan_at_k_near_n_matches_naive_oracle(descriptor):
+    # at k = n - 1 and k = n the ascending ranges leave exactly room for the tail:
+    # X = G passes, and X = G minus one element fails only at k = n, on Y = G
+    group = group_from_descriptor(descriptor)
+    n = group.order
+    for missing in (None, *range(n)):
+        members = [g for g in range(n) if g != missing]
+        x = GroupSubset.from_indices(group, members)
+        for k in (n - 1, n):
+            expected = naive_first_untranslatable(group, members, k)
+            got = verify_k_covering(group, x, k, mode="exhaustive")
+            assert got.method == "subset-scan"
+            assert (got.result, got.witness) == (expected is None, expected)
+            assert expected == (tuple(range(n)) if missing is not None and k == n else None)
+
+
+def test_subset_scan_at_k_n_past_the_recursion_limit():
+    # n * C(n, n) = n fits the budget, so the scan's depth k - 1 is bounded by n alone
+    n = sys.getrecursionlimit() + 100
+    group = CyclicGroup(n)
+    rec = verify_k_covering(group, full_subset(group), n)
+    assert (rec.mode, rec.result, rec.method) == ("exhaustive", True, "subset-scan")
+    rec = verify_k_covering(group, GroupSubset.from_indices(group, range(1, n)), n)
+    assert (rec.result, rec.witness) == (False, tuple(range(n)))
 
 
 @pytest.mark.parametrize(
@@ -516,13 +546,13 @@ def test_difference_route_when_scan_over_budget(monkeypatch):
     assert (rec.result, rec.witness) == (honest.result, honest.witness)
 
 
-def _refuse_subset_scan(group, x, k):
-    raise AssertionError(f"subset scan reached at k = {k}")
+def _refuse_prefix_scan(first, tables, ascending):
+    raise AssertionError(f"prefix scan reached at k = {len(tables) + 1}")
 
 
 def test_exhaustive_k2_takes_one_route_at_every_budget(monkeypatch):
-    # the same k = 2 record unset, at budget 1 and at n * C(n, 2), none from the subset scan
-    monkeypatch.setattr(covering, "_exhaustive_covering_witness", _refuse_subset_scan)
+    # the same k = 2 record unset, at budget 1 and at n * C(n, 2), none from the prefix scan
+    monkeypatch.setattr(covering, "_first_empty_meet", _refuse_prefix_scan)
     rng = random.Random(37)
     outcomes = set()
     for desc in ("C12", "C16", "D6", "S4", "C2xC6"):
@@ -546,7 +576,7 @@ def test_exhaustive_k2_takes_one_route_at_every_budget(monkeypatch):
 
 def test_k2_label_rule_above_the_pairwise_limit(monkeypatch):
     # past _PAIRWISE_PRODUCT_LIMIT only n * C(n, 2) against the budget decides
-    monkeypatch.setattr(covering, "_exhaustive_covering_witness", _refuse_subset_scan)
+    monkeypatch.setattr(covering, "_first_empty_meet", _refuse_prefix_scan)
     g = CyclicGroup(10007)
     n = g.order
     assert n > covering._PAIRWISE_PRODUCT_LIMIT

@@ -14,10 +14,17 @@ the local `full` of covering._quotient_witness, a FiniteGroup.elements
 method on ThinSet.elements, and a Tower.set_size method on bench's
 "set_size" document key.  Those three were checked by hand and removed
 when this test came.
+
+The benchmark attributes verify_k_covering's time by its record's method
+through a lookup that skips unknown names, so a renamed method would pass
+every other test and its time would go unattributed; one more test runs
+each route and reads bench/tracing.py's table of methods.
 """
 
 import ast
 from pathlib import Path
+
+from covtrans import CyclicGroup, GroupSubset, verify_k_covering
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "covtrans"
@@ -73,3 +80,33 @@ def test_every_definition_in_src_is_reached_by_the_program_or_the_benchmark():
         if name not in used
     ]
     assert unused == [], f"defined in src/covtrans but reached only by tests: {unused}"
+
+
+def _traced_k_covering_methods() -> set[str]:
+    """The keys of bench/tracing.py's _K_COVERING_METHOD, read without importing it."""
+    for node in _parse(BENCH / "tracing.py").body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "_K_COVERING_METHOD" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    raise AssertionError("bench/tracing.py defines no _K_COVERING_METHOD")
+
+
+def test_every_k_covering_method_is_attributed_by_the_tracer():
+    group = CyclicGroup(8)
+    x = GroupSubset.from_indices(group, range(5))
+    routes = {  # (k, mode) -> the route it takes
+        (9, "exhaustive"): "vacuous",
+        (1, "exhaustive"): "k = 1 scan",
+        (2, "exhaustive"): "k = 2 quotient set",
+        (3, "exhaustive"): "k = 3 scan",
+        (3, "sampled"): "sampled",
+    }
+    methods = {
+        route: verify_k_covering(group, x, k, mode, trials=20).method
+        for (k, mode), route in routes.items()
+    }
+    assert methods["vacuous"] == "vacuous"
+    traced = _traced_k_covering_methods()
+    untraced = {r: m for r, m in methods.items() if r != "vacuous" and m not in traced}
+    assert untraced == {}, f"methods bench/tracing.py does not attribute: {untraced}"
