@@ -330,10 +330,12 @@ def _cmd_tower_translate(config: dict) -> tuple[str, int]:
         thin_sets = [make_thin_set(spec, depth, elems) for elems in listed]
     else:
         rng = random.Random(derive_seed(config["seed"], _TRANSLATE_SALT))
-        thin_sets = [
+        # a generator, so each thin set is dropped once translated; the count
+        # is checked here, before any draw
+        thin_sets = (
             sample_thin_set(spec, depth, rng, config["fullness"])
             for _ in range(_sample_count(config))
-        ]
+        )
     for thin in thin_sets:
         translation = translate_thin(tower, thin)
         results.append(

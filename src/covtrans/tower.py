@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import islice
@@ -74,7 +75,7 @@ class TowerSpec:
         group_orders = [1]
         for n in orders:
             group_orders.append(group_orders[-1] * n)
-        self._group_orders = tuple(group_orders)
+        self.group_orders = tuple(group_orders)  # |G_0|, ..., |G_depth|
         self._maps: dict[int, Epimorphism] = {}
 
     @property
@@ -84,7 +85,7 @@ class TowerSpec:
     def group_order(self, i: int) -> int:
         if not 0 <= i <= self.depth:
             raise ValueError(f"stage {i} out of range for depth {self.depth}")
-        return self._group_orders[i]
+        return self.group_orders[i]
 
     def group(self, i: int) -> CyclicGroup:
         return CyclicGroup(self.group_order(i))
@@ -156,10 +157,16 @@ class FactoredSubset:
         self.size = base.size * kernel_cover.size
 
     def __contains__(self, x: int) -> bool:
-        v, b = divmod(x, self.modulus)
-        # base digit first: it rejects most elements, and a cover test
-        # shifts the cover's whole mask
-        return b in self.base and v in self.kernel_cover
+        # one digit loop down the stages, no recursion: the top digit of each
+        # level against that level's cover (one byte of its flag image), then
+        # the remainder against the stage-0 set
+        level = self
+        while type(level) is FactoredSubset:
+            v, x = divmod(x, level.modulus)
+            if v not in level.kernel_cover:
+                return False
+            level = level.base
+        return x in level
 
     def __repr__(self) -> str:
         return f"FactoredSubset({self.group.name}, size={self.size})"
@@ -288,7 +295,7 @@ class Tower:
         """Digit membership test for X_i, one divmod per stage."""
         if not 0 <= i <= self.depth:
             raise ValueError(f"stage {i} out of range for depth {self.depth}")
-        if not 0 <= x < self.spec.group_order(i):
+        if not 0 <= x < self.spec.group_orders[i]:
             raise ValueError(f"index {x} out of range for stage {i}")
         return x in self.stage_set(i)
 
@@ -434,17 +441,21 @@ class ThinSet:
 
 
 def make_thin_set(spec: TowerSpec, depth: int, elements) -> ThinSet:
-    """Sort, project and validate an element list into a ThinSet."""
+    """Sort, project and validate an element list into a ThinSet.
+
+    An element out of range is refused by name: the least negative one,
+    else the least one at or above |G_depth|.
+    """
     if not 0 <= depth <= spec.depth:
         raise ValueError(f"depth {depth} out of range for {spec.describe()}")
-    elems = tuple(sorted(set(int(x) for x in elements)))
-    order = spec.group_order(depth)
-    for x in elems:
-        if not 0 <= x < order:
-            raise ValueError(f"element {x} out of range for stage {depth}")
+    elems = tuple(sorted(set(map(int, elements))))
+    orders = spec.group_orders
+    if elems and (elems[0] < 0 or elems[-1] >= orders[depth]):
+        x = elems[0] if elems[0] < 0 else elems[bisect_left(elems, orders[depth])]
+        raise ValueError(f"element {x} out of range for stage {depth}")
     projections = [elems]
     for i in range(depth - 1, -1, -1):
-        modulus = spec.group_order(i)
+        modulus = orders[i]
         projections.append(tuple(sorted({x % modulus for x in projections[-1]})))
     projections.reverse()
     for i, image in enumerate(projections):
@@ -469,17 +480,29 @@ def sample_thin_set(
         raise ValueError(f"depth {depth} out of range for {spec.describe()}")
     if not 0.0 < fullness <= 1.0:
         raise ValueError(f"fullness must be in (0, 1], got {fullness}")
-    randrange = rng.randrange
+    # Each draw is CPython's _randbelow_with_getrandbits, the draw behind
+    # rng.randrange(n), inlined: getrandbits(n.bit_length()) until below n.
+    # Same words, same order, so the same sets and generator state as
+    # randrange, without its two Python frames per draw.
+    getrandbits = rng.getrandbits
     levels: list[list[int]] = [[0]]
     for i in range(1, depth + 1):
         phi = spec.quotient_map(i)
         mul, embed, section = phi.source.mul, phi.embed_kernel, phi.section
         kernel_order = spec.kernel_orders[i - 1]
+        kernel_width = kernel_order.bit_length()
         prev = levels[i - 1]
+        count = len(prev)
+        count_width = count.bit_length()
         chosen: list[int] = []
         for _ in range(thin_bound(i)):
-            h = prev[randrange(len(prev))]
-            x = mul(embed(randrange(kernel_order)), section(h))
+            r = getrandbits(count_width)
+            while r >= count:
+                r = getrandbits(count_width)
+            v = getrandbits(kernel_width)
+            while v >= kernel_order:
+                v = getrandbits(kernel_width)
+            x = mul(embed(v), section(prev[r]))
             if x not in chosen:
                 chosen.append(x)
         levels.append(chosen)
@@ -521,12 +544,13 @@ def translate_thin(tower: Tower, thin: ThinSet) -> ThinTranslation:
     d = thin.depth
     if d > tower.depth:
         raise ValueError(f"thin set depth {d} exceeds tower depth {tower.depth}")
+    orders = tower.spec.group_orders
     g = 0
     chain = [0]
     for s in range(1, d + 1):
         stage = tower.stages[s - 1]
         cover = stage.subset.kernel_cover
-        modulus, order = tower.spec.group_order(s - 1), tower.spec.group_order(s)
+        modulus, order = orders[s - 1], orders[s]
         offsets = sorted({(g + y) % order // modulus for y in thin.projections[s]})
         u = translate_into(cover.group, offsets, cover)
         if u is None:
@@ -537,9 +561,10 @@ def translate_thin(tower: Tower, thin: ThinSet) -> ThinTranslation:
             )
         g += u * modulus
         chain.append(g)
-    top = tower.spec.group_order(d)
+    top = orders[d]
+    member = tower.member
     for y in thin.elements:
-        if not tower.member(d, (g + y) % top):
+        if not member(d, (g + y) % top):
             raise SoundnessError(f"final translator {g} fails membership at depth {d}")
     return ThinTranslation(depth=d, translator=g, stage_translators=tuple(chain))
 

@@ -7,6 +7,7 @@ import os
 import random
 import struct
 from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
 from operator import rshift
 
 from .errors import IntegrityError
@@ -154,7 +155,10 @@ def canonical_json(obj) -> str:
     """Deterministic JSON: insertion-ordered keys, 12-significant-digit reals.
 
     Stock json.dumps leaves float formatting to repr, which does not pin the
-    byte representation we promise for certificates.
+    byte representation we promise for certificates.  Strings and keys are
+    quoted by encode_basestring_ascii, the function json.dumps(str) calls
+    with its default settings, so a float-free document with string keys
+    prints exactly as json.dumps(obj, indent=2) prints it.
     """
     out: list[str] = []
     _emit(obj, out, 0)
@@ -175,7 +179,7 @@ def _emit(obj, out: list[str], level: int) -> None:
     elif isinstance(obj, float):
         out.append(format_real(obj))
     elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+        out.append(encode_basestring_ascii(obj))
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -185,7 +189,7 @@ def _emit(obj, out: list[str], level: int) -> None:
             if not isinstance(key, str):
                 raise TypeError(f"document keys must be strings, got {key!r}")
             out.append(pad)
-            out.append(json.dumps(key))
+            out.append(encode_basestring_ascii(key))
             out.append(": ")
             _emit(value, out, level + 1)
             out.append(",\n" if i + 1 < len(obj) else "\n")

@@ -12,13 +12,14 @@ subsets._translate_bits, whose own test compares it with naive translates:
 the two full-translate sampled loops and the full-rotation translate search
 use it so that they stay fast on C131072.  random_subset's masks are
 checked against a per-element loop over a bit buffer.  Then come the
-tower's stage measures, its stage members and thin-set lift computed
-through its stage maps (the lift shares translate_into with the library),
-a thin set's translator sets T_i and their pullbacks along the tower's
-reductions (the sets are right translates of the stage masks), the
-element-by-element canonical JSON emitter that util.canonical_json
-replaced for lists of ints, the quotient-map contract of a tower's
-reduction, and a text comparison that stays fast on large documents.
+tower's stage measures, its stage members, its thin-set sampler by
+randrange and its thin-set lift computed through its stage maps (the lift
+shares translate_into with the library), a thin set's translator sets T_i
+and their pullbacks along the tower's reductions (the sets are right
+translates of the stage masks), the element-by-element canonical JSON
+emitter that util.canonical_json replaced for lists of ints, the
+quotient-map contract of a tower's reduction, and a text comparison that
+stays fast on large documents.
 """
 
 import functools
@@ -30,7 +31,7 @@ from math import factorial
 
 import pytest
 
-from covtrans import GroupSubset, translate_into
+from covtrans import GroupSubset, make_thin_set, thin_bound, translate_into
 from covtrans.subsets import _translate_bits
 
 
@@ -370,6 +371,30 @@ def reference_lift(tower, thin):
         g = mul(phi.embed_kernel(u), g_tilde)
         chain.append(g)
     return g, tuple(chain)
+
+
+def reference_sample_thin_set(spec, depth, rng, fullness=1.0):
+    """sample_thin_set as it drew before its draws were inlined: by rng.randrange.
+
+    Level i draws, thin_bound(i) times, a pick h of level i - 1 and a kernel
+    element v, both by randrange, and picks embed_kernel(v) h in G_i unless
+    it is already picked; with fullness below 1 each top-level pick is then
+    kept on one rng.random() draw.
+    """
+    levels = [[0]]
+    for i in range(1, depth + 1):
+        phi = spec.quotient_map(i)
+        prev, chosen = levels[-1], []
+        for _ in range(thin_bound(i)):
+            h = prev[rng.randrange(len(prev))]
+            x = phi.source.mul(phi.embed_kernel(rng.randrange(spec.kernel_orders[i - 1])), h)
+            if x not in chosen:
+                chosen.append(x)
+        levels.append(chosen)
+    kept = levels[depth]
+    if fullness < 1.0:
+        kept = [x for x in kept if rng.random() < fullness]
+    return make_thin_set(spec, depth, kept)
 
 
 @functools.lru_cache(maxsize=4)

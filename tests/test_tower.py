@@ -16,6 +16,7 @@ from conftest import (
     pullback_dense,
     reference_canonical_json,
     reference_lift,
+    reference_sample_thin_set,
     stage_measures,
     witness_levels,
     witness_sets_nested,
@@ -333,6 +334,36 @@ def test_sample_thin_set_shapes():
         sample_thin_set(spec, 2, rng, fullness=0.0)
 
 
+@pytest.mark.parametrize("fullness", [1.0, 0.5])
+def test_sample_thin_set_draws_as_randrange_did(fullness):
+    # the inlined draws read the same generator words in the same order as
+    # rng.randrange: the same thin sets, and the generator left in the same state
+    spec = TowerSpec([20, 1024, 131072])
+    for depth in range(4):
+        mine, ref = random.Random(depth), random.Random(depth)
+        for _ in range(2000):
+            got = sample_thin_set(spec, depth, mine, fullness)
+            assert got == reference_sample_thin_set(spec, depth, ref, fullness)
+        assert mine.getstate() == ref.getstate()
+        assert mine.random() == ref.random()
+
+
+def test_make_thin_set_refusals_name_the_offending_element_or_level():
+    spec = TowerSpec([20, 1024])
+    for elements, named in [
+        ([20485, 20480], 20480),  # the least out-of-range element, not the largest
+        ([-3, -1], -3),
+        ([-1, 20480], -1),
+        ([7, 2**70], 2**70),
+    ]:
+        with pytest.raises(ValueError, match=f"^element {named} out of range for stage 2$"):
+            make_thin_set(spec, 2, elements)
+    for depth, elements, level, size, budget in [(2, [0, 1], 1, 2, 1), (2, [0, 20, 40], 2, 3, 2)]:
+        message = f"set is not thin: level {level} image has {size} elements (budget {budget})"
+        with pytest.raises(FeasibilityError, match=f"^{re.escape(message)}$"):
+            make_thin_set(spec, depth, elements)
+
+
 def test_make_thin_set_rejects_wide_sets():
     spec = TowerSpec([20, 1024])
     with pytest.raises(FeasibilityError):
@@ -570,10 +601,31 @@ def test_canonical_json_matches_the_reference_emitter(seed11_tower, tmp_path):
     tower_path.write_text(canonical_json(tower_doc))
     argv = ["tower", "translate", "--in", str(tower_path), "--seed", "5", "--samples", "5000"]
     assert main([*argv, "--out", str(translated)]) == EXIT_OK
+    quoted = ["é", "\u2028", "\x00", '"', "\\", 'a"b\\c\x00é\u2028']
     edges = [[], [0], [True, 1], [False], [-1, -(2**70)], [2**63, 2**64 + 1], (3, 1, 2)]
+    edges += [quoted, {key: [key] for key in quoted}, {"é": {"\u2028": "\x00"}}]
     nested = {"a": [[0, 1], [2, [3, []]], [0.5, None, "x"]], "b": edges, "c": {}}
     for doc in (tower_doc, json.loads(translated.read_text()), *edges, nested, [nested]):
         assert_same_text(canonical_json(doc), reference_canonical_json(doc))
+    # strings and keys are quoted as json.dumps quotes them, with no float to
+    # tell the two apart
+    for doc in (*edges, {"b": edges, "c": {}}):
+        assert canonical_json(doc) == json.dumps(doc, indent=2)
+
+
+def test_translate_streams_its_samples(seed11_tower, tmp_path):
+    # each sampled thin set is dropped once translated; a list of all 5000
+    # took the peak over 8 MiB
+    tower_path = tmp_path / "tower.json"
+    tower_path.write_text(canonical_json(seed11_tower.document()))
+    argv = ["tower", "translate", "--in", str(tower_path), "--seed", "5", "--samples", "5000"]
+    tracemalloc.start()
+    try:
+        assert main([*argv, "--out", str(tmp_path / "translated.json")]) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 << 20, peak
 
 
 def test_loaded_tower_names_a_missing_or_mistyped_field():
