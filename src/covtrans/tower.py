@@ -429,22 +429,22 @@ def check_translation_claim(tower: Tower, samples: int = 100) -> None:
 
 @dataclass(frozen=True)
 class ThinSet:
-    """Elements of G_d whose level-i images stay within the thinness budget."""
+    """Sorted elements of G_d whose level-i images {x mod |G_i|} fit thin_bound(i).
+
+    Sampled sets are thin by construction; make_thin_set validates any other.
+    """
 
     depth: int
     elements: tuple[int, ...]
-    projections: tuple[tuple[int, ...], ...]  # index i = image in G_i, i = 0..depth
-
-    @property
-    def size(self) -> int:
-        return len(self.elements)
 
 
 def make_thin_set(spec: TowerSpec, depth: int, elements) -> ThinSet:
-    """Sort, project and validate an element list into a ThinSet.
+    """Sort and validate an outside element list into a ThinSet.
 
-    An element out of range is refused by name: the least negative one,
-    else the least one at or above |G_depth|.
+    The one check of thinness; sampled sets are thin by construction.  An
+    element out of range is refused by name: the least negative one, else the
+    least one at or above |G_depth|.  So is the lowest level i whose image
+    {x mod |G_i|} holds more than thin_bound(i) elements.
     """
     if not 0 <= depth <= spec.depth:
         raise ValueError(f"depth {depth} out of range for {spec.describe()}")
@@ -453,18 +453,14 @@ def make_thin_set(spec: TowerSpec, depth: int, elements) -> ThinSet:
     if elems and (elems[0] < 0 or elems[-1] >= orders[depth]):
         x = elems[0] if elems[0] < 0 else elems[bisect_left(elems, orders[depth])]
         raise ValueError(f"element {x} out of range for stage {depth}")
-    projections = [elems]
-    for i in range(depth - 1, -1, -1):
-        modulus = orders[i]
-        projections.append(tuple(sorted({x % modulus for x in projections[-1]})))
-    projections.reverse()
-    for i, image in enumerate(projections):
-        if len(image) > thin_bound(i):
+    for i in range(depth + 1):
+        size = len({x % orders[i] for x in elems})
+        if size > thin_bound(i):
             raise FeasibilityError(
-                f"set is not thin: level {i} image has {len(image)} elements "
+                f"set is not thin: level {i} image has {size} elements "
                 f"(budget {thin_bound(i)})"
             )
-    return ThinSet(depth=depth, elements=elems, projections=tuple(projections))
+    return ThinSet(depth=depth, elements=elems)
 
 
 def sample_thin_set(
@@ -473,8 +469,10 @@ def sample_thin_set(
     """Sample a random maximal fiber chain, then keep elements with prob. fullness.
 
     Level 1 fixes a single fiber; level i draws at most i coset
-    representatives inside the previously chosen fibers, so the thinness
-    invariant holds by construction.
+    representatives inside the previously chosen fibers.  A pick
+    x = prev[r] + |G_{i-1}| v has x mod |G_{i-1}| = prev[r], so each level's
+    image lies in its at most thin_bound(i) picks: the set is thin by
+    construction and is not validated again.
     """
     if not 0 <= depth <= spec.depth:
         raise ValueError(f"depth {depth} out of range for {spec.describe()}")
@@ -511,14 +509,13 @@ def sample_thin_set(
         kept = candidates
     else:
         kept = [x for x in candidates if rng.random() < fullness]
-    return make_thin_set(spec, depth, kept)
+    return ThinSet(depth=depth, elements=tuple(sorted(kept)))
 
 
 @dataclass
 class ThinTranslation:
     """A translator g with g*Y inside X_d, plus its stagewise lifting chain."""
 
-    depth: int
     translator: int
     stage_translators: tuple[int, ...]  # g_0, ..., g_d with pi(g_{i+1}) = g_i
 
@@ -527,8 +524,9 @@ def translate_thin(tower: Tower, thin: ThinSet) -> ThinTranslation:
     """Constructive stagewise translation of a thin set into the top stage.
 
     Given g_{s-1} with g_{s-1} * Y_{s-1} inside X_{s-1}, the lift reads the
-    top digits (g_{s-1} + y) mod |G_s| // N of the level-s image, N = |G_{s-1}|,
-    translates them into the stage's kernel cover (smallest element first) and
+    top digits (g_{s-1} + y) mod |G_s| // N, N = |G_{s-1}|, of the elements
+    y; each depends on y mod |G_s| alone, so they are the level-s image's.
+    It translates them into the stage's kernel cover (smallest first) and
     sets g_s = g_{s-1} + N u: integer arithmetic on the spec's orders.  A
     failed lift contradicts the per-stage covering guarantee and raises
     SoundnessError with the offending state.
@@ -551,7 +549,7 @@ def translate_thin(tower: Tower, thin: ThinSet) -> ThinTranslation:
         stage = tower.stages[s - 1]
         cover = stage.subset.kernel_cover
         modulus, order = orders[s - 1], orders[s]
-        offsets = sorted({(g + y) % order // modulus for y in thin.projections[s]})
+        offsets = sorted({(g + y) % order // modulus for y in thin.elements})
         u = translate_into(cover.group, offsets, cover)
         if u is None:
             raise SoundnessError(
@@ -566,7 +564,7 @@ def translate_thin(tower: Tower, thin: ThinSet) -> ThinTranslation:
     for y in thin.elements:
         if not member(d, (g + y) % top):
             raise SoundnessError(f"final translator {g} fails membership at depth {d}")
-    return ThinTranslation(depth=d, translator=g, stage_translators=tuple(chain))
+    return ThinTranslation(translator=g, stage_translators=tuple(chain))
 
 
 def dimension_estimate(spec: TowerSpec, elements, depth: int | None = None) -> float:

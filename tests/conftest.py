@@ -13,8 +13,9 @@ the two full-translate sampled loops and the full-rotation translate search
 use it so that they stay fast on C131072.  random_subset's masks are
 checked against a per-element loop over a bit buffer.  Then come the
 tower's stage measures, its stage members, its thin-set sampler by
-randrange and its thin-set lift computed through its stage maps (the lift
-shares translate_into with the library), a thin set's translator sets T_i
+randrange, a thin set's level images mapped down through the stage maps,
+its thin-set lift computed through those maps (the lift shares
+translate_into with the library), a thin set's translator sets T_i
 and their pullbacks along the tower's reductions (the sets are right
 translates of the stage masks), the element-by-element canonical JSON
 emitter that util.canonical_json replaced for lists of ints, the
@@ -348,6 +349,20 @@ def naive_stage_members(tower, i):
     return members
 
 
+def level_images(spec, thin) -> list:
+    """The level images Y_0, ..., Y_d of a thin set, each sorted.
+
+    Y_d is the set's elements, and Y_{i-1} is the image of Y_i under the
+    stage map G_i -> G_{i-1}, spec.quotient_map(i).map, one level at a time,
+    not by the direct reductions mod |G_i| that make_thin_set and
+    translate_thin compute.
+    """
+    images = [tuple(thin.elements)]
+    for i in range(thin.depth, 0, -1):
+        images.append(tuple(sorted(set(map(spec.quotient_map(i).map, images[-1])))))
+    return images[::-1]
+
+
 def reference_lift(tower, thin):
     """(translator, stage_translators) of translate_thin, lifted through the stage maps.
 
@@ -357,13 +372,13 @@ def reference_lift(tower, thin):
     embed the translator u found back as embed_kernel(u) section(g).  It
     shares translate_into with the library and no arithmetic.
     """
-    g, chain = 0, [0]
+    g, chain, images = 0, [0], level_images(tower.spec, thin)
     for s in range(1, thin.depth + 1):
         phi, cover = tower.spec.quotient_map(s), tower.stages[s - 1].subset.kernel_cover
         mul, inv = phi.source.mul, phi.source.inv
         g_tilde = phi.section(g)
         offsets = set()
-        for y in thin.projections[s]:
+        for y in images[s]:
             w = mul(g_tilde, y)
             offsets.add(phi.kernel_coords(mul(w, inv(phi.section(phi.map(w))))))
         u = translate_into(phi.kernel_group, sorted(offsets), cover)
@@ -409,10 +424,10 @@ def witness_levels(tower, thin) -> list:
     """Translator sets T_i = {h in G_i : h * Y_i inside X_i} for i = 0..d.
 
     T_i is the intersection of the right translates X_i * y^{-1} over the
-    level-i image Y_i, each computed by right_translate.
+    level-i image Y_i of level_images, each computed by right_translate.
     """
     levels = []
-    for i, image in enumerate(thin.projections):
+    for i, image in enumerate(level_images(tower.spec, thin)):
         group = tower.spec.group(i)
         stage = GroupSubset(group, naive_stage_masks(tower)[i])
         acc = (1 << group.order) - 1

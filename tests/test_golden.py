@@ -81,6 +81,12 @@ GOLDEN = [
         "tower translate --seed 3 --samples 200 --in tower3.json",
         "af6f864895ec0b8705234561a8be1c419eb181ecdc71a6e878260b7303add067",
     ),
+    # fullness below 1: each sampled element is kept on one more draw
+    (
+        None,
+        "tower translate --seed 3 --samples 200 --fullness 0.5 --in tower3.json",
+        "61566ce56f446a41cf67561fa49762b0603d5b0c7e1beb158f4088cebefece81",
+    ),
 ]
 
 

@@ -10,6 +10,7 @@ import pytest
 from conftest import (
     assert_same_text,
     full_subset,
+    level_images,
     naive_factored_members,
     naive_reduction_contract,
     naive_stage_members,
@@ -75,7 +76,7 @@ def test_tower_spec_basics():
     assert parse_tower_descriptor("tower:20,1024,131072").kernel_orders == (20, 1024, 131072)
     for s in (1, 2, 3):
         naive_reduction_contract(spec.quotient_map(s))
-    assert make_thin_set(spec, 3, [20480 * 3 + 27]).projections[1] == (7,)
+    assert level_images(spec, make_thin_set(spec, 3, [20480 * 3 + 27]))[1] == (7,)
     with pytest.raises(ValueError):
         TowerSpec([20, 1])
     with pytest.raises(ValueError):
@@ -321,11 +322,20 @@ def test_sample_thin_set_shapes():
     assert len(t1.elements) <= 1
     t2 = sample_thin_set(spec, 2, rng)
     assert len(t2.elements) <= 2
-    assert len(t2.projections[1]) <= 1  # single level-1 fiber
-    for _ in range(1000):
-        t3 = sample_thin_set(spec, 3, rng)
-        assert make_thin_set(spec, t3.depth, t3.elements) == t3
-        assert len(t3.elements) <= 3
+    assert len(level_images(spec, t2)[1]) <= 1  # single level-1 fiber
+    # the sampler builds its sets without make_thin_set: each must be the set
+    # make_thin_set validates from its elements, listed strictly ascending.
+    # The small kernels of tower:2,3,5 make repeated picks common.
+    for kernels in ([20, 1024, 131072], [2, 3, 5]):
+        chain = TowerSpec(kernels)
+        for depth in range(4):
+            for fullness in (1.0, 0.5):
+                for _ in range(500):
+                    thin = sample_thin_set(chain, depth, rng, fullness)
+                    assert thin.depth == depth
+                    assert make_thin_set(chain, depth, thin.elements) == thin
+                    assert all(a < b for a, b in zip(thin.elements, thin.elements[1:]))
+                    assert len(thin.elements) <= thin_bound(depth)
     sparse = sample_thin_set(spec, 3, rng, fullness=0.4)
     assert make_thin_set(spec, sparse.depth, sparse.elements) == sparse
     with pytest.raises(ValueError):
@@ -370,23 +380,64 @@ def test_make_thin_set_rejects_wide_sets():
         make_thin_set(spec, 2, [0, 1])  # two distinct level-1 fibers
     with pytest.raises(ValueError):
         make_thin_set(spec, 2, [20480])
-    ok = make_thin_set(spec, 2, [5, 20 * 512 + 5])
-    assert ok.projections[1] == (5,)
+    ok = make_thin_set(spec, 2, [20 * 512 + 5, 5])
+    assert ok.elements == (5, 20 * 512 + 5)
+    assert level_images(spec, ok)[1] == (5,)
 
 
-def test_make_thin_set_projections_match_per_element_projection():
+def _first_overflowing_level(spec, depth, elements):
+    """(level, image size) of the lowest level i whose image {x mod |G_i|},
+    collected element by element, holds more than thin_bound(i) elements."""
+    for i in range(depth + 1):
+        image = set()
+        for x in elements:
+            image.add(x % spec.group_order(i))
+        if len(image) > thin_bound(i):
+            return i, len(image)
+    return None
+
+
+def test_make_thin_set_accepts_exactly_the_lists_thin_at_every_level():
+    # make_thin_set against a naive oracle: it accepts a list exactly when
+    # every level image fits its budget, and otherwise names the lowest level
+    # that does not.  The lists are sampled sets, the same with an element
+    # repeated and the list reversed, the same with one element added in the
+    # fiber of a member over level j (so it overflows at level j + 1 or later,
+    # or fits), and uniformly random lists.
     spec = TowerSpec([20, 1024, 131072])
     rng = random.Random(17)
-    for depth in (1, 2, 3):
+    lists = []
+    for depth in (0, 1, 2, 3):
+        top = spec.group_order(depth)
         for fullness in (1.0, 0.5):
             for _ in range(200):
-                elements = sample_thin_set(spec, depth, rng, fullness).elements
-                thin = make_thin_set(spec, depth, elements)
-                assert thin.elements == tuple(sorted(elements))
-                assert thin.projections == tuple(
-                    tuple(sorted({x % spec.group_order(i) for x in elements}))
-                    for i in range(depth + 1)
-                )
+                elements = list(sample_thin_set(spec, depth, rng, fullness).elements)
+                lists.append((depth, elements))
+                if elements:
+                    lists.append((depth, elements[::-1] + elements[:1]))
+                    j = rng.randrange(depth + 1)
+                    base = rng.choice(elements) % spec.group_order(j)
+                    extra = base + spec.group_order(j) * rng.randrange(top // spec.group_order(j))
+                    lists.append((depth, elements + [extra]))
+        for _ in range(200):
+            lists.append((depth, [rng.randrange(top) for _ in range(rng.randrange(1, 5))]))
+    accepted, refused = 0, set()
+    for depth, elements in lists:
+        failing = _first_overflowing_level(spec, depth, elements)
+        if failing is None:
+            thin = make_thin_set(spec, depth, elements)
+            assert thin.elements == tuple(sorted(set(elements)))
+            accepted += 1
+        else:
+            level, size = failing
+            message = (
+                f"set is not thin: level {level} image has {size} elements "
+                f"(budget {thin_bound(level)})"
+            )
+            with pytest.raises(FeasibilityError, match=f"^{re.escape(message)}$"):
+                make_thin_set(spec, depth, elements)
+            refused.add(level)
+    assert accepted and refused == {1, 2, 3}
     # a set over budget at several levels names the lowest one
     with pytest.raises(FeasibilityError, match="level 1 image has 3 elements"):
         make_thin_set(spec, 3, [0, 1, 2])
@@ -437,7 +488,9 @@ def test_translate_thin_final_membership_catches_unsound_lifts(monkeypatch):
     tower = tower_from_document(build_tower(spec, 11, verify_claims=False).document())
     rng = random.Random(19)
     thin = next(
-        t for t in (sample_thin_set(spec, 3, rng) for _ in range(50)) if len(t.projections[2]) == 2
+        t
+        for t in (sample_thin_set(spec, 3, rng) for _ in range(50))
+        if len(level_images(spec, t)[2]) == 2
     )
     sound = translate_thin(tower, thin)
     real = tower_module.translate_into
@@ -460,7 +513,7 @@ def test_translate_thin_final_membership_catches_unsound_lifts(monkeypatch):
     # from the stage-2 set, while the lift is still handed the sound cover
     stage2, phi2 = tower.stages[1].subset, spec.quotient_map(2)
     src, cover2 = phi2.source, stage2.kernel_cover
-    for y in thin.projections[2]:
+    for y in level_images(spec, thin)[2]:
         w = src.mul(sound.stage_translators[2], y)
         used = phi2.kernel_coords(src.mul(w, src.inv(phi2.section(phi2.map(w)))))
         assert used in cover2
@@ -514,9 +567,10 @@ def test_integer_lift_matches_the_stage_map_reference(seed11_tower, monkeypatch)
     for thin in thin_sets:
         got = translate_thin(tower, thin)
         assert (got.translator, got.stage_translators) == reference_lift(tower, thin), thin
+        images = level_images(spec, thin)
         for s in range(1, thin.depth + 1):
             g = got.stage_translators[s - 1]
-            wrapped += any(g + y >= spec.group_order(s) for y in thin.projections[s])
+            wrapped += any(g + y >= spec.group_order(s) for y in images[s])
     assert wrapped  # the reduction mod |G_s| was exercised
 
 
