@@ -219,34 +219,43 @@ def first_disjoint_tuple(
     All of a verification's trials run in this one scan, which stops at the
     first common element of each trial and at the first tuple that fails.
     Rotation carriers AND the sets in ascending windows of ROTATION_WINDOW
-    bits: window [a, a + W) of X (g_i - g_1) is bits a + ((g_1 - g_i) mod n)
-    onward of X's doubled mask, one shifted entry of its cached window
-    table, so a trial makes no oracle call.  Only X_1's non-empty windows
-    are read, and X_1's bits there clear what lies past W or past n.  Other
-    carriers walk X_1's members and look each x g_1 g_i^{-1} up in X_i's
-    cached byte image; the shift g_1 g_i^{-1} is y_1^{-1} y_i with
-    inverses, one inv call per trial.  Byte images and window tables are
+    bits: window [a, a + W) of X (g_i - g_1) is bits a + d onward of X's
+    doubled mask, d = (g_1 - g_i) mod n.  W is a multiple of the table step
+    B, so with w = a / B that is entry w + high of X's cached window table
+    shifted right by low, (high, low) = divmod(d, B): fixed once per trial
+    for the second set, found per window for later ones.  No oracle is
+    called.  Only X_1's non-empty windows are read, and X_1's bits there
+    clear what lies past W or past n; at k = 1 a trial fails iff X_1 is
+    empty.  Other carriers walk X_1's members and look each x g_1 g_i^{-1}
+    up in X_i's cached byte image; the shift g_1 g_i^{-1} is y_1^{-1} y_i
+    with inverses, one inv call per trial.  Byte images and window tables are
     cached on the sets, so a set listed twice in rest is read from one.
     """
     n = group.order
     if group.additive_rotation:
         first_bytes = first.bits.to_bytes((n + 7) >> 3, "little")
-        windows = []  # (start bit, X_1's bits there); empty windows cannot meet
+        windows = []  # (start entry, X_1's bits there); empty windows cannot meet
         for a in range(0, n, ROTATION_WINDOW):
             bits = int.from_bytes(first_bytes[a >> 3 : (a + ROTATION_WINDOW) >> 3], "little")
             if bits:
-                windows.append((a, bits))
-        later = list(enumerate((s._window_table() for s in rest), 1))
+                windows.append((a >> _TABLE_SHIFT, bits))
+        if not rest:  # k = 1: every trial meets unless X_1 is empty
+            return None if windows else next(enumerate(tuples), None)
+        second = rest[0]._window_table()
+        later = list(enumerate((s._window_table() for s in rest[1:]), 2))
         sign = -1 if inverses else 1  # (g_1 - g_i) mod n is (y_i - y_1) mod n
         for index, gs in enumerate(tuples):
             g1 = gs[0]
-            for a, acc in windows:
+            d = (g1 - gs[1]) * sign % n
+            high, low = d >> _TABLE_SHIFT, d & _TABLE_LOW
+            for w, acc in windows:
+                acc &= second[w + high] >> low
                 for i, table in later:
-                    start = a + (g1 - gs[i]) * sign % n
-                    acc &= table[start >> _TABLE_SHIFT] >> (start & _TABLE_LOW)
                     if not acc:
                         break
-                else:
+                    d = (g1 - gs[i]) * sign % n
+                    acc &= table[w + (d >> _TABLE_SHIFT)] >> (d & _TABLE_LOW)
+                if acc:
                     break
             else:
                 return index, gs

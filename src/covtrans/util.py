@@ -8,7 +8,6 @@ import random
 import struct
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
-from operator import rshift
 
 from .errors import IntegrityError
 
@@ -76,11 +75,11 @@ def uniform_draws(seed: int, n: int):
     It copies CPython's _randbelow_with_getrandbits for n < 2^32: each
     candidate is one 32-bit Mersenne Twister output shifted right by
     32 - n.bit_length(), kept if below n.  word >> shift < n holds exactly
-    when word < n << shift, so the raw words are filtered first and only
-    the kept ones are shifted.  The outputs come 4096 at a time
-    as the words of one getrandbits(32 * 4096) call, lowest word first, so
-    the per-draw work runs in C.  Larger n, which take several words per
-    candidate, fall back to randrange itself.
+    when word < n << shift, so one list comprehension per batch compares
+    each raw word with n << shift and shifts only the kept ones.  The
+    outputs come 4096 at a time as the words of one getrandbits(32 * 4096)
+    call, lowest word first, so no Python call is made per draw.  Larger n,
+    which take several words per candidate, fall back to randrange itself.
     tests/test_subsets.py::test_uniform_draws_equal_randrange pins the copy.
     """
     if n < 1:
@@ -91,12 +90,12 @@ def uniform_draws(seed: int, n: int):
         return map(rng.randrange, repeat(n))
     getrandbits, unpack = rng.getrandbits, _DRAW_WORDS.unpack
     shift = 32 - width
-    below = (n << shift).__gt__
+    limit = n << shift
 
     def batches():
         while True:
             words = unpack(getrandbits(32 * _DRAW_BATCH).to_bytes(4 * _DRAW_BATCH, "little"))
-            yield map(rshift, filter(below, words), repeat(shift))
+            yield [w >> shift for w in words if w < limit]
 
     return chain.from_iterable(batches())
 

@@ -453,24 +453,22 @@ def test_meet_test_finds_one_common_element_at_window_edges():
                     assert (miss is None) == expected
 
 
-@pytest.mark.parametrize("descriptor", ["C4099", "C131072", "S4", "D60"])
-@pytest.mark.parametrize("k", [2, 3])
-def test_scan_reports_a_planted_failure_at_the_first_middle_and_last_trial(descriptor, k):
-    # X_1 = {e}, X_k = G minus one element d, any sets between are all of G:
-    # a tuple fails exactly when g_1 g_k^{-1} = d.  Taking d from a chosen
-    # trial whose value of g_1 g_k^{-1} is new plants the first failure there.
+def _assert_planted_failures(descriptor, k, hole):
+    # X_1 = {e}, X_hole = G minus one element d, every other set is all of G:
+    # a tuple fails exactly when g_1 g_hole^{-1} = d.  Taking d from a chosen
+    # trial whose value of g_1 g_hole^{-1} is new plants the first failure there.
     group = group_from_descriptor(descriptor)
     n = group.order
     seed, trials = 17, 60
     rng = random.Random(seed)
     drawn = [tuple(rng.randrange(n) for _ in range(k)) for _ in range(trials)]
-    values = [group.mul(tup[0], group.inv(tup[-1])) for tup in drawn]
+    values = [group.mul(tup[0], group.inv(tup[hole])) for tup in drawn]
     firsts = [t for t in range(trials) if values[t] not in values[:t]]
     for t in (firsts[0], firsts[len(firsts) // 2], firsts[-1]):
         d = values[t]
         full = GroupSubset(group, (1 << n) - 1)
-        subsets = [GroupSubset.from_indices(group, [group.identity])]
-        subsets += [full] * (k - 2) + [GroupSubset(group, full.bits ^ 1 << d)]
+        subsets = [GroupSubset.from_indices(group, [group.identity])] + [full] * (k - 1)
+        subsets[hole] = GroupSubset(group, full.bits ^ 1 << d)
         for count in (t + 1, trials):
             want = full_translate_sampled_intersecting(group, subsets, count, seed)
             assert want == (False, t + 1, drawn[t])
@@ -478,10 +476,41 @@ def test_scan_reports_a_planted_failure_at_the_first_middle_and_last_trial(descr
             assert (got.result, got.trials, got.witness) == want
             scanned = first_disjoint_tuple(group, subsets[0], subsets[1:], iter(drawn[:count]))
             assert scanned == (t, drawn[t])
-        # as inverses y_i = g_i^{-1}: X_1 y_1^{-1} misses X_k y_k^{-1} when y_1^{-1} y_k = d
+        # as inverses y_i = g_i^{-1}: X_1 y_1^{-1} misses X_j y_j^{-1} when y_1^{-1} y_j = d
         ys = [tuple(group.inv(g) for g in tup) for tup in drawn]
         assert first_disjoint_tuple(group, subsets[0], subsets[1:], ys, inverses=True) == (t, ys[t])
     assert firsts[0] == 0 and firsts[-1] > firsts[len(firsts) // 2] > 0
+
+
+@pytest.mark.parametrize("descriptor", ["C4099", "C131072", "S4", "D60"])
+@pytest.mark.parametrize("k", [2, 3])
+def test_scan_reports_a_planted_failure_at_the_first_middle_and_last_trial(descriptor, k):
+    _assert_planted_failures(descriptor, k, k - 1)
+
+
+@pytest.mark.parametrize("descriptor", ["C4099", "C131072"])
+@pytest.mark.parametrize("hole", [1, 2, 3])
+def test_scan_reports_a_planted_failure_on_each_later_set_at_k_4(descriptor, hole):
+    # the rotation scan reads the second set at an offset fixed per trial and
+    # each later one at its own: a miss on any of them must be found
+    _assert_planted_failures(descriptor, 4, hole)
+
+
+@pytest.mark.parametrize("descriptor", ["C4099", "C131072"])
+def test_scan_at_k_1_fails_exactly_on_an_empty_set(descriptor):
+    # one translate meets itself unless it is empty: the first trial fails or none does
+    group = group_from_descriptor(descriptor)
+    tuples = [(5,), (group.order - 1,), (0,)]
+    empty, single = GroupSubset.empty(group), GroupSubset.from_indices(group, [group.order - 1])
+    assert first_disjoint_tuple(group, empty, [], iter(tuples)) == (0, (5,))
+    assert first_disjoint_tuple(group, empty, [], iter(tuples), inverses=True) == (0, (5,))
+    assert first_disjoint_tuple(group, single, [], iter(tuples)) is None
+    assert first_disjoint_tuple(group, empty, [], iter([])) is None
+    for x in (empty, single):
+        record = verify_intersecting(group, [x], mode="sampled", trials=30, seed=2)
+        assert (record.result, record.trials, record.witness) == (
+            full_translate_sampled_intersecting(group, [x], 30, 2)
+        )
 
 
 def test_sampled_covering_check_inverts_once_per_trial():

@@ -113,12 +113,25 @@ one_word_orders = st.one_of(
 @example(1, 0)
 @example(2**31, 1)
 @example(2**31 + 1, 2)
+@example(2**17, 11)  # the stage-3 kernel of tower:20,1024,131072: half of all words rejected
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 def test_uniform_draws_equal_randrange(n, seed):
     # 20,000 values take 20,000 to 40,000 words: several 4096-word batches
     rng = random.Random(seed)
     want = [rng.randrange(n) for _ in range(20_000)]
     assert list(islice(uniform_draws(seed, n), 20_000)) == want
+
+
+@pytest.mark.parametrize("shift", [0, 1, 8])
+def test_uniform_draws_reject_a_word_equal_to_n_shifted(shift):
+    # a word w = n << shift would give n itself, so randrange rejects it;
+    # n is chosen so that one such word lies in the first 4096-word batch
+    rng = random.Random(5)
+    words = [rng.getrandbits(32) for _ in range(4096)]
+    n = next(w >> shift for w in words if w >> 31 and not w & ((1 << shift) - 1))
+    rng = random.Random(5)
+    want = [rng.randrange(n) for _ in range(4096)]
+    assert list(islice(uniform_draws(5, n), 4096)) == want
 
 
 @pytest.mark.parametrize("n", [2**32 - 1, 2**32, 2**32 + 1, 2**40 + 3])
