@@ -14,6 +14,7 @@ from .covering import (
     greedy_shrink_intersection,
     intersecting_family_feasible,
     member_size_cap,
+    parse_mode,
     sample_probability,
     verify_intersecting,
     verify_k_covering,

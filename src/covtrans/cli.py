@@ -19,7 +19,6 @@ import sys
 
 from .covering import (
     DEFAULT_MAX_ATTEMPTS,
-    DEFAULT_SAMPLE_TRIALS,
     construct_intersecting_family,
     construct_k_covering,
     covering_condition,
@@ -27,6 +26,7 @@ from .covering import (
     exact_covering_number,
     EXACT_COVERING_ORDER_LIMIT,
     greedy_shrink_intersection,
+    parse_mode,
     verify_intersecting,
     verify_k_covering,
 )
@@ -68,45 +68,13 @@ _SHRINK_SALT = 0x736872
 _THREADS_HELP = "accepted for compatibility; verification is single-threaded"
 
 
-def _parse_mode(token: str) -> tuple[str, int]:
-    """Split a mode token into (mode, trials): auto, exhaustive, sampled:<m>."""
-    if token in ("auto", "exhaustive"):
-        return token, DEFAULT_SAMPLE_TRIALS
-    if token == "sampled":
-        return "sampled", DEFAULT_SAMPLE_TRIALS
-    if token.startswith("sampled:"):
-        raw = token[len("sampled:") :]
-        try:
-            trials = int(raw)
-        except ValueError as exc:
-            raise ValueError(f"bad sampled trial count {raw!r} in mode {token!r}") from exc
-        if trials < 1:
-            raise ValueError(f"sampled trial count must be >= 1, got {trials} in mode {token!r}")
-        return "sampled", trials
-    raise ValueError(f"unknown verification mode {token!r}")
-
-
-def _emit(doc: dict) -> str:
-    return canonical_json(doc) + "\n"
-
-
-def _cmd_covering_construct(config: dict) -> tuple[str, int]:
+def _cmd_covering_construct(config: dict) -> tuple[dict, int]:
     group = group_from_descriptor(config["group"])
-    mode, trials = _parse_mode(config["mode"])
-    common = dict(
-        seed=config["seed"],
-        max_attempts=config["max_attempts"],
-        mode=mode,
-        trials=trials,
-    )
+    common = dict(seed=config["seed"], max_attempts=config["max_attempts"], mode=config["mode"])
     if config["l"] is not None:
         family = construct_intersecting_family(group, config["k"], target_size=config["l"], **common)
-        doc = family.document()
-    else:
-        certificate = construct_k_covering(group, config["k"], **common)
-        doc = certificate.document()
-    doc["config"] = config
-    return _emit(doc), EXIT_OK
+        return family.document(), EXIT_OK
+    return construct_k_covering(group, config["k"], **common).document(), EXIT_OK
 
 
 def _load_subset(group, listed: list, what: str) -> GroupSubset:
@@ -120,7 +88,7 @@ def _load_subset(group, listed: list, what: str) -> GroupSubset:
     return subset
 
 
-def _cmd_covering_verify(config: dict) -> tuple[str, int]:
+def _cmd_covering_verify(config: dict) -> tuple[dict, int]:
     with open(config["in"], "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     kind = doc.get("kind") if isinstance(doc, dict) else None
@@ -134,7 +102,8 @@ def _cmd_covering_verify(config: dict) -> tuple[str, int]:
     k = doc_field(doc, "k", int)
     if k < 1:
         raise IntegrityError(f"document: field 'k' must be >= 1, got {k}")
-    mode, trials = _parse_mode(config["mode"])
+    mode = config["mode"]
+    parse_mode(mode)  # a bad mode is refused before the listed sets are read
     if kind == "intersecting-family":
         listed, sizes = doc_field(doc, "subsets", list), doc_field(doc, "sizes", list)
         require_indices(sizes, "field 'sizes'")
@@ -152,25 +121,24 @@ def _cmd_covering_verify(config: dict) -> tuple[str, int]:
                     f"field 'sizes': subset {i + 1} declares size {declared} "
                     f"but lists {subset.size} elements"
                 )
-        record = verify_intersecting(group, subsets, mode, trials=trials, seed=config["seed"])
+        record = verify_intersecting(group, subsets, mode, seed=config["seed"])
     else:
         x = _load_subset(group, doc_field(doc, "elements", list), "field 'elements'")
         size = doc_field(doc, "size", int)
         if x.size != size:
             raise IntegrityError(f"covering set declares size {size} but lists {x.size} elements")
-        record = verify_k_covering(group, x, k, mode, trials=trials, seed=config["seed"])
+        record = verify_k_covering(group, x, k, mode, seed=config["seed"])
     verdict = {
         "kind": "verification-verdict",
         "input_kind": kind,
         "group": descriptor,
         "k": k,
         "verification": record.document(),
-        "config": config,
     }
-    return _emit(verdict), EXIT_OK if record.result else EXIT_VERIFY_FAILED
+    return verdict, EXIT_OK if record.result else EXIT_VERIFY_FAILED
 
 
-def _cmd_covering_exact(config: dict) -> tuple[str, int]:
+def _cmd_covering_exact(config: dict) -> tuple[dict, int]:
     group = group_from_descriptor(config["group"])
     value = exact_covering_number(group, config["k"])
     n = group.order
@@ -183,12 +151,11 @@ def _cmd_covering_exact(config: dict) -> tuple[str, int]:
         "value": value,
         "lower_bound": lower,
         "upper_bound": upper,
-        "config": config,
     }
-    return _emit(doc), EXIT_OK
+    return doc, EXIT_OK
 
 
-def _cmd_covering_bounds(config: dict) -> tuple[str, int]:
+def _cmd_covering_bounds(config: dict) -> tuple[dict, int]:
     group = group_from_descriptor(config["group"])
     lower, upper = covering_number_bounds(group.order, config["k"])
     doc = {
@@ -198,12 +165,11 @@ def _cmd_covering_bounds(config: dict) -> tuple[str, int]:
         "k": config["k"],
         "lower_bound": lower,
         "upper_bound": upper,
-        "config": config,
     }
-    return _emit(doc), EXIT_OK
+    return doc, EXIT_OK
 
 
-def _cmd_covering_shrink(config: dict) -> tuple[str, int]:
+def _cmd_covering_shrink(config: dict) -> tuple[dict, int]:
     group = group_from_descriptor(config["group"])
     n = group.order
     size = config["l"]
@@ -229,12 +195,11 @@ def _cmd_covering_shrink(config: dict) -> tuple[str, int]:
         "sizes": result.sizes,
         "final_size": result.final_size,
         "final_bound": bound,
-        "config": config,
     }
-    return _emit(doc), EXIT_OK
+    return doc, EXIT_OK
 
 
-def _cmd_cov_table(config: dict) -> tuple[str, int]:
+def _cmd_cov_table(config: dict) -> tuple[dict | str, int]:
     # split only on commas outside parentheses, so EA(p,d) stays one token
     tokens = re.split(r",(?![^(]*\))", config["groups"])
     groups = [group_from_descriptor(tok) for tok in tokens]
@@ -270,8 +235,7 @@ def _cmd_cov_table(config: dict) -> tuple[str, int]:
             )
             index += 1
     if config["format"] == "json":
-        doc = {"kind": "covering-table", "seed": config["seed"], "rows": rows, "config": config}
-        return _emit(doc), EXIT_OK
+        return {"kind": "covering-table", "seed": config["seed"], "rows": rows}, EXIT_OK
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")  # quotes a name such as EA(2,3)
     writer.writerow(["group", "n", "k", "lower", "exact", "achieved", "upper"])
@@ -284,20 +248,15 @@ def _cmd_cov_table(config: dict) -> tuple[str, int]:
     return out.getvalue(), EXIT_OK
 
 
-def _cmd_tower_build(config: dict) -> tuple[str, int]:
-    spec = parse_tower_descriptor(config["spec"])
-    mode, trials = _parse_mode(config["mode"])
+def _cmd_tower_build(config: dict) -> tuple[dict, int]:
     tower = build_tower(
-        spec,
+        parse_tower_descriptor(config["spec"]),
         config["seed"],
         max_attempts=config["max_attempts"],
-        mode=mode,
-        trials=trials,
+        mode=config["mode"],
         claim3_samples=config["claim3_samples"],
     )
-    doc = tower.document()
-    doc["config"] = config
-    return _emit(doc), EXIT_OK
+    return tower.document(), EXIT_OK
 
 
 def _sample_count(config: dict) -> int:
@@ -307,6 +266,20 @@ def _sample_count(config: dict) -> int:
     return config["samples"]
 
 
+def _requested_depth(config: dict, tower, least: int) -> int:
+    """--depth, or the tower's depth when unset, refused outside least..tower depth.
+
+    Checked once the tower is loaded, so that no count of samples or thin
+    sets, zero included, lets an impossible depth into a document.
+    """
+    depth = tower.depth if config["depth"] is None else config["depth"]
+    if not 0 <= depth <= tower.depth:
+        raise ValueError(f"depth {depth} out of range for {tower.spec.describe()}")
+    if depth < least:
+        raise ValueError(f"dimension estimate needs depth >= {least}")
+    return depth
+
+
 def _load_or_build_tower(config: dict):
     if config.get("in"):
         with open(config["in"], "r", encoding="utf-8") as fh:
@@ -314,13 +287,13 @@ def _load_or_build_tower(config: dict):
     if config.get("spec") is None:
         raise ValueError(f"{config['command']} needs --spec or --in")
     spec = parse_tower_descriptor(config["spec"])
-    return build_tower(spec, config["seed"], verify_claims=False)
+    return build_tower(spec, config["seed"], claim3_samples=0)
 
 
-def _cmd_tower_translate(config: dict) -> tuple[str, int]:
+def _cmd_tower_translate(config: dict) -> tuple[dict, int]:
     tower = _load_or_build_tower(config)
     spec = tower.spec
-    depth = config["depth"] if config["depth"] is not None else tower.depth
+    depth = _requested_depth(config, tower, 0)
     results = []
     if config.get("thin"):
         with open(config["thin"], "r", encoding="utf-8") as fh:
@@ -329,12 +302,14 @@ def _cmd_tower_translate(config: dict) -> tuple[str, int]:
             require_indices(elems, f"thin-set file: thin_sets entry {i}")
         thin_sets = [make_thin_set(spec, depth, elems) for elems in listed]
     else:
+        fullness = config["fullness"]
+        if not 0.0 < fullness <= 1.0:  # as sample_thin_set does, but at --samples 0 too
+            raise ValueError(f"fullness must be in (0, 1], got {fullness}")
         rng = random.Random(derive_seed(config["seed"], _TRANSLATE_SALT))
         # a generator, so each thin set is dropped once translated; the count
         # is checked here, before any draw
         thin_sets = (
-            sample_thin_set(spec, depth, rng, config["fullness"])
-            for _ in range(_sample_count(config))
+            sample_thin_set(spec, depth, rng, fullness) for _ in range(_sample_count(config))
         )
     for thin in thin_sets:
         translation = translate_thin(tower, thin)
@@ -353,15 +328,14 @@ def _cmd_tower_translate(config: dict) -> tuple[str, int]:
         "samples": len(results),
         "success": len(results),
         "results": results,
-        "config": config,
     }
-    return _emit(doc), EXIT_OK
+    return doc, EXIT_OK
 
 
-def _cmd_tower_dim(config: dict) -> tuple[str, int]:
+def _cmd_tower_dim(config: dict) -> tuple[dict, int]:
     tower = _load_or_build_tower(config)
     spec = tower.spec
-    depth = config["depth"] if config["depth"] is not None else tower.depth
+    depth = _requested_depth(config, tower, 1)
     if config.get("elements"):
         elements = [int(tok) for tok in config["elements"].split(",")]
         samples = [{"elements": elements, "estimate": dimension_estimate(spec, elements, depth)}]
@@ -382,9 +356,8 @@ def _cmd_tower_dim(config: dict) -> tuple[str, int]:
         "seed": config["seed"],
         "depth": depth,
         "estimates": samples,
-        "config": config,
     }
-    return _emit(doc), EXIT_OK
+    return doc, EXIT_OK
 
 
 _DISPATCH = {
@@ -401,11 +374,19 @@ _DISPATCH = {
 
 
 def run_config(config: dict) -> tuple[str, int]:
-    """Execute a run configuration; returns (payload text, exit code)."""
+    """Execute a run configuration; returns (payload text, exit code).
+
+    Each handler returns its document, or cov-table's CSV text; a document
+    gets the config as its last key and is serialized here, once.
+    """
     command = config.get("command")
     if command not in _DISPATCH:
         raise ValueError(f"unknown command {command!r}")
-    return _DISPATCH[command](config)
+    doc, code = _DISPATCH[command](config)
+    if isinstance(doc, str):
+        return doc, code
+    doc["config"] = config
+    return canonical_json(doc) + "\n", code
 
 
 def rerun_document(doc: dict) -> str:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import combinations, filterfalse, islice
 
@@ -87,13 +88,40 @@ class VerificationRecord:
         }
 
 
-def _resolve_mode(mode: str, complete_in_budget: bool) -> str:
-    """The mode a verifier runs: auto is exhaustive iff a complete check fits the budget."""
-    if mode == "auto":
-        return "exhaustive" if complete_in_budget else "sampled"
-    if mode in ("exhaustive", "sampled"):
-        return mode
+def parse_mode(mode: str) -> tuple[str, int]:
+    """(kind, trials) of a mode token: auto, exhaustive, sampled or sampled:<m>, m >= 1.
+
+    The one reader of a mode.  trials is the count a sampled run takes:
+    DEFAULT_SAMPLE_TRIALS unless the token names m.
+    """
+    if mode in ("auto", "exhaustive", "sampled"):
+        return mode, DEFAULT_SAMPLE_TRIALS
+    if isinstance(mode, str) and mode.startswith("sampled:"):
+        raw = mode[len("sampled:") :]
+        try:
+            trials = int(raw)
+        except ValueError as exc:
+            raise ValueError(f"bad sampled trial count {raw!r} in mode {mode!r}") from exc
+        if trials < 1:
+            raise ValueError(f"sampled trial count must be >= 1, got {trials} in mode {mode!r}")
+        return "sampled", trials
     raise ValueError(f"unknown verification mode {mode!r}")
+
+
+def _resolve_mode(kind: str, fits: bool, need: Callable[[], str]) -> str:
+    """The kind a verifier runs: auto is exhaustive iff a complete check fits the budget.
+
+    The one over-budget refusal: an exhaustive check that does not fit
+    raises BudgetExceededError, naming the steps need() says it takes
+    (formatted only then, since a count such as C(n,k)*n can be huge).
+    """
+    if kind == "auto":
+        return "exhaustive" if fits else "sampled"
+    if kind == "exhaustive" and not fits:
+        raise BudgetExceededError(
+            f"exhaustive {need()} steps (budget {step_budget()}); use sampled mode"
+        )
+    return kind
 
 
 def verify_intersecting(
@@ -101,7 +129,6 @@ def verify_intersecting(
     subsets: list[GroupSubset],
     mode: str = "auto",
     *,
-    trials: int = DEFAULT_SAMPLE_TRIALS,
     seed: int = 0,
 ) -> VerificationRecord:
     """Check that every tuple of right translates X_1 g_1, ..., X_k g_k meets.
@@ -115,28 +142,24 @@ def verify_intersecting(
     X_2 g exactly when g is in X_2^{-1} X_1, so the tuple (e, g) fails
     exactly for the g outside it, and building it from |X_2| translates of
     X_1 still proves every tuple.  The budget counts n^k steps, and the
-    method is "tuple-scan".  Sampled mode checks `trials` uniform tuples
-    drawn from the given seed, k consecutive util.uniform_draws values each
-    (the values randrange would give, generated in bulk), and reports the
-    tuple as drawn.  The drawn tuples stream, never all held at once, into
+    method is "tuple-scan".  Sampled mode checks as many uniform tuples as
+    the mode names (see parse_mode), drawn from the given seed, k
+    consecutive util.uniform_draws values each (the values randrange would
+    give, generated in bulk), and reports the tuple as drawn.  The drawn tuples stream, never all held at once, into
     one subsets.first_disjoint_tuple scan, which normalises by g_1 itself,
     reads only window-table entries on rotation carriers (no oracle call)
     and stops each trial at its first common element rather than translating
     every X_i in full.
     """
+    kind, trials = parse_mode(mode)
     k = len(subsets)
     if k < 1:
         raise ValueError("family must contain at least one subset")
     n = group.order
     for s in subsets:
         s._require_same_carrier(group)
-    scan_in_budget = n**k <= step_budget()
-    if _resolve_mode(mode, scan_in_budget) == "exhaustive":
-        if not scan_in_budget:
-            raise BudgetExceededError(
-                f"exhaustive verification needs n^k = {n**k} steps "
-                f"(budget {step_budget()}); use sampled mode"
-            )
+    kind = _resolve_mode(kind, n**k <= step_budget(), lambda: f"verification needs n^k = {n**k}")
+    if kind == "exhaustive":
         if k == 2:
             witness = _quotient_witness(group, subsets[1], subsets[0], 0)
         else:
@@ -262,7 +285,6 @@ def construct_intersecting_family(
     target_size: int | None = None,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     mode: str = "auto",
-    trials: int = DEFAULT_SAMPLE_TRIALS,
 ) -> IntersectingFamily:
     """Draw k independent p-random subsets until a draw verifies.
 
@@ -272,6 +294,7 @@ def construct_intersecting_family(
     smallest-index non-members, which keeps the intersection property
     (adding elements can only grow every intersection).
     """
+    parse_mode(mode)
     n = group.order
     p = sample_probability(n, k)
     cap = member_size_cap(n, k)
@@ -292,11 +315,7 @@ def construct_intersecting_family(
             history.append({"attempt": attempt, "sizes": sizes, "reason": "size-cap"})
             continue
         record = verify_intersecting(
-            group,
-            subsets,
-            mode,
-            trials=trials,
-            seed=derive_seed(seed, attempt, _VERIFY_SALT),
+            group, subsets, mode, seed=derive_seed(seed, attempt, _VERIFY_SALT)
         )
         if not record.result:
             history.append(
@@ -364,7 +383,6 @@ def construct_k_covering(
     seed: int,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     mode: str = "auto",
-    trials: int = DEFAULT_SAMPLE_TRIALS,
 ) -> CoveringCertificate:
     """Build a k-covering subset of size at most n/2 as a family union.
 
@@ -372,6 +390,7 @@ def construct_k_covering(
     member cap is strictly below n/(2k), so the union of the k accepted
     members stays within n/2.
     """
+    parse_mode(mode)
     n = group.order
     if k < 1:
         raise FeasibilityError(f"covering parameter must be >= 1, got {k}")
@@ -382,12 +401,7 @@ def construct_k_covering(
             f"(4k)^k (k log n + log 2) = {lhs:.6g} >= n = {n}"
         )
     family = construct_intersecting_family(
-        group,
-        k,
-        seed=seed,
-        max_attempts=max_attempts,
-        mode=mode,
-        trials=trials,
+        group, k, seed=seed, max_attempts=max_attempts, mode=mode
     )
     union = family.union()
     per_member_cap = n / (2.0 * k)
@@ -445,7 +459,6 @@ def verify_k_covering(
     k: int,
     mode: str = "auto",
     *,
-    trials: int = DEFAULT_SAMPLE_TRIALS,
     seed: int = 0,
 ) -> VerificationRecord:
     """Check that every size-k subset Y admits g with g*Y inside X.
@@ -459,29 +472,23 @@ def verify_k_covering(
     The budget counts C(n,k)*n steps, and k = 2 is exhaustive past it up to
     n = _PAIRWISE_PRODUCT_LIMIT.  At k = 2, at any budget, the proof is the
     quotient set: {0, d} translates into X iff d is in X^{-1} X.  Sampled
-    mode checks `trials` uniform Y drawn from the given seed by rng.sample,
-    and reports Y as drawn.  Y translates into X iff the right translates
+    mode checks as many uniform Y as the mode names, drawn from the given
+    seed by rng.sample, and reports Y as drawn.  Y translates into X iff the right translates
     X y^{-1}, y in Y, meet, so the sorted draws stream into one
     subsets.first_disjoint_tuple scan as the inverses of the translators.
     It normalises by y_1, testing X against the X (y_1^{-1} y_i)^{-1}: one
     inv call per trial on non-rotation carriers and none on rotation ones.
     """
+    kind, trials = parse_mode(mode)
     n = group.order
     if k < 1:
         raise ValueError(f"covering parameter must be >= 1, got {k}")
-    if k > n:
-        # no size-k subsets exist, so any X (even empty) covers vacuously;
-        # an unknown mode is still refused, as it is for every other k
-        _resolve_mode(mode, True)
+    if k > n:  # no size-k subsets exist, so any X (even empty) covers vacuously
         return VerificationRecord(mode="exhaustive", result=True, method="vacuous")
-    exhaustive_steps = n * math.comb(n, k)
-    fits = exhaustive_steps <= step_budget() or (k == 2 and n <= _PAIRWISE_PRODUCT_LIMIT)
-    if _resolve_mode(mode, fits) == "exhaustive":
-        if not fits:
-            raise BudgetExceededError(
-                f"exhaustive covering check needs C(n,k)*n = {exhaustive_steps} steps "
-                f"(budget {step_budget()}); use sampled mode"
-            )
+    steps = n * math.comb(n, k)
+    fits = steps <= step_budget() or (k == 2 and n <= _PAIRWISE_PRODUCT_LIMIT)
+    kind = _resolve_mode(kind, fits, lambda: f"covering check needs C(n,k)*n = {steps}")
+    if kind == "exhaustive":
         if k == 2:
             witness, method = _quotient_witness(group, x, x, 1), "difference-set"
         else:

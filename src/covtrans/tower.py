@@ -25,10 +25,10 @@ from types import NoneType
 from .covering import (
     _PAIRWISE_PRODUCT_LIMIT,
     DEFAULT_MAX_ATTEMPTS,
-    DEFAULT_SAMPLE_TRIALS,
     VerificationRecord,
     construct_k_covering,
     covering_condition_value,
+    parse_mode,
     verify_k_covering,
 )
 from .errors import FeasibilityError, IntegrityError, SoundnessError
@@ -225,7 +225,6 @@ def extend_covering(
     seed: int,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     mode: str = "auto",
-    trials: int = DEFAULT_SAMPLE_TRIALS,
 ) -> TowerStage:
     """Extend a covering set of C_N to C_{N n} using a (k+1)-covering of C_n.
 
@@ -240,8 +239,10 @@ def extend_covering(
     k = 0 the admissibility test is construct_k_covering's covering
     condition at k + 1, which raises FeasibilityError with its value, and
     construct_k_covering owns the halving bound: a union over n/2 raises
-    SoundnessError there.
+    SoundnessError there.  The mode is refused, if bad, before anything else,
+    even at k = 0, where no verification runs.
     """
+    parse_mode(mode)
     if k < 0:
         raise FeasibilityError(f"extension parameter must be >= 0, got {k}")
     if base.size == 0:
@@ -257,12 +258,7 @@ def extend_covering(
         attempts, verification = 0, None
     else:
         certificate = construct_k_covering(
-            kernel,
-            k + 1,
-            seed=seed,
-            max_attempts=max_attempts,
-            mode=mode,
-            trials=trials,
+            kernel, k + 1, seed=seed, max_attempts=max_attempts, mode=mode
         )
         cover = certificate.covering_set
         attempts, verification = certificate.family.attempts_used, certificate.family.verification
@@ -337,8 +333,6 @@ def build_tower(
     *,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     mode: str = "auto",
-    trials: int = DEFAULT_SAMPLE_TRIALS,
-    verify_claims: bool = True,
     claim3_samples: int = 100,
 ) -> Tower:
     """Build every stage, then check the projection and translation claims.
@@ -351,9 +345,11 @@ def build_tower(
     product of the halving bounds 2|L_s| <= n_{s-1}, which the singleton
     cover meets at stage 1 and construct_k_covering enforces above it (see
     extend_covering).  Claim checks: projection containment from how each
-    stage set is built (see check_projection_claim), and sampled thin-set
-    translations.
+    stage set is built (see check_projection_claim), and claim3_samples
+    sampled thin-set translations.  The mode is parsed first, so a bad one
+    is refused even at depth 1, where no stage is verified.
     """
+    parse_mode(mode)
     if claim3_samples < 0:
         raise ValueError(f"claim3_samples must be >= 0, got {claim3_samples}")
     _require_admissible(spec)
@@ -366,12 +362,10 @@ def build_tower(
             seed=derive_seed(seed, s),
             max_attempts=max_attempts,
             mode=mode,
-            trials=trials,
         )
         tower.stages.append(stage)
-    if verify_claims:
-        check_projection_claim(tower)
-        check_translation_claim(tower, samples=claim3_samples)
+    check_projection_claim(tower)
+    check_translation_claim(tower, samples=claim3_samples)
     return tower
 
 

@@ -57,7 +57,8 @@ def derive_seed(master: int, *salts: int) -> int:
     """Derive a child 64-bit seed from a master seed and salt indices.
 
     Splitmix-style mixing; the same (master, salts) always yields the same
-    child, so parallel attempt racing stays reproducible.
+    child, so each attempt, stage and sample stream draws from a seed of its
+    own and every document regenerates from its master seed.
     """
     x = _mix64((master & _MASK64) ^ _GOLDEN)
     for s in salts:

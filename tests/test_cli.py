@@ -559,3 +559,58 @@ def test_verify_refuses_loose_family_sizes(capsys, tmp_path):
         )
         assert (code, stdout) == (EXIT_INTEGRITY, "")
         assert err == f"integrity error: field 'sizes': entry {entry} has type {kind}\n"
+
+
+def test_a_bad_mode_is_refused_before_any_other_fault(capsys, tmp_path):
+    # the mode is read first: before admissibility, before the listed sets
+    build = ("tower", "build", "--spec", "tower:20,64", "--seed", "1")
+    assert run(capsys, *build)[0] == EXIT_INFEASIBLE
+    code, stdout, err = run(capsys, *build, "--mode", "bogus")
+    assert (code, stdout, err) == (EXIT_USAGE, "", "error: unknown verification mode 'bogus'\n")
+    doc = {"kind": "k-covering", "group": "C8", "k": 2, "elements": [0, 1, 1], "size": 3}
+    assert run_on_document(capsys, tmp_path, doc, "covering", "verify")[0] == EXIT_INTEGRITY
+    code, stdout, err = run_on_document(
+        capsys, tmp_path, doc, "covering", "verify", "--mode", "bogus"
+    )
+    assert (code, stdout, err) == (EXIT_USAGE, "", "error: unknown verification mode 'bogus'\n")
+    code, stdout, err = run(
+        capsys, "covering", "construct", "--group", "C1024", "--k", "2", "--seed", "1",
+        "--mode", "sampled:0",
+    )
+    message = "error: sampled trial count must be >= 1, got 0 in mode 'sampled:0'\n"
+    assert (code, stdout, err) == (EXIT_USAGE, "", message)
+
+
+def test_tower_commands_refuse_an_impossible_depth_at_any_count(capsys, tmp_path):
+    # at the parent, --samples 0 or an empty thin-set list let these depths
+    # into a document that exited 0
+    tower_path = tmp_path / "tower.json"
+    run(capsys, "tower", "build", "--spec", "tower:20,1024", "--seed", "1", "--out", str(tower_path))
+    empty = tmp_path / "thin.json"
+    empty.write_text(json.dumps({"thin_sets": []}))
+    out_of_range = "error: depth {} out of range for tower:20,1024\n"
+    cases = [
+        (("translate", "--samples", "0", "--depth", "-4"), out_of_range.format(-4)),
+        (("translate", "--samples", "0", "--depth", "3"), out_of_range.format(3)),
+        (("translate", "--thin", str(empty), "--depth", "7"), out_of_range.format(7)),
+        (("dim", "--samples", "0", "--depth", "9"), out_of_range.format(9)),
+        (("dim", "--samples", "0", "--depth", "-1"), out_of_range.format(-1)),
+        (("dim", "--samples", "0", "--depth", "0"), "error: dimension estimate needs depth >= 1\n"),
+        (("dim", "--elements", "0,1", "--depth", "3"), out_of_range.format(3)),
+        (("translate", "--samples", "0", "--fullness", "0"),
+         "error: fullness must be in (0, 1], got 0.0\n"),
+        (("translate", "--samples", "0", "--fullness", "1.5"),
+         "error: fullness must be in (0, 1], got 1.5\n"),
+    ]
+    for argv, message in cases:
+        code, stdout, err = run(capsys, "tower", *argv, "--seed", "1", "--in", str(tower_path))
+        assert (code, stdout, err) == (EXIT_USAGE, "", message), argv
+    code, stdout, err = run(
+        capsys, "tower", "dim", "--spec", "tower:20,1024", "--seed", "1", "--samples", "0",
+        "--depth", "9",
+    )
+    assert (code, stdout, err) == (EXIT_USAGE, "", out_of_range.format(9))
+    for action, depth in (("translate", 0), ("translate", 2), ("dim", 1), ("dim", None)):
+        argv = ("tower", action, "--seed", "1", "--samples", "0", "--in", str(tower_path))
+        code, stdout, _ = run(capsys, *argv, *(() if depth is None else ("--depth", str(depth))))
+        assert code == EXIT_OK and json.loads(stdout)["depth"] == (2 if depth is None else depth)

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import sys
+import types
 
 import pytest
 from conftest import (
@@ -22,6 +23,9 @@ from conftest import (
 
 from covtrans import (
     CyclicGroup,
+    TowerSpec,
+    build_tower,
+    extend_covering,
     DihedralGroup,
     GroupSubset,
     construct_intersecting_family,
@@ -34,11 +38,13 @@ from covtrans import (
     group_from_descriptor,
     intersecting_family_feasible,
     member_size_cap,
+    parse_mode,
     random_subset,
     sample_probability,
     verify_intersecting,
     verify_k_covering,
 )
+from covtrans.covering import DEFAULT_SAMPLE_TRIALS
 from covtrans.errors import (
     BudgetExceededError,
     ConstructionError,
@@ -185,7 +191,7 @@ def test_verify_intersecting_witnesses_match_naive_oracles():
                     if empty(tup):
                         replay = (False, t + 1, tup)
                         break
-                got = verify_intersecting(group, subsets, mode="sampled", trials=30, seed=k)
+                got = verify_intersecting(group, subsets, mode="sampled:30", seed=k)
                 assert (got.result, got.trials, got.witness) == replay
                 sampled_outcomes.add(replay[0])
     assert sampled_outcomes == {True, False}
@@ -198,8 +204,8 @@ def test_verify_budget_guard(monkeypatch):
     monkeypatch.setenv("COVTRANS_BUDGET", "1000")
     with pytest.raises(BudgetExceededError, match="sampled"):
         verify_intersecting(g, [s, s], mode="exhaustive")
-    rec = verify_intersecting(g, [s, s], mode="auto", trials=50)
-    assert rec.mode == "sampled" and rec.result and rec.trials == 50
+    rec = verify_intersecting(g, [s, s], mode="auto")
+    assert rec.mode == "sampled" and rec.result and rec.trials == DEFAULT_SAMPLE_TRIALS
 
 
 def test_pair_tuple_scan_has_no_order_gate_beyond_the_budget(monkeypatch):
@@ -313,6 +319,67 @@ def test_verify_k_covering_refuses_an_unknown_mode_for_every_k(k):
         verify_k_covering(g, GroupSubset.empty(g), k, mode="bogus")
 
 
+# each bad mode token and parse_mode's refusal of it, word for word
+MODE_REFUSALS = {
+    "sampled:0": "sampled trial count must be >= 1, got 0 in mode 'sampled:0'",
+    "sampled:-1": "sampled trial count must be >= 1, got -1 in mode 'sampled:-1'",
+    "sampled:x": "bad sampled trial count 'x' in mode 'sampled:x'",
+    "sampled:": "bad sampled trial count '' in mode 'sampled:'",
+    "bogus": "unknown verification mode 'bogus'",
+    "Sampled": "unknown verification mode 'Sampled'",
+}
+
+
+def test_parse_mode_reads_every_token_form():
+    assert parse_mode("auto") == ("auto", DEFAULT_SAMPLE_TRIALS)
+    assert parse_mode("exhaustive") == ("exhaustive", DEFAULT_SAMPLE_TRIALS)
+    assert parse_mode("sampled") == ("sampled", DEFAULT_SAMPLE_TRIALS)
+    assert parse_mode("sampled:1") == ("sampled", 1)
+    assert parse_mode("sampled:500") == ("sampled", 500)
+    for token, message in MODE_REFUSALS.items():
+        with pytest.raises(ValueError) as info:
+            parse_mode(token)
+        assert str(info.value) == message
+
+
+def _mode_takers(group):
+    """Every public function that takes a mode, as mode -> result, on small valid input."""
+    x = GroupSubset.from_indices(group, [0])
+    return {
+        "verify_intersecting": lambda mode: verify_intersecting(group, [x, x], mode),
+        "verify_k_covering": lambda mode: verify_k_covering(group, x, 3, mode),
+        "verify_k_covering vacuous": lambda mode: verify_k_covering(
+            group, x, group.order + 1, mode
+        ),
+        "construct_intersecting_family": lambda mode: construct_intersecting_family(
+            group, 2, seed=1, mode=mode
+        ),
+        "construct_k_covering": lambda mode: construct_k_covering(group, 2, seed=1, mode=mode),
+        "extend_covering at k = 0": lambda mode: extend_covering(
+            20, GroupSubset.from_indices(CyclicGroup(1), [0]), 0, seed=1, mode=mode
+        ),
+        "build_tower at depth 1": lambda mode: build_tower(TowerSpec([20]), 1, mode=mode),
+        "build_tower at depth 2": lambda mode: build_tower(TowerSpec([20, 1024]), 1, mode=mode),
+    }
+
+
+@pytest.mark.parametrize("token", ["sampled:0", "sampled:-1", "sampled:x", "bogus"])
+def test_a_bad_mode_is_refused_before_any_draw(token, monkeypatch):
+    # at the parent, a depth-1 build_tower ignored the mode and "sampled" with
+    # trials=0 certified a pass on no trials; now the token is read first
+    def tripwire(*args, **kwargs):
+        raise AssertionError(f"drew or verified before refusing {token!r}")
+
+    for name in ("random_subset", "uniform_draws", "first_disjoint_tuple", "_translate_bits"):
+        monkeypatch.setattr(covering, name, tripwire)
+    monkeypatch.setattr(covering, "random", types.SimpleNamespace(Random=tripwire))
+    for name, call in _mode_takers(CyclicGroup(1024)).items():
+        with pytest.raises(ValueError) as info:
+            call(token)
+            pytest.fail(f"{name} accepted mode {token!r}")
+        assert str(info.value) == MODE_REFUSALS[token], name
+
+
 @pytest.mark.parametrize("mode", ["auto", "exhaustive", "sampled"])
 def test_verify_k_covering_vacuous_record_in_every_valid_mode(mode):
     g = CyclicGroup(3)
@@ -362,7 +429,7 @@ def test_verify_k_covering_witnesses_match_naive_oracles():
                     if untranslatable(ys):
                         replay = (False, t + 1, ys)
                         break
-                got = verify_k_covering(group, x, k, mode="sampled", trials=30, seed=k)
+                got = verify_k_covering(group, x, k, mode="sampled:30", seed=k)
                 assert (got.result, got.trials, got.witness) == replay
                 sampled_outcomes.add(replay[0])
     assert sampled_outcomes == {True, False}
@@ -423,12 +490,12 @@ def test_sampled_meet_test_matches_full_translates(descriptor, k):
         density = (common / n) ** (1.0 / k)
         subsets = [random_subset(group, density, rng) for _ in range(k)]
         for seed in (1, 2):
-            got = verify_intersecting(group, subsets, mode="sampled", trials=40, seed=seed)
+            got = verify_intersecting(group, subsets, mode="sampled:40", seed=seed)
             want = full_translate_sampled_intersecting(group, subsets, 40, seed)
             assert (got.result, got.trials, got.witness) == want
             outcomes["intersecting"].add(want[0])
 
-            got = verify_k_covering(group, subsets[0], k, mode="sampled", trials=40, seed=seed)
+            got = verify_k_covering(group, subsets[0], k, mode="sampled:40", seed=seed)
             want = full_translate_sampled_covering(group, subsets[0], k, 40, seed)
             assert (got.result, got.trials, got.witness) == want
             outcomes["covering"].add(want[0])
@@ -472,7 +539,7 @@ def _assert_planted_failures(descriptor, k, hole):
         for count in (t + 1, trials):
             want = full_translate_sampled_intersecting(group, subsets, count, seed)
             assert want == (False, t + 1, drawn[t])
-            got = verify_intersecting(group, subsets, mode="sampled", trials=count, seed=seed)
+            got = verify_intersecting(group, subsets, mode=f"sampled:{count}", seed=seed)
             assert (got.result, got.trials, got.witness) == want
             scanned = first_disjoint_tuple(group, subsets[0], subsets[1:], iter(drawn[:count]))
             assert scanned == (t, drawn[t])
@@ -507,7 +574,7 @@ def test_scan_at_k_1_fails_exactly_on_an_empty_set(descriptor):
     assert first_disjoint_tuple(group, single, [], iter(tuples)) is None
     assert first_disjoint_tuple(group, empty, [], iter([])) is None
     for x in (empty, single):
-        record = verify_intersecting(group, [x], mode="sampled", trials=30, seed=2)
+        record = verify_intersecting(group, [x], mode="sampled:30", seed=2)
         assert (record.result, record.trials, record.witness) == (
             full_translate_sampled_intersecting(group, [x], 30, 2)
         )
@@ -518,12 +585,12 @@ def test_sampled_covering_check_inverts_once_per_trial():
     # pays one inv on a carrier with oracles and none on a cyclic one.
     for descriptor, k in (("S6", 3), ("C1031", 3)):
         group = group_from_descriptor(descriptor)
-        x = construct_intersecting_family(group, k, seed=5, trials=500).union()
+        x = construct_intersecting_family(group, k, seed=5, mode="sampled:500").union()
         calls = []
         inv = group.inv
         group.inv = lambda a: calls.append(a) or inv(a)
         try:
-            record = verify_k_covering(group, x, k, mode="sampled", trials=400, seed=9)
+            record = verify_k_covering(group, x, k, mode="sampled:400", seed=9)
         finally:
             del group.inv
         want = full_translate_sampled_covering(group, x, k, 400, seed=9)
@@ -535,7 +602,7 @@ def test_sampled_covering_check_inverts_once_per_trial():
 def test_verify_k_covering_sampled_mode():
     g = CyclicGroup(64)
     x = GroupSubset.from_indices(g, range(40))
-    rec = verify_k_covering(g, x, 2, mode="sampled", trials=200, seed=4)
+    rec = verify_k_covering(g, x, 2, mode="sampled:200", seed=4)
     assert rec.mode == "sampled"
     assert rec.result == verify_k_covering(g, x, 2, mode="exhaustive").result
 
@@ -611,7 +678,13 @@ def test_k2_label_rule_above_the_pairwise_limit(monkeypatch):
     assert n > covering._PAIRWISE_PRODUCT_LIMIT
     x = GroupSubset.from_indices(g, range(100))  # X - X = {-99, ..., 99}
     monkeypatch.delenv("COVTRANS_BUDGET", raising=False)
-    assert verify_k_covering(g, x, 2, trials=50).mode == "sampled"
+    rec = verify_k_covering(g, x, 2)
+    assert rec.mode == "sampled"
+    assert (rec.result, rec.trials, rec.witness) == full_translate_sampled_covering(
+        g, x, 2, DEFAULT_SAMPLE_TRIALS, seed=0
+    )
+    rec = verify_k_covering(g, full_subset(g), 2)  # a pass runs every trial auto takes
+    assert (rec.mode, rec.result, rec.trials) == ("sampled", True, DEFAULT_SAMPLE_TRIALS)
     with pytest.raises(BudgetExceededError, match="sampled"):
         verify_k_covering(g, x, 2, mode="exhaustive")
     monkeypatch.setenv("COVTRANS_BUDGET", str(n * math.comb(n, 2)))

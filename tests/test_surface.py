@@ -100,10 +100,10 @@ def test_every_k_covering_method_is_attributed_by_the_tracer():
         (1, "exhaustive"): "k = 1 scan",
         (2, "exhaustive"): "k = 2 quotient set",
         (3, "exhaustive"): "k = 3 scan",
-        (3, "sampled"): "sampled",
+        (3, "sampled:20"): "sampled",
     }
     methods = {
-        route: verify_k_covering(group, x, k, mode, trials=20).method
+        route: verify_k_covering(group, x, k, mode).method
         for (k, mode), route in routes.items()
     }
     assert methods["vacuous"] == "vacuous"

@@ -51,7 +51,7 @@ def seed11_tower():
 
     Tests restore whatever they patch.
     """
-    return build_tower(TowerSpec([20, 1024, 131072]), 11, verify_claims=False)
+    return build_tower(TowerSpec([20, 1024, 131072]), 11, claim3_samples=0)
 
 
 def test_thin_bound_is_fixed():
@@ -485,7 +485,7 @@ def test_translate_thin_final_membership_catches_unsound_lifts(monkeypatch):
     # read the same cover object, so the second case hands the lift the
     # sound cover in place of the thinned one.
     spec = TowerSpec([20, 1024, 131072])
-    tower = tower_from_document(build_tower(spec, 11, verify_claims=False).document())
+    tower = tower_from_document(build_tower(spec, 11, claim3_samples=0).document())
     rng = random.Random(19)
     thin = next(
         t
