@@ -42,7 +42,6 @@ from .tower import (
     FactoredSubset,
     StageAdmissibility,
     ThinSet,
-    ThinTranslation,
     Tower,
     TowerSpec,
     TowerStage,

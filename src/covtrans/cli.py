@@ -145,7 +145,7 @@ def _cmd_covering_exact(config: dict) -> tuple[dict, int]:
     lower, upper = (covering_number_bounds(n, config["k"]) if n >= 3 else (None, None))
     doc = {
         "kind": "exact-covering",
-        "group": group.describe(),
+        "group": group.name,
         "n": n,
         "k": config["k"],
         "value": value,
@@ -160,7 +160,7 @@ def _cmd_covering_bounds(config: dict) -> tuple[dict, int]:
     lower, upper = covering_number_bounds(group.order, config["k"])
     doc = {
         "kind": "covering-bounds",
-        "group": group.describe(),
+        "group": group.name,
         "n": group.order,
         "k": config["k"],
         "lower_bound": lower,
@@ -182,10 +182,10 @@ def _cmd_covering_shrink(config: dict) -> tuple[dict, int]:
     x = GroupSubset.from_indices(group, members)
     result = greedy_shrink_intersection(group, x, config["k"])
     k = config["k"]
-    bound = (size**k) // (n ** (k - 1)) if k >= 1 else None
+    bound = (size**k) // (n ** (k - 1))
     doc = {
         "kind": "greedy-shrink",
-        "group": group.describe(),
+        "group": group.name,
         "n": n,
         "k": k,
         "seed": config["seed"],
@@ -193,7 +193,7 @@ def _cmd_covering_shrink(config: dict) -> tuple[dict, int]:
         "subset": members,
         "translators": list(result.elements),
         "sizes": result.sizes,
-        "final_size": result.final_size,
+        "final_size": result.sizes[-1],
         "final_bound": bound,
     }
     return doc, EXIT_OK
@@ -224,7 +224,7 @@ def _cmd_cov_table(config: dict) -> tuple[dict | str, int]:
                 achieved = certificate.covering_set.size
             rows.append(
                 {
-                    "group": group.describe(),
+                    "group": group.name,
                     "n": n,
                     "k": k,
                     "lower": lower,
@@ -312,11 +312,10 @@ def _cmd_tower_translate(config: dict) -> tuple[dict, int]:
             sample_thin_set(spec, depth, rng, fullness) for _ in range(_sample_count(config))
         )
     for thin in thin_sets:
-        translation = translate_thin(tower, thin)
         results.append(
             {
                 "elements": list(thin.elements),
-                "translator": translation.translator,
+                "translator": translate_thin(tower, thin),
                 "verified": True,
             }
         )

@@ -243,22 +243,22 @@ class IntersectingFamily:
         return [s.size for s in self.subsets]
 
     def union(self) -> GroupSubset:
-        out = GroupSubset.empty(self.group)
+        bits = 0
         for s in self.subsets:
-            out = out | s
-        return out
+            bits |= s.bits
+        return GroupSubset(self.group, bits)
 
     def document(self) -> dict:
         return {
             "kind": "intersecting-family",
-            "group": self.group.describe(),
+            "group": self.group.name,
             "k": self.k,
             "p": self.probability,
             "seed": self.seed,
             "attempts": self.attempts_used,
             "sizes": self.sizes,
             "target_size": self.target_size,
-            "subsets": [s.indices() for s in self.subsets],
+            "subsets": [list(s) for s in self.subsets],
             "verification": self.verification.document(),
         }
 
@@ -274,7 +274,7 @@ def _enlarge_to(subset: GroupSubset, l: int) -> GroupSubset:
         low = comp & -comp
         bits |= low
         comp ^= low
-    return GroupSubset(subset.group, bits, l)
+    return GroupSubset(subset.group, bits)
 
 
 def construct_intersecting_family(
@@ -340,7 +340,7 @@ def construct_intersecting_family(
             target_size=target_size,
         )
     raise ConstructionError(
-        f"no accepted draw for {group.describe()} (k={k}) in {max_attempts} attempts",
+        f"no accepted draw for {group.name} (k={k}) in {max_attempts} attempts",
         attempts=max_attempts,
         history=history,
     )
@@ -350,29 +350,23 @@ def construct_intersecting_family(
 class CoveringCertificate:
     """A k-covering subset as the union of a verified intersecting family."""
 
-    group: FiniteGroup
-    k: int
     covering_set: GroupSubset
-    family: IntersectingFamily
-    seed: int
-
-    @property
-    def size_bound(self) -> float:
-        return self.group.order / 2.0
+    family: IntersectingFamily  # holds the group, k and seed
 
     def document(self) -> dict:
+        family = self.family
         return {
             "kind": "k-covering",
-            "group": self.group.describe(),
-            "k": self.k,
-            "p": self.family.probability,
-            "seed": self.seed,
-            "attempts": self.family.attempts_used,
-            "sizes": self.family.sizes,
+            "group": family.group.name,
+            "k": family.k,
+            "p": family.probability,
+            "seed": family.seed,
+            "attempts": family.attempts_used,
+            "sizes": family.sizes,
             "size": self.covering_set.size,
-            "size_bound": self.size_bound,
-            "elements": self.covering_set.indices(),
-            "verification": self.family.verification.document(),
+            "size_bound": family.group.order / 2.0,
+            "elements": list(self.covering_set),
+            "verification": family.verification.document(),
         }
 
 
@@ -397,7 +391,7 @@ def construct_k_covering(
     lhs = covering_condition_value(n, k)
     if not lhs < n:
         raise FeasibilityError(
-            f"covering condition fails for {group.describe()} at k={k}: "
+            f"covering condition fails for {group.name} at k={k}: "
             f"(4k)^k (k log n + log 2) = {lhs:.6g} >= n = {n}"
         )
     family = construct_intersecting_family(
@@ -409,7 +403,7 @@ def construct_k_covering(
         raise SoundnessError(
             f"accepted member sizes {family.sizes} break the n/2k cap at n={n}, k={k}"
         )
-    return CoveringCertificate(group=group, k=k, covering_set=union, family=family, seed=seed)
+    return CoveringCertificate(covering_set=union, family=family)
 
 
 def _quotient_witness(
@@ -553,11 +547,11 @@ def exact_covering_number(group: FiniteGroup, k: int) -> int:
                 winner = GroupSubset.from_indices(group, members)
                 if not verify_k_covering(group, winner, k, mode="exhaustive").result:
                     raise SoundnessError(
-                        f"exact search accepted {list(members)} in {group.describe()} "
+                        f"exact search accepted {list(members)} in {group.name} "
                         f"at k={k}, but verify_k_covering refutes it"
                     )
                 return s
-    raise SoundnessError(f"no covering subset found in {group.describe()} at k={k}")
+    raise SoundnessError(f"no covering subset found in {group.name} at k={k}")
 
 
 def _anchored_candidate_covers(
@@ -617,10 +611,6 @@ class GreedyShrinkResult:
 
     elements: tuple[int, ...]
     sizes: list[int]  # sizes[0] = |X|, sizes[j] after intersecting with X g_{j+1}
-
-    @property
-    def final_size(self) -> int:
-        return self.sizes[-1]
 
 
 def greedy_shrink_intersection(group: FiniteGroup, x: GroupSubset, k: int) -> GreedyShrinkResult:

@@ -39,9 +39,6 @@ class FiniteGroup:
         mul = self.mul
         return lambda a: map(mul, itertools.repeat(a), ys)
 
-    def describe(self) -> str:
-        return self.name
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name}, order={self.order})"
 

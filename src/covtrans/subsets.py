@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from itertools import repeat
+from itertools import islice, repeat
 from typing import Iterable, Iterator
 
 from .groups import FiniteGroup
@@ -18,23 +18,23 @@ _FLAGS = bytes.maketrans(b"01", b"\0\1")  # binary digits to flag bytes
 
 
 class GroupSubset:
-    """Subset of a finite group stored as an integer bitmask over indices."""
+    """Subset of a finite group stored as an integer bitmask over indices.
+
+    The scans read three cached views of the bits: _member_list, _flag_image
+    and _window_table.  list(subset) decodes the members without caching.
+    """
 
     __slots__ = ("group", "bits", "_size", "_members", "_flags", "_table")
 
-    def __init__(self, group: FiniteGroup, bits: int, size: int | None = None):
+    def __init__(self, group: FiniteGroup, bits: int):
         if bits < 0 or bits >> group.order:
             raise ValueError(f"bitmask has members outside 0..{group.order - 1}")
         self.group = group
         self.bits = bits
-        self._size = size
+        self._size: int | None = None
         self._members: list[int] | None = None
         self._flags: bytes | None = None
         self._table: list[int] | None = None
-
-    @classmethod
-    def empty(cls, group: FiniteGroup) -> "GroupSubset":
-        return cls(group, 0, 0)
 
     @classmethod
     def from_indices(cls, group: FiniteGroup, indices: Iterable[int]) -> "GroupSubset":
@@ -48,7 +48,7 @@ class GroupSubset:
         """
         listed = list(indices)
         if not listed:
-            return cls(group, 0, 0)
+            return cls(group, 0)
         low, high = min(listed), max(listed)
         if low < 0 or high >= group.order:
             raise ValueError(f"index {low if low < 0 else high} out of range for {group.name}")
@@ -62,9 +62,6 @@ class GroupSubset:
         if self._size is None:
             self._size = self.bits.bit_count()
         return self._size
-
-    def __len__(self) -> int:
-        return self.size
 
     def __contains__(self, i: int) -> bool:
         # one byte of the cached byte image, not a shift of the whole mask
@@ -107,19 +104,11 @@ class GroupSubset:
             ]
         return self._table
 
-    def indices(self) -> list[int]:
-        """Member indices in ascending order."""
-        return list(self._member_list())
-
     def _require_same_carrier(self, group: FiniteGroup) -> None:
         if self.group is not group and (
             self.group.order != group.order or self.group.name != group.name
         ):
             raise ValueError(f"carrier mismatch: {self.group.name} vs {group.name}")
-
-    def __or__(self, other: "GroupSubset") -> "GroupSubset":
-        self._require_same_carrier(other.group)
-        return GroupSubset(self.group, self.bits | other.bits)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GroupSubset):
@@ -134,7 +123,7 @@ class GroupSubset:
         return hash((self.group.name, self.group.order, self.bits))
 
     def __repr__(self) -> str:
-        shown = self.indices()[:12]
+        shown = list(islice(self, 12))
         tail = ", ..." if self.size > 12 else ""
         return f"GroupSubset({self.group.name}, size={self.size}, {{{', '.join(map(str, shown))}{tail}}})"
 

@@ -87,9 +87,6 @@ class TowerSpec:
             raise ValueError(f"stage {i} out of range for depth {self.depth}")
         return self.group_orders[i]
 
-    def group(self, i: int) -> CyclicGroup:
-        return CyclicGroup(self.group_order(i))
-
     def quotient_map(self, s: int) -> Epimorphism:
         """The reduction G_s -> G_{s-1}, for 1 <= s <= depth."""
         phi = self._maps.get(s)
@@ -239,10 +236,12 @@ def extend_covering(
     k = 0 the admissibility test is construct_k_covering's covering
     condition at k + 1, which raises FeasibilityError with its value, and
     construct_k_covering owns the halving bound: a union over n/2 raises
-    SoundnessError there.  The mode is refused, if bad, before anything else,
-    even at k = 0, where no verification runs.
+    SoundnessError there.  The mode, then max_attempts < 1, are refused
+    before anything else, even at k = 0, where no construction runs.
     """
     parse_mode(mode)
+    if max_attempts < 1:
+        raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
     if k < 0:
         raise FeasibilityError(f"extension parameter must be >= 0, got {k}")
     if base.size == 0:
@@ -275,7 +274,7 @@ class Tower:
         self.spec = spec
         self.seed = seed
         self.stages: list[TowerStage] = []
-        self._base = GroupSubset.from_indices(spec.group(0), [0])
+        self._base = GroupSubset.from_indices(CyclicGroup(1), [0])
 
     @property
     def depth(self) -> int:
@@ -346,10 +345,12 @@ def build_tower(
     cover meets at stage 1 and construct_k_covering enforces above it (see
     extend_covering).  Claim checks: projection containment from how each
     stage set is built (see check_projection_claim), and claim3_samples
-    sampled thin-set translations.  The mode is parsed first, so a bad one
-    is refused even at depth 1, where no stage is verified.
+    sampled thin-set translations.  The mode and max_attempts are checked
+    first, so a bad one is refused even at depth 1, where nothing is drawn.
     """
     parse_mode(mode)
+    if max_attempts < 1:
+        raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
     if claim3_samples < 0:
         raise ValueError(f"claim3_samples must be >= 0, got {claim3_samples}")
     _require_admissible(spec)
@@ -506,24 +507,17 @@ def sample_thin_set(
     return ThinSet(depth=depth, elements=tuple(sorted(kept)))
 
 
-@dataclass
-class ThinTranslation:
-    """A translator g with g*Y inside X_d, plus its stagewise lifting chain."""
-
-    translator: int
-    stage_translators: tuple[int, ...]  # g_0, ..., g_d with pi(g_{i+1}) = g_i
-
-
-def translate_thin(tower: Tower, thin: ThinSet) -> ThinTranslation:
-    """Constructive stagewise translation of a thin set into the top stage.
+def translate_thin(tower: Tower, thin: ThinSet) -> int:
+    """A translator g with g * Y inside X_d, by stagewise lifting.
 
     Given g_{s-1} with g_{s-1} * Y_{s-1} inside X_{s-1}, the lift reads the
     top digits (g_{s-1} + y) mod |G_s| // N, N = |G_{s-1}|, of the elements
     y; each depends on y mod |G_s| alone, so they are the level-s image's.
     It translates them into the stage's kernel cover (smallest first) and
-    sets g_s = g_{s-1} + N u: integer arithmetic on the spec's orders.  A
-    failed lift contradicts the per-stage covering guarantee and raises
-    SoundnessError with the offending state.
+    sets g_s = g_{s-1} + N u: integer arithmetic on the spec's orders.  Every
+    later step adds a multiple of |G_s|, so g_s is g mod |G_s| and the chain
+    is not kept.  A failed lift contradicts the per-stage covering guarantee
+    and raises SoundnessError with the offending state.
 
     Soundness rests on one check, at the top: every g * y, y in Y, is tested
     by digit membership in X_d.  That test reads every mixed-radix digit of
@@ -538,7 +532,6 @@ def translate_thin(tower: Tower, thin: ThinSet) -> ThinTranslation:
         raise ValueError(f"thin set depth {d} exceeds tower depth {tower.depth}")
     orders = tower.spec.group_orders
     g = 0
-    chain = [0]
     for s in range(1, d + 1):
         stage = tower.stages[s - 1]
         cover = stage.subset.kernel_cover
@@ -552,13 +545,12 @@ def translate_thin(tower: Tower, thin: ThinSet) -> ThinTranslation:
                 f"{stage.verification.mode if stage.verification else 'trivial'}"
             )
         g += u * modulus
-        chain.append(g)
     top = orders[d]
     member = tower.member
     for y in thin.elements:
         if not member(d, (g + y) % top):
             raise SoundnessError(f"final translator {g} fails membership at depth {d}")
-    return ThinTranslation(translator=g, stage_translators=tuple(chain))
+    return g
 
 
 def dimension_estimate(spec: TowerSpec, elements, depth: int | None = None) -> float:

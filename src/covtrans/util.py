@@ -195,19 +195,18 @@ def _emit(obj, out: list[str], level: int) -> None:
             out.append(",\n" if i + 1 < len(obj) else "\n")
         out.append(close_pad + "}")
     elif isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
+        if not obj:
             out.append("[]")
             return
-        if set(map(type, seq)) == {int}:
+        if set(map(type, obj)) == {int}:
             # member lists, the bulk of every document: one join, same bytes
-            out.append(f"[\n{pad}" + f",\n{pad}".join(map(str, seq)) + f"\n{close_pad}]")
+            out.append(f"[\n{pad}" + f",\n{pad}".join(map(str, obj)) + f"\n{close_pad}]")
             return
         out.append("[\n")
-        for i, value in enumerate(seq):
+        for i, value in enumerate(obj):
             out.append(pad)
             _emit(value, out, level + 1)
-            out.append(",\n" if i + 1 < len(seq) else "\n")
+            out.append(",\n" if i + 1 < len(obj) else "\n")
         out.append(close_pad + "]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} canonically")

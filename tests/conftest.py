@@ -32,7 +32,7 @@ from math import factorial
 
 import pytest
 
-from covtrans import GroupSubset, make_thin_set, thin_bound, translate_into
+from covtrans import CyclicGroup, GroupSubset, make_thin_set, thin_bound, translate_into
 from covtrans.subsets import _translate_bits
 
 
@@ -345,7 +345,7 @@ def naive_stage_members(tower, i):
     members = [0]
     for stage in tower.stages[:i]:
         phi = tower.spec.quotient_map(stage.index)
-        members = naive_factored_members(phi, members, stage.subset.kernel_cover.indices())
+        members = naive_factored_members(phi, members, list(stage.subset.kernel_cover))
     return members
 
 
@@ -364,7 +364,7 @@ def level_images(spec, thin) -> list:
 
 
 def reference_lift(tower, thin):
-    """(translator, stage_translators) of translate_thin, lifted through the stage maps.
+    """(translator, stage translators g_0, ..., g_d) of translate_thin, lifted through the stage maps.
 
     The lift as the tower computed it before it became integer arithmetic:
     take the canonical preimage section(g) of g_{s-1}, read the kernel
@@ -428,7 +428,7 @@ def witness_levels(tower, thin) -> list:
     """
     levels = []
     for i, image in enumerate(level_images(tower.spec, thin)):
-        group = tower.spec.group(i)
+        group = CyclicGroup(tower.spec.group_order(i))
         stage = GroupSubset(group, naive_stage_masks(tower)[i])
         acc = (1 << group.order) - 1
         for y in image:

@@ -567,6 +567,11 @@ def test_a_bad_mode_is_refused_before_any_other_fault(capsys, tmp_path):
     assert run(capsys, *build)[0] == EXIT_INFEASIBLE
     code, stdout, err = run(capsys, *build, "--mode", "bogus")
     assert (code, stdout, err) == (EXIT_USAGE, "", "error: unknown verification mode 'bogus'\n")
+    # max_attempts is read next, also before admissibility
+    code, stdout, err = run(capsys, *build, "--max-attempts", "0")
+    assert (code, stdout, err) == (EXIT_USAGE, "", "error: max_attempts must be >= 1, got 0\n")
+    code, stdout, err = run(capsys, *build, "--max-attempts", "0", "--mode", "bogus")
+    assert (code, stdout, err) == (EXIT_USAGE, "", "error: unknown verification mode 'bogus'\n")
     doc = {"kind": "k-covering", "group": "C8", "k": 2, "elements": [0, 1, 1], "size": 3}
     assert run_on_document(capsys, tmp_path, doc, "covering", "verify")[0] == EXIT_INTEGRITY
     code, stdout, err = run_on_document(
@@ -579,6 +584,24 @@ def test_a_bad_mode_is_refused_before_any_other_fault(capsys, tmp_path):
     )
     message = "error: sampled trial count must be >= 1, got 0 in mode 'sampled:0'\n"
     assert (code, stdout, err) == (EXIT_USAGE, "", message)
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_tower_build_refuses_max_attempts_below_one_at_depth_one(capsys, tmp_path, count):
+    # at the parent a depth-1 build exited 0 and wrote the count into its config
+    out = tmp_path / "tower.json"
+    code, stdout, err = run(
+        capsys, "tower", "build", "--spec", "tower:20", "--seed", "1",
+        "--max-attempts", count, "--out", str(out),
+    )
+    assert (code, stdout, err) == (
+        EXIT_USAGE, "", f"error: max_attempts must be >= 1, got {count}\n"
+    )
+    assert not out.exists()
+    code, stdout, _ = run(
+        capsys, "tower", "build", "--spec", "tower:20", "--seed", "1", "--max-attempts", "1"
+    )
+    assert code == EXIT_OK and json.loads(stdout)["config"]["max_attempts"] == 1
 
 
 def test_tower_commands_refuse_an_impossible_depth_at_any_count(capsys, tmp_path):

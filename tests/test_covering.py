@@ -129,7 +129,7 @@ def test_verify_intersecting_matches_naive_oracle():
         for _ in range(25):
             subsets = [random_subset(group, rng.uniform(0.2, 0.8), rng) for _ in range(2)]
             rec = verify_intersecting(group, subsets, mode="exhaustive")
-            assert rec.result == naive_is_intersecting(group, [s.indices() for s in subsets])
+            assert rec.result == naive_is_intersecting(group, [list(s) for s in subsets])
 
 
 def test_verify_intersecting_triple_families_match_naive_oracle():
@@ -137,7 +137,7 @@ def test_verify_intersecting_triple_families_match_naive_oracle():
     for group in (CyclicGroup(5), CyclicGroup(6), DihedralGroup(3)):
         for _ in range(15):
             subsets = [random_subset(group, rng.uniform(0.3, 0.9), rng) for _ in range(3)]
-            members = [s.indices() for s in subsets]
+            members = [list(s) for s in subsets]
             rec = verify_intersecting(group, subsets, mode="exhaustive")
             assert rec.result == naive_is_intersecting(group, members)
             # the witness is the lexicographically first failing triple
@@ -176,7 +176,7 @@ def test_verify_intersecting_witnesses_match_naive_oracles():
             low, high = (0.02, 0.95) if k < 4 else (0.3, 1.0)  # sparse k = 4 families all fail
             for _ in range(4):
                 subsets = [random_subset(group, rng.uniform(low, high), rng) for _ in range(k)]
-                members = [s.indices() for s in subsets]
+                members = [list(s) for s in subsets]
                 expected = naive_first_empty_tuple(group, members)
                 got = verify_intersecting(group, subsets, mode="exhaustive")
                 assert got.method == "tuple-scan"
@@ -278,7 +278,7 @@ def test_enlargement_invariance_random_supersets():
     enlarged = []
     for s in fam.subsets:
         extra = rng.sample(range(128), 20)
-        enlarged.append(GroupSubset.from_indices(g, s.indices() + extra))
+        enlarged.append(GroupSubset.from_indices(g, list(s) + extra))
     assert verify_intersecting(g, enlarged, mode="exhaustive").result
 
 
@@ -304,11 +304,11 @@ def test_construct_k_covering_bound_and_precondition():
 def test_verify_k_covering_trivial_cases():
     g = CyclicGroup(9)
     assert verify_k_covering(g, full_subset(g), 3, mode="exhaustive").result
-    rec = verify_k_covering(g, GroupSubset.empty(g), 1, mode="exhaustive")
+    rec = verify_k_covering(g, GroupSubset(g, 0), 1, mode="exhaustive")
     assert not rec.result and rec.witness == (0,)
     # k > n: vacuously covering
     tiny = CyclicGroup(2)
-    assert verify_k_covering(tiny, GroupSubset.empty(tiny), 3).result
+    assert verify_k_covering(tiny, GroupSubset(tiny, 0), 3).result
 
 
 @pytest.mark.parametrize("k", [2, 5])
@@ -316,7 +316,7 @@ def test_verify_k_covering_refuses_an_unknown_mode_for_every_k(k):
     # k = 5 > n takes the vacuous path, which must check the mode all the same
     g = CyclicGroup(3)
     with pytest.raises(ValueError, match="unknown verification mode 'bogus'"):
-        verify_k_covering(g, GroupSubset.empty(g), k, mode="bogus")
+        verify_k_covering(g, GroupSubset(g, 0), k, mode="bogus")
 
 
 # each bad mode token and parse_mode's refusal of it, word for word
@@ -383,7 +383,7 @@ def test_a_bad_mode_is_refused_before_any_draw(token, monkeypatch):
 @pytest.mark.parametrize("mode", ["auto", "exhaustive", "sampled"])
 def test_verify_k_covering_vacuous_record_in_every_valid_mode(mode):
     g = CyclicGroup(3)
-    rec = verify_k_covering(g, GroupSubset.empty(g), 5, mode=mode)
+    rec = verify_k_covering(g, GroupSubset(g, 0), 5, mode=mode)
     assert (rec.mode, rec.method, rec.result) == ("exhaustive", "vacuous", True)
 
 
@@ -402,7 +402,7 @@ def test_verify_k_covering_matches_naive_oracle():
             for k in (1, 2):
                 got = verify_k_covering(group, x, k, mode="exhaustive")
                 assert got.method == ("difference-set" if k == 2 else "subset-scan")
-                assert got.result == naive_is_k_covering(group, x.indices(), k)
+                assert got.result == naive_is_k_covering(group, list(x), k)
 
 
 def test_verify_k_covering_witnesses_match_naive_oracles():
@@ -415,13 +415,13 @@ def test_verify_k_covering_witnesses_match_naive_oracles():
             low, high = (0.0, 0.6) if k < 4 else (0.3, 1.0)  # sparse sets never 4-cover
             for _ in range(4):
                 x = random_subset(group, rng.uniform(low, high), rng)
-                expected = naive_first_untranslatable(group, x.indices(), k)
+                expected = naive_first_untranslatable(group, list(x), k)
                 got = verify_k_covering(group, x, k, mode="exhaustive")
                 assert got.method == ("difference-set" if k == 2 else "subset-scan")
                 assert (got.result, got.witness) == (expected is None, expected)
                 outcomes.add((k, expected is None))
 
-                untranslatable = naive_untranslatable_test(group, x.indices())
+                untranslatable = naive_untranslatable_test(group, list(x))
                 draws = random.Random(k)
                 replay = (True, 30, None)
                 for t in range(30):
@@ -568,7 +568,7 @@ def test_scan_at_k_1_fails_exactly_on_an_empty_set(descriptor):
     # one translate meets itself unless it is empty: the first trial fails or none does
     group = group_from_descriptor(descriptor)
     tuples = [(5,), (group.order - 1,), (0,)]
-    empty, single = GroupSubset.empty(group), GroupSubset.from_indices(group, [group.order - 1])
+    empty, single = GroupSubset(group, 0), GroupSubset.from_indices(group, [group.order - 1])
     assert first_disjoint_tuple(group, empty, [], iter(tuples)) == (0, (5,))
     assert first_disjoint_tuple(group, empty, [], iter(tuples), inverses=True) == (0, (5,))
     assert first_disjoint_tuple(group, single, [], iter(tuples)) is None
@@ -664,7 +664,7 @@ def test_exhaustive_k2_takes_one_route_at_every_budget(monkeypatch):
                     monkeypatch.setenv("COVTRANS_BUDGET", budget)
                 rec = verify_k_covering(group, x, 2, mode="exhaustive")
                 records.add((rec.mode, rec.result, rec.witness, rec.method))
-            expected = naive_first_untranslatable(group, x.indices(), 2)
+            expected = naive_first_untranslatable(group, list(x), 2)
             assert records == {("exhaustive", expected is None, expected, "difference-set")}
             outcomes.add((group.additive_rotation, expected is None))
     assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
@@ -706,7 +706,7 @@ def test_difference_set_witness_matches_naive_oracle(descriptor, monkeypatch):
     monkeypatch.setenv("COVTRANS_BUDGET", "10")
     for t in range(40):
         x = random_subset(g, 0.15 + 0.5 * (t / 40), rng)
-        expected = naive_first_untranslatable(g, x.indices(), 2)
+        expected = naive_first_untranslatable(g, list(x), 2)
         rec = verify_k_covering(g, x, 2, mode="exhaustive")
         assert rec.method == "difference-set"
         assert (rec.result, rec.witness) == (expected is None, expected)
@@ -806,7 +806,7 @@ def test_exact_covering_tries_only_anchored_candidates_from_the_counting_bound(
         return decide(columns, members, kk)
 
     def verifying(g, x, kk, mode="auto", **kwargs):
-        verified.append((x.indices(), kk, mode))
+        verified.append((list(x), kk, mode))
         return verify(g, x, kk, mode, **kwargs)
 
     monkeypatch.setattr(covering, "_anchored_candidate_covers", recording)
@@ -892,12 +892,12 @@ def test_greedy_shrink_full_group_and_small_set():
     g = CyclicGroup(100)
     full = full_subset(g)
     res = greedy_shrink_intersection(g, full, 3)
-    assert res.final_size == 100 and res.elements == (0, 0, 0)
+    assert res.sizes[-1] == 100 and res.elements == (0, 0, 0)
 
     rng = random.Random(31)
     x = GroupSubset.from_indices(g, rng.sample(range(100), 9))
     res = greedy_shrink_intersection(g, x, 2)
-    assert res.final_size == 0  # floor(81 / 100) = 0
+    assert res.sizes[-1] == 0  # floor(81 / 100) = 0
     assert res.elements[0] == 0
 
 
@@ -911,7 +911,7 @@ def test_greedy_shrink_stepwise_bound():
             res = greedy_shrink_intersection(g, x, k)
             for prev, nxt in zip(res.sizes, res.sizes[1:]):
                 assert nxt <= (prev * size) // n
-            assert res.final_size <= size**k // n ** (k - 1)
+            assert res.sizes[-1] <= size**k // n ** (k - 1)
 
 
 def test_certificate_documents_are_deterministic():

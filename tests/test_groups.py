@@ -260,7 +260,7 @@ def test_descriptor_parsing_roundtrip():
     for text, order in [("C4096", 4096), ("D5", 10), ("S4", 24), ("EA(2,5)", 32), ("C20xC4", 80)]:
         g = group_from_descriptor(text)
         assert g.order == order
-        assert g.describe() == text
+        assert g.name == text
 
 
 def test_descriptor_errors_name_the_token():

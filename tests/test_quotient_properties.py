@@ -69,7 +69,7 @@ def singles(draw):
 @PROPERTY_SETTINGS
 def test_pair_tuple_scan_matches_naive_first_empty_tuple(case):
     group, x1, x2 = case
-    expected = naive_first_empty_tuple(group, [x1.indices(), x2.indices()])
+    expected = naive_first_empty_tuple(group, [list(x1), list(x2)])
     rec = verify_intersecting(group, [x1, x2], mode="exhaustive")
     assert (rec.mode, rec.method) == ("exhaustive", "tuple-scan")
     assert (rec.result, rec.witness) == (expected is None, expected)
@@ -79,7 +79,7 @@ def test_pair_tuple_scan_matches_naive_first_empty_tuple(case):
 @PROPERTY_SETTINGS
 def test_difference_witness_matches_naive_first_untranslatable(case):
     group, x = case
-    expected = naive_first_untranslatable(group, x.indices(), 2)
+    expected = naive_first_untranslatable(group, list(x), 2)
     assert _quotient_witness(group, x, x, 1) == expected
     # the same witness through verify_k_covering, which proves k = 2 by this kernel at any budget
     with mock.patch.dict(os.environ, {"COVTRANS_BUDGET": "1"}):
@@ -93,12 +93,12 @@ def test_pair_tuple_scan_uses_x2_inverse_x1_not_x1_inverse_x2():
     x1 = GroupSubset.from_indices(group, [0, 3])
     x2 = GroupSubset.from_indices(group, [2, 3])
     assert _quotient_witness(group, x2, x1, 0) != _quotient_witness(group, x1, x2, 0)
-    expected = naive_first_empty_tuple(group, [x1.indices(), x2.indices()])
+    expected = naive_first_empty_tuple(group, [list(x1), list(x2)])
     assert expected == (0, 3)
     rec = verify_intersecting(group, [x1, x2], mode="exhaustive")
     assert (rec.result, rec.witness) == (False, (0, 3))
     swapped = verify_intersecting(group, [x2, x1], mode="exhaustive")
-    assert swapped.witness == naive_first_empty_tuple(group, [x2.indices(), x1.indices()])
+    assert swapped.witness == naive_first_empty_tuple(group, [list(x2), list(x1)])
     assert swapped.witness == (0, 4)
 
 

@@ -15,6 +15,12 @@ method on ThinSet.elements, and a Tower.set_size method on bench's
 "set_size" document key.  Those three were checked by hand and removed
 when this test came.
 
+Every field of a dataclass in src/covtrans must likewise be read: as an
+attribute load in src/covtrans outside __init__.py, or by name in
+bench/*.py.  A field that nothing reads is a stored copy that no caller
+needs.  A class whose document() returns asdict(self) is exempt, since its
+document reads every field.
+
 The benchmark attributes verify_k_covering's time by its record's method
 through a lookup that skips unknown names, so a renamed method would pass
 every other test and its time would go unattributed; one more test runs
@@ -80,6 +86,66 @@ def test_every_definition_in_src_is_reached_by_the_program_or_the_benchmark():
         if name not in used
     ]
     assert unused == [], f"defined in src/covtrans but reached only by tests: {unused}"
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        isinstance(d, ast.Name) and d.id == "dataclass"
+        or isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "dataclass"
+        for d in node.decorator_list
+    )
+
+
+def _documents_as_asdict(node: ast.ClassDef) -> bool:
+    """Whether the class has a document() method that returns asdict(self)."""
+    return any(
+        isinstance(item, ast.FunctionDef)
+        and item.name == "document"
+        and any(
+            isinstance(r, ast.Return)
+            and isinstance(r.value, ast.Call)
+            and isinstance(r.value.func, ast.Name)
+            and r.value.func.id == "asdict"
+            and [getattr(a, "id", None) for a in r.value.args] == ["self"]
+            for r in ast.walk(item)
+        )
+        for item in node.body
+    )
+
+
+def _dataclasses(tree: ast.Module):
+    """Each top-level dataclass with its field names."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            fields = [
+                item.target.id
+                for item in node.body
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+            ]
+            yield node, fields
+
+
+def test_every_dataclass_field_is_read_by_the_program_or_the_benchmark():
+    sources = sorted(SRC.glob("*.py"))
+    read = set()
+    for path in sources:
+        if path.name != "__init__.py":
+            read |= {
+                node.attr
+                for node in ast.walk(_parse(path))
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            }
+    for path in sorted(BENCH.glob("*.py")):
+        read |= _references(_parse(path), strings=True)
+    unread, exempt = [], []
+    for path in sources:
+        for node, fields in _dataclasses(_parse(path)):
+            if _documents_as_asdict(node):
+                exempt.append(node.name)
+            else:
+                unread += [f"{path.stem}.{node.name}.{f}" for f in fields if f not in read]
+    assert "StageAdmissibility" in exempt  # its exempt field is read only through asdict
+    assert unread == [], f"dataclass fields that src/covtrans and bench never read: {unread}"
 
 
 def _traced_k_covering_methods() -> set[str]:

@@ -101,7 +101,7 @@ def test_extend_trivial_parameter_uses_identity_cover():
     base = GroupSubset.from_indices(CyclicGroup(20), [0, 3, 7])
     ext = extend_covering(20, base, 0, seed=1)
     assert ext.index == 1
-    assert ext.subset.kernel_cover.indices() == [0]
+    assert list(ext.subset.kernel_cover) == [0]
     assert ext.attempts == 0 and ext.verification is None
     assert ext.subset.size == 3
     # the base digits, each with the cover digit 0
@@ -112,7 +112,7 @@ def test_extend_projects_back_exactly():
     phi = Epimorphism(4, 4096)
     base = GroupSubset.from_indices(CyclicGroup(4), [0, 2])
     ext = extend_covering(1024, base, 1, seed=5)
-    members = naive_factored_members(phi, base.indices(), ext.subset.kernel_cover.indices())
+    members = naive_factored_members(phi, list(base), list(ext.subset.kernel_cover))
     assert {phi.map(x) for x in members} == {0, 2}
     assert ext.subset.size == ext.subset.kernel_cover.size * 2 == len(set(members))
     assert 2 * ext.subset.size <= phi.kernel_group.order * 2  # |X'| <= n |X| / 2
@@ -131,7 +131,7 @@ def test_extend_preserves_translatability():
     ext = extend_covering(1024, base, 1, seed=2)
     assert ext.subset.size <= 1024 * 10 // 2
     dense = GroupSubset.from_indices(
-        phi.source, naive_factored_members(phi, base.indices(), ext.subset.kernel_cover.indices())
+        phi.source, naive_factored_members(phi, list(base), list(ext.subset.kernel_cover))
     )
     from covtrans import translate_into
 
@@ -153,7 +153,7 @@ def test_extend_whole_group_collapse():
     ext = extend_covering(1024, base, 1, seed=9)
     assert ext.subset.size == ext.subset.kernel_cover.size <= 512
     dense = GroupSubset.from_indices(
-        phi.source, naive_factored_members(phi, base.indices(), ext.subset.kernel_cover.indices())
+        phi.source, naive_factored_members(phi, list(base), list(ext.subset.kernel_cover))
     )
     from covtrans import translate_into
 
@@ -168,7 +168,7 @@ def test_extend_error_cases():
     with pytest.raises(FeasibilityError, match="576"):
         extend_covering(64, base, 1, seed=1)
     with pytest.raises(FeasibilityError):
-        extend_covering(64, GroupSubset.empty(CyclicGroup(4)), 0, seed=1)
+        extend_covering(64, GroupSubset(CyclicGroup(4), 0), 0, seed=1)
     # an isomorphism (kernel order 1) has no room for the halving bound
     with pytest.raises(FeasibilityError, match="kernel"):
         extend_covering(1, base, 0, seed=1)
@@ -193,7 +193,7 @@ def test_build_depth_two_tower():
     assert stage_measures(tower)[1] <= Fraction(1, 4)
     assert stage_measures(tower)[1] == Fraction(tower.stage_set(2).size, 20480)
     # stage covers: 1-covering then 2-covering
-    assert tower.stages[0].subset.kernel_cover.indices() == [0]
+    assert list(tower.stages[0].subset.kernel_cover) == [0]
     assert tower.stages[0].attempts == 0 and tower.stages[0].verification is None
     assert tower.stages[1].attempts >= 1
     assert tower.stages[1].verification.mode == "exhaustive"
@@ -206,6 +206,35 @@ def test_build_refuses_a_negative_claim_count_before_any_stage(monkeypatch):
     monkeypatch.setattr(tower_module, "extend_covering", no_stage)
     with pytest.raises(ValueError, match="claim3_samples must be >= 0, got -1"):
         build_tower(TowerSpec([20, 1024]), 3, claim3_samples=-1)
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_max_attempts_below_one_is_refused_at_every_depth(count):
+    # at the parent extend_covering at k = 0 and a build of depth 0 or 1 took
+    # any count, and an inadmissible spec was refused as infeasible first
+    base = GroupSubset.from_indices(CyclicGroup(4), [0])
+    calls = {
+        "extend_covering at k = 0": lambda: extend_covering(20, base, 0, seed=1, max_attempts=count),
+        "extend_covering at k = 1": lambda: extend_covering(
+            1024, base, 1, seed=1, max_attempts=count
+        ),
+        "build_tower at depth 0": lambda: build_tower(TowerSpec([]), 1, max_attempts=count),
+        "build_tower at depth 1": lambda: build_tower(TowerSpec([20]), 1, max_attempts=count),
+        "build_tower, inadmissible": lambda: build_tower(
+            TowerSpec([20, 64]), 1, max_attempts=count
+        ),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError) as info:
+            call()
+            pytest.fail(f"{name} accepted max_attempts={count}")
+        assert str(info.value) == f"max_attempts must be >= 1, got {count}", name
+    # a bad mode is still refused first
+    with pytest.raises(ValueError, match="unknown verification mode 'bogus'"):
+        extend_covering(20, base, 0, seed=1, max_attempts=count, mode="bogus")
+    with pytest.raises(ValueError, match="unknown verification mode 'bogus'"):
+        build_tower(TowerSpec([20]), 1, max_attempts=count, mode="bogus")
+    assert build_tower(TowerSpec([20]), 1, max_attempts=1).depth == 1
 
 
 def test_build_depth_zero():
@@ -252,7 +281,7 @@ def test_projection_claim_rejects_broken_stage_maps(seed11_tower, monkeypatch):
         m.setattr(stage3, "modulus", 1024)  # the stage-2 kernel order, not |G_2|
         with pytest.raises(SoundnessError, match="modulus 1024 is not .G_2. = 20480"):
             check_projection_claim(tower)
-    wide = GroupSubset.from_indices(CyclicGroup(2 * 131072), stage3.kernel_cover.indices())
+    wide = GroupSubset.from_indices(CyclicGroup(2 * 131072), list(stage3.kernel_cover))
     with monkeypatch.context() as m:
         m.setattr(stage3, "kernel_cover", wide)
         with pytest.raises(SoundnessError, match="C262144, not in the stage kernel C131072"):
@@ -266,7 +295,7 @@ def test_digit_membership_matches_naive_factored_members(seed11_tower):
     # b are embed(v) * section(b), v in L_3, all of which map to b.
     tower = seed11_tower
     stage3 = tower.stages[2]
-    phi3, cover3 = tower.spec.quotient_map(3), stage3.subset.kernel_cover.indices()
+    phi3, cover3 = tower.spec.quotient_map(3), list(stage3.subset.kernel_cover)
     x2 = naive_stage_members(tower, 2)
     assert len(set(x2)) == len(x2) == tower.stage_set(2).size
     x2_set = set(x2)
@@ -449,12 +478,11 @@ def test_translate_thin_basic_and_empty():
     spec = TowerSpec([20, 1024])
     tower = build_tower(spec, 3)
     empty = make_thin_set(spec, 2, [])
-    res = translate_thin(tower, empty)
-    assert res.translator == 0
+    assert translate_thin(tower, empty) == 0
 
     singleton = make_thin_set(spec, 2, [777])
-    res = translate_thin(tower, singleton)
-    assert tower.member(2, tower.spec.group(2).mul(res.translator, 777))
+    g = translate_thin(tower, singleton)
+    assert tower.member(2, CyclicGroup(spec.group_order(2)).mul(g, 777))
 
 
 def test_translate_thin_chain_consistency():
@@ -463,14 +491,10 @@ def test_translate_thin_chain_consistency():
     rng = random.Random(12)
     for _ in range(200):
         thin = sample_thin_set(spec, 2, rng)
-        res = translate_thin(tower, thin)
-        g = res.translator
-        group = spec.group(2)
+        g = translate_thin(tower, thin)
+        group = CyclicGroup(spec.group_order(2))
         for y in thin.elements:
             assert tower.member(2, group.mul(g, y))
-        # the lifting chain is exactly the projection chain of the result
-        assert res.stage_translators[1] == g % spec.group_order(1)
-        assert res.stage_translators[2] == g
         levels = witness_levels(tower, thin)
         assert witness_sets_nested(tower, levels)
         # the returned translator lives in every level set
@@ -514,10 +538,10 @@ def test_translate_thin_final_membership_catches_unsound_lifts(monkeypatch):
     stage2, phi2 = tower.stages[1].subset, spec.quotient_map(2)
     src, cover2 = phi2.source, stage2.kernel_cover
     for y in level_images(spec, thin)[2]:
-        w = src.mul(sound.stage_translators[2], y)
+        w = src.mul(sound % spec.group_order(2), y)
         used = phi2.kernel_coords(src.mul(w, src.inv(phi2.section(phi2.map(w)))))
         assert used in cover2
-        thinned = GroupSubset.from_indices(cover2.group, [v for v in cover2.indices() if v != used])
+        thinned = GroupSubset.from_indices(cover2.group, [v for v in cover2 if v != used])
 
         def sound_lift(group, offsets, cover, thinned=thinned):
             return real(group, offsets, cover2 if cover is thinned else cover)
@@ -566,10 +590,13 @@ def test_integer_lift_matches_the_stage_map_reference(seed11_tower, monkeypatch)
     wrapped = 0
     for thin in thin_sets:
         got = translate_thin(tower, thin)
-        assert (got.translator, got.stage_translators) == reference_lift(tower, thin), thin
+        translator, chain = reference_lift(tower, thin)
+        assert got == translator, thin
+        # the reference's whole lifting chain is the residues of the one translator
+        assert list(chain) == [got % spec.group_order(s) for s in range(thin.depth + 1)], thin
         images = level_images(spec, thin)
         for s in range(1, thin.depth + 1):
-            g = got.stage_translators[s - 1]
+            g = got % spec.group_order(s - 1)
             wrapped += any(g + y >= spec.group_order(s) for y in images[s])
     assert wrapped  # the reduction mod |G_s| was exercised
 
@@ -578,11 +605,11 @@ def test_translator_sets_match_direct_definition():
     spec = TowerSpec([20, 1024])
     tower = build_tower(spec, 21)
     rng = random.Random(13)
-    group = spec.group(2)
+    group = CyclicGroup(spec.group_order(2))
     for _ in range(3):
         thin = sample_thin_set(spec, 2, rng)
         levels = witness_levels(tower, thin)
-        assert translate_thin(tower, thin).translator in levels[2]
+        assert translate_thin(tower, thin) in levels[2]
         for i in (1, 2):
             level = levels[i]
             direct_bits = 0
