@@ -19,7 +19,7 @@ from itertools import combinations, filterfalse, islice
 from .errors import BudgetExceededError, ConstructionError, FeasibilityError, SoundnessError
 from .groups import FiniteGroup
 from .subsets import GroupSubset, _translate_bits, first_disjoint_tuple, random_subset
-from .util import derive_seed, lowest_set_bit, step_budget, uniform_draws
+from .util import derive_seed, iter_set_bits, lowest_set_bit, step_budget, uniform_draws
 
 DEFAULT_MAX_ATTEMPTS = 100
 DEFAULT_SAMPLE_TRIALS = 100_000
@@ -230,7 +230,6 @@ class IntersectingFamily:
     """The k random subsets plus their construction and verification evidence."""
 
     group: FiniteGroup
-    k: int
     subsets: list[GroupSubset]
     probability: float
     seed: int
@@ -252,7 +251,7 @@ class IntersectingFamily:
         return {
             "kind": "intersecting-family",
             "group": self.group.name,
-            "k": self.k,
+            "k": len(self.subsets),
             "p": self.probability,
             "seed": self.seed,
             "attempts": self.attempts_used,
@@ -264,17 +263,20 @@ class IntersectingFamily:
 
 
 def _enlarge_to(subset: GroupSubset, l: int) -> GroupSubset:
-    """Add smallest-index non-members until the set has exactly l elements."""
-    bits = subset.bits
-    comp = ~bits & ((1 << subset.group.order) - 1)
+    """Add the smallest-index non-members until the set has exactly l elements.
+
+    The need = l - |X| of them are the complement's bits up to its need-th
+    set bit, so one OR adds them all.
+    """
     need = l - subset.size
     if need < 0:
         raise SoundnessError("accepted member exceeds the requested target size")
-    for _ in range(need):
-        low = comp & -comp
-        bits |= low
-        comp ^= low
-    return GroupSubset(subset.group, bits)
+    if need == 0:
+        return subset
+    bits = subset.bits
+    comp = ~bits & ((1 << subset.group.order) - 1)
+    last = next(islice(iter_set_bits(comp), need - 1, None))
+    return GroupSubset(subset.group, bits | comp & ((2 << last) - 1))
 
 
 def construct_intersecting_family(
@@ -295,6 +297,8 @@ def construct_intersecting_family(
     (adding elements can only grow every intersection).
     """
     parse_mode(mode)
+    if max_attempts < 1:
+        raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
     n = group.order
     p = sample_probability(n, k)
     cap = member_size_cap(n, k)
@@ -304,8 +308,6 @@ def construct_intersecting_family(
                 f"target size {target_size} outside the admissible range "
                 f"({cap:.6g}, {n}]"
             )
-    if max_attempts < 1:
-        raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
     history: list[dict] = []
     for attempt in range(max_attempts):
         rng = random.Random(derive_seed(seed, attempt))
@@ -331,7 +333,6 @@ def construct_intersecting_family(
             subsets = [_enlarge_to(s, target_size) for s in subsets]
         return IntersectingFamily(
             group=group,
-            k=k,
             subsets=subsets,
             probability=p,
             seed=seed,
@@ -358,7 +359,7 @@ class CoveringCertificate:
         return {
             "kind": "k-covering",
             "group": family.group.name,
-            "k": family.k,
+            "k": len(family.subsets),
             "p": family.probability,
             "seed": family.seed,
             "attempts": family.attempts_used,
@@ -385,6 +386,8 @@ def construct_k_covering(
     members stays within n/2.
     """
     parse_mode(mode)
+    if max_attempts < 1:
+        raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
     n = group.order
     if k < 1:
         raise FeasibilityError(f"covering parameter must be >= 1, got {k}")

@@ -6,7 +6,7 @@ import json
 import os
 import random
 import struct
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from json.encoder import encode_basestring_ascii
 
 from .errors import IntegrityError
@@ -70,33 +70,45 @@ _DRAW_BATCH = 4096  # Mersenne Twister words per getrandbits call in uniform_dra
 _DRAW_WORDS = struct.Struct(f"<{_DRAW_BATCH}I")
 
 
+def lane_copies(value: int, lane_bytes: int, count: int) -> int:
+    """count copies of value, one per lane of lane_bytes bytes, lowest lane first."""
+    return int.from_bytes(value.to_bytes(lane_bytes, "little") * count, "little")
+
+
 def uniform_draws(seed: int, n: int):
     """Endless iterator of the values random.Random(seed).randrange(n) returns, in order.
 
-    It copies CPython's _randbelow_with_getrandbits for n < 2^32: each
+    It copies CPython's _randbelow_with_getrandbits for n < 2^31: each
     candidate is one 32-bit Mersenne Twister output shifted right by
-    32 - n.bit_length(), kept if below n.  word >> shift < n holds exactly
-    when word < n << shift, so one list comprehension per batch compares
-    each raw word with n << shift and shifts only the kept ones.  The
-    outputs come 4096 at a time as the words of one getrandbits(32 * 4096)
-    call, lowest word first, so no Python call is made per draw.  Larger n,
-    which take several words per candidate, fall back to randrange itself.
+    32 - width, width = n.bit_length(), kept if below n.  The words come
+    4096 at a time from one getrandbits(32 * 4096) call, lowest word first,
+    and are decided in 32-bit lanes with no Python call per word: one shift
+    and one mask give every candidate, and taking them from 2^width + n - 1
+    leaves bit `width` set exactly in the lanes of candidates below n, with
+    no borrow between lanes since width < 32.  Masked to that bit, byte
+    width // 8 of each lane is the keep flag, and itertools.compress keeps
+    the unpacked candidates whose flag is not zero.  Larger n, whose widths
+    of 32 and more would carry out of a lane, fall back to randrange.
     tests/test_subsets.py::test_uniform_draws_equal_randrange pins the copy.
     """
     if n < 1:
         raise ValueError(f"cannot draw from an empty range, n = {n}")
     rng = random.Random(seed)
     width = n.bit_length()
-    if width > 32:
+    if width >= 32:
         return map(rng.randrange, repeat(n))
     getrandbits, unpack = rng.getrandbits, _DRAW_WORDS.unpack
-    shift = 32 - width
-    limit = n << shift
+    shift, size = 32 - width, 4 * _DRAW_BATCH
+    lows, tops, marks = (
+        lane_copies(x, 4, _DRAW_BATCH) for x in ((1 << width) - 1, (1 << width) + n - 1, 1 << width)
+    )
+    mark_byte = width >> 3
 
     def batches():
         while True:
-            words = unpack(getrandbits(32 * _DRAW_BATCH).to_bytes(4 * _DRAW_BATCH, "little"))
-            yield [w >> shift for w in words if w < limit]
+            candidates = getrandbits(32 * _DRAW_BATCH) >> shift & lows
+            keep = ((tops - candidates) & marks).to_bytes(size, "little")[mark_byte::4]
+            yield compress(unpack(candidates.to_bytes(size, "little")), keep)
 
     return chain.from_iterable(batches())
 

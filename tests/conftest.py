@@ -327,6 +327,16 @@ def reference_random_subset_bits(n: int, p: float, rng: random.Random) -> int:
     return int.from_bytes(buf, "little")
 
 
+def naive_enlarge_bits(bits: int, n: int, l: int) -> int:
+    """bits with non-members added one at a time, least first, until l of the n elements are in."""
+    members = set(naive_set_bits(bits))
+    for i in range(n):
+        if len(members) == l:
+            break
+        members.add(i)
+    return sum(1 << i for i in members)
+
+
 def naive_factored_members(phi, base, cover):
     """embed(v) * section(b) for b in base and v in cover, through the stage map phi.
 

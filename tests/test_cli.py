@@ -604,6 +604,19 @@ def test_tower_build_refuses_max_attempts_below_one_at_depth_one(capsys, tmp_pat
     assert code == EXIT_OK and json.loads(stdout)["config"]["max_attempts"] == 1
 
 
+@pytest.mark.parametrize(
+    "shape", [("--group", "C8", "--k", "5"), ("--group", "C1024", "--k", "2", "--l", "2000")]
+)
+def test_covering_construct_refuses_max_attempts_before_feasibility(capsys, shape):
+    # at the parent both exited 3: the covering condition, or the target
+    # size, was checked before the attempt count
+    code, stdout, err = run(
+        capsys, "covering", "construct", *shape, "--seed", "1", "--max-attempts", "0"
+    )
+    assert (code, stdout, err) == (EXIT_USAGE, "", "error: max_attempts must be >= 1, got 0\n")
+    assert run(capsys, "covering", "construct", *shape, "--seed", "1")[0] == EXIT_INFEASIBLE
+
+
 def test_tower_commands_refuse_an_impossible_depth_at_any_count(capsys, tmp_path):
     # at the parent, --samples 0 or an empty thin-set list let these depths
     # into a document that exited 0

@@ -12,6 +12,7 @@ from conftest import (
     full_translate_sampled_covering,
     full_translate_sampled_intersecting,
     naive_empty_tuple_test,
+    naive_enlarge_bits,
     naive_exact_cov,
     naive_first_empty_tuple,
     naive_first_untranslatable,
@@ -28,6 +29,7 @@ from covtrans import (
     extend_covering,
     DihedralGroup,
     GroupSubset,
+    SymmetricGroup,
     construct_intersecting_family,
     construct_k_covering,
     covering,
@@ -44,7 +46,7 @@ from covtrans import (
     verify_intersecting,
     verify_k_covering,
 )
-from covtrans.covering import DEFAULT_SAMPLE_TRIALS
+from covtrans.covering import DEFAULT_SAMPLE_TRIALS, _enlarge_to
 from covtrans.errors import (
     BudgetExceededError,
     ConstructionError,
@@ -269,6 +271,28 @@ def test_construct_family_enlargement():
     with pytest.raises(FeasibilityError):
         construct_intersecting_family(g, 2, seed=5, target_size=1025)
     assert cap < 245  # 245 is the smallest admissible integer target
+
+
+@pytest.mark.parametrize(
+    "group",
+    [CyclicGroup(1), CyclicGroup(7), CyclicGroup(64), CyclicGroup(1024), CyclicGroup(4096),
+     SymmetricGroup(4)],
+    ids=["C1", "C7", "C64", "C1024", "C4096", "S4"],
+)
+def test_enlarge_to_matches_adding_the_least_non_member_one_at_a_time(group):
+    n = group.order
+    rng = random.Random(n)
+    for p in (0.0, 0.1, 0.6, 1.0):
+        x = random_subset(group, p, rng)
+        for need in sorted({0, 1, 5, n // 3, n - x.size}):
+            if x.size + need > n:
+                continue
+            got = _enlarge_to(x, x.size + need)
+            assert got.bits == naive_enlarge_bits(x.bits, n, x.size + need), (p, need)
+            assert got.size == x.size + need and got.group is group
+    if n > 1:
+        with pytest.raises(SoundnessError):
+            _enlarge_to(GroupSubset.from_indices(group, [0, 1]), 1)
 
 
 def test_enlargement_invariance_random_supersets():

@@ -1,3 +1,4 @@
+import math
 import random
 import statistics
 import sys
@@ -114,6 +115,9 @@ one_word_orders = st.one_of(
 
 @given(one_word_orders, st.integers(0, 2**64 - 1))
 @example(1, 0)
+@example(2, 3)
+@example(3, 4)
+@example(2**31 - 1, 5)  # width 31, the widest that decides in 32-bit lanes
 @example(2**31, 1)
 @example(2**31 + 1, 2)
 @example(2**17, 11)  # the stage-3 kernel of tower:20,1024,131072: half of all words rejected
@@ -154,7 +158,7 @@ def test_set_algebra():
     a = GroupSubset.from_indices(g, [0, 1, 2])
     b = GroupSubset.from_indices(g, [2, 3])
     record = VerificationRecord(mode="exhaustive", result=True)
-    family = IntersectingFamily(g, 2, [a, b], 0.5, 0, 1, record)
+    family = IntersectingFamily(g, [a, b], 0.5, 0, 1, record)
     assert list(family.union()) == [0, 1, 2, 3]
     for group, k in ((CyclicGroup(256), 2), (SymmetricGroup(5), 1)):
         family = construct_intersecting_family(group, k, seed=3)
@@ -246,7 +250,7 @@ class _Ties(random.Random):
         return self._draws[0]
 
 
-@pytest.mark.parametrize("n", [1, 7, 8, 9, 1024, 131072])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 1023, 1024, 1025, 2047, 4097, 131072])
 def test_random_subset_matches_the_per_element_loop(n):
     # element i is a member iff the i-th draw is below p: a draw equal to p
     # is not, and no draw is consumed beyond the n-th
@@ -256,6 +260,41 @@ def test_random_subset_matches_the_per_element_loop(n):
             ours, theirs = make(n), make(n)
             assert random_subset(g, p, ours).bits == reference_random_subset_bits(n, p, theirs)
             assert ours.random() == theirs.random(), (make, p)
+
+
+class _OwnBits(random.Random):
+    """A generator whose getrandbits is not the Mersenne Twister's: random() must decide."""
+
+    def getrandbits(self, k):
+        return (1 << k) - 1
+
+
+@pytest.mark.parametrize("n", [1, 1023, 1025, 2049])
+def test_random_subset_on_real_word_ties(n):
+    # p is the j-th draw itself or one of its float neighbours: element j is
+    # a member exactly when its draw is below p, at a batch's first lane, at
+    # its last and at the set's last element
+    g = CyclicGroup(n)
+    for seed in (0, 1):
+        rng = random.Random(seed)
+        draws = [rng.random() for _ in range(n)]
+        for j in sorted({0, n - 1} | {j for j in (1023, 1024, 2047, 2048) if j < n}):
+            for p in (draws[j], math.nextafter(draws[j], 0.0), math.nextafter(draws[j], 1.0)):
+                ours, theirs = random.Random(seed), random.Random(seed)
+                got = random_subset(g, p, ours)
+                assert got.bits == reference_random_subset_bits(n, p, theirs)
+                assert (j in got) == (draws[j] < p)
+                assert ours.getstate() == theirs.getstate()
+
+
+def test_random_subset_ignores_a_subclass_getrandbits():
+    # a subclass that overrides only getrandbits keeps the per-element loop:
+    # its random() is the Mersenne Twister's, and so is the reference mask
+    for n in (9, 1025):
+        ours, theirs = _OwnBits(n), _OwnBits(n)
+        got = random_subset(CyclicGroup(n), 0.5, ours)
+        assert got.bits == reference_random_subset_bits(n, 0.5, theirs)
+        assert 0 < got.size < n and ours.getstate() == theirs.getstate()
 
 
 @pytest.mark.skipif(
