@@ -40,6 +40,7 @@ from .errors import (
 from .groups import group_from_descriptor
 from .subsets import GroupSubset
 from .tower import (
+    _require_admissible,
     build_tower,
     dimension_estimate,
     make_thin_set,
@@ -266,34 +267,40 @@ def _sample_count(config: dict) -> int:
     return config["samples"]
 
 
-def _requested_depth(config: dict, tower, least: int) -> int:
-    """--depth, or the tower's depth when unset, refused outside least..tower depth.
+def _requested_depth(config: dict, spec, least: int) -> int:
+    """--depth, or the spec's depth when unset, refused outside least..spec depth.
 
-    Checked once the tower is loaded, so that no count of samples or thin
+    Checked once the spec is read, so that no count of samples or thin
     sets, zero included, lets an impossible depth into a document.
     """
-    depth = tower.depth if config["depth"] is None else config["depth"]
-    if not 0 <= depth <= tower.depth:
-        raise ValueError(f"depth {depth} out of range for {tower.spec.describe()}")
+    depth = spec.depth if config["depth"] is None else config["depth"]
+    if not 0 <= depth <= spec.depth:
+        raise ValueError(f"depth {depth} out of range for {spec.describe()}")
     if depth < least:
         raise ValueError(f"dimension estimate needs depth >= {least}")
     return depth
+
+
+def _admissible_spec(config: dict):
+    """--spec, refused as tower build refuses it, without building the tower."""
+    if config.get("spec") is None:
+        raise ValueError(f"{config['command']} needs --spec or --in")
+    spec = parse_tower_descriptor(config["spec"])
+    _require_admissible(spec)
+    return spec
 
 
 def _load_or_build_tower(config: dict):
     if config.get("in"):
         with open(config["in"], "r", encoding="utf-8") as fh:
             return tower_from_document(json.load(fh))
-    if config.get("spec") is None:
-        raise ValueError(f"{config['command']} needs --spec or --in")
-    spec = parse_tower_descriptor(config["spec"])
-    return build_tower(spec, config["seed"], claim3_samples=0)
+    return build_tower(_admissible_spec(config), config["seed"], claim3_samples=0)
 
 
 def _cmd_tower_translate(config: dict) -> tuple[dict, int]:
     tower = _load_or_build_tower(config)
     spec = tower.spec
-    depth = _requested_depth(config, tower, 0)
+    depth = _requested_depth(config, spec, 0)
     results = []
     if config.get("thin"):
         with open(config["thin"], "r", encoding="utf-8") as fh:
@@ -332,9 +339,10 @@ def _cmd_tower_translate(config: dict) -> tuple[dict, int]:
 
 
 def _cmd_tower_dim(config: dict) -> tuple[dict, int]:
-    tower = _load_or_build_tower(config)
-    spec = tower.spec
-    depth = _requested_depth(config, tower, 1)
+    # the estimates read the spec alone: a document is loaded and checked,
+    # a --spec tower is not built
+    spec = _load_or_build_tower(config).spec if config.get("in") else _admissible_spec(config)
+    depth = _requested_depth(config, spec, 1)
     if config.get("elements"):
         elements = [int(tok) for tok in config["elements"].split(",")]
         samples = [{"elements": elements, "estimate": dimension_estimate(spec, elements, depth)}]

@@ -10,7 +10,9 @@ prove k = 1 and k >= 3 by one prefix scan, and k = 2 by one quotient set.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import random
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -145,11 +147,9 @@ def verify_intersecting(
     method is "tuple-scan".  Sampled mode checks as many uniform tuples as
     the mode names (see parse_mode), drawn from the given seed, k
     consecutive util.uniform_draws values each (the values randrange would
-    give, generated in bulk), and reports the tuple as drawn.  The drawn tuples stream, never all held at once, into
-    one subsets.first_disjoint_tuple scan, which normalises by g_1 itself,
-    reads only window-table entries on rotation carriers (no oracle call)
-    and stops each trial at its first common element rather than translating
-    every X_i in full.
+    give, generated in bulk), and reports the tuple as drawn.  The tuples
+    stream, never all held at once, into one subsets.first_disjoint_tuple
+    scan, which stops each trial at its first common element.
     """
     kind, trials = parse_mode(mode)
     k = len(subsets)
@@ -227,11 +227,10 @@ def _first_empty_meet(
 
 @dataclass
 class IntersectingFamily:
-    """The k random subsets plus their construction and verification evidence."""
+    """k random subsets with the record of verify_intersecting, which accepted them."""
 
     group: FiniteGroup
     subsets: list[GroupSubset]
-    probability: float
     seed: int
     attempts_used: int
     verification: VerificationRecord
@@ -241,25 +240,44 @@ class IntersectingFamily:
     def sizes(self) -> list[int]:
         return [s.size for s in self.subsets]
 
-    def union(self) -> GroupSubset:
-        bits = 0
-        for s in self.subsets:
-            bits |= s.bits
-        return GroupSubset(self.group, bits)
+    def document(self) -> dict:
+        fields = {"target_size": self.target_size, "subsets": [list(s) for s in self.subsets]}
+        return _draw_document(self, "intersecting-family", self.group, fields)
+
+
+@dataclass
+class CoveringCertificate:
+    """A k-covering set, the union of k random members, with the record of its own check.
+
+    verification is verify_k_covering's record on covering_set, the check
+    that accepted the draw; sizes are the members' sizes, so k is len(sizes).
+    """
+
+    covering_set: GroupSubset
+    sizes: list[int]
+    seed: int
+    attempts_used: int
+    verification: VerificationRecord
 
     def document(self) -> dict:
-        return {
-            "kind": "intersecting-family",
-            "group": self.group.name,
-            "k": len(self.subsets),
-            "p": self.probability,
-            "seed": self.seed,
-            "attempts": self.attempts_used,
-            "sizes": self.sizes,
-            "target_size": self.target_size,
-            "subsets": [list(s) for s in self.subsets],
-            "verification": self.verification.document(),
-        }
+        x = self.covering_set
+        fields = {"size": x.size, "size_bound": x.group.order / 2.0, "elements": list(x)}
+        return _draw_document(self, "k-covering", x.group, fields)
+
+
+def _draw_document(made, kind: str, group: FiniteGroup, fields: dict) -> dict:
+    """The document of a construction made: its draw, then fields, then its record."""
+    return {
+        "kind": kind,
+        "group": group.name,
+        "k": len(made.sizes),
+        "p": sample_probability(group.order, len(made.sizes)),
+        "seed": made.seed,
+        "attempts": made.attempts_used,
+        "sizes": made.sizes,
+        **fields,
+        "verification": made.verification.document(),
+    }
 
 
 def _enlarge_to(subset: GroupSubset, l: int) -> GroupSubset:
@@ -279,6 +297,41 @@ def _enlarge_to(subset: GroupSubset, l: int) -> GroupSubset:
     return GroupSubset(subset.group, bits | comp & ((2 << last) - 1))
 
 
+def _union(group: FiniteGroup, subsets: list[GroupSubset]) -> GroupSubset:
+    return GroupSubset(group, functools.reduce(operator.or_, (s.bits for s in subsets)))
+
+
+def _accepted_draw(
+    group: FiniteGroup, k: int, seed: int, max_attempts: int, check: Callable
+) -> tuple[list[GroupSubset], VerificationRecord, int]:
+    """(members, record, attempts) of the first draw within the 2pn cap that passes check.
+
+    The one attempt loop of both constructions: attempt a draws k p-random
+    subsets from derive_seed(seed, a) and checks them with the seed
+    derive_seed(seed, a, _VERIFY_SALT).  ConstructionError lists every reject.
+    """
+    n = group.order
+    p, cap = sample_probability(n, k), member_size_cap(n, k)
+    history: list[dict] = []
+    for attempt in range(max_attempts):
+        rng = random.Random(derive_seed(seed, attempt))
+        subsets = [random_subset(group, p, rng) for _ in range(k)]
+        sizes = [s.size for s in subsets]
+        if any(s > cap for s in sizes):
+            history.append({"attempt": attempt, "sizes": sizes, "reason": "size-cap"})
+            continue
+        record = check(subsets, derive_seed(seed, attempt, _VERIFY_SALT))
+        if record.result:
+            return subsets, record, attempt + 1
+        reason = {"reason": "empty-intersection", "witness": record.witness}
+        history.append({"attempt": attempt, "sizes": sizes, **reason})
+    raise ConstructionError(
+        f"no accepted draw for {group.name} (k={k}) in {max_attempts} attempts",
+        attempts=max_attempts,
+        history=history,
+    )
+
+
 def construct_intersecting_family(
     group: FiniteGroup,
     k: int,
@@ -291,84 +344,27 @@ def construct_intersecting_family(
     """Draw k independent p-random subsets until a draw verifies.
 
     A draw is rejected when any member exceeds the 2pn size cap or when
-    verification finds an empty translate intersection.  On success the
-    members are optionally enlarged to exactly `target_size` by adding
-    smallest-index non-members, which keeps the intersection property
-    (adding elements can only grow every intersection).
+    verify_intersecting finds an empty translate intersection (see
+    _accepted_draw).  On success the members are optionally enlarged to
+    exactly `target_size` by adding smallest-index non-members, which keeps
+    the intersection property (adding elements can only grow every
+    intersection).
     """
     parse_mode(mode)
     if max_attempts < 1:
         raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
     n = group.order
-    p = sample_probability(n, k)
     cap = member_size_cap(n, k)
-    if target_size is not None:
-        if not cap < target_size <= n:
-            raise FeasibilityError(
-                f"target size {target_size} outside the admissible range "
-                f"({cap:.6g}, {n}]"
-            )
-    history: list[dict] = []
-    for attempt in range(max_attempts):
-        rng = random.Random(derive_seed(seed, attempt))
-        subsets = [random_subset(group, p, rng) for _ in range(k)]
-        sizes = [s.size for s in subsets]
-        if any(s > cap for s in sizes):
-            history.append({"attempt": attempt, "sizes": sizes, "reason": "size-cap"})
-            continue
-        record = verify_intersecting(
-            group, subsets, mode, seed=derive_seed(seed, attempt, _VERIFY_SALT)
+    if target_size is not None and not cap < target_size <= n:
+        raise FeasibilityError(
+            f"target size {target_size} outside the admissible range ({cap:.6g}, {n}]"
         )
-        if not record.result:
-            history.append(
-                {
-                    "attempt": attempt,
-                    "sizes": sizes,
-                    "reason": "empty-intersection",
-                    "witness": record.witness,
-                }
-            )
-            continue
-        if target_size is not None:
-            subsets = [_enlarge_to(s, target_size) for s in subsets]
-        return IntersectingFamily(
-            group=group,
-            subsets=subsets,
-            probability=p,
-            seed=seed,
-            attempts_used=attempt + 1,
-            verification=record,
-            target_size=target_size,
-        )
-    raise ConstructionError(
-        f"no accepted draw for {group.name} (k={k}) in {max_attempts} attempts",
-        attempts=max_attempts,
-        history=history,
+    subsets, record, attempts = _accepted_draw(
+        group, k, seed, max_attempts, lambda xs, s: verify_intersecting(group, xs, mode, seed=s)
     )
-
-
-@dataclass
-class CoveringCertificate:
-    """A k-covering subset as the union of a verified intersecting family."""
-
-    covering_set: GroupSubset
-    family: IntersectingFamily  # holds the group, k and seed
-
-    def document(self) -> dict:
-        family = self.family
-        return {
-            "kind": "k-covering",
-            "group": family.group.name,
-            "k": len(family.subsets),
-            "p": family.probability,
-            "seed": family.seed,
-            "attempts": family.attempts_used,
-            "sizes": family.sizes,
-            "size": self.covering_set.size,
-            "size_bound": family.group.order / 2.0,
-            "elements": list(self.covering_set),
-            "verification": family.verification.document(),
-        }
+    if target_size is not None:
+        subsets = [_enlarge_to(s, target_size) for s in subsets]
+    return IntersectingFamily(group, subsets, seed, attempts, record, target_size)
 
 
 def construct_k_covering(
@@ -379,11 +375,13 @@ def construct_k_covering(
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     mode: str = "auto",
 ) -> CoveringCertificate:
-    """Build a k-covering subset of size at most n/2 as a family union.
+    """Build a k-covering subset of size at most n/2 as the union of k random members.
 
-    Requires (4k)^k (k log n + log 2) < n; under that hypothesis the 2pn
-    member cap is strictly below n/(2k), so the union of the k accepted
-    members stays within n/2.
+    A draw is accepted when its union passes verify_k_covering, the claim
+    the certificate records (see _accepted_draw).  The paper's route sets
+    the parameters: when (4k)^k (k log n + log 2) < n, an intersecting
+    family of such members has a k-covering union, and the 2pn member cap
+    is strictly below n/(2k), so the union of the k members stays within n/2.
     """
     parse_mode(mode)
     if max_attempts < 1:
@@ -397,16 +395,14 @@ def construct_k_covering(
             f"covering condition fails for {group.name} at k={k}: "
             f"(4k)^k (k log n + log 2) = {lhs:.6g} >= n = {n}"
         )
-    family = construct_intersecting_family(
-        group, k, seed=seed, max_attempts=max_attempts, mode=mode
+    subsets, record, attempts = _accepted_draw(
+        group, k, seed, max_attempts,
+        lambda xs, s: verify_k_covering(group, _union(group, xs), k, mode, seed=s),
     )
-    union = family.union()
-    per_member_cap = n / (2.0 * k)
-    if any(s > per_member_cap for s in family.sizes) or union.size > n / 2.0:
-        raise SoundnessError(
-            f"accepted member sizes {family.sizes} break the n/2k cap at n={n}, k={k}"
-        )
-    return CoveringCertificate(covering_set=union, family=family)
+    union, sizes = _union(group, subsets), [s.size for s in subsets]
+    if any(s > n / (2.0 * k) for s in sizes) or union.size > n / 2.0:
+        raise SoundnessError(f"accepted member sizes {sizes} break the n/2k cap at n={n}, k={k}")
+    return CoveringCertificate(union, sizes, seed, attempts, record)
 
 
 def _quotient_witness(
@@ -465,16 +461,18 @@ def verify_k_covering(
     containing e (index 0) does, and that one sorts first, so failure still
     reports the lexicographically first untranslatable Y over all C(n,k).
     At k = 1 and k >= 3, {e} + rest translates iff X meets every X y^{-1},
-    y in rest: _first_empty_meet scans a table of all n of them, at ascending y.
-    The budget counts C(n,k)*n steps, and k = 2 is exhaustive past it up to
-    n = _PAIRWISE_PRODUCT_LIMIT.  At k = 2, at any budget, the proof is the
-    quotient set: {0, d} translates into X iff d is in X^{-1} X.  Sampled
-    mode checks as many uniform Y as the mode names, drawn from the given
-    seed by rng.sample, and reports Y as drawn.  Y translates into X iff the right translates
-    X y^{-1}, y in Y, meet, so the sorted draws stream into one
-    subsets.first_disjoint_tuple scan as the inverses of the translators.
-    It normalises by y_1, testing X against the X (y_1^{-1} y_i)^{-1}: one
-    inv call per trial on non-rotation carriers and none on rotation ones.
+    y in rest: _first_empty_meet scans a table of all n of them, at ascending
+    y.  The budget counts the fewer of C(n,k)*n steps and the n^k that
+    verify_intersecting counts for the k-fold family, so a cover is proven
+    wherever its family would be; the k = 1 scan reads no table and always
+    fits.  At k = 2 the proof is the quotient set: {0, d} translates into X
+    iff d is in X^{-1} X, and it fits any budget up to _PAIRWISE_PRODUCT_LIMIT.
+
+    Sampled mode is verify_intersecting's scan of the k-fold family (X, ...,
+    X): g Y lies in X iff g is in every X y^{-1}, so X g_1, ..., X g_k meet
+    iff Y = {g_1^{-1}, ..., g_k^{-1}} translates into X.  A failing tuple of
+    translators is reported as its Y, sorted and without repeats; a Y with
+    fewer than k elements still lies in an untranslatable size-k set.
     """
     kind, trials = parse_mode(mode)
     n = group.order
@@ -482,9 +480,9 @@ def verify_k_covering(
         raise ValueError(f"covering parameter must be >= 1, got {k}")
     if k > n:  # no size-k subsets exist, so any X (even empty) covers vacuously
         return VerificationRecord(mode="exhaustive", result=True, method="vacuous")
-    steps = n * math.comb(n, k)
-    fits = steps <= step_budget() or (k == 2 and n <= _PAIRWISE_PRODUCT_LIMIT)
-    kind = _resolve_mode(kind, fits, lambda: f"covering check needs C(n,k)*n = {steps}")
+    steps = min(n**k, n * math.comb(n, k))
+    fits = k == 1 or steps <= step_budget() or (k == 2 and n <= _PAIRWISE_PRODUCT_LIMIT)
+    kind = _resolve_mode(kind, fits, lambda: f"covering check needs {steps}")
     if kind == "exhaustive":
         if k == 2:
             witness, method = _quotient_witness(group, x, x, 1), "difference-set"
@@ -495,9 +493,11 @@ def verify_k_covering(
         return VerificationRecord(
             mode="exhaustive", result=witness is None, witness=witness, method=method
         )
-    rng = random.Random(seed)
-    draws = (tuple(sorted(rng.sample(range(n), k))) for _ in range(trials))
-    miss = first_disjoint_tuple(group, x, [x] * (k - 1), draws, inverses=True)
+    draws = uniform_draws(seed, n)
+    miss = first_disjoint_tuple(group, x, [x] * (k - 1), islice(zip(*[draws] * k), trials))
+    if miss is not None:
+        t, gs = miss
+        miss = t, tuple(sorted({group.inv(g) for g in gs}))
     return _sampled_record(miss, trials, "subset-sample")
 
 

@@ -247,17 +247,13 @@ def first_disjoint_tuple(
     first: GroupSubset,
     rest: list[GroupSubset],
     tuples: Iterable[tuple[int, ...]],
-    *,
-    inverses: bool = False,
 ) -> tuple[int, tuple[int, ...]] | None:
     """(index, tuple) of the first tuple whose right translates do not meet, or None.
 
     A tuple lists the translators g_1, ..., g_k of X_1 = first and
-    X_{i+1} = rest[i]; with inverses=True it lists y_i = g_i^{-1} instead,
-    so the translates are the X_i y_i^{-1}.  The translates meet iff X_1 and
-    the X_i g_i g_1^{-1} do, and g_i g_1^{-1} is y_i^{-1} y_1 with inverses.
-    All of a verification's trials run in this one scan, which stops at the
-    first common element of each trial and at the first tuple that fails.
+    X_{i+1} = rest[i].  The translates meet iff X_1 and the X_i g_i g_1^{-1}
+    do.  All of a verification's trials run in this one scan, which stops at
+    the first common element of each trial and at the first tuple that fails.
     Rotation carriers AND the sets in ascending windows of ROTATION_WINDOW
     bits: window [a, a + W) of X (g_i - g_1) is bits a + d onward of X's
     doubled mask, d = (g_1 - g_i) mod n.  W is a multiple of the table step
@@ -267,9 +263,9 @@ def first_disjoint_tuple(
     called.  Only X_1's non-empty windows are read, and X_1's bits there
     clear what lies past W or past n; at k = 1 a trial fails iff X_1 is
     empty.  Other carriers walk X_1's members and look each x g_1 g_i^{-1}
-    up in X_i's cached byte image; the shift g_1 g_i^{-1} is y_1^{-1} y_i
-    with inverses, one inv call per trial.  Byte images and window tables are
-    cached on the sets, so a set listed twice in rest is read from one.
+    up in X_i's cached byte image, k - 1 inv calls per trial.  Byte images
+    and window tables are cached on the sets, so a set listed twice in rest
+    is read from one.
     """
     n = group.order
     if group.additive_rotation:
@@ -283,17 +279,16 @@ def first_disjoint_tuple(
             return None if windows else next(enumerate(tuples), None)
         second = rest[0]._window_table()
         later = list(enumerate((s._window_table() for s in rest[1:]), 2))
-        sign = -1 if inverses else 1  # (g_1 - g_i) mod n is (y_i - y_1) mod n
         for index, gs in enumerate(tuples):
             g1 = gs[0]
-            d = (g1 - gs[1]) * sign % n
+            d = (g1 - gs[1]) % n
             high, low = d >> _TABLE_SHIFT, d & _TABLE_LOW
             for w, acc in windows:
                 acc &= second[w + high] >> low
                 for i, table in later:
                     if not acc:
                         break
-                    d = (g1 - gs[i]) * sign % n
+                    d = (g1 - gs[i]) % n
                     acc &= table[w + (d >> _TABLE_SHIFT)] >> (d & _TABLE_LOW)
                 if acc:
                     break
@@ -305,12 +300,8 @@ def first_disjoint_tuple(
     members = first._member_list()
     flags = [s._flag_image() for s in rest]
     for index, gs in enumerate(tuples):
-        if inverses:
-            u = inv(gs[0])
-            shifts = [mul(u, y) for y in gs[1:]]
-        else:
-            g1 = gs[0]
-            shifts = [mul(g1, inv(g)) for g in gs[1:]]
+        g1 = gs[0]
+        shifts = [mul(g1, inv(g)) for g in gs[1:]]
         lookups = list(zip(flags, shifts))
         for x in members:
             for flag, shift in lookups:

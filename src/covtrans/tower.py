@@ -260,7 +260,7 @@ def extend_covering(
             kernel, k + 1, seed=seed, max_attempts=max_attempts, mode=mode
         )
         cover = certificate.covering_set
-        attempts, verification = certificate.family.attempts_used, certificate.family.verification
+        attempts, verification = certificate.attempts_used, certificate.verification
     subset = FactoredSubset(base, cover)
     return TowerStage(
         index=k + 1, subset=subset, seed=seed, attempts=attempts, verification=verification

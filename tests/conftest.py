@@ -270,19 +270,23 @@ def full_translate_sampled_intersecting(group, subsets, trials, seed):
 
 
 def full_translate_sampled_covering(group, x, k, trials, seed):
-    """(result, trials, witness) of the sampled subset check, translating in full.
+    """(result, trials, witness) of the sampled k-covering check, translating in full.
 
-    Draws like verify_k_covering's sampled mode, and on each trial
-    right-translates X by y^{-1} y_1 for every later y of the drawn Y.
+    Draws like verify_k_covering's sampled mode: k uniform translators g_i
+    per trial, repeats included.  g Y lies in X iff g is in every X y^{-1},
+    so Y = {g_1^{-1}, ..., g_k^{-1}} is untranslatable iff the whole right
+    translates X g_i have no common element.  A failing trial is reported as
+    that Y, sorted and without repeats.
     """
     rng = random.Random(seed)
+    n = group.order
     for t in range(trials):
-        ys = sorted(rng.sample(range(group.order), k))
-        acc = x.bits
-        for y in ys[1:]:
-            acc &= right_translate(x, group.mul(group.inv(y), ys[0])).bits
+        gs = [rng.randrange(n) for _ in range(k)]
+        acc = (1 << n) - 1
+        for g in gs:
+            acc &= right_translate(x, g).bits
         if not acc:
-            return False, t + 1, tuple(ys)
+            return False, t + 1, tuple(sorted({group.inv(g) for g in gs}))
     return True, trials, None
 
 

@@ -3,9 +3,13 @@ import io
 import json
 
 import pytest
-from conftest import assert_same_text
+from conftest import (
+    assert_same_text,
+    full_translate_sampled_covering,
+    naive_untranslatable_test,
+)
 
-from covtrans import CyclicGroup, GroupSubset, TowerSpec
+from covtrans import CyclicGroup, GroupSubset, TowerSpec, cli, group_from_descriptor
 from covtrans.cli import (
     EXIT_ATTEMPTS_EXHAUSTED,
     EXIT_BUDGET_EXCEEDED,
@@ -18,7 +22,7 @@ from covtrans.cli import (
     rerun_document,
     run_config,
 )
-from covtrans.covering import VerificationRecord
+from covtrans.covering import _VERIFY_SALT, VerificationRecord
 from covtrans.tower import FactoredSubset, Tower, TowerStage
 from covtrans.util import canonical_json, derive_seed
 
@@ -99,13 +103,95 @@ def test_attempts_exhausted_exit_code(capsys):
 
 
 def test_budget_exceeded_exit_code(capsys, monkeypatch):
+    # a cover is accepted by its own k = 2 check, whose quotient set is
+    # complete at any budget up to n = 10^4, so the refusal needs n above it
     monkeypatch.setenv("COVTRANS_BUDGET", "100")
     code, _, err = run(
-        capsys, "covering", "construct", "--group", "C1024", "--k", "2", "--seed", "1",
+        capsys, "covering", "construct", "--group", "C10007", "--k", "2", "--seed", "1",
         "--mode", "exhaustive",
     )
     assert code == EXIT_BUDGET_EXCEEDED
     assert "sampled" in err
+    code, stdout, _ = run(
+        capsys, "covering", "construct", "--group", "C1024", "--k", "2", "--seed", "1",
+        "--mode", "exhaustive",
+    )
+    assert code == EXIT_OK
+    assert json.loads(stdout)["verification"]["mode"] == "exhaustive"
+
+
+def test_k1_covers_stay_exhaustive_above_ten_thousand(capsys, tmp_path, monkeypatch):
+    # the k = 1 scan reads no table, so it fits any budget: the cover is
+    # proven when built, and again by covering verify in auto and exhaustive,
+    # also under a budget below n
+    out = tmp_path / "cover.json"
+    code, _, _ = run(
+        capsys, "covering", "construct", "--group", "C20000", "--k", "1", "--seed", "3",
+        "--out", str(out),
+    )
+    assert code == EXIT_OK
+    assert json.loads(out.read_text())["verification"]["mode"] == "exhaustive"
+    for budget, mode in ((None, "auto"), (None, "exhaustive"), ("1000", "auto")):
+        if budget is not None:
+            monkeypatch.setenv("COVTRANS_BUDGET", budget)
+        code, stdout, _ = run(capsys, "covering", "verify", "--in", str(out), "--mode", mode)
+        assert code == EXIT_OK
+        assert json.loads(stdout)["verification"] == {
+            "mode": "exhaustive", "trials": None, "result": True, "witness": None,
+        }
+
+
+def test_covering_verify_samples_a_cover_by_its_translators(capsys, tmp_path):
+    # a sampled re-check of a k-covering document: a pass runs every trial,
+    # and a failing trial reports an untranslatable Y, the inverses of its translators
+    out = tmp_path / "cover.json"
+    code, _, _ = run(
+        capsys, "covering", "construct", "--group", "C32xC32", "--k", "2", "--seed", "7",
+        "--out", str(out),
+    )
+    assert code == EXIT_OK
+    doc = json.loads(out.read_text())
+    code, stdout, _ = run(
+        capsys, "covering", "verify", "--in", str(out), "--mode", "sampled:300", "--seed", "5"
+    )
+    assert code == EXIT_OK
+    assert json.loads(stdout)["verification"] == {
+        "mode": "sampled", "trials": 300, "result": True, "witness": None,
+    }
+    group = group_from_descriptor("C32xC32")
+    thinned = doc["elements"][::4]  # fails at the 8th trial
+    broken = tmp_path / "thinned.json"
+    broken.write_text(json.dumps(dict(doc, elements=thinned, size=len(thinned))))
+    code, stdout, _ = run(
+        capsys, "covering", "verify", "--in", str(broken), "--mode", "sampled:300", "--seed", "5"
+    )
+    record = json.loads(stdout)["verification"]
+    want = full_translate_sampled_covering(
+        group, GroupSubset.from_indices(group, thinned), 2, 300, 5
+    )
+    assert (code, record["mode"]) == (EXIT_VERIFY_FAILED, "sampled")
+    assert (record["result"], record["trials"], tuple(record["witness"])) == want
+    assert naive_untranslatable_test(group, thinned)(record["witness"])
+
+
+def test_a_sampled_certificate_is_rerun_from_its_document(capsys, tmp_path):
+    # the check that accepted the cover is seeded by the certificate's seed
+    # and attempts, so covering verify repeats its record exactly
+    out = tmp_path / "cover.json"
+    code, _, _ = run(
+        capsys, "covering", "construct", "--group", "S7", "--k", "2", "--seed", "7",
+        "--mode", "sampled:500", "--out", str(out),
+    )
+    assert code == EXIT_OK
+    doc = json.loads(out.read_text())
+    check_seed = derive_seed(doc["seed"], doc["attempts"] - 1, _VERIFY_SALT)
+    code, stdout, _ = run(
+        capsys, "covering", "verify", "--in", str(out), "--seed", str(check_seed),
+        "--mode", "sampled:500",
+    )
+    assert code == EXIT_OK
+    assert doc["verification"]["mode"] == "sampled"
+    assert json.loads(stdout)["verification"] == doc["verification"]
 
 
 def test_parse_error_names_token(capsys):
@@ -510,6 +596,27 @@ def test_tower_dim_command(capsys):
     )
     doc = json.loads(stdout)
     assert code == EXIT_OK and len(doc["estimates"]) == 1
+
+
+def test_tower_dim_reads_a_spec_without_building_it(capsys, tmp_path, monkeypatch):
+    # the estimates read the spec alone; a loaded document gives the same ones
+    _, text, _ = run(capsys, "tower", "build", "--spec", "tower:20,1024,131072", "--seed", "11")
+    argv = ("tower", "dim", "--seed", "4", "--samples", "10", "--depth", "2")
+    _, from_document, _ = run_on_document(capsys, tmp_path, json.loads(text), *argv)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("tower dim built a tower")
+
+    monkeypatch.setattr(cli, "build_tower", refuse)
+    code, stdout, _ = run(capsys, *argv, "--spec", "tower:20,1024,131072")
+    assert code == EXIT_OK
+    got, want = json.loads(stdout), json.loads(from_document)
+    assert got.pop("config")["spec"] == "tower:20,1024,131072"
+    want.pop("config")
+    assert got == want
+    code, stdout, err = run(capsys, "tower", "dim", "--seed", "4", "--spec", "tower:20,64")
+    assert (code, stdout) == (EXIT_INFEASIBLE, "")
+    assert err.startswith("infeasible: stage 2 inadmissible")
 
 
 @pytest.mark.parametrize("action", ["translate", "dim"])

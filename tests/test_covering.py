@@ -8,6 +8,7 @@ import pytest
 from conftest import (
     assert_same_text,
     difference_product_full,
+    full_rotation_translate_into,
     full_subset,
     full_translate_sampled_covering,
     full_translate_sampled_intersecting,
@@ -46,7 +47,7 @@ from covtrans import (
     verify_intersecting,
     verify_k_covering,
 )
-from covtrans.covering import DEFAULT_SAMPLE_TRIALS, _enlarge_to
+from covtrans.covering import _VERIFY_SALT, DEFAULT_SAMPLE_TRIALS, _enlarge_to, _union
 from covtrans.errors import (
     BudgetExceededError,
     ConstructionError,
@@ -54,7 +55,7 @@ from covtrans.errors import (
     SoundnessError,
 )
 from covtrans.subsets import first_disjoint_tuple
-from covtrans.util import canonical_json
+from covtrans.util import canonical_json, derive_seed, iter_set_bits, uniform_draws
 
 REL = 1e-12
 # carriers on which verifier witnesses are compared with the full-scan oracles
@@ -316,6 +317,29 @@ def test_construct_family_attempts_exhausted():
     assert fam.attempts_used == 2
 
 
+def test_a_rejected_cover_shows_the_seed_of_its_check():
+    # A passing sampled record is the same at every seed; a rejected draw's
+    # is not.  At k = 1 an empty member fails the first sampled trial, and
+    # its witness is the inverse of that trial's translator, drawn from
+    # derive_seed(seed, attempt, _VERIFY_SALT): the seed covering verify
+    # takes to repeat a construction's check.
+    group = CyclicGroup(20)
+    p = sample_probability(20, 1)
+    seed = next(
+        s for s in range(10**4)
+        if not random_subset(group, p, random.Random(derive_seed(s, 0))).bits
+    )
+    with pytest.raises(ConstructionError) as exc:
+        construct_k_covering(group, 1, seed=seed, max_attempts=1, mode="sampled:5")
+    check_seed = derive_seed(seed, 0, _VERIFY_SALT)
+    g = next(uniform_draws(check_seed, 20))
+    assert exc.value.history == [
+        {"attempt": 0, "sizes": [0], "reason": "empty-intersection", "witness": (-g % 20,)}
+    ]
+    rerun = verify_k_covering(group, GroupSubset(group, 0), 1, "sampled:5", seed=check_seed)
+    assert (rerun.result, rerun.trials, rerun.witness) == (False, 1, (-g % 20,))
+
+
 def test_construct_k_covering_bound_and_precondition():
     g = CyclicGroup(1024)
     cert = construct_k_covering(g, 2, seed=7)
@@ -449,7 +473,9 @@ def test_verify_k_covering_witnesses_match_naive_oracles():
                 draws = random.Random(k)
                 replay = (True, 30, None)
                 for t in range(30):
-                    ys = tuple(sorted(draws.sample(range(group.order), k)))
+                    # a trial's Y: the sorted, distinct inverses of k uniform translators
+                    gs = [draws.randrange(group.order) for _ in range(k)]
+                    ys = tuple(sorted({group.inv(g) for g in gs}))
                     if untranslatable(ys):
                         replay = (False, t + 1, ys)
                         break
@@ -567,9 +593,6 @@ def _assert_planted_failures(descriptor, k, hole):
             assert (got.result, got.trials, got.witness) == want
             scanned = first_disjoint_tuple(group, subsets[0], subsets[1:], iter(drawn[:count]))
             assert scanned == (t, drawn[t])
-        # as inverses y_i = g_i^{-1}: X_1 y_1^{-1} misses X_j y_j^{-1} when y_1^{-1} y_j = d
-        ys = [tuple(group.inv(g) for g in tup) for tup in drawn]
-        assert first_disjoint_tuple(group, subsets[0], subsets[1:], ys, inverses=True) == (t, ys[t])
     assert firsts[0] == 0 and firsts[-1] > firsts[len(firsts) // 2] > 0
 
 
@@ -594,7 +617,6 @@ def test_scan_at_k_1_fails_exactly_on_an_empty_set(descriptor):
     tuples = [(5,), (group.order - 1,), (0,)]
     empty, single = GroupSubset(group, 0), GroupSubset.from_indices(group, [group.order - 1])
     assert first_disjoint_tuple(group, empty, [], iter(tuples)) == (0, (5,))
-    assert first_disjoint_tuple(group, empty, [], iter(tuples), inverses=True) == (0, (5,))
     assert first_disjoint_tuple(group, single, [], iter(tuples)) is None
     assert first_disjoint_tuple(group, empty, [], iter([])) is None
     for x in (empty, single):
@@ -604,23 +626,54 @@ def test_scan_at_k_1_fails_exactly_on_an_empty_set(descriptor):
         )
 
 
-def test_sampled_covering_check_inverts_once_per_trial():
-    # The scan normalises a drawn Y by y_1 (shift y_1^{-1} y_i), so each trial
-    # pays one inv on a carrier with oracles and none on a cyclic one.
+def test_sampled_covering_check_inverts_k_minus_one_times_per_trial():
+    # The scan tests X against each X g_i g_1^{-1}, so each trial pays k - 1
+    # inv calls on a carrier with oracles and none on a cyclic one; a failing
+    # trial pays k more, to report its Y as the inverses of its translators.
+    outcomes = set()
     for descriptor, k in (("S6", 3), ("C1031", 3)):
         group = group_from_descriptor(descriptor)
-        x = construct_intersecting_family(group, k, seed=5, mode="sampled:500").union()
-        calls = []
-        inv = group.inv
-        group.inv = lambda a: calls.append(a) or inv(a)
-        try:
-            record = verify_k_covering(group, x, k, mode="sampled:400", seed=9)
-        finally:
-            del group.inv
-        want = full_translate_sampled_covering(group, x, k, 400, seed=9)
-        assert (record.result, record.trials, record.witness) == want
-        per_trial = 0 if group.additive_rotation else 1
-        assert len(calls) == per_trial * record.trials
+        family = construct_intersecting_family(group, k, seed=5, mode="sampled:500")
+        cover = _union(group, family.subsets)
+        for x in (cover, GroupSubset.from_indices(group, list(cover)[::4])):
+            calls = []
+            inv = group.inv
+            group.inv = lambda a: calls.append(a) or inv(a)
+            try:
+                record = verify_k_covering(group, x, k, mode="sampled:400", seed=9)
+            finally:
+                del group.inv
+            want = full_translate_sampled_covering(group, x, k, 400, seed=9)
+            assert (record.result, record.trials, record.witness) == want
+            per_trial = 0 if group.additive_rotation else k - 1
+            assert len(calls) == per_trial * record.trials + (0 if record.result else k)
+            outcomes.add(record.result)
+    assert outcomes == {True, False}
+
+
+def test_sampled_covering_check_reports_a_planted_union_miss_on_c131072():
+    # Take trial t's Y, the inverses of its three translators, and remove
+    # g + y_1 from a dense X for every g with g + Y inside X.  Y is then
+    # untranslatable, every earlier trial still passes, and the check must
+    # stop at trial t and report Y.
+    group = CyclicGroup(131072)
+    n, t, seed = group.order, 20, 9
+    x = random_subset(group, 0.2, random.Random(3))
+    drawn = list(itertools.islice(zip(*[uniform_draws(seed, n)] * 3), t + 1))
+    ys = sorted({-g % n for g in drawn[t]})
+    translators = (1 << n) - 1
+    for y in ys:
+        translators &= right_translate(x, -y % n).bits
+    assert translators
+    planted = x.bits
+    for g in iter_set_bits(translators):
+        planted &= ~(1 << (g + ys[0]) % n)
+    planted = GroupSubset(group, planted)
+    record = verify_k_covering(group, planted, 3, mode="sampled:50", seed=seed)
+    assert (record.result, record.trials, record.witness) == (False, t + 1, tuple(ys))
+    assert full_translate_sampled_covering(group, planted, 3, 50, seed) == (False, t + 1, tuple(ys))
+    assert full_rotation_translate_into(group, record.witness, planted) is None
+    assert full_rotation_translate_into(group, record.witness, x) is not None
 
 
 def test_verify_k_covering_sampled_mode():
@@ -695,7 +748,8 @@ def test_exhaustive_k2_takes_one_route_at_every_budget(monkeypatch):
 
 
 def test_k2_label_rule_above_the_pairwise_limit(monkeypatch):
-    # past _PAIRWISE_PRODUCT_LIMIT only n * C(n, 2) against the budget decides
+    # past _PAIRWISE_PRODUCT_LIMIT only n^2 steps against the budget decide,
+    # the fewer of n^k and n C(n, k), as verify_intersecting counts at k = 2
     monkeypatch.setattr(covering, "_first_empty_meet", _refuse_prefix_scan)
     g = CyclicGroup(10007)
     n = g.order
@@ -711,15 +765,44 @@ def test_k2_label_rule_above_the_pairwise_limit(monkeypatch):
     assert (rec.mode, rec.result, rec.trials) == ("sampled", True, DEFAULT_SAMPLE_TRIALS)
     with pytest.raises(BudgetExceededError, match="sampled"):
         verify_k_covering(g, x, 2, mode="exhaustive")
-    monkeypatch.setenv("COVTRANS_BUDGET", str(n * math.comb(n, 2)))
-    for mode in ("auto", "exhaustive"):
-        rec = verify_k_covering(g, x, 2, mode)
-        assert (rec.mode, rec.result, rec.witness, rec.method) == (
-            "exhaustive",
-            False,
-            (0, 100),
-            "difference-set",
-        )
+    monkeypatch.setenv("COVTRANS_BUDGET", str(n * n - 1))
+    assert verify_k_covering(g, x, 2).mode == "sampled"
+    for budget in (n * n, n * math.comb(n, 2)):
+        monkeypatch.setenv("COVTRANS_BUDGET", str(budget))
+        for mode in ("auto", "exhaustive"):
+            rec = verify_k_covering(g, x, 2, mode)
+            assert (rec.mode, rec.result, rec.witness, rec.method) == (
+                "exhaustive",
+                False,
+                (0, 100),
+                "difference-set",
+            )
+
+
+def test_k3_covers_are_budgeted_as_their_k_fold_family(monkeypatch):
+    # the covering check counts the fewer of n^k, which its k-fold family's
+    # check counts, and C(n,k) n: a cover is proven wherever its family
+    # would be, and wherever it was before
+    monkeypatch.delenv("COVTRANS_BUDGET", raising=False)
+    g = CyclicGroup(200)  # 200^3 fits the default budget, 200 C(200, 3) does not
+    rng = random.Random(4)
+    outcomes = set()
+    for density in (0.1, 0.6):
+        x = random_subset(g, density, rng)
+        rec, family = verify_k_covering(g, x, 3), verify_intersecting(g, [x] * 3)
+        assert (rec.mode, family.mode) == ("exhaustive", "exhaustive")
+        assert rec.result == family.result
+        outcomes.add(rec.result)
+    assert outcomes == {True, False}
+    monkeypatch.setenv("COVTRANS_BUDGET", str(200**3 - 1))
+    with pytest.raises(BudgetExceededError, match="needs 8000000 steps"):
+        verify_k_covering(g, x, 3, mode="exhaustive")
+    g16 = CyclicGroup(16)  # at k = 8, 16 C(16, 8) = 205920 is far below 16^8
+    monkeypatch.setenv("COVTRANS_BUDGET", "205920")
+    assert verify_k_covering(g16, full_subset(g16), 8, mode="exhaustive").result
+    monkeypatch.setenv("COVTRANS_BUDGET", "205919")
+    with pytest.raises(BudgetExceededError, match="needs 205920 steps"):
+        verify_k_covering(g16, full_subset(g16), 8, mode="exhaustive")
 
 
 @pytest.mark.parametrize("descriptor", ["D6", "S4", "EA(2,4)", "C2xC6", "C12"])

@@ -21,7 +21,12 @@ import random
 from unittest import mock
 
 import pytest
-from conftest import naive_first_empty_tuple, naive_first_untranslatable
+from conftest import (
+    naive_first_empty_tuple,
+    naive_first_untranslatable,
+    naive_is_k_covering,
+    naive_untranslatable_test,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -85,6 +90,29 @@ def test_difference_witness_matches_naive_first_untranslatable(case):
     with mock.patch.dict(os.environ, {"COVTRANS_BUDGET": "1"}):
         rec = verify_k_covering(group, x, 2, mode="exhaustive")
     assert (rec.method, rec.result, rec.witness) == ("difference-set", expected is None, expected)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@given(data=st.data())
+@PROPERTY_SETTINGS
+def test_k_covering_is_the_k_fold_family_check(k, data):
+    # X g_1, ..., X g_k meet iff {g_1^{-1}, ..., g_k^{-1}} translates into X,
+    # so for k <= n X is k-covering iff (X, ..., X) is intersecting: a tuple
+    # with repeats names a smaller set, which translates whenever a size-k
+    # set holding it does.  The naive k = 3 oracle is kept to order <= 24.
+    group = data.draw(carriers if k < 3 else carriers.filter(lambda g: g.order <= 24))
+    x = subsets(data.draw, group)
+    covering = naive_is_k_covering(group, list(x), k)
+    rec = verify_k_covering(group, x, k, mode="exhaustive")
+    assert (rec.mode, rec.result) == ("exhaustive", covering)
+    if k > group.order:  # no size-k subsets: vacuous, where the family asks for smaller ones
+        assert rec.method == "vacuous"
+        return
+    family = verify_intersecting(group, [x] * k, mode="exhaustive")
+    assert family.result == covering
+    if not covering:  # the family's first empty tuple names an untranslatable Y
+        ys = sorted({group.inv(g) for g in family.witness})
+        assert naive_untranslatable_test(group, list(x))(ys)
 
 
 def test_pair_tuple_scan_uses_x2_inverse_x1_not_x1_inverse_x2():

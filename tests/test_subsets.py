@@ -21,13 +21,12 @@ from covtrans import (
     DirectProductGroup,
     ElementaryAbelianGroup,
     GroupSubset,
-    IntersectingFamily,
     SymmetricGroup,
-    VerificationRecord,
     construct_intersecting_family,
     random_subset,
     translate_into,
 )
+from covtrans.covering import _union
 from covtrans.subsets import _translate_bits
 from covtrans.util import iter_set_bits, uniform_draws
 
@@ -153,16 +152,15 @@ def test_uniform_draws_equal_randrange_on_either_side_of_one_word(n):
 
 
 def test_set_algebra():
-    # a family's union is the naive union of its member lists
+    # the union of a draw's members, which construct_k_covering checks, is
+    # the naive union of their member lists
     g = CyclicGroup(8)
     a = GroupSubset.from_indices(g, [0, 1, 2])
     b = GroupSubset.from_indices(g, [2, 3])
-    record = VerificationRecord(mode="exhaustive", result=True)
-    family = IntersectingFamily(g, [a, b], 0.5, 0, 1, record)
-    assert list(family.union()) == [0, 1, 2, 3]
+    assert list(_union(g, [a, b])) == [0, 1, 2, 3]
     for group, k in ((CyclicGroup(256), 2), (SymmetricGroup(5), 1)):
         family = construct_intersecting_family(group, k, seed=3)
-        union = family.union()
+        union = _union(group, family.subsets)
         assert list(union) == sorted({x for s in family.subsets for x in s})
         assert union.size == len(list(union))
 

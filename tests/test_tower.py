@@ -42,7 +42,8 @@ import covtrans.tower as tower_module
 from covtrans.cli import EXIT_INTEGRITY, EXIT_OK, main
 from covtrans.errors import FeasibilityError, IntegrityError, SoundnessError
 from covtrans.tower import check_projection_claim
-from covtrans.util import canonical_json
+from covtrans.covering import _VERIFY_SALT, verify_k_covering
+from covtrans.util import canonical_json, derive_seed
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +53,21 @@ def seed11_tower():
     Tests restore whatever they patch.
     """
     return build_tower(TowerSpec([20, 1024, 131072]), 11, claim3_samples=0)
+
+
+def test_stage_records_are_rerun_from_the_document(seed11_tower):
+    # a stage's record is its cover's own k-covering check, seeded by the
+    # stage's seed and attempts, so the emitted document alone repeats it
+    stages = seed11_tower.document()["stages"][1:]
+    assert [stage["verification"]["mode"] for stage in stages] == ["exhaustive", "sampled"]
+    for stage in stages:
+        kernel = CyclicGroup(stage["kernel_order"])
+        cover = GroupSubset.from_indices(kernel, stage["cover"])
+        record = stage["verification"]
+        mode = "exhaustive" if record["mode"] == "exhaustive" else f"sampled:{record['trials']}"
+        check_seed = derive_seed(stage["seed"], stage["attempts"] - 1, _VERIFY_SALT)
+        rerun = verify_k_covering(kernel, cover, stage["covering_k"], mode, seed=check_seed)
+        assert rerun.document() == record
 
 
 def test_thin_bound_is_fixed():
