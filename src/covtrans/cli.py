@@ -281,20 +281,18 @@ def _requested_depth(config: dict, spec, least: int) -> int:
     return depth
 
 
-def _admissible_spec(config: dict):
-    """--spec, refused as tower build refuses it, without building the tower."""
+def _tower_spec(config: dict):
+    """--spec, parsed; a command given neither --spec nor --in is refused."""
     if config.get("spec") is None:
         raise ValueError(f"{config['command']} needs --spec or --in")
-    spec = parse_tower_descriptor(config["spec"])
-    _require_admissible(spec)
-    return spec
+    return parse_tower_descriptor(config["spec"])
 
 
 def _load_or_build_tower(config: dict):
     if config.get("in"):
         with open(config["in"], "r", encoding="utf-8") as fh:
             return tower_from_document(json.load(fh))
-    return build_tower(_admissible_spec(config), config["seed"], claim3_samples=0)
+    return build_tower(_tower_spec(config), config["seed"], claim3_samples=0)
 
 
 def _cmd_tower_translate(config: dict) -> tuple[dict, int]:
@@ -340,8 +338,12 @@ def _cmd_tower_translate(config: dict) -> tuple[dict, int]:
 
 def _cmd_tower_dim(config: dict) -> tuple[dict, int]:
     # the estimates read the spec alone: a document is loaded and checked,
-    # a --spec tower is not built
-    spec = _load_or_build_tower(config).spec if config.get("in") else _admissible_spec(config)
+    # a --spec tower is refused as tower build refuses it, but not built
+    if config.get("in"):
+        spec = _load_or_build_tower(config).spec
+    else:
+        spec = _tower_spec(config)
+        _require_admissible(spec)
     depth = _requested_depth(config, spec, 1)
     if config.get("elements"):
         elements = [int(tok) for tok in config["elements"].split(",")]

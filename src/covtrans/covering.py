@@ -478,6 +478,7 @@ def verify_k_covering(
     n = group.order
     if k < 1:
         raise ValueError(f"covering parameter must be >= 1, got {k}")
+    x._require_same_carrier(group)
     if k > n:  # no size-k subsets exist, so any X (even empty) covers vacuously
         return VerificationRecord(mode="exhaustive", result=True, method="vacuous")
     steps = min(n**k, n * math.comb(n, k))

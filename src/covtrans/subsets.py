@@ -186,16 +186,15 @@ def random_subset(group: FiniteGroup, p: float, rng: random.Random) -> GroupSubs
     taking it from 2^53 + c - 1 leaves bit 53 set exactly when it is below
     c, with no borrow between lanes.  After a shift by 53, byte 0 of each
     lane is that member flag, as the lane's bits above 53 are zero.  The
-    words consumed are those of the per-element loop, so the set and the
-    final generator state are the same.  Any other generator, a subclass
-    included, draws per element through its own random().
+    words consumed are those of a per-element random() loop, so the set and
+    the final generator state are the same.  Any other generator, a subclass
+    included, is refused with TypeError.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"inclusion probability must be in [0, 1], got {p}")
-    n = group.order
     if type(rng) is not random.Random:
-        rand = rng.random
-        return GroupSubset.from_indices(group, [i for i in range(n) if rand() < p])
+        raise TypeError(f"random_subset needs a random.Random, got {type(rng).__name__}")
+    n = group.order
     a_mask, b_mask, ones = _lane_masks()
     tops = ((1 << 53) + math.ceil(p * (1 << 53)) - 1) * ones
     getrandbits = rng.getrandbits

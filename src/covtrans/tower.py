@@ -176,42 +176,18 @@ StageSet = GroupSubset | FactoredSubset
 class TowerStage:
     """Stage s of a tower: X_s as a digit product over X_{s-1}, with its evidence.
 
-    Only what cannot be derived is stored.  The kernel cover L_s is
-    subset.kernel_cover, which the lift and membership both read; the stage
-    map and the admissibility report come from the TowerSpec, and the
-    measure is |X_s| / |G_s|.  seed is the stage's derived seed, attempts
-    the construction attempts L_s took and verification the record of its
-    s-covering check; the singleton cover of stage 1 takes 0 attempts and
-    has no verification.
+    Only what a build cannot re-derive is stored.  The kernel cover L_s is
+    subset.kernel_cover, which the lift and membership both read; s is the
+    stage's position in the tower, its seed derive_seed(tower seed, s), the
+    stage map and the admissibility report come from the TowerSpec, and the
+    measure is |X_s| / |G_s|.  attempts counts the construction attempts L_s
+    took and verification is the record of its s-covering check; the
+    singleton cover of stage 1 takes 0 attempts and has no verification.
     """
 
-    index: int
     subset: FactoredSubset
-    seed: int
     attempts: int
     verification: VerificationRecord | None
-
-    def document(self) -> dict:
-        # list(cover) decodes the mask without caching the member list on it
-        return self._document(list(self.subset.kernel_cover))
-
-    def _document(self, listed) -> dict:
-        """The stage's document, with listed as its "cover" field."""
-        subset, cover = self.subset, self.subset.kernel_cover
-        measure = Fraction(subset.size, subset.group.order)
-        return {
-            "stage": self.index,
-            "group_order": subset.group.order,
-            "kernel_order": cover.group.order,
-            "covering_k": self.index,
-            "seed": self.seed,
-            "attempts": self.attempts,
-            "cover_size": cover.size,
-            "set_size": subset.size,
-            "measure": f"{measure.numerator}/{measure.denominator}",
-            "cover": listed,
-            "verification": self.verification.document() if self.verification else None,
-        }
 
 
 def extend_covering(
@@ -225,8 +201,8 @@ def extend_covering(
 ) -> TowerStage:
     """Extend a covering set of C_N to C_{N n} using a (k+1)-covering of C_n.
 
-    n is kernel_order and N the order of the base set's group.  Returns the
-    stage with index k + 1 whose set X' = {b + N v : b in X, v in L}
+    n is kernel_order and N the order of the base set's group.  Returns
+    stage k + 1 of a tower, whose set X' = {b + N v : b in X, v in L}
     satisfies: reduction mod N maps X' onto X exactly,
     |X'| = |L| |X| <= n |X| / 2, and every subset of C_{N n} of size at most
     k+1 whose image translates into X translates into X'.  At k = 0 a
@@ -261,10 +237,7 @@ def extend_covering(
         )
         cover = certificate.covering_set
         attempts, verification = certificate.attempts_used, certificate.verification
-    subset = FactoredSubset(base, cover)
-    return TowerStage(
-        index=k + 1, subset=subset, seed=seed, attempts=attempts, verification=verification
-    )
+    return TowerStage(FactoredSubset(base, cover), attempts, verification)
 
 
 class Tower:
@@ -296,21 +269,22 @@ class Tower:
 
     def warnings(self) -> list[str]:
         out = []
-        for stage in self.stages:
-            adm = self.spec.admissibility(stage.index)
+        for s in range(1, self.depth + 1):
+            adm = self.spec.admissibility(s)
             if adm.literal_ok and not adm.strengthened_ok:
                 out.append(
-                    f"stage {adm.stage}: admissible under the literal hypothesis "
+                    f"stage {s}: admissible under the literal hypothesis "
                     f"({adm.literal_value:.6g} < {adm.kernel_order}) but not the "
                     f"strengthened one ({adm.strengthened_value:.6g})"
                 )
         return out
 
     def document(self) -> dict:
-        return self._document([stage.document() for stage in self.stages])
+        return self._document(listed=True)
 
-    def _document(self, stages: list) -> dict:
-        """The tower's document, with stages as its "stages" field."""
+    def _document(self, listed: bool) -> dict:
+        """The tower's document; unless listed, each stage's "cover" is null."""
+        positions = range(1, self.depth + 1)
         return {
             "kind": "tower",
             "spec": self.spec.describe(),
@@ -318,11 +292,28 @@ class Tower:
             "depth": self.depth,
             "seed": self.seed,
             "section": "least-nonnegative-representative",
-            "admissibility": [
-                self.spec.admissibility(stage.index).document() for stage in self.stages
-            ],
-            "stages": stages,
+            "admissibility": [self.spec.admissibility(s).document() for s in positions],
+            "stages": [self._stage_document(s, listed) for s in positions],
             "warnings": self.warnings(),
+        }
+
+    def _stage_document(self, s: int, listed: bool) -> dict:
+        stage = self.stages[s - 1]
+        subset, cover = stage.subset, stage.subset.kernel_cover
+        measure = Fraction(subset.size, subset.group.order)
+        return {
+            "stage": s,
+            "group_order": subset.group.order,
+            "kernel_order": cover.group.order,
+            "covering_k": s,
+            "seed": derive_seed(self.seed, s),
+            "attempts": stage.attempts,
+            "cover_size": cover.size,
+            "set_size": subset.size,
+            "measure": f"{measure.numerator}/{measure.denominator}",
+            # list(cover) decodes the mask without caching the member list on it
+            "cover": list(cover) if listed else None,
+            "verification": stage.verification.document() if stage.verification else None,
         }
 
 
@@ -577,8 +568,8 @@ def tower_from_document(doc: dict) -> Tower:
     """Rebuild a tower from its serialized document, membership bit-exact.
 
     Stages are appended exactly as build_tower appends them, each over the
-    stage set below, with their seeds, attempts and the verification records
-    a build emits (see _load_verification).  A missing or mistyped field
+    stage set below, with the attempts and verification records a build
+    emits (see _load_record).  A missing or mistyped field
     raises IntegrityError naming it; kernel orders and cover entries must be
     JSON integers, and a spec that build_tower refuses as inadmissible is
     refused before any cover is decoded.  A decode allocates by the cover's
@@ -589,8 +580,9 @@ def tower_from_document(doc: dict) -> Tower:
     again.  The stage-2 cover is proven 2-covering again, by
     verify_k_covering's exhaustive quotient-set check, when its kernel has
     order at most _PAIRWISE_PRODUCT_LIMIT; larger kernels and later stages
-    keep their stored record.  Every other field is derived, so the
-    assembled tower must re-emit it: see _require_reemitted.
+    keep their stored record.  Every other field, the stage seeds and stage
+    1's attempts included, is derived, so the assembled tower must re-emit
+    it: see _require_reemitted.
     """
     kind = doc.get("kind") if isinstance(doc, dict) else None
     if kind != "tower":
@@ -634,16 +626,7 @@ def tower_from_document(doc: dict) -> Tower:
                     f"{where}: field 'cover' is not 2-covering: the pair {list(witness)} "
                     f"has no translate into it"
                 )
-        raw = doc_field(stage_doc, "verification", (dict, NoneType), where)
-        tower.stages.append(
-            TowerStage(
-                index=s,
-                subset=subset,
-                seed=doc_field(stage_doc, "seed", int, where),
-                attempts=doc_field(stage_doc, "attempts", int, where),
-                verification=_load_verification(raw, s, where),
-            )
-        )
+        tower.stages.append(TowerStage(subset, *_load_record(stage_doc, s, where)))
     _require_reemitted(tower, doc)
     return tower
 
@@ -651,16 +634,16 @@ def tower_from_document(doc: dict) -> Tower:
 def _require_reemitted(tower: Tower, doc: dict) -> None:
     """Raise IntegrityError at the first field of doc that differs from tower's own.
 
-    Sizes, measures, admissibility reports and warnings are all derived from
-    the covers, so a document that contradicts them is refused rather than
-    re-emitted changed.  Fields compare as canonical JSON text, which keeps
+    Sizes, measures, stage seeds, admissibility reports and warnings are all
+    derived from the covers and the tower's seed, so a document that
+    contradicts them is refused rather than re-emitted changed.  Fields compare as canonical JSON text, which keeps
     12 significant digits of a real, and by JSON type, since that text
     prints the real 224.0 as 224: only where the tower emits a real may the
     document hold an integer.  The run config and the covers, which the
     tower was built from, are left out: the covers are the bulk of the
     document, and the tower's covers are not decoded for the comparison.
     """
-    emitted = tower._document([stage._document(None) for stage in tower.stages])
+    emitted = tower._document(listed=False)
     _require_same_fields(emitted, doc, "document", ("config", "stages"))
     for s, (mine, given) in enumerate(zip(emitted["stages"], doc["stages"]), start=1):
         _require_same_fields(mine, given, f"stage {s}", ("cover",))
@@ -691,17 +674,24 @@ def _same_json_types(mine, given) -> bool:
     return type(given) is type(mine)
 
 
-def _load_verification(raw: dict | None, s: int, where: str) -> VerificationRecord | None:
-    """Stage s's record as a build emits it, or IntegrityError naming the field.
+def _load_record(stage_doc: dict, s: int, where: str) -> tuple[int, VerificationRecord | None]:
+    """Stage s's attempts and record as a build emits them, or IntegrityError naming the field.
 
-    Null at stage 1, whose singleton cover is not verified; above it, a passing
-    exhaustive or sampled record with no witness, with trials (>= 1) when sampled.
+    Stage 1's singleton cover takes 0 attempts, which are not read but
+    compared once re-emitted, and its record is null.  Above it, attempts is
+    at least 1, since the record is re-run from attempt attempts - 1, and
+    the record is a passing exhaustive or sampled one with no witness, with
+    trials (>= 1) when sampled.
     """
+    raw = doc_field(stage_doc, "verification", (dict, NoneType), where)
     if (raw is None) != (s == 1):
         wanted = "null" if s == 1 else "a passing record"
         raise IntegrityError(f"{where}: field 'verification' must be {wanted} at stage {s}")
     if raw is None:
-        return None
+        return 0, None
+    attempts = doc_field(stage_doc, "attempts", int, where)
+    if attempts < 1:
+        raise IntegrityError(f"{where}: field 'attempts' must be >= 1, got {attempts}")
     where = f"{where} verification"
     mode = doc_field(raw, "mode", str, where)
     trials = doc_field(raw, "trials", (int, NoneType), where)
@@ -714,4 +704,4 @@ def _load_verification(raw: dict | None, s: int, where: str) -> VerificationReco
     ):
         if not ok:
             raise IntegrityError(f"{where}: field {field!r} must be {wanted}")
-    return VerificationRecord(mode=mode, result=True, trials=trials)
+    return attempts, VerificationRecord(mode=mode, result=True, trials=trials)

@@ -357,8 +357,8 @@ def naive_factored_members(phi, base, cover):
 def naive_stage_members(tower, i):
     """Members of the tower's X_i, by naive_factored_members stage after stage."""
     members = [0]
-    for stage in tower.stages[:i]:
-        phi = tower.spec.quotient_map(stage.index)
+    for s, stage in enumerate(tower.stages[:i], start=1):
+        phi = tower.spec.quotient_map(s)
         members = naive_factored_members(phi, members, list(stage.subset.kernel_cover))
     return members
 

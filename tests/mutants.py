@@ -41,6 +41,7 @@ class Mutant(NamedTuple):
 SUBSETS = "tests/test_subsets.py::"
 COVERING = "tests/test_covering.py::"
 CLI = "tests/test_cli.py::"
+TOWER = "tests/test_tower.py::"
 
 MUTANTS = [
     # random_subset's lanes and uniform_draws' range test
@@ -158,7 +159,7 @@ MUTANTS = [
         (
             COVERING + "test_a_rejected_cover_shows_the_seed_of_its_check",
             CLI + "test_a_sampled_certificate_is_rerun_from_its_document",
-            "tests/test_tower.py::test_stage_records_are_rerun_from_the_document",
+            TOWER + "test_stage_records_are_rerun_from_the_document",
         ),
         "the accepting check is seeded by the next attempt, so covering verify cannot repeat it",
     ),
@@ -171,10 +172,61 @@ MUTANTS = [
     ),
     Mutant(
         "cli.py",
-        'spec = _load_or_build_tower(config).spec if config.get("in") else _admissible_spec(config)',
-        "spec = _load_or_build_tower(config).spec",
+        "    if config.get(\"in\"):\n"
+        "        spec = _load_or_build_tower(config).spec\n"
+        "    else:\n"
+        "        spec = _tower_spec(config)\n"
+        "        _require_admissible(spec)\n",
+        "    spec = _load_or_build_tower(config).spec\n",
         (CLI + "test_tower_dim_reads_a_spec_without_building_it",),
         "tower dim --spec builds the tower it never reads",
+    ),
+    # a tower stage keeps only what a build cannot re-derive
+    Mutant(
+        "cli.py",
+        'return build_tower(_tower_spec(config), config["seed"], claim3_samples=0)',
+        'spec = _tower_spec(config)\n'
+        '    _require_admissible(spec)\n'
+        '    return build_tower(spec, config["seed"], claim3_samples=0)',
+        (CLI + "test_tower_commands_check_a_spec_once",),
+        "tower translate --spec checks admissibility before build_tower checks it again",
+    ),
+    Mutant(
+        "tower.py",
+        '_require_same_fields(mine, given, f"stage {s}", ("cover",))',
+        '_require_same_fields(mine, given, f"stage {s}", ("cover", "seed"))',
+        (TOWER + "test_loaded_tower_refuses_a_stage_seed_or_count_no_build_emits",),
+        "a stage's seed is not compared, so a stored seed is trusted over the derived one",
+    ),
+    Mutant(
+        "tower.py",
+        "        return 0, None\n",
+        '        return doc_field(stage_doc, "attempts", int, where), None\n',
+        (TOWER + "test_loaded_tower_refuses_a_stage_seed_or_count_no_build_emits",),
+        "stage 1's attempts are read from the document, so a count it never takes loads",
+    ),
+    Mutant(
+        "tower.py",
+        "    if attempts < 1:\n"
+        "        raise IntegrityError(f\"{where}: field 'attempts' must be >= 1, got {attempts}\")\n",
+        "",
+        (TOWER + "test_loaded_tower_refuses_a_stage_seed_or_count_no_build_emits",),
+        "a later stage's attempts below 1 load, with no attempt to re-run its record from",
+    ),
+    Mutant(
+        "covering.py",
+        "    x._require_same_carrier(group)\n    if k > n:",
+        "    if k > n:",
+        (COVERING + "test_verify_k_covering_refuses_a_set_on_another_carrier",),
+        "verify_k_covering checks a set on another carrier",
+    ),
+    Mutant(
+        "subsets.py",
+        "    if type(rng) is not random.Random:\n"
+        "        raise TypeError(f\"random_subset needs a random.Random, got {type(rng).__name__}\")\n",
+        "",
+        (SUBSETS + "test_random_subset_refuses_any_other_generator",),
+        "a generator other than a plain random.Random is read through the lanes",
     ),
 ]
 

@@ -10,6 +10,7 @@ from conftest import (
 )
 
 from covtrans import CyclicGroup, GroupSubset, TowerSpec, cli, group_from_descriptor
+import covtrans.tower as tower_module
 from covtrans.cli import (
     EXIT_ATTEMPTS_EXHAUSTED,
     EXIT_BUDGET_EXCEEDED,
@@ -118,6 +119,18 @@ def test_budget_exceeded_exit_code(capsys, monkeypatch):
     )
     assert code == EXIT_OK
     assert json.loads(stdout)["verification"]["mode"] == "exhaustive"
+
+
+@pytest.mark.parametrize(
+    "budget, reason", [("abc", "must be an integer, got 'abc'"), ("0", "must be positive, got 0")]
+)
+def test_a_malformed_budget_is_a_usage_error(capsys, monkeypatch, budget, reason):
+    monkeypatch.setenv("COVTRANS_BUDGET", budget)
+    code, stdout, err = run(
+        capsys, "covering", "construct", "--group", "C1024", "--k", "2", "--seed", "1"
+    )
+    assert (code, stdout) == (EXIT_USAGE, "")
+    assert err == f"error: COVTRANS_BUDGET {reason}\n"
 
 
 def test_k1_covers_stay_exhaustive_above_ten_thousand(capsys, tmp_path, monkeypatch):
@@ -433,10 +446,10 @@ def _inadmissible_tower_document() -> dict:
     spec = TowerSpec([20, 64])
     tower = Tower(spec, 1)
     base = FactoredSubset(tower.stage_set(0), GroupSubset.from_indices(CyclicGroup(20), [0]))
-    tower.stages.append(TowerStage(1, base, derive_seed(1, 1), 0, None))
+    tower.stages.append(TowerStage(base, 0, None))
     cover = GroupSubset.from_indices(CyclicGroup(64), [0, 1, 5])
     record = VerificationRecord("exhaustive", True)
-    tower.stages.append(TowerStage(2, FactoredSubset(base, cover), derive_seed(1, 2), 1, record))
+    tower.stages.append(TowerStage(FactoredSubset(base, cover), 1, record))
     return json.loads(canonical_json(tower.document()))
 
 
@@ -617,6 +630,29 @@ def test_tower_dim_reads_a_spec_without_building_it(capsys, tmp_path, monkeypatc
     code, stdout, err = run(capsys, "tower", "dim", "--seed", "4", "--spec", "tower:20,64")
     assert (code, stdout) == (EXIT_INFEASIBLE, "")
     assert err.startswith("infeasible: stage 2 inadmissible")
+
+
+def test_tower_commands_check_a_spec_once(capsys, monkeypatch):
+    # tower translate leaves the admissibility check to build_tower, and
+    # tower dim, which builds nothing, runs it itself; either refuses with exit 3
+    checked = []
+    check = tower_module._require_admissible
+
+    def counted(spec):
+        checked.append(spec.describe())
+        check(spec)
+
+    monkeypatch.setattr(tower_module, "_require_admissible", counted)
+    monkeypatch.setattr(cli, "_require_admissible", counted)
+    for action in ("translate", "dim"):
+        for spec, exit_code in (("tower:20,1024", EXIT_OK), ("tower:20,64", EXIT_INFEASIBLE)):
+            checked.clear()
+            code, _, err = run(
+                capsys, "tower", action, "--spec", spec, "--seed", "1", "--samples", "0"
+            )
+            assert (code, checked) == (exit_code, [spec]), (action, err)
+            if exit_code == EXIT_INFEASIBLE:
+                assert err.startswith("infeasible: stage 2 inadmissible")
 
 
 @pytest.mark.parametrize("action", ["translate", "dim"])

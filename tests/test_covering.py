@@ -124,6 +124,18 @@ def test_verify_intersecting_refuses_a_member_on_another_carrier():
                 verify_intersecting(g, members, mode=mode)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_verify_k_covering_refuses_a_set_on_another_carrier(k):
+    # a C16 set read as a C8 one would be scanned past the group: every mode
+    # is refused before any verdict, as verify_intersecting refuses a member
+    g = CyclicGroup(8)
+    assert verify_k_covering(g, GroupSubset.from_indices(CyclicGroup(8), [0, 1, 2, 4]), 1).result
+    x = GroupSubset.from_indices(CyclicGroup(16), [0, 1, 2, 9])
+    for mode in ("auto", "exhaustive", "sampled:50"):
+        with pytest.raises(ValueError, match="carrier mismatch: C16 vs C8"):
+            verify_k_covering(g, x, k, mode)
+
+
 def test_verify_intersecting_matches_naive_oracle():
     rng = random.Random(5)
     g = CyclicGroup(6)
@@ -315,6 +327,10 @@ def test_construct_family_attempts_exhausted():
     assert exc.value.history[0]["reason"] == "empty-intersection"
     fam = construct_intersecting_family(CyclicGroup(3), 1, seed=15, max_attempts=100)
     assert fam.attempts_used == 2
+    # seed 86 draws six elements at (7, 1), over the 2pn cap of about 5.28
+    with pytest.raises(ConstructionError) as exc:
+        construct_intersecting_family(CyclicGroup(7), 1, seed=86, max_attempts=1)
+    assert exc.value.history == [{"attempt": 0, "sizes": [6], "reason": "size-cap"}]
 
 
 def test_a_rejected_cover_shows_the_seed_of_its_check():

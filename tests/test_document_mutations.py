@@ -9,8 +9,8 @@ by one, raises a kernel order by the factor 2^16, or duplicates or swaps
 two entries of a list.  Each must exit 0 or exit 6 with a message that
 names the field; never a traceback, exit 1 or exit 2, and a raised kernel
 order exits 6.  A tower that loads must re-emit its input exactly, JSON types
-included, through tower_from_document, and no mutated stage verification
-record loads.  The run config is not read by either loader, so it is not
+included, through tower_from_document, and no mutated stage seed or
+verification record loads.  The run config is not read by either loader, so it is not
 mutated.
 """
 
@@ -180,6 +180,8 @@ def check_refusal(code, err, path):
 @example((("stages", 1, "cover"), "duplicate", 0))
 @example((("stages", 1, "cover"), "swap", 0))
 @example((("stages", 1, "verification", "mode"), "invalid", None))
+@example((("stages", 0, "seed"), "invalid", None))
+@example((("seed",), "invalid", None))
 @example((("kernel_orders", 0), "raise", None))
 @example((("kernel_orders", 1), "raise", None))
 @MUTATION_SETTINGS
@@ -187,9 +189,10 @@ def test_mutated_tower_loads_exactly_or_names_the_field(mutation):
     doc = mutated(documents()["tower"], *mutation)
     code, err = load(["tower", "translate", "--seed", "1", "--samples", "0"], doc)
     check_refusal(code, err, mutation[0])
-    if "verification" in mutation[0] or mutation[1] == "raise":
-        # no mutation of a stage record leaves one that a build emits, and
-        # the covers of a raised kernel no longer give the document's spec
+    if "verification" in mutation[0] or mutation[0][-1] == "seed" or mutation[1] == "raise":
+        # no mutation of a stage record or seed leaves one that a build
+        # emits, and the covers of a raised kernel no longer give the
+        # document's spec
         assert code == EXIT_INTEGRITY, err
     if code == EXIT_OK:
         reemitted = json.loads(canonical_json(tower_from_document(doc).document()))

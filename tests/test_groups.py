@@ -66,6 +66,9 @@ def test_bad_parameters_rejected():
         SymmetricGroup(9)
     with pytest.raises(ValueError):
         ElementaryAbelianGroup(4, 1)
+    for p in (9, 15, 25):  # odd bases are trial-divided by odd factors from 3
+        with pytest.raises(ValueError, match=f"base must be prime, got {p}$"):
+            ElementaryAbelianGroup(p, 2)
     with pytest.raises(ValueError):
         ElementaryAbelianGroup(2, 0)
 
@@ -257,7 +260,9 @@ def test_reduction_methods_are_their_divmod_definitions(modulus, kernel_order):
 
 
 def test_descriptor_parsing_roundtrip():
-    for text, order in [("C4096", 4096), ("D5", 10), ("S4", 24), ("EA(2,5)", 32), ("C20xC4", 80)]:
+    for text, order in [
+        ("C4096", 4096), ("D5", 10), ("S4", 24), ("EA(2,5)", 32), ("EA(5,2)", 25), ("C20xC4", 80)
+    ]:
         g = group_from_descriptor(text)
         assert g.order == order
         assert g.name == text

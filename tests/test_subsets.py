@@ -236,32 +236,26 @@ def test_random_subset_extremes_and_determinism():
         random_subset(g, 1.5, random.Random(1))
 
 
-class _Ties(random.Random):
-    """A generator whose draws cycle through 0.0 and the tested probabilities exactly."""
-
-    def __init__(self, seed):
-        super().__init__(seed)
-        self._draws = [0.0, 0.062, 0.5, 1.0 - 2**-53, self.getrandbits(53) * 2**-53]
-
-    def random(self):
-        self._draws.append(self._draws.pop(0))
-        return self._draws[0]
-
-
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 1023, 1024, 1025, 2047, 4097, 131072])
 def test_random_subset_matches_the_per_element_loop(n):
-    # element i is a member iff the i-th draw is below p: a draw equal to p
-    # is not, and no draw is consumed beyond the n-th
+    # element i is a member iff the i-th draw is below p, and no draw is
+    # consumed beyond the n-th; a draw equal to p is tested on real words below
     g = CyclicGroup(n)
-    for make in (random.Random, _Ties):
-        for p in (0.0, 0.062, 0.5, 1.0):
-            ours, theirs = make(n), make(n)
-            assert random_subset(g, p, ours).bits == reference_random_subset_bits(n, p, theirs)
-            assert ours.random() == theirs.random(), (make, p)
+    for p in (0.0, 0.062, 0.5, 1.0):
+        ours, theirs = random.Random(n), random.Random(n)
+        assert random_subset(g, p, ours).bits == reference_random_subset_bits(n, p, theirs)
+        assert ours.random() == theirs.random(), p
+
+
+class _Ties(random.Random):
+    """A generator whose draws are exactly the tested probability."""
+
+    def random(self):
+        return 0.5
 
 
 class _OwnBits(random.Random):
-    """A generator whose getrandbits is not the Mersenne Twister's: random() must decide."""
+    """A generator whose getrandbits is not the Mersenne Twister's."""
 
     def getrandbits(self, k):
         return (1 << k) - 1
@@ -285,14 +279,16 @@ def test_random_subset_on_real_word_ties(n):
                 assert ours.getstate() == theirs.getstate()
 
 
-def test_random_subset_ignores_a_subclass_getrandbits():
-    # a subclass that overrides only getrandbits keeps the per-element loop:
-    # its random() is the Mersenne Twister's, and so is the reference mask
-    for n in (9, 1025):
-        ours, theirs = _OwnBits(n), _OwnBits(n)
-        got = random_subset(CyclicGroup(n), 0.5, ours)
-        assert got.bits == reference_random_subset_bits(n, 0.5, theirs)
-        assert 0 < got.size < n and ours.getstate() == theirs.getstate()
+def test_random_subset_refuses_any_other_generator():
+    # the lanes decide members from Mersenne Twister words, which only a plain
+    # random.Random is known to give, so a subclass overriding either draw,
+    # or any other generator, is refused before it draws
+    for rng in (_Ties(9), _OwnBits(9)):
+        with pytest.raises(TypeError, match=f"needs a random.Random, got {type(rng).__name__}$"):
+            random_subset(CyclicGroup(9), 0.5, rng)
+        assert rng.getstate() == random.Random(9).getstate()
+    with pytest.raises(TypeError, match="got SystemRandom$"):
+        random_subset(CyclicGroup(9), 0.5, random.SystemRandom())
 
 
 @pytest.mark.skipif(

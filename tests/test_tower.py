@@ -116,7 +116,6 @@ def test_admissibility_report_both_readings():
 def test_extend_trivial_parameter_uses_identity_cover():
     base = GroupSubset.from_indices(CyclicGroup(20), [0, 3, 7])
     ext = extend_covering(20, base, 0, seed=1)
-    assert ext.index == 1
     assert list(ext.subset.kernel_cover) == [0]
     assert ext.attempts == 0 and ext.verification is None
     assert ext.subset.size == 3
@@ -758,6 +757,8 @@ def test_loaded_tower_names_a_missing_or_mistyped_field():
         (broken(lambda d: d["stages"][1]["cover"].insert(0, 1)), unsorted),
         (broken(lambda d: d["stages"][1]["cover"].reverse()), unsorted),
         ([doc], "not a tower document: kind=None"),
+        (broken(lambda d: d["stages"].pop()), "tower document lists 1 stages for depth 2"),
+        (broken(lambda d: d["stages"].append({})), "tower document lists 3 stages for depth 2"),
     ]:
         with pytest.raises(IntegrityError, match=re.escape(message)):
             tower_from_document(bad)
@@ -805,6 +806,37 @@ def test_loaded_tower_refuses_a_stage_record_no_build_emits(
     assert main(argv) == EXIT_INTEGRITY
     err = capsys.readouterr().err
     assert err.startswith(f"integrity error: {message}") and err.count("\n") == 1, err
+
+
+SEED3_STAGE2 = derive_seed(3, 2)
+
+
+@pytest.mark.parametrize(
+    "stage, field, value, message",
+    [
+        (1, "seed", 1, "stage 1: field 'seed' disagrees with the loaded tower"),
+        (2, "seed", SEED3_STAGE2 + 1, "stage 2: field 'seed' disagrees with the loaded tower"),
+        (1, "attempts", 7, "stage 1: field 'attempts' disagrees with the loaded tower"),
+        (2, "attempts", 0, "stage 2: field 'attempts' must be >= 1, got 0"),
+        (2, "attempts", -5, "stage 2: field 'attempts' must be >= 1, got -5"),
+    ],
+    ids=["stage-1-seed", "stage-2-seed", "stage-1-attempts", "zero-attempts", "negative-attempts"],
+)
+def test_loaded_tower_refuses_a_stage_seed_or_count_no_build_emits(
+    tmp_path, capsys, stage, field, value, message
+):
+    # a stage's seed is derive_seed(tower seed, s) and stage 1 takes no
+    # attempts, so neither is read; a later stage took at least one attempt,
+    # the one its record is re-run from
+    doc = build_tower(TowerSpec([20, 1024]), 3).document()
+    assert [st["seed"] for st in doc["stages"]] == [derive_seed(3, 1), SEED3_STAGE2]
+    assert doc["stages"][0]["attempts"] == 0 and doc["stages"][1]["attempts"] >= 1
+    doc["stages"][stage - 1][field] = value
+    path = tmp_path / "tower.json"
+    path.write_text(canonical_json(doc))
+    argv = ["tower", "translate", "--in", str(path), "--seed", "1", "--samples", "0"]
+    assert main(argv) == EXIT_INTEGRITY
+    assert capsys.readouterr().err == f"integrity error: {message}\n"
 
 
 def with_cover(doc, s, cover):
@@ -867,8 +899,9 @@ def test_loaded_tower_decodes_covers_by_their_largest_index(tmp_path, capsys, or
 
 
 def test_loaded_tower_refuses_derived_fields_that_contradict_its_covers():
-    # everything but the seeds, attempts, verification records and covers is
-    # derived, so a changed value would load and then re-emit differently
+    # everything but the covers, their verification records and the attempts
+    # above stage 1 is derived, so a changed value would load and then
+    # re-emit differently
     doc = build_tower(TowerSpec([20, 1024]), 3).document()
 
     def broken(change):
