@@ -405,8 +405,6 @@ def check_projection_claim(tower: Tower) -> None:
 
 def check_translation_claim(tower: Tower, samples: int = 100) -> None:
     """Sampled thin sets all translate into the top stage set."""
-    if tower.depth == 0:
-        return
     rng = random.Random(derive_seed(tower.seed, _CLAIM3_SALT))
     for _ in range(samples):
         thin = sample_thin_set(tower.spec, tower.depth, rng)

@@ -42,6 +42,7 @@ SUBSETS = "tests/test_subsets.py::"
 COVERING = "tests/test_covering.py::"
 CLI = "tests/test_cli.py::"
 TOWER = "tests/test_tower.py::"
+WINDOWS = "tests/test_window_properties.py::"
 
 MUTANTS = [
     # random_subset's lanes and uniform_draws' range test
@@ -227,6 +228,34 @@ MUTANTS = [
         "",
         (SUBSETS + "test_random_subset_refuses_any_other_generator",),
         "a generator other than a plain random.Random is read through the lanes",
+    ),
+    # quarter-size rotation windows
+    Mutant(
+        "subsets.py",
+        "first_bytes[a >> 3 : (a + ROTATION_WINDOW) >> 3]",
+        "first_bytes[a >> 3 : ((a + ROTATION_WINDOW) >> 3) - 1]",
+        (
+            COVERING + "test_meet_test_finds_one_common_element_at_window_edges",
+            WINDOWS + "test_translates_meet_matches_full_rotation",
+        ),
+        "the scan reads each window of X_1 one byte short",
+    ),
+    Mutant(
+        "subsets.py",
+        "acc = (1 << min(ROTATION_WINDOW, n - a)) - 1",
+        "acc = (1 << min(ROTATION_WINDOW - 1, n - a)) - 1",
+        (SUBSETS + "test_windowed_translate_into_matches_full_rotation",),
+        "translate_into never tries the last translator of a full window",
+    ),
+    Mutant(
+        "subsets.py",
+        "span = _TABLE_STEP >> 3, (ROTATION_WINDOW + _TABLE_STEP) >> 3",
+        "span = _TABLE_STEP >> 3, ROTATION_WINDOW >> 3",
+        (
+            WINDOWS + "test_window_table_reads_match_byte_slices_and_full_rotations",
+            SUBSETS + "test_windowed_translate_into_matches_full_rotation",
+        ),
+        "a table entry holds one window, so a read shifted into it comes up short",
     ),
 ]
 

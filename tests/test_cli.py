@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     assert_same_text,
     full_translate_sampled_covering,
+    full_translate_sampled_intersecting,
     naive_untranslatable_test,
 )
 
@@ -205,6 +206,48 @@ def test_a_sampled_certificate_is_rerun_from_its_document(capsys, tmp_path):
     assert code == EXIT_OK
     assert doc["verification"]["mode"] == "sampled"
     assert json.loads(stdout)["verification"] == doc["verification"]
+
+
+def test_covering_verify_samples_a_family_across_windows(capsys, tmp_path):
+    # A sampled family on C4099, whose sets span four window edges, made and
+    # re-checked through the CLI, then thinned until a trial fails: both
+    # records and the failing witness are the full-translate loop's.
+    out = tmp_path / "family.json"
+    code, _, _ = run(
+        capsys, "covering", "construct", "--group", "C4099", "--k", "2", "--l", "534",
+        "--seed", "3", "--mode", "sampled:200", "--out", str(out),
+    )
+    assert code == EXIT_OK
+    doc = json.loads(out.read_text())
+    group = group_from_descriptor("C4099")
+
+    def sampled(member_lists, seed):
+        subsets = [GroupSubset.from_indices(group, m) for m in member_lists]
+        return full_translate_sampled_intersecting(group, subsets, 200, seed)
+
+    def record(result, trials, witness):
+        witness = list(witness) if witness else None
+        return {"mode": "sampled", "trials": trials, "result": result, "witness": witness}
+
+    check_seed = derive_seed(doc["seed"], doc["attempts"] - 1, _VERIFY_SALT)
+    assert doc["verification"] == record(*sampled(doc["subsets"], check_seed))
+    code, stdout, _ = run(
+        capsys, "covering", "verify", "--in", str(out), "--mode", "sampled:200", "--seed", "3"
+    )
+    assert code == EXIT_OK
+    assert json.loads(stdout)["verification"] == record(*sampled(doc["subsets"], 3))
+
+    thinned = [members[::3] for members in doc["subsets"]]  # fails at the 73rd trial
+    broken = tmp_path / "thinned.json"
+    broken.write_text(json.dumps(dict(doc, subsets=thinned, sizes=[len(m) for m in thinned])))
+    code, stdout, _ = run(
+        capsys, "covering", "verify", "--in", str(broken), "--mode", "sampled:200", "--seed", "3"
+    )
+    want = sampled(thinned, 3)
+    assert (code, want[:2]) == (EXIT_VERIFY_FAILED, (False, 73))
+    assert json.loads(stdout)["verification"] == record(*want)
+    translates = [{group.mul(x, g) for x in m} for m, g in zip(thinned, want[2])]
+    assert not translates[0] & translates[1]
 
 
 def test_parse_error_names_token(capsys):

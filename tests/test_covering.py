@@ -54,7 +54,7 @@ from covtrans.errors import (
     FeasibilityError,
     SoundnessError,
 )
-from covtrans.subsets import first_disjoint_tuple
+from covtrans.subsets import _TABLE_STEP, first_disjoint_tuple
 from covtrans.util import canonical_json, derive_seed, iter_set_bits, uniform_draws
 
 REL = 1e-12
@@ -532,7 +532,8 @@ def test_subset_scan_at_k_n_past_the_recursion_limit():
 @pytest.mark.parametrize(
     "descriptor,k",
     [
-        # n > 4096 and not a multiple of 8: rotated windows cross window edges
+        # n spans several windows and is not a multiple of 8, so rotated windows
+        # cross window and table-entry edges: C4099 holds four window edges
         ("C4099", 2),
         ("C4099", 3),
         ("C10007", 2),
@@ -569,12 +570,14 @@ def test_sampled_meet_test_matches_full_translates(descriptor, k):
 
 
 def test_meet_test_finds_one_common_element_at_window_edges():
-    # A single common element at and around each 4096-bit window edge; shifts
-    # 0..7 start the reads at every bit offset within a byte.
+    # A single common element at and around each window-table entry edge, of
+    # which every window edge is one; shifts 0..7 start the reads at every bit
+    # offset within a byte.
     for n in (4099, 10007):
         group = CyclicGroup(n)
         rng = random.Random(n)
-        edges = [e + d for e in range(4096, n, 4096) for d in (-8, -7, -1, 0, 1, 7)]
+        offsets = (-8, -7, -1, 0, 1, 7, 8)
+        edges = [e + d for e in range(_TABLE_STEP, n, _TABLE_STEP) for d in offsets]
         spots = [0, n - 1] + [j for j in edges if j < n]
         for j in spots:
             first = GroupSubset.from_indices(group, [j])

@@ -27,7 +27,7 @@ from covtrans import (
     translate_into,
 )
 from covtrans.covering import _union
-from covtrans.subsets import _translate_bits
+from covtrans.subsets import _TABLE_STEP, ROTATION_WINDOW, _translate_bits
 from covtrans.util import iter_set_bits, uniform_draws
 
 
@@ -374,12 +374,14 @@ def test_windowed_translate_into_matches_full_rotation(n):
         assert found == full_rotation_translate_into(g, ys, x)
         return found
 
-    # A lone solution planted at and around the window edges and at n - 1,
-    # with offsets that wrap past n and a duplicated offset.
+    # A lone solution planted at n - 1 and at and around the table-entry edges
+    # of the first two windows and of the last one (each window edge is an
+    # entry edge), with offsets that wrap past n and a duplicated offset.
     offset_sets = [[0, 3, 11], [0, n - 1, n - 2], [n - 5, 2, n - 5], [7]]
-    for target in (0, 1, 4095, 4096, 4097, n - 1):
-        if target >= n:
-            continue
+    step, window = _TABLE_STEP, ROTATION_WINDOW
+    edges = [e for e in range(step, n, step) if e <= 2 * window or e >= n - window]
+    near = {e + d for e in edges for d in (-8, -7, -1, 0, 1, 7, 8)}
+    for target in sorted({0, 1, n - 1} | {t for t in near if 0 <= t < n}):
         for ys in offset_sets:
             x = GroupSubset.from_indices(g, {(target + y) % n for y in ys})
             if len(set(ys)) > 1:

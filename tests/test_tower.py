@@ -41,7 +41,7 @@ from covtrans import (
 import covtrans.tower as tower_module
 from covtrans.cli import EXIT_INTEGRITY, EXIT_OK, main
 from covtrans.errors import FeasibilityError, IntegrityError, SoundnessError
-from covtrans.tower import check_projection_claim
+from covtrans.tower import check_projection_claim, check_translation_claim
 from covtrans.covering import _VERIFY_SALT, verify_k_covering
 from covtrans.util import canonical_json, derive_seed
 
@@ -257,6 +257,10 @@ def test_build_depth_zero():
     assert tower.depth == 0
     assert tower.member(0, 0)
     assert stage_measures(tower) == []
+    # the claim loop needs no depth-0 case: each sample is {0}, lifted by 0
+    thin = sample_thin_set(tower.spec, 0, random.Random(1))
+    assert thin.elements == (0,) and translate_thin(tower, thin) == 0
+    check_translation_claim(tower, samples=5)
 
 
 def test_build_rejects_inadmissible_stage():

@@ -1,15 +1,17 @@
 """Property tests of the windowed searches against whole-set translates.
 
-Both searches in covtrans.subsets AND 4096-bit windows, each one shifted
-entry of a set's cached window table; the first property compares every
-table read with a byte-slice read of the doubled mask and with a full
-rotation, at orders on and beside the window and table-step edges.  The
-others compare the searches with full rotations on cyclic groups of order
-near one and two windows, where a single planted common element lands on
-or next to a window edge.  The scan takes the drawn translators g_1, ...,
-g_k, so it is also checked with g_1 arbitrary, with later g_i equal to g_1
-(a read at offset 0), and on carriers that look its translators up
-through mul and inv.
+Both searches in covtrans.subsets AND windows of ROTATION_WINDOW bits,
+each one shifted entry of a set's cached window table, whose entries start
+every _TABLE_STEP bits.  The orders and edges below are derived from those
+two constants, and the first test checks the geometry the scans assume.
+The table property compares every table read with a byte-slice read of the
+doubled mask and with a full rotation, at orders on and beside the window
+and table-step edges.  The others compare the searches with full rotations
+on cyclic groups of order near one, two and four windows, where a single
+planted common element lands on or next to a table-entry edge.  The scan
+takes the drawn translators g_1, ..., g_k, so it is also checked with g_1
+arbitrary, with later g_i equal to g_1 (a read at offset 0), and on
+carriers that look its translators up through mul and inv.
 """
 
 import random
@@ -30,14 +32,33 @@ from covtrans.subsets import (
 
 PROPERTY_SETTINGS = settings(max_examples=150, derandomize=True, database=None, deadline=None)
 
-orders = st.one_of(st.integers(4088, 4104), st.integers(8184, 8200))
+W, B = ROTATION_WINDOW, _TABLE_STEP
+
+
+def near(m):
+    return st.integers(m - 8, m + 8)
+
+
+orders = st.one_of(near(W), near(2 * W), near(4 * W))
 
 
 def edges(n):
-    """Elements of C_n in the last byte of a window, or at a window's or a byte's start."""
-    ends = [min(a + 4096, n) for a in range(0, n, 4096)]
-    starts = [0, 1, 7, 8, 4096, 4097, 8192]
+    """Elements of C_n in the last byte before a table-entry edge or n, or at or after an edge.
+
+    Every window edge is an entry edge.
+    """
+    ends = [min(e, n) for e in range(B, n + B, B)]
+    starts = [0, 1, 7, 8] + [e + d for e in range(B, n, B) for d in (0, 1, 7, 8)]
     return [v % n for v in starts + [e - d for e in ends for d in range(1, 9)]]
+
+
+def test_window_geometry_is_what_the_scans_assume():
+    # Entries start on byte boundaries every B = 2^shift bits, so a start s is
+    # entry s >> shift shifted by s & (B - 1), and every window starts on an
+    # entry, so a window's first entry is a >> shift.
+    assert B & (B - 1) == 0 and B % 8 == 0
+    assert B == 1 << _TABLE_SHIFT and _TABLE_LOW == B - 1
+    assert W % B == 0
 
 
 def spots(n):
@@ -54,24 +75,18 @@ def noise(draw, n) -> int:
 
 # below one table step, one step either side, and the window edges: n < B,
 # n a multiple of B or of W, and n not a multiple of 8
-table_orders = st.one_of(
-    st.just(20),
-    st.integers(1023, 1025),
-    st.integers(4088, 4104),
-    st.integers(8184, 8200),
-)
+table_orders = st.one_of(st.just(20), st.integers(B - 1, B + 1), near(W), near(2 * W))
 
 
 @given(table_orders, st.sampled_from([0.0005, 0.01, 0.3, 1.0]), st.integers(0, 2**32))
-@example(1023, 0.3, 1)
-@example(1024, 0.3, 2)
-@example(4096, 0.3, 3)
-@example(4104, 1.0, 4)
-@example(8192, 0.01, 5)
-@example(8200, 0.3, 6)
+@example(B - 1, 0.3, 1)
+@example(B, 0.3, 2)
+@example(W, 0.3, 3)
+@example(W + 8, 1.0, 4)
+@example(2 * W, 0.01, 5)
+@example(2 * W + 8, 0.3, 6)
 @settings(max_examples=16, derandomize=True, database=None, deadline=None)
 def test_window_table_reads_match_byte_slices_and_full_rotations(n, density, seed):
-    assert _TABLE_STEP == 1 << _TABLE_SHIFT and _TABLE_LOW == _TABLE_STEP - 1
     group = CyclicGroup(n)
     rng = random.Random(seed)
     x = GroupSubset(group, sum(1 << i for i in range(n) if rng.random() < density))
