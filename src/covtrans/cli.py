@@ -122,13 +122,13 @@ def _cmd_covering_verify(config: dict) -> tuple[dict, int]:
                     f"field 'sizes': subset {i + 1} declares size {declared} "
                     f"but lists {subset.size} elements"
                 )
-        record = verify_intersecting(group, subsets, mode, seed=config["seed"])
+        record = verify_intersecting(subsets, mode, seed=config["seed"])
     else:
         x = _load_subset(group, doc_field(doc, "elements", list), "field 'elements'")
         size = doc_field(doc, "size", int)
         if x.size != size:
             raise IntegrityError(f"covering set declares size {size} but lists {x.size} elements")
-        record = verify_k_covering(group, x, k, mode, seed=config["seed"])
+        record = verify_k_covering(x, k, mode, seed=config["seed"])
     verdict = {
         "kind": "verification-verdict",
         "input_kind": kind,
@@ -181,7 +181,7 @@ def _cmd_covering_shrink(config: dict) -> tuple[dict, int]:
     rng = random.Random(derive_seed(config["seed"], _SHRINK_SALT))
     members = sorted(rng.sample(range(n), size))
     x = GroupSubset.from_indices(group, members)
-    result = greedy_shrink_intersection(group, x, config["k"])
+    result = greedy_shrink_intersection(x, config["k"])
     k = config["k"]
     bound = (size**k) // (n ** (k - 1))
     doc = {
@@ -499,31 +499,27 @@ def _config_from_args(args: argparse.Namespace) -> dict:
     return {"command": command, **options}
 
 
+# (exception type, stderr prefix, exit code) of each failure main reports;
+# the first entry the exception is an instance of wins
+_FAILURES = (
+    (ValueError, "error", EXIT_USAGE),
+    (FeasibilityError, "infeasible", EXIT_INFEASIBLE),
+    (ConstructionError, "attempts exhausted", EXIT_ATTEMPTS_EXHAUSTED),
+    (BudgetExceededError, "budget exceeded", EXIT_BUDGET_EXCEEDED),
+    (IntegrityError, "integrity error", EXIT_INTEGRITY),
+    (SoundnessError, "soundness violation", EXIT_VERIFY_FAILED),
+    (OSError, "error", EXIT_USAGE),
+)
+
+
 def main(argv: list[str] | None = None) -> int:
     config = _config_from_args(_build_parser().parse_args(argv))
     try:
         payload, code = run_config(config)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FeasibilityError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except ConstructionError as exc:
-        print(f"attempts exhausted: {exc}", file=sys.stderr)
-        return EXIT_ATTEMPTS_EXHAUSTED
-    except BudgetExceededError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET_EXCEEDED
-    except IntegrityError as exc:
-        print(f"integrity error: {exc}", file=sys.stderr)
-        return EXIT_INTEGRITY
-    except SoundnessError as exc:
-        print(f"soundness violation: {exc}", file=sys.stderr)
-        return EXIT_VERIFY_FAILED
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except tuple(kind for kind, _, _ in _FAILURES) as exc:
+        prefix, code = next((p, c) for kind, p, c in _FAILURES if isinstance(exc, kind))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
     if config.get("out"):
         with open(config["out"], "w", encoding="utf-8") as fh:
             fh.write(payload)

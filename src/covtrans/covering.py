@@ -127,11 +127,7 @@ def _resolve_mode(kind: str, fits: bool, need: Callable[[], str]) -> str:
 
 
 def verify_intersecting(
-    group: FiniteGroup,
-    subsets: list[GroupSubset],
-    mode: str = "auto",
-    *,
-    seed: int = 0,
+    subsets: list[GroupSubset], mode: str = "auto", *, seed: int = 0
 ) -> VerificationRecord:
     """Check that every tuple of right translates X_1 g_1, ..., X_k g_k meets.
 
@@ -149,29 +145,28 @@ def verify_intersecting(
     consecutive util.uniform_draws values each (the values randrange would
     give, generated in bulk), and reports the tuple as drawn.  The tuples
     stream, never all held at once, into one subsets.first_disjoint_tuple
-    scan, which stops each trial at its first common element.
+    scan, which stops each trial at its first common element.  Every member
+    must be on X_1's carrier.
     """
     kind, trials = parse_mode(mode)
     k = len(subsets)
     if k < 1:
         raise ValueError("family must contain at least one subset")
-    n = group.order
-    for s in subsets:
-        s._require_same_carrier(group)
+    n = subsets[0].group.order
+    for s in subsets[1:]:
+        s._require_same_carrier(subsets[0].group)
     kind = _resolve_mode(kind, n**k <= step_budget(), lambda: f"verification needs n^k = {n**k}")
     if kind == "exhaustive":
         if k == 2:
-            witness = _quotient_witness(group, subsets[1], subsets[0], 0)
+            witness = _quotient_witness(subsets[1], subsets[0], 0)
         else:
-            tables = [[_translate_bits(group, s, g) for g in range(n)] for s in subsets[1:]]
+            tables = [[_translate_bits(s, g) for g in range(n)] for s in subsets[1:]]
             witness = _first_empty_meet(subsets[0].bits, tables, ascending=False)
         return VerificationRecord(
             mode="exhaustive", result=witness is None, witness=witness, method="tuple-scan"
         )
     draws = uniform_draws(seed, n)
-    miss = first_disjoint_tuple(
-        group, subsets[0], subsets[1:], islice(zip(*[draws] * k), trials)
-    )
+    miss = first_disjoint_tuple(subsets[0], subsets[1:], islice(zip(*[draws] * k), trials))
     return _sampled_record(miss, trials, "tuple-sample")
 
 
@@ -229,7 +224,6 @@ def _first_empty_meet(
 class IntersectingFamily:
     """k random subsets with the record of verify_intersecting, which accepted them."""
 
-    group: FiniteGroup
     subsets: list[GroupSubset]
     seed: int
     attempts_used: int
@@ -242,7 +236,7 @@ class IntersectingFamily:
 
     def document(self) -> dict:
         fields = {"target_size": self.target_size, "subsets": [list(s) for s in self.subsets]}
-        return _draw_document(self, "intersecting-family", self.group, fields)
+        return _draw_document(self, "intersecting-family", self.subsets[0].group, fields)
 
 
 @dataclass
@@ -297,8 +291,8 @@ def _enlarge_to(subset: GroupSubset, l: int) -> GroupSubset:
     return GroupSubset(subset.group, bits | comp & ((2 << last) - 1))
 
 
-def _union(group: FiniteGroup, subsets: list[GroupSubset]) -> GroupSubset:
-    return GroupSubset(group, functools.reduce(operator.or_, (s.bits for s in subsets)))
+def _union(subsets: list[GroupSubset]) -> GroupSubset:
+    return GroupSubset(subsets[0].group, functools.reduce(operator.or_, (s.bits for s in subsets)))
 
 
 def _accepted_draw(
@@ -360,11 +354,11 @@ def construct_intersecting_family(
             f"target size {target_size} outside the admissible range ({cap:.6g}, {n}]"
         )
     subsets, record, attempts = _accepted_draw(
-        group, k, seed, max_attempts, lambda xs, s: verify_intersecting(group, xs, mode, seed=s)
+        group, k, seed, max_attempts, lambda xs, s: verify_intersecting(xs, mode, seed=s)
     )
     if target_size is not None:
         subsets = [_enlarge_to(s, target_size) for s in subsets]
-    return IntersectingFamily(group, subsets, seed, attempts, record, target_size)
+    return IntersectingFamily(subsets, seed, attempts, record, target_size)
 
 
 def construct_k_covering(
@@ -396,18 +390,15 @@ def construct_k_covering(
             f"(4k)^k (k log n + log 2) = {lhs:.6g} >= n = {n}"
         )
     subsets, record, attempts = _accepted_draw(
-        group, k, seed, max_attempts,
-        lambda xs, s: verify_k_covering(group, _union(group, xs), k, mode, seed=s),
+        group, k, seed, max_attempts, lambda xs, s: verify_k_covering(_union(xs), k, mode, seed=s)
     )
-    union, sizes = _union(group, subsets), [s.size for s in subsets]
+    union, sizes = _union(subsets), [s.size for s in subsets]
     if any(s > n / (2.0 * k) for s in sizes) or union.size > n / 2.0:
         raise SoundnessError(f"accepted member sizes {sizes} break the n/2k cap at n={n}, k={k}")
     return CoveringCertificate(union, sizes, seed, attempts, record)
 
 
-def _quotient_witness(
-    group: FiniteGroup, x: GroupSubset, y: GroupSubset, start: int
-) -> tuple[int, int] | None:
+def _quotient_witness(x: GroupSubset, y: GroupSubset, start: int) -> tuple[int, int] | None:
     """(0, g) for the least g >= start outside the quotient set X^{-1} Y, or None.
 
     X^{-1} Y = {a^{-1} b : a in X, b in Y} is the union of the left
@@ -424,14 +415,15 @@ def _quotient_witness(
     mask per translate, and on S_m the batched oracle computes a whole
     translate in C.  The union is
     the whole group once the set holds n elements; otherwise the witness is
-    the least index >= start missing from it.
+    the least index >= start missing from it.  X and Y share X's carrier.
     """
+    group = x.group
     n = group.order
     if group.additive_rotation:
         full = (1 << n) - 1
         bits = 0
         for a in x:
-            bits |= _translate_bits(group, y, group.inv(a))
+            bits |= _translate_bits(y, group.inv(a))
             if bits == full:
                 return None
         missing = (~bits & full) >> start
@@ -447,14 +439,9 @@ def _quotient_witness(
 
 
 def verify_k_covering(
-    group: FiniteGroup,
-    x: GroupSubset,
-    k: int,
-    mode: str = "auto",
-    *,
-    seed: int = 0,
+    x: GroupSubset, k: int, mode: str = "auto", *, seed: int = 0
 ) -> VerificationRecord:
-    """Check that every size-k subset Y admits g with g*Y inside X.
+    """Check that every size-k subset Y of X's carrier admits g with g*Y inside X.
 
     Y translates into X iff y_1^{-1} Y does, so exhaustive mode scans only
     the C(n-1,k-1) subsets containing e.  An untranslatable Y exists iff one
@@ -475,10 +462,10 @@ def verify_k_covering(
     fewer than k elements still lies in an untranslatable size-k set.
     """
     kind, trials = parse_mode(mode)
+    group = x.group
     n = group.order
     if k < 1:
         raise ValueError(f"covering parameter must be >= 1, got {k}")
-    x._require_same_carrier(group)
     if k > n:  # no size-k subsets exist, so any X (even empty) covers vacuously
         return VerificationRecord(mode="exhaustive", result=True, method="vacuous")
     steps = min(n**k, n * math.comb(n, k))
@@ -486,16 +473,16 @@ def verify_k_covering(
     kind = _resolve_mode(kind, fits, lambda: f"covering check needs {steps}")
     if kind == "exhaustive":
         if k == 2:
-            witness, method = _quotient_witness(group, x, x, 1), "difference-set"
+            witness, method = _quotient_witness(x, x, 1), "difference-set"
         else:
-            table = [_translate_bits(group, x, group.inv(y)) for y in range(n if k > 1 else 0)]
+            table = [_translate_bits(x, group.inv(y)) for y in range(n if k > 1 else 0)]
             witness = _first_empty_meet(x.bits, [table] * (k - 1), ascending=True)
             method = "subset-scan"
         return VerificationRecord(
             mode="exhaustive", result=witness is None, witness=witness, method=method
         )
     draws = uniform_draws(seed, n)
-    miss = first_disjoint_tuple(group, x, [x] * (k - 1), islice(zip(*[draws] * k), trials))
+    miss = first_disjoint_tuple(x, [x] * (k - 1), islice(zip(*[draws] * k), trials))
     if miss is not None:
         t, gs = miss
         miss = t, tuple(sorted({group.inv(g) for g in gs}))
@@ -549,7 +536,7 @@ def exact_covering_number(group: FiniteGroup, k: int) -> int:
         for members in anchored:
             if _anchored_candidate_covers(columns, members, k):
                 winner = GroupSubset.from_indices(group, members)
-                if not verify_k_covering(group, winner, k, mode="exhaustive").result:
+                if not verify_k_covering(winner, k, mode="exhaustive").result:
                     raise SoundnessError(
                         f"exact search accepted {list(members)} in {group.name} "
                         f"at k={k}, but verify_k_covering refutes it"
@@ -596,15 +583,17 @@ def _anchored_candidate_covers(
 
 
 def covering_number_bounds(n: int, k: int) -> tuple[float, float]:
-    """(n^(1-1/k), min(n, 2k (k log n + log 2)^(1/k) n^(1-1/k))).
+    """(n^(1-1/k), min(n, 2k (k log n + log 2)^(1/k) n^(1-1/k))), lower 0 when k > n.
 
-    The upper bound is clamped at n because the whole group always covers.
+    The lower bound is the counting bound n C(s,k) >= C(n,k) of
+    exact_covering_number, and C(n,k) = 0 when k > n, where the empty set
+    covers.  The upper bound is clamped at n because the whole group covers.
     """
     if n < 3:
         raise FeasibilityError(f"group order must be >= 3, got {n}")
     if k < 1:
         raise FeasibilityError(f"covering parameter must be >= 1, got {k}")
-    lower = n ** (1.0 - 1.0 / k)
+    lower = n ** (1.0 - 1.0 / k) if k <= n else 0.0
     upper = 2.0 * k * (k * math.log(n) + math.log(2)) ** (1.0 / k) * n ** (1.0 - 1.0 / k)
     return lower, min(float(n), upper)
 
@@ -617,13 +606,14 @@ class GreedyShrinkResult:
     sizes: list[int]  # sizes[0] = |X|, sizes[j] after intersecting with X g_{j+1}
 
 
-def greedy_shrink_intersection(group: FiniteGroup, x: GroupSubset, k: int) -> GreedyShrinkResult:
+def greedy_shrink_intersection(x: GroupSubset, k: int) -> GreedyShrinkResult:
     """Pick g_1 = e, then each g_j minimizing the running intersection.
 
     Averaging over g gives |current| * |X| / n, so the greedy minimum obeys
     |next| <= floor(|current| * |X| / n) at every step; with |X| < n^(1-1/k)
     the final intersection is empty.  Ties break to the smallest index.
     """
+    group = x.group
     n = group.order
     if n > _PAIRWISE_PRODUCT_LIMIT:
         raise BudgetExceededError(
@@ -639,7 +629,7 @@ def greedy_shrink_intersection(group: FiniteGroup, x: GroupSubset, k: int) -> Gr
         best_bits = current & x.bits  # g = 0 keeps X in place
         best_count = best_bits.bit_count()
         for g in range(1, n):
-            cand = current & _translate_bits(group, x, g)
+            cand = current & _translate_bits(x, g)
             c = cand.bit_count()
             if c < best_count:
                 best_g, best_bits, best_count = g, cand, c

@@ -144,13 +144,14 @@ class GroupSubset:
         return f"GroupSubset({self.group.name}, size={self.size}, {{{', '.join(map(str, shown))}{tail}}})"
 
 
-def _translate_bits(group: FiniteGroup, subset: GroupSubset, g: int) -> int:
-    """Bitmask of the right translate X*g, X = subset.
+def _translate_bits(subset: GroupSubset, g: int) -> int:
+    """Bitmask of the right translate X*g, X = subset, in X's carrier.
 
     Cyclic carriers rotate the bitmask; other carriers build it from the
     products x*g over the subset's cached member list, so translating one
     set many times extracts its bits once.
     """
+    group = subset.group
     if not 0 <= g < group.order:
         raise ValueError(f"index {g} out of range for {group.name}")
     if group.additive_rotation:
@@ -210,8 +211,8 @@ def random_subset(group: FiniteGroup, p: float, rng: random.Random) -> GroupSubs
     return GroupSubset._from_flags(group, flags)
 
 
-def translate_into(group: FiniteGroup, y, x: GroupSubset) -> int | None:
-    """Smallest g with g + Y inside X on a rotation carrier, or None if none works.
+def translate_into(y, x: GroupSubset) -> int | None:
+    """Smallest g with g + Y inside X on X's rotation carrier, or None if none works.
 
     g + y in X for all y is equivalent to g in the intersection of the
     rotations X - y, so the answer is that intersection's lowest set bit.
@@ -221,6 +222,7 @@ def translate_into(group: FiniteGroup, y, x: GroupSubset) -> int | None:
     window table (see GroupSubset._window_table).  Any other carrier, and a
     y outside 0..n-1, raise ValueError.
     """
+    group = x.group
     if not group.additive_rotation:
         raise ValueError(f"translate_into needs a rotation carrier, got {group.name}")
     ys = list(y)
@@ -244,30 +246,29 @@ def translate_into(group: FiniteGroup, y, x: GroupSubset) -> int | None:
 
 
 def first_disjoint_tuple(
-    group: FiniteGroup,
-    first: GroupSubset,
-    rest: list[GroupSubset],
-    tuples: Iterable[tuple[int, ...]],
+    first: GroupSubset, rest: list[GroupSubset], tuples: Iterable[tuple[int, ...]]
 ) -> tuple[int, tuple[int, ...]] | None:
     """(index, tuple) of the first tuple whose right translates do not meet, or None.
 
     A tuple lists the translators g_1, ..., g_k of X_1 = first and
-    X_{i+1} = rest[i].  The translates meet iff X_1 and the X_i g_i g_1^{-1}
-    do.  All of a verification's trials run in this one scan, which stops at
-    the first common element of each trial and at the first tuple that fails.
-    Rotation carriers AND the sets in ascending windows of ROTATION_WINDOW
-    bits: window [a, a + W) of X (g_i - g_1) is bits a + d onward of X's
-    doubled mask, d = (g_1 - g_i) mod n.  W is a multiple of the table step
-    B, so with w = a / B that is entry w + high of X's cached window table
-    shifted right by low, (high, low) = divmod(d, B): fixed once per trial
-    for the second set, found per window for later ones.  No oracle is
-    called.  Only X_1's non-empty windows are read, and X_1's bits there
-    clear what lies past W or past n; at k = 1 a trial fails iff X_1 is
-    empty.  Other carriers walk X_1's members and look each x g_1 g_i^{-1}
-    up in X_i's cached byte image, k - 1 inv calls per trial.  Byte images
-    and window tables are cached on the sets, so a set listed twice in rest
-    is read from one.
+    X_{i+1} = rest[i], in X_1's carrier.  The translates meet iff X_1 and
+    the X_i g_i g_1^{-1} do.  All of a verification's trials run in this
+    one scan, which stops at the first common element of each trial and at
+    the first tuple that fails.  Rotation carriers AND the sets in
+    ascending windows of ROTATION_WINDOW bits: window [a, a + W) of
+    X (g_i - g_1) is bits a + d onward of X's doubled mask,
+    d = (g_1 - g_i) mod n.  W is a multiple of the table step B, so with
+    w = a / B that is entry w + high of X's cached window table shifted
+    right by low, (high, low) = divmod(d, B): fixed once per trial for the
+    second set, found per window for later ones.  No oracle is called.
+    Only X_1's non-empty windows are read, and X_1's bits there clear what
+    lies past W or past n; at k = 1 a trial fails iff X_1 is empty.  Other
+    carriers walk X_1's members and look each x g_1 g_i^{-1} up in X_i's
+    cached byte image, k - 1 inv calls per trial.  Byte images and window
+    tables are cached on the sets, so a set listed twice in rest is read
+    from one.
     """
+    group = first.group
     n = group.order
     if group.additive_rotation:
         first_bytes = first.bits.to_bytes((n + 7) >> 3, "little")

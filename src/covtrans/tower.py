@@ -526,7 +526,7 @@ def translate_thin(tower: Tower, thin: ThinSet) -> int:
         cover = stage.subset.kernel_cover
         modulus, order = orders[s - 1], orders[s]
         offsets = sorted({(g + y) % order // modulus for y in thin.elements})
-        u = translate_into(cover.group, offsets, cover)
+        u = translate_into(offsets, cover)
         if u is None:
             raise SoundnessError(
                 f"stage {s}: offsets {offsets} have no translate into the "
@@ -618,7 +618,7 @@ def tower_from_document(doc: dict) -> Tower:
                 f"order {kernel.order}"
             )
         if s == 2 and kernel.order <= _PAIRWISE_PRODUCT_LIMIT:
-            witness = verify_k_covering(kernel, cover, 2, mode="exhaustive").witness
+            witness = verify_k_covering(cover, 2, mode="exhaustive").witness
             if witness is not None:
                 raise IntegrityError(
                     f"{where}: field 'cover' is not 2-covering: the pair {list(witness)} "

@@ -8,6 +8,7 @@ import random
 import struct
 from itertools import chain, compress, repeat
 from json.encoder import encode_basestring_ascii
+from types import NoneType
 
 from .errors import IntegrityError
 
@@ -173,52 +174,45 @@ def canonical_json(obj) -> str:
     prints exactly as json.dumps(obj, indent=2) prints it.
     """
     out: list[str] = []
-    _emit(obj, out, 0)
+    _emit(obj, out, "\n")
     return "".join(out)
 
 
-def _emit(obj, out: list[str], level: int) -> None:
-    pad = " " * (_INDENT * (level + 1))
-    close_pad = " " * (_INDENT * level)
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(format_real(obj))
-    elif isinstance(obj, str):
-        out.append(encode_basestring_ascii(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (key, value) in enumerate(obj.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"document keys must be strings, got {key!r}")
-            out.append(pad)
-            out.append(encode_basestring_ascii(key))
-            out.append(": ")
-            _emit(value, out, level + 1)
-            out.append(",\n" if i + 1 < len(obj) else "\n")
-        out.append(close_pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        if set(map(type, obj)) == {int}:
-            # member lists, the bulk of every document: one join, same bytes
-            out.append(f"[\n{pad}" + f",\n{pad}".join(map(str, obj)) + f"\n{close_pad}]")
-            return
-        out.append("[\n")
-        for i, value in enumerate(obj):
-            out.append(pad)
-            _emit(value, out, level + 1)
-            out.append(",\n" if i + 1 < len(obj) else "\n")
-        out.append(close_pad + "]")
-    else:
+# the text of each JSON scalar, by exact type: documents hold plain JSON values
+_SCALARS = {
+    NoneType: lambda _: "null",
+    bool: lambda b: "true" if b else "false",
+    int: int.__repr__,
+    float: format_real,
+    str: encode_basestring_ascii,
+}
+
+
+def _emit(obj, out: list[str], newline: str) -> None:
+    """Append obj's text to out; newline is a line break plus the indent of obj's line."""
+    scalar = _SCALARS.get(type(obj))
+    if scalar is not None:
+        out.append(scalar(obj))
+        return
+    if not isinstance(obj, (dict, list, tuple)):
         raise TypeError(f"cannot serialize {type(obj).__name__} canonically")
+    if not obj:
+        out.append("{}" if isinstance(obj, dict) else "[]")
+        return
+    inner = newline + " " * _INDENT
+    sep = "," + inner
+    if isinstance(obj, dict):
+        for i, (key, value) in enumerate(obj.items()):
+            if type(key) is not str:
+                raise TypeError(f"document keys must be strings, got {key!r}")
+            out.append((sep if i else "{" + inner) + encode_basestring_ascii(key) + ": ")
+            _emit(value, out, inner)
+        out.append(newline + "}")
+    elif set(map(type, obj)) == {int}:
+        # member lists, the bulk of every document: one join, same bytes
+        out.append("[" + inner + sep.join(map(str, obj)) + newline + "]")
+    else:
+        for i, value in enumerate(obj):
+            out.append(sep if i else "[" + inner)
+            _emit(value, out, inner)
+        out.append(newline + "]")

@@ -246,7 +246,7 @@ def full_subset(group) -> GroupSubset:
 
 def right_translate(subset, g: int) -> GroupSubset:
     """The set {x * g : x in subset}, as subsets._translate_bits computes it."""
-    return GroupSubset(subset.group, _translate_bits(subset.group, subset, g))
+    return GroupSubset(subset.group, _translate_bits(subset, g))
 
 
 def full_translate_sampled_intersecting(group, subsets, trials, seed):
@@ -290,13 +290,14 @@ def full_translate_sampled_covering(group, x, k, trials, seed):
     return True, trials, None
 
 
-def full_rotation_translate_into(group, y, x):
+def full_rotation_translate_into(y, x):
     """Smallest g with g*Y inside X, or None, by intersecting whole translates.
 
     ANDs the full right translates X*y^{-1}, each computed by
     right_translate, and takes the lowest set bit.  The reference
     for translate_into's windowed search on rotation carriers.
     """
+    group = x.group
     ys = list(y)
     if not ys:
         return group.identity
@@ -395,7 +396,7 @@ def reference_lift(tower, thin):
         for y in images[s]:
             w = mul(g_tilde, y)
             offsets.add(phi.kernel_coords(mul(w, inv(phi.section(phi.map(w))))))
-        u = translate_into(phi.kernel_group, sorted(offsets), cover)
+        u = translate_into(sorted(offsets), cover)
         assert u is not None, (s, sorted(offsets))
         g = mul(phi.embed_kernel(u), g_tilde)
         chain.append(g)

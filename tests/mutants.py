@@ -131,8 +131,8 @@ MUTANTS = [
     ),
     Mutant(
         "covering.py",
-        "lambda xs, s: verify_k_covering(group, _union(group, xs), k, mode, seed=s)",
-        "lambda xs, s: verify_intersecting(group, xs, mode, seed=s)",
+        "lambda xs, s: verify_k_covering(_union(xs), k, mode, seed=s)",
+        "lambda xs, s: verify_intersecting(xs, mode, seed=s)",
         (CLI + "test_budget_exceeded_exit_code",),
         "a cover is accepted by its family's intersecting check again",
     ),
@@ -216,10 +216,10 @@ MUTANTS = [
     ),
     Mutant(
         "covering.py",
-        "    x._require_same_carrier(group)\n    if k > n:",
-        "    if k > n:",
-        (COVERING + "test_verify_k_covering_refuses_a_set_on_another_carrier",),
-        "verify_k_covering checks a set on another carrier",
+        "for s in subsets[1:]:\n        s._require_same_carrier(subsets[0].group)",
+        "for s in subsets[1:2]:\n        s._require_same_carrier(subsets[0].group)",
+        (COVERING + "test_verify_intersecting_refuses_a_member_on_another_carrier",),
+        "verify_intersecting checks only the second member against the first's carrier",
     ),
     Mutant(
         "subsets.py",
@@ -256,6 +256,46 @@ MUTANTS = [
             SUBSETS + "test_windowed_translate_into_matches_full_rotation",
         ),
         "a table entry holds one window, so a read shifted into it comes up short",
+    ),
+    # a set names its own carrier, and the satellites that rode along
+    Mutant(
+        "covering.py",
+        "lower = n ** (1.0 - 1.0 / k) if k <= n else 0.0",
+        "lower = n ** (1.0 - 1.0 / k)",
+        (
+            COVERING + "test_exact_covering_meets_the_lower_bound_past_k_equal_n",
+            CLI + "test_exact_cov_and_bounds_past_k_equal_n",
+        ),
+        "the lower bound stays n^(1-1/k) past k = n, above the exact value 0",
+    ),
+    Mutant(
+        "tower.py",
+        "        if u is None:\n"
+        "            raise SoundnessError(\n"
+        "                f\"stage {s}: offsets {offsets} have no translate into the \"\n"
+        "                f\"{s}-cover of size {cover.size}; the cover's verification was \"\n"
+        "                f\"{stage.verification.mode if stage.verification else 'trivial'}\"\n"
+        "            )\n",
+        "",
+        (CLI + "test_tower_translate_refuses_a_lift_into_a_cover_it_does_not_reprove",),
+        "the lift goes on past an offset set with no translate into the cover",
+    ),
+    Mutant(
+        "util.py",
+        'bool: lambda b: "true" if b else "false",',
+        "bool: int.__repr__,",
+        (TOWER + "test_canonical_json_matches_the_reference_emitter",),
+        "a bool is emitted as the int 1 or 0",
+    ),
+    Mutant(
+        "cli.py",
+        '(BudgetExceededError, "budget exceeded", EXIT_BUDGET_EXCEEDED),',
+        '(BudgetExceededError, "budget exceeded", EXIT_ATTEMPTS_EXHAUSTED),',
+        (
+            CLI + "test_each_failure_exits_with_its_code_and_prefix",
+            CLI + "test_budget_exceeded_exit_code",
+        ),
+        "an over-budget check exits 4, the code of exhausted attempts",
     ),
 ]
 

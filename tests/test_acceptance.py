@@ -70,7 +70,7 @@ def test_2_covering_union_bound():
         group = CyclicGroup(n)
         certificate = construct_k_covering(group, 2, seed=7)
         assert certificate.covering_set.size <= n // 2
-        record = verify_k_covering(group, certificate.covering_set, 2, mode="exhaustive")
+        record = verify_k_covering(certificate.covering_set, 2, mode="exhaustive")
         assert record.method == "difference-set"  # the complete O(n^2) route
         assert record.result
     _report(2, "2-covering sets within half the group", started, limit=5.0)
@@ -118,7 +118,7 @@ def test_4_pair_covering_equivalence():
         for trial in range(200):
             p = 0.02 + 0.9 * (trial / 200.0)
             x = random_subset(group, p, rng)
-            covering = verify_k_covering(group, x, 2, mode="exhaustive").result
+            covering = verify_k_covering(x, 2, mode="exhaustive").result
             if covering != difference_product_full(group, x):
                 disagreements += 1
     assert disagreements == 0
@@ -131,7 +131,7 @@ def test_5_greedy_shrinking_beats_the_average():
     rng = random.Random(5)
     for _ in range(100):
         x = GroupSubset.from_indices(group, rng.sample(range(100), 9))
-        result = greedy_shrink_intersection(group, x, 2)
+        result = greedy_shrink_intersection(x, 2)
         assert result.sizes[-1] == 0  # floor(9^2 / 100) = 0
         for prev, nxt in zip(result.sizes, result.sizes[1:]):
             assert nxt <= (prev * 9) // 100

@@ -25,6 +25,13 @@ from covtrans.cli import (
     run_config,
 )
 from covtrans.covering import _VERIFY_SALT, VerificationRecord
+from covtrans.errors import (
+    BudgetExceededError,
+    ConstructionError,
+    FeasibilityError,
+    IntegrityError,
+    SoundnessError,
+)
 from covtrans.tower import FactoredSubset, Tower, TowerStage
 from covtrans.util import canonical_json, derive_seed
 
@@ -102,6 +109,34 @@ def test_attempts_exhausted_exit_code(capsys):
     )
     assert code == EXIT_ATTEMPTS_EXHAUSTED
     assert "attempts" in err
+
+
+@pytest.mark.parametrize(
+    "exc, code, err",
+    [
+        (ValueError("v"), EXIT_USAGE, "error: v"),
+        (json.JSONDecodeError("Expecting value", "x", 0), EXIT_USAGE,
+         "error: Expecting value: line 1 column 1 (char 0)"),
+        (FileNotFoundError(2, "No such file or directory", "x.json"), EXIT_USAGE,
+         "error: [Errno 2] No such file or directory: 'x.json'"),
+        (FeasibilityError("f"), EXIT_INFEASIBLE, "infeasible: f"),
+        (ConstructionError("c", attempts=1, history=[]), EXIT_ATTEMPTS_EXHAUSTED,
+         "attempts exhausted: c"),
+        (BudgetExceededError("b"), EXIT_BUDGET_EXCEEDED, "budget exceeded: b"),
+        (IntegrityError("i"), EXIT_INTEGRITY, "integrity error: i"),
+        (SoundnessError("s"), EXIT_VERIFY_FAILED, "soundness violation: s"),
+    ],
+)
+def test_each_failure_exits_with_its_code_and_prefix(capsys, monkeypatch, exc, code, err):
+    def failing(config):
+        raise exc
+
+    monkeypatch.setattr(cli, "run_config", failing)
+    argv = ("covering", "bounds", "--group", "C7", "--k", "2")
+    assert run(capsys, *argv) == (code, "", err + "\n")
+    monkeypatch.setattr(cli, "run_config", lambda config: 1 / 0)  # anything else propagates
+    with pytest.raises(ZeroDivisionError):
+        main(list(argv))
 
 
 def test_budget_exceeded_exit_code(capsys, monkeypatch):
@@ -391,6 +426,19 @@ def test_exact_cov_and_bounds_commands(capsys):
     assert doc["lower_bound"] == pytest.approx(2.645751311064591, rel=1e-11)
 
 
+def test_exact_cov_and_bounds_past_k_equal_n(capsys):
+    # no 5-subset of C3 exists, so the empty set covers and the bound is 0
+    code, stdout, _ = run(capsys, "covering", "exact-cov", "--group", "C3", "--k", "5")
+    doc = json.loads(stdout)
+    assert (code, doc["value"], doc["lower_bound"], doc["upper_bound"]) == (EXIT_OK, 0, 0, 3)
+    code, stdout, _ = run(capsys, "covering", "bounds", "--group", "C3", "--k", "5")
+    assert (code, json.loads(stdout)["lower_bound"]) == (EXIT_OK, 0)
+    assert '"lower_bound": 0,' in stdout
+    code, stdout, _ = run(capsys, "cov-table", "--groups", "C3", "--k", "2,5", "--seed", "1")
+    rows = ["C3,3,2,1.73205080757,2,,3", "C3,3,5,0,0,,3"]
+    assert (code, stdout.split("\n")[1:3]) == (EXIT_OK, rows)
+
+
 def test_shrink_command(capsys):
     code, stdout, _ = run(
         capsys, "covering", "shrink", "--group", "C100", "--k", "2", "--l", "9", "--seed", "5"
@@ -585,6 +633,37 @@ def test_tower_commands_reprove_the_stage_2_cover(capsys, tmp_path):
     for argv in (("translate", "--samples", "200"), ("dim",)):
         code, stdout, err = run_on_document(capsys, tmp_path, doc, "tower", *argv, "--seed", "4")
         assert (code, stdout, err) == (EXIT_INTEGRITY, "", message)
+
+
+def test_tower_translate_refuses_a_lift_into_a_cover_it_does_not_reprove(capsys, tmp_path):
+    # a stage-2 kernel above the pairwise limit is not re-proven on load, so
+    # the lowest 141 members of the seed-3 cover load with every derived field
+    # made to match, and the lift itself refuses the thin set it cannot place
+    _, text, _ = run(capsys, "tower", "build", "--spec", "tower:20,16384", "--seed", "3")
+    doc = json.loads(text)
+    stage = doc["stages"][1]
+    stage.update(cover=stage["cover"][:141], cover_size=141, set_size=141)
+    stage["measure"] = f"141/{stage['group_order']}"
+    code, stdout, err = run_on_document(
+        capsys, tmp_path, doc, "tower", "translate", "--seed", "4", "--samples", "50"
+    )
+    assert (code, stdout) == (EXIT_VERIFY_FAILED, "")
+    assert err == (
+        "soundness violation: stage 2: offsets [9661, 14473] have no translate into the "
+        "2-cover of size 141; the cover's verification was sampled\n"
+    )
+
+
+def test_tower_translate_loads_a_document_with_a_warning(capsys, tmp_path):
+    # a first kernel of 8 passes the literal hypothesis but not the strengthened one
+    _, text, _ = run(capsys, "tower", "build", "--spec", "tower:8,1024", "--seed", "5")
+    doc = json.loads(text)
+    assert doc["warnings"] == [
+        "stage 1: admissible under the literal hypothesis (0.693147 < 8) "
+        "but not the strengthened one (11.0904)"
+    ]
+    code, stdout, _ = run_on_document(capsys, tmp_path, doc, "tower", "translate", "--seed", "1")
+    assert (code, json.loads(stdout)["success"]) == (EXIT_OK, 100)
 
 
 def test_tower_commands_refuse_a_negative_count(capsys, tmp_path):

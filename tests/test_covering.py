@@ -95,12 +95,12 @@ def test_covering_condition_frozen_values():
 def test_verify_intersecting_full_sets_and_singletons():
     g = CyclicGroup(6)
     full = full_subset(g)
-    rec = verify_intersecting(g, [full, full, full], mode="exhaustive")
+    rec = verify_intersecting([full, full, full], mode="exhaustive")
     assert rec.result and rec.witness is None
 
     c2 = CyclicGroup(2)
     e = GroupSubset.from_indices(c2, [0])
-    rec = verify_intersecting(c2, [e, e], mode="exhaustive")
+    rec = verify_intersecting([e, e], mode="exhaustive")
     assert not rec.result
     assert rec.witness == (0, 1)
 
@@ -108,7 +108,7 @@ def test_verify_intersecting_full_sets_and_singletons():
 def test_verify_intersecting_difference_set_pair():
     g = CyclicGroup(7)
     qr = GroupSubset.from_indices(g, [1, 2, 4])
-    rec = verify_intersecting(g, [qr, qr], mode="exhaustive")
+    rec = verify_intersecting([qr, qr], mode="exhaustive")
     assert rec.result  # all 49 translate pairs meet
 
 
@@ -116,24 +116,12 @@ def test_verify_intersecting_refuses_a_member_on_another_carrier():
     g = CyclicGroup(6)
     twin = CyclicGroup(6)  # another object with the same order and name is the same carrier
     members = [full_subset(g), GroupSubset.from_indices(twin, [0, 3])]
-    assert verify_intersecting(g, members, mode="exhaustive").result
+    assert verify_intersecting(members, mode="exhaustive").result
     for other in (CyclicGroup(7), DihedralGroup(3)):  # D3 has order 6 too
-        members = [full_subset(g), full_subset(other)]
+        members = [full_subset(g), full_subset(g), full_subset(other)]  # each against the first
         for mode in ("exhaustive", "sampled"):
             with pytest.raises(ValueError, match=f"carrier mismatch: {other.name} vs C6"):
-                verify_intersecting(g, members, mode=mode)
-
-
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_verify_k_covering_refuses_a_set_on_another_carrier(k):
-    # a C16 set read as a C8 one would be scanned past the group: every mode
-    # is refused before any verdict, as verify_intersecting refuses a member
-    g = CyclicGroup(8)
-    assert verify_k_covering(g, GroupSubset.from_indices(CyclicGroup(8), [0, 1, 2, 4]), 1).result
-    x = GroupSubset.from_indices(CyclicGroup(16), [0, 1, 2, 9])
-    for mode in ("auto", "exhaustive", "sampled:50"):
-        with pytest.raises(ValueError, match="carrier mismatch: C16 vs C8"):
-            verify_k_covering(g, x, k, mode)
+                verify_intersecting(members, mode=mode)
 
 
 def test_verify_intersecting_matches_naive_oracle():
@@ -143,7 +131,7 @@ def test_verify_intersecting_matches_naive_oracle():
     for group in (g, d):
         for _ in range(25):
             subsets = [random_subset(group, rng.uniform(0.2, 0.8), rng) for _ in range(2)]
-            rec = verify_intersecting(group, subsets, mode="exhaustive")
+            rec = verify_intersecting(subsets, mode="exhaustive")
             assert rec.result == naive_is_intersecting(group, [list(s) for s in subsets])
 
 
@@ -153,7 +141,7 @@ def test_verify_intersecting_triple_families_match_naive_oracle():
         for _ in range(15):
             subsets = [random_subset(group, rng.uniform(0.3, 0.9), rng) for _ in range(3)]
             members = [list(s) for s in subsets]
-            rec = verify_intersecting(group, subsets, mode="exhaustive")
+            rec = verify_intersecting(subsets, mode="exhaustive")
             assert rec.result == naive_is_intersecting(group, members)
             # the witness is the lexicographically first failing triple
             assert rec.witness == naive_first_empty_tuple(group, members)
@@ -163,7 +151,7 @@ def test_verify_intersecting_witness_is_lexicographic_first():
     g = CyclicGroup(5)
     a = GroupSubset.from_indices(g, [0, 1])
     b = GroupSubset.from_indices(g, [0])
-    rec = verify_intersecting(g, [a, b], mode="exhaustive")
+    rec = verify_intersecting([a, b], mode="exhaustive")
     assert not rec.result
     # recompute by brute force
     expected = None
@@ -193,7 +181,7 @@ def test_verify_intersecting_witnesses_match_naive_oracles():
                 subsets = [random_subset(group, rng.uniform(low, high), rng) for _ in range(k)]
                 members = [list(s) for s in subsets]
                 expected = naive_first_empty_tuple(group, members)
-                got = verify_intersecting(group, subsets, mode="exhaustive")
+                got = verify_intersecting(subsets, mode="exhaustive")
                 assert got.method == "tuple-scan"
                 assert (got.result, got.witness) == (expected is None, expected)
                 outcomes.add((k, expected is None))
@@ -206,7 +194,7 @@ def test_verify_intersecting_witnesses_match_naive_oracles():
                     if empty(tup):
                         replay = (False, t + 1, tup)
                         break
-                got = verify_intersecting(group, subsets, mode="sampled:30", seed=k)
+                got = verify_intersecting(subsets, mode="sampled:30", seed=k)
                 assert (got.result, got.trials, got.witness) == replay
                 sampled_outcomes.add(replay[0])
     assert sampled_outcomes == {True, False}
@@ -218,8 +206,8 @@ def test_verify_budget_guard(monkeypatch):
     s = full_subset(g)
     monkeypatch.setenv("COVTRANS_BUDGET", "1000")
     with pytest.raises(BudgetExceededError, match="sampled"):
-        verify_intersecting(g, [s, s], mode="exhaustive")
-    rec = verify_intersecting(g, [s, s], mode="auto")
+        verify_intersecting([s, s], mode="exhaustive")
+    rec = verify_intersecting([s, s], mode="auto")
     assert rec.mode == "sampled" and rec.result and rec.trials == DEFAULT_SAMPLE_TRIALS
 
 
@@ -232,17 +220,17 @@ def test_pair_tuple_scan_has_no_order_gate_beyond_the_budget(monkeypatch):
     point = GroupSubset.from_indices(g, [0])
     monkeypatch.setenv("COVTRANS_BUDGET", str(g.order**2 - 1))
     with pytest.raises(BudgetExceededError, match="sampled"):
-        verify_intersecting(g, [full, full], mode="exhaustive")
+        verify_intersecting([full, full], mode="exhaustive")
     monkeypatch.setenv("COVTRANS_BUDGET", str(g.order**2))
     for mode in ("exhaustive", "auto"):
-        rec = verify_intersecting(g, [full, full], mode=mode)
+        rec = verify_intersecting([full, full], mode=mode)
         assert (rec.mode, rec.method, rec.result, rec.witness) == (
             "exhaustive",
             "tuple-scan",
             True,
             None,
         )
-    rec = verify_intersecting(g, [point, point], mode="exhaustive")
+    rec = verify_intersecting([point, point], mode="exhaustive")
     assert (rec.method, rec.result, rec.witness) == ("tuple-scan", False, (0, 1))
 
 
@@ -276,7 +264,7 @@ def test_construct_family_enlargement():
     fam = construct_intersecting_family(g, 2, seed=5, target_size=512)
     assert fam.sizes == [512, 512]
     # enlargement never breaks the property: re-verify from scratch
-    rec = verify_intersecting(g, fam.subsets, mode="exhaustive")
+    rec = verify_intersecting(fam.subsets, mode="exhaustive")
     assert rec.result
     cap = member_size_cap(1024, 2)  # ~244.18
     with pytest.raises(FeasibilityError):
@@ -316,7 +304,7 @@ def test_enlargement_invariance_random_supersets():
     for s in fam.subsets:
         extra = rng.sample(range(128), 20)
         enlarged.append(GroupSubset.from_indices(g, list(s) + extra))
-    assert verify_intersecting(g, enlarged, mode="exhaustive").result
+    assert verify_intersecting(enlarged, mode="exhaustive").result
 
 
 def test_construct_family_attempts_exhausted():
@@ -352,7 +340,7 @@ def test_a_rejected_cover_shows_the_seed_of_its_check():
     assert exc.value.history == [
         {"attempt": 0, "sizes": [0], "reason": "empty-intersection", "witness": (-g % 20,)}
     ]
-    rerun = verify_k_covering(group, GroupSubset(group, 0), 1, "sampled:5", seed=check_seed)
+    rerun = verify_k_covering(GroupSubset(group, 0), 1, "sampled:5", seed=check_seed)
     assert (rerun.result, rerun.trials, rerun.witness) == (False, 1, (-g % 20,))
 
 
@@ -360,19 +348,19 @@ def test_construct_k_covering_bound_and_precondition():
     g = CyclicGroup(1024)
     cert = construct_k_covering(g, 2, seed=7)
     assert cert.covering_set.size <= 512
-    assert verify_k_covering(g, cert.covering_set, 2, mode="exhaustive").result
+    assert verify_k_covering(cert.covering_set, 2, mode="exhaustive").result
     with pytest.raises(FeasibilityError, match="576"):
         construct_k_covering(CyclicGroup(64), 2, seed=1)
 
 
 def test_verify_k_covering_trivial_cases():
     g = CyclicGroup(9)
-    assert verify_k_covering(g, full_subset(g), 3, mode="exhaustive").result
-    rec = verify_k_covering(g, GroupSubset(g, 0), 1, mode="exhaustive")
+    assert verify_k_covering(full_subset(g), 3, mode="exhaustive").result
+    rec = verify_k_covering(GroupSubset(g, 0), 1, mode="exhaustive")
     assert not rec.result and rec.witness == (0,)
     # k > n: vacuously covering
     tiny = CyclicGroup(2)
-    assert verify_k_covering(tiny, GroupSubset(tiny, 0), 3).result
+    assert verify_k_covering(GroupSubset(tiny, 0), 3).result
 
 
 @pytest.mark.parametrize("k", [2, 5])
@@ -380,7 +368,7 @@ def test_verify_k_covering_refuses_an_unknown_mode_for_every_k(k):
     # k = 5 > n takes the vacuous path, which must check the mode all the same
     g = CyclicGroup(3)
     with pytest.raises(ValueError, match="unknown verification mode 'bogus'"):
-        verify_k_covering(g, GroupSubset(g, 0), k, mode="bogus")
+        verify_k_covering(GroupSubset(g, 0), k, mode="bogus")
 
 
 # each bad mode token and parse_mode's refusal of it, word for word
@@ -410,11 +398,9 @@ def _mode_takers(group):
     """Every public function that takes a mode, as mode -> result, on small valid input."""
     x = GroupSubset.from_indices(group, [0])
     return {
-        "verify_intersecting": lambda mode: verify_intersecting(group, [x, x], mode),
-        "verify_k_covering": lambda mode: verify_k_covering(group, x, 3, mode),
-        "verify_k_covering vacuous": lambda mode: verify_k_covering(
-            group, x, group.order + 1, mode
-        ),
+        "verify_intersecting": lambda mode: verify_intersecting([x, x], mode),
+        "verify_k_covering": lambda mode: verify_k_covering(x, 3, mode),
+        "verify_k_covering vacuous": lambda mode: verify_k_covering(x, group.order + 1, mode),
         "construct_intersecting_family": lambda mode: construct_intersecting_family(
             group, 2, seed=1, mode=mode
         ),
@@ -447,14 +433,14 @@ def test_a_bad_mode_is_refused_before_any_draw(token, monkeypatch):
 @pytest.mark.parametrize("mode", ["auto", "exhaustive", "sampled"])
 def test_verify_k_covering_vacuous_record_in_every_valid_mode(mode):
     g = CyclicGroup(3)
-    rec = verify_k_covering(g, GroupSubset(g, 0), 5, mode=mode)
+    rec = verify_k_covering(GroupSubset(g, 0), 5, mode=mode)
     assert (rec.mode, rec.method, rec.result) == ("exhaustive", "vacuous", True)
 
 
 def test_verify_k_covering_frozen_c4():
     g = CyclicGroup(4)
-    assert verify_k_covering(g, GroupSubset.from_indices(g, [0, 1, 2]), 2, mode="exhaustive").result
-    rec = verify_k_covering(g, GroupSubset.from_indices(g, [0, 1]), 2, mode="exhaustive")
+    assert verify_k_covering(GroupSubset.from_indices(g, [0, 1, 2]), 2, mode="exhaustive").result
+    rec = verify_k_covering(GroupSubset.from_indices(g, [0, 1]), 2, mode="exhaustive")
     assert not rec.result and rec.witness == (0, 2)
 
 
@@ -464,7 +450,7 @@ def test_verify_k_covering_matches_naive_oracle():
         for _ in range(20):
             x = random_subset(group, rng.uniform(0.1, 0.9), rng)
             for k in (1, 2):
-                got = verify_k_covering(group, x, k, mode="exhaustive")
+                got = verify_k_covering(x, k, mode="exhaustive")
                 assert got.method == ("difference-set" if k == 2 else "subset-scan")
                 assert got.result == naive_is_k_covering(group, list(x), k)
 
@@ -480,7 +466,7 @@ def test_verify_k_covering_witnesses_match_naive_oracles():
             for _ in range(4):
                 x = random_subset(group, rng.uniform(low, high), rng)
                 expected = naive_first_untranslatable(group, list(x), k)
-                got = verify_k_covering(group, x, k, mode="exhaustive")
+                got = verify_k_covering(x, k, mode="exhaustive")
                 assert got.method == ("difference-set" if k == 2 else "subset-scan")
                 assert (got.result, got.witness) == (expected is None, expected)
                 outcomes.add((k, expected is None))
@@ -495,7 +481,7 @@ def test_verify_k_covering_witnesses_match_naive_oracles():
                     if untranslatable(ys):
                         replay = (False, t + 1, ys)
                         break
-                got = verify_k_covering(group, x, k, mode="sampled:30", seed=k)
+                got = verify_k_covering(x, k, mode="sampled:30", seed=k)
                 assert (got.result, got.trials, got.witness) == replay
                 sampled_outcomes.add(replay[0])
     assert sampled_outcomes == {True, False}
@@ -513,7 +499,7 @@ def test_subset_scan_at_k_near_n_matches_naive_oracle(descriptor):
         x = GroupSubset.from_indices(group, members)
         for k in (n - 1, n):
             expected = naive_first_untranslatable(group, members, k)
-            got = verify_k_covering(group, x, k, mode="exhaustive")
+            got = verify_k_covering(x, k, mode="exhaustive")
             assert got.method == "subset-scan"
             assert (got.result, got.witness) == (expected is None, expected)
             assert expected == (tuple(range(n)) if missing is not None and k == n else None)
@@ -523,9 +509,9 @@ def test_subset_scan_at_k_n_past_the_recursion_limit():
     # n * C(n, n) = n fits the budget, so the scan's depth k - 1 is bounded by n alone
     n = sys.getrecursionlimit() + 100
     group = CyclicGroup(n)
-    rec = verify_k_covering(group, full_subset(group), n)
+    rec = verify_k_covering(full_subset(group), n)
     assert (rec.mode, rec.result, rec.method) == ("exhaustive", True, "subset-scan")
-    rec = verify_k_covering(group, GroupSubset.from_indices(group, range(1, n)), n)
+    rec = verify_k_covering(GroupSubset.from_indices(group, range(1, n)), n)
     assert (rec.result, rec.witness) == (False, tuple(range(n)))
 
 
@@ -557,12 +543,12 @@ def test_sampled_meet_test_matches_full_translates(descriptor, k):
         density = (common / n) ** (1.0 / k)
         subsets = [random_subset(group, density, rng) for _ in range(k)]
         for seed in (1, 2):
-            got = verify_intersecting(group, subsets, mode="sampled:40", seed=seed)
+            got = verify_intersecting(subsets, mode="sampled:40", seed=seed)
             want = full_translate_sampled_intersecting(group, subsets, 40, seed)
             assert (got.result, got.trials, got.witness) == want
             outcomes["intersecting"].add(want[0])
 
-            got = verify_k_covering(group, subsets[0], k, mode="sampled:40", seed=seed)
+            got = verify_k_covering(subsets[0], k, mode="sampled:40", seed=seed)
             want = full_translate_sampled_covering(group, subsets[0], k, 40, seed)
             assert (got.result, got.trials, got.witness) == want
             outcomes["covering"].add(want[0])
@@ -584,7 +570,7 @@ def test_meet_test_finds_one_common_element_at_window_edges():
             for h in [*range(8), n - 1] + [rng.randrange(n) for _ in range(4)]:
                 for other in ((j - h) % n, (j - h + 1) % n):
                     second = GroupSubset.from_indices(group, [other])
-                    miss = first_disjoint_tuple(group, first, [second, second], [(0, h, h)])
+                    miss = first_disjoint_tuple(first, [second, second], [(0, h, h)])
                     expected = bool(first.bits & right_translate(second, h).bits)
                     assert (miss is None) == expected
 
@@ -608,9 +594,9 @@ def _assert_planted_failures(descriptor, k, hole):
         for count in (t + 1, trials):
             want = full_translate_sampled_intersecting(group, subsets, count, seed)
             assert want == (False, t + 1, drawn[t])
-            got = verify_intersecting(group, subsets, mode=f"sampled:{count}", seed=seed)
+            got = verify_intersecting(subsets, mode=f"sampled:{count}", seed=seed)
             assert (got.result, got.trials, got.witness) == want
-            scanned = first_disjoint_tuple(group, subsets[0], subsets[1:], iter(drawn[:count]))
+            scanned = first_disjoint_tuple(subsets[0], subsets[1:], iter(drawn[:count]))
             assert scanned == (t, drawn[t])
     assert firsts[0] == 0 and firsts[-1] > firsts[len(firsts) // 2] > 0
 
@@ -635,11 +621,11 @@ def test_scan_at_k_1_fails_exactly_on_an_empty_set(descriptor):
     group = group_from_descriptor(descriptor)
     tuples = [(5,), (group.order - 1,), (0,)]
     empty, single = GroupSubset(group, 0), GroupSubset.from_indices(group, [group.order - 1])
-    assert first_disjoint_tuple(group, empty, [], iter(tuples)) == (0, (5,))
-    assert first_disjoint_tuple(group, single, [], iter(tuples)) is None
-    assert first_disjoint_tuple(group, empty, [], iter([])) is None
+    assert first_disjoint_tuple(empty, [], iter(tuples)) == (0, (5,))
+    assert first_disjoint_tuple(single, [], iter(tuples)) is None
+    assert first_disjoint_tuple(empty, [], iter([])) is None
     for x in (empty, single):
-        record = verify_intersecting(group, [x], mode="sampled:30", seed=2)
+        record = verify_intersecting([x], mode="sampled:30", seed=2)
         assert (record.result, record.trials, record.witness) == (
             full_translate_sampled_intersecting(group, [x], 30, 2)
         )
@@ -653,13 +639,13 @@ def test_sampled_covering_check_inverts_k_minus_one_times_per_trial():
     for descriptor, k in (("S6", 3), ("C1031", 3)):
         group = group_from_descriptor(descriptor)
         family = construct_intersecting_family(group, k, seed=5, mode="sampled:500")
-        cover = _union(group, family.subsets)
+        cover = _union(family.subsets)
         for x in (cover, GroupSubset.from_indices(group, list(cover)[::4])):
             calls = []
             inv = group.inv
             group.inv = lambda a: calls.append(a) or inv(a)
             try:
-                record = verify_k_covering(group, x, k, mode="sampled:400", seed=9)
+                record = verify_k_covering(x, k, mode="sampled:400", seed=9)
             finally:
                 del group.inv
             want = full_translate_sampled_covering(group, x, k, 400, seed=9)
@@ -688,19 +674,19 @@ def test_sampled_covering_check_reports_a_planted_union_miss_on_c131072():
     for g in iter_set_bits(translators):
         planted &= ~(1 << (g + ys[0]) % n)
     planted = GroupSubset(group, planted)
-    record = verify_k_covering(group, planted, 3, mode="sampled:50", seed=seed)
+    record = verify_k_covering(planted, 3, mode="sampled:50", seed=seed)
     assert (record.result, record.trials, record.witness) == (False, t + 1, tuple(ys))
     assert full_translate_sampled_covering(group, planted, 3, 50, seed) == (False, t + 1, tuple(ys))
-    assert full_rotation_translate_into(group, record.witness, planted) is None
-    assert full_rotation_translate_into(group, record.witness, x) is not None
+    assert full_rotation_translate_into(record.witness, planted) is None
+    assert full_rotation_translate_into(record.witness, x) is not None
 
 
 def test_verify_k_covering_sampled_mode():
     g = CyclicGroup(64)
     x = GroupSubset.from_indices(g, range(40))
-    rec = verify_k_covering(g, x, 2, mode="sampled:200", seed=4)
+    rec = verify_k_covering(x, 2, mode="sampled:200", seed=4)
     assert rec.mode == "sampled"
-    assert rec.result == verify_k_covering(g, x, 2, mode="exhaustive").result
+    assert rec.result == verify_k_covering(x, 2, mode="exhaustive").result
 
 
 def test_pairwise_criterion_agreement():
@@ -709,13 +695,13 @@ def test_pairwise_criterion_agreement():
         g = CyclicGroup(n)
         for t in range(50):
             x = random_subset(g, 0.05 + 0.9 * (t / 50), rng)
-            covering = verify_k_covering(g, x, 2, mode="exhaustive").result
+            covering = verify_k_covering(x, 2, mode="exhaustive").result
             assert covering == difference_product_full(g, x)
 
 
 def test_pairwise_criterion_frozen_examples():
     def both(g, x):
-        return verify_k_covering(g, x, 2, mode="exhaustive").result, difference_product_full(g, x)
+        return verify_k_covering(x, 2, mode="exhaustive").result, difference_product_full(g, x)
 
     g7 = CyclicGroup(7)
     assert both(g7, GroupSubset.from_indices(g7, [1, 2, 4])) == (True, True)
@@ -729,11 +715,11 @@ def test_difference_route_when_scan_over_budget(monkeypatch):
     g = CyclicGroup(64)
     x = GroupSubset.from_indices(g, range(40))
     monkeypatch.setenv("COVTRANS_BUDGET", "1000")
-    rec = verify_k_covering(g, x, 2, mode="exhaustive")
+    rec = verify_k_covering(x, 2, mode="exhaustive")
     assert rec.method == "difference-set"
     assert rec.result == difference_product_full(g, x)
     monkeypatch.delenv("COVTRANS_BUDGET")
-    honest = verify_k_covering(g, x, 2, mode="exhaustive")
+    honest = verify_k_covering(x, 2, mode="exhaustive")
     assert honest.method == "difference-set"
     assert (rec.result, rec.witness) == (honest.result, honest.witness)
 
@@ -758,7 +744,7 @@ def test_exhaustive_k2_takes_one_route_at_every_budget(monkeypatch):
                     monkeypatch.delenv("COVTRANS_BUDGET", raising=False)
                 else:
                     monkeypatch.setenv("COVTRANS_BUDGET", budget)
-                rec = verify_k_covering(group, x, 2, mode="exhaustive")
+                rec = verify_k_covering(x, 2, mode="exhaustive")
                 records.add((rec.mode, rec.result, rec.witness, rec.method))
             expected = naive_first_untranslatable(group, list(x), 2)
             assert records == {("exhaustive", expected is None, expected, "difference-set")}
@@ -775,21 +761,21 @@ def test_k2_label_rule_above_the_pairwise_limit(monkeypatch):
     assert n > covering._PAIRWISE_PRODUCT_LIMIT
     x = GroupSubset.from_indices(g, range(100))  # X - X = {-99, ..., 99}
     monkeypatch.delenv("COVTRANS_BUDGET", raising=False)
-    rec = verify_k_covering(g, x, 2)
+    rec = verify_k_covering(x, 2)
     assert rec.mode == "sampled"
     assert (rec.result, rec.trials, rec.witness) == full_translate_sampled_covering(
         g, x, 2, DEFAULT_SAMPLE_TRIALS, seed=0
     )
-    rec = verify_k_covering(g, full_subset(g), 2)  # a pass runs every trial auto takes
+    rec = verify_k_covering(full_subset(g), 2)  # a pass runs every trial auto takes
     assert (rec.mode, rec.result, rec.trials) == ("sampled", True, DEFAULT_SAMPLE_TRIALS)
     with pytest.raises(BudgetExceededError, match="sampled"):
-        verify_k_covering(g, x, 2, mode="exhaustive")
+        verify_k_covering(x, 2, mode="exhaustive")
     monkeypatch.setenv("COVTRANS_BUDGET", str(n * n - 1))
-    assert verify_k_covering(g, x, 2).mode == "sampled"
+    assert verify_k_covering(x, 2).mode == "sampled"
     for budget in (n * n, n * math.comb(n, 2)):
         monkeypatch.setenv("COVTRANS_BUDGET", str(budget))
         for mode in ("auto", "exhaustive"):
-            rec = verify_k_covering(g, x, 2, mode)
+            rec = verify_k_covering(x, 2, mode)
             assert (rec.mode, rec.result, rec.witness, rec.method) == (
                 "exhaustive",
                 False,
@@ -808,20 +794,20 @@ def test_k3_covers_are_budgeted_as_their_k_fold_family(monkeypatch):
     outcomes = set()
     for density in (0.1, 0.6):
         x = random_subset(g, density, rng)
-        rec, family = verify_k_covering(g, x, 3), verify_intersecting(g, [x] * 3)
+        rec, family = verify_k_covering(x, 3), verify_intersecting([x] * 3)
         assert (rec.mode, family.mode) == ("exhaustive", "exhaustive")
         assert rec.result == family.result
         outcomes.add(rec.result)
     assert outcomes == {True, False}
     monkeypatch.setenv("COVTRANS_BUDGET", str(200**3 - 1))
     with pytest.raises(BudgetExceededError, match="needs 8000000 steps"):
-        verify_k_covering(g, x, 3, mode="exhaustive")
+        verify_k_covering(x, 3, mode="exhaustive")
     g16 = CyclicGroup(16)  # at k = 8, 16 C(16, 8) = 205920 is far below 16^8
     monkeypatch.setenv("COVTRANS_BUDGET", "205920")
-    assert verify_k_covering(g16, full_subset(g16), 8, mode="exhaustive").result
+    assert verify_k_covering(full_subset(g16), 8, mode="exhaustive").result
     monkeypatch.setenv("COVTRANS_BUDGET", "205919")
     with pytest.raises(BudgetExceededError, match="needs 205920 steps"):
-        verify_k_covering(g16, full_subset(g16), 8, mode="exhaustive")
+        verify_k_covering(full_subset(g16), 8, mode="exhaustive")
 
 
 @pytest.mark.parametrize("descriptor", ["D6", "S4", "EA(2,4)", "C2xC6", "C12"])
@@ -833,7 +819,7 @@ def test_difference_set_witness_matches_naive_oracle(descriptor, monkeypatch):
     for t in range(40):
         x = random_subset(g, 0.15 + 0.5 * (t / 40), rng)
         expected = naive_first_untranslatable(g, list(x), 2)
-        rec = verify_k_covering(g, x, 2, mode="exhaustive")
+        rec = verify_k_covering(x, 2, mode="exhaustive")
         assert rec.method == "difference-set"
         assert (rec.result, rec.witness) == (expected is None, expected)
         assert difference_product_full(g, x) == (expected is None)
@@ -931,9 +917,9 @@ def test_exact_covering_tries_only_anchored_candidates_from_the_counting_bound(
         tried.append(list(members))
         return decide(columns, members, kk)
 
-    def verifying(g, x, kk, mode="auto", **kwargs):
+    def verifying(x, kk, mode="auto", **kwargs):
         verified.append((list(x), kk, mode))
-        return verify(g, x, kk, mode, **kwargs)
+        return verify(x, kk, mode, **kwargs)
 
     monkeypatch.setattr(covering, "_anchored_candidate_covers", recording)
     monkeypatch.setattr(covering, "verify_k_covering", verifying)
@@ -989,6 +975,17 @@ def test_exact_covering_lower_bound_holds_up_to_k3():
             assert exact**k >= n ** (k - 1)  # exact >= n^(1-1/k) in integer form
 
 
+def test_exact_covering_meets_the_lower_bound_past_k_equal_n():
+    # the counting bound holds at every k; past k = n no k-subset exists, the
+    # empty set covers and the bound is 0, not n^(1-1/k)
+    for n in range(3, 9):
+        group = CyclicGroup(n)
+        for k in range(1, n + 3):
+            exact, (lower, _) = exact_covering_number(group, k), covering_number_bounds(n, k)
+            assert exact >= lower, (n, k)
+            assert (exact == 0) == (lower == 0) == (k > n), (n, k)
+
+
 def test_exact_covering_upper_bound_implication():
     # the randomized upper bound applies exactly when the union construction does
     for n in range(3, 17):
@@ -1017,12 +1014,12 @@ def test_covering_number_bounds():
 def test_greedy_shrink_full_group_and_small_set():
     g = CyclicGroup(100)
     full = full_subset(g)
-    res = greedy_shrink_intersection(g, full, 3)
+    res = greedy_shrink_intersection(full, 3)
     assert res.sizes[-1] == 100 and res.elements == (0, 0, 0)
 
     rng = random.Random(31)
     x = GroupSubset.from_indices(g, rng.sample(range(100), 9))
-    res = greedy_shrink_intersection(g, x, 2)
+    res = greedy_shrink_intersection(x, 2)
     assert res.sizes[-1] == 0  # floor(81 / 100) = 0
     assert res.elements[0] == 0
 
@@ -1034,7 +1031,7 @@ def test_greedy_shrink_stepwise_bound():
         for _ in range(20):
             size = rng.randrange(1, n)
             x = GroupSubset.from_indices(g, rng.sample(range(n), size))
-            res = greedy_shrink_intersection(g, x, k)
+            res = greedy_shrink_intersection(x, k)
             for prev, nxt in zip(res.sizes, res.sizes[1:]):
                 assert nxt <= (prev * size) // n
             assert res.sizes[-1] <= size**k // n ** (k - 1)

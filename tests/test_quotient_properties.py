@@ -75,7 +75,7 @@ def singles(draw):
 def test_pair_tuple_scan_matches_naive_first_empty_tuple(case):
     group, x1, x2 = case
     expected = naive_first_empty_tuple(group, [list(x1), list(x2)])
-    rec = verify_intersecting(group, [x1, x2], mode="exhaustive")
+    rec = verify_intersecting([x1, x2], mode="exhaustive")
     assert (rec.mode, rec.method) == ("exhaustive", "tuple-scan")
     assert (rec.result, rec.witness) == (expected is None, expected)
 
@@ -85,10 +85,10 @@ def test_pair_tuple_scan_matches_naive_first_empty_tuple(case):
 def test_difference_witness_matches_naive_first_untranslatable(case):
     group, x = case
     expected = naive_first_untranslatable(group, list(x), 2)
-    assert _quotient_witness(group, x, x, 1) == expected
+    assert _quotient_witness(x, x, 1) == expected
     # the same witness through verify_k_covering, which proves k = 2 by this kernel at any budget
     with mock.patch.dict(os.environ, {"COVTRANS_BUDGET": "1"}):
-        rec = verify_k_covering(group, x, 2, mode="exhaustive")
+        rec = verify_k_covering(x, 2, mode="exhaustive")
     assert (rec.method, rec.result, rec.witness) == ("difference-set", expected is None, expected)
 
 
@@ -103,12 +103,12 @@ def test_k_covering_is_the_k_fold_family_check(k, data):
     group = data.draw(carriers if k < 3 else carriers.filter(lambda g: g.order <= 24))
     x = subsets(data.draw, group)
     covering = naive_is_k_covering(group, list(x), k)
-    rec = verify_k_covering(group, x, k, mode="exhaustive")
+    rec = verify_k_covering(x, k, mode="exhaustive")
     assert (rec.mode, rec.result) == ("exhaustive", covering)
     if k > group.order:  # no size-k subsets: vacuous, where the family asks for smaller ones
         assert rec.method == "vacuous"
         return
-    family = verify_intersecting(group, [x] * k, mode="exhaustive")
+    family = verify_intersecting([x] * k, mode="exhaustive")
     assert family.result == covering
     if not covering:  # the family's first empty tuple names an untranslatable Y
         ys = sorted({group.inv(g) for g in family.witness})
@@ -120,12 +120,12 @@ def test_pair_tuple_scan_uses_x2_inverse_x1_not_x1_inverse_x2():
     group = group_from_descriptor("S3")
     x1 = GroupSubset.from_indices(group, [0, 3])
     x2 = GroupSubset.from_indices(group, [2, 3])
-    assert _quotient_witness(group, x2, x1, 0) != _quotient_witness(group, x1, x2, 0)
+    assert _quotient_witness(x2, x1, 0) != _quotient_witness(x1, x2, 0)
     expected = naive_first_empty_tuple(group, [list(x1), list(x2)])
     assert expected == (0, 3)
-    rec = verify_intersecting(group, [x1, x2], mode="exhaustive")
+    rec = verify_intersecting([x1, x2], mode="exhaustive")
     assert (rec.result, rec.witness) == (False, (0, 3))
-    swapped = verify_intersecting(group, [x2, x1], mode="exhaustive")
+    swapped = verify_intersecting([x2, x1], mode="exhaustive")
     assert swapped.witness == naive_first_empty_tuple(group, [list(x2), list(x1)])
     assert swapped.witness == (0, 4)
 
@@ -159,9 +159,9 @@ def test_flag_array_branch_matches_rotation_branch_on_a_twin_carrier(n):
     for xs, ys in itertools.product(sets.values(), repeat=2):
         for start in (0, 1):
             expected = _quotient_witness(
-                cyc, GroupSubset.from_indices(cyc, xs), GroupSubset.from_indices(cyc, ys), start
+                GroupSubset.from_indices(cyc, xs), GroupSubset.from_indices(cyc, ys), start
             )
             got = _quotient_witness(
-                twin, GroupSubset.from_indices(twin, xs), GroupSubset.from_indices(twin, ys), start
+                GroupSubset.from_indices(twin, xs), GroupSubset.from_indices(twin, ys), start
             )
             assert got == expected, (n, len(xs), len(ys), start)

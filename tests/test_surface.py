@@ -169,7 +169,7 @@ def test_every_k_covering_method_is_attributed_by_the_tracer():
         (3, "sampled:20"): "sampled",
     }
     methods = {
-        route: verify_k_covering(group, x, k, mode).method
+        route: verify_k_covering(x, k, mode).method
         for (k, mode), route in routes.items()
     }
     assert methods["vacuous"] == "vacuous"

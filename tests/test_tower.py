@@ -66,7 +66,7 @@ def test_stage_records_are_rerun_from_the_document(seed11_tower):
         record = stage["verification"]
         mode = "exhaustive" if record["mode"] == "exhaustive" else f"sampled:{record['trials']}"
         check_seed = derive_seed(stage["seed"], stage["attempts"] - 1, _VERIFY_SALT)
-        rerun = verify_k_covering(kernel, cover, stage["covering_k"], mode, seed=check_seed)
+        rerun = verify_k_covering(cover, stage["covering_k"], mode, seed=check_seed)
         assert rerun.document() == record
 
 
@@ -154,11 +154,11 @@ def test_extend_preserves_translatability():
     found = 0
     while found < 20:
         hs = [rng.randrange(20) for _ in range(2)]
-        if translate_into(target, hs, base) is None:
+        if translate_into(hs, base) is None:
             continue  # image must be translatable for the guarantee to apply
         found += 1
         ys = [phi.embed_kernel(rng.randrange(1024)) + h for h in hs]
-        assert translate_into(phi.source, ys, dense) is not None
+        assert translate_into(ys, dense) is not None
 
 
 def test_extend_whole_group_collapse():
@@ -175,7 +175,7 @@ def test_extend_whole_group_collapse():
     rng = random.Random(10)
     for _ in range(20):
         ys = rng.sample(range(1024), 2)
-        assert translate_into(phi.source, ys, dense) is not None
+        assert translate_into(ys, dense) is not None
 
 
 def test_extend_error_cases():
@@ -540,11 +540,11 @@ def test_translate_thin_final_membership_catches_unsound_lifts(monkeypatch):
 
     for kernel_order in (20, 1024, 131072):
 
-        def wrong_shift(group, offsets, cover):
-            u = real(group, offsets, cover)
-            if group.order != kernel_order:
+        def wrong_shift(offsets, cover):
+            u = real(offsets, cover)
+            n = cover.group.order
+            if n != kernel_order:
                 return u
-            n = group.order
             return next(v for v in range(n) if any((v + o) % n not in cover for o in offsets))
 
         with monkeypatch.context() as m:
@@ -562,8 +562,8 @@ def test_translate_thin_final_membership_catches_unsound_lifts(monkeypatch):
         assert used in cover2
         thinned = GroupSubset.from_indices(cover2.group, [v for v in cover2 if v != used])
 
-        def sound_lift(group, offsets, cover, thinned=thinned):
-            return real(group, offsets, cover2 if cover is thinned else cover)
+        def sound_lift(offsets, cover, thinned=thinned):
+            return real(offsets, cover2 if cover is thinned else cover)
 
         with monkeypatch.context() as m:
             m.setattr(stage2, "kernel_cover", thinned)
@@ -583,9 +583,10 @@ def test_integer_lift_matches_the_stage_map_reference(seed11_tower, monkeypatch)
     tower, spec = seed11_tower, seed11_tower.spec
     real = tower_module.translate_into
 
-    def kernel_offsets_only(group, offsets, cover):
-        assert all(0 <= v < group.order for v in offsets), (group.order, offsets)
-        return real(group, offsets, cover)
+    def kernel_offsets_only(offsets, cover):
+        n = cover.group.order
+        assert all(0 <= v < n for v in offsets), (n, offsets)
+        return real(offsets, cover)
 
     monkeypatch.setattr(tower_module, "translate_into", kernel_offsets_only)
     top = spec.group_order(3)

@@ -128,7 +128,7 @@ def translate_cases(draw):
 def test_translate_into_matches_full_rotation(case):
     group, ys, bits = case
     x = GroupSubset(group, bits)
-    assert translate_into(group, ys, x) == full_rotation_translate_into(group, ys, x)
+    assert translate_into(ys, x) == full_rotation_translate_into(ys, x)
 
 
 @st.composite
@@ -161,7 +161,7 @@ def test_translates_meet_matches_full_rotation(case):
     acc = first.bits
     for s, h in zip(rest, shifts):
         acc &= right_translate(s, h).bits
-    assert (first_disjoint_tuple(group, first, rest, [(0, *shifts)]) is None) == bool(acc)
+    assert (first_disjoint_tuple(first, rest, [(0, *shifts)]) is None) == bool(acc)
 
 
 @st.composite
@@ -186,7 +186,7 @@ def test_translates_meet_takes_the_drawn_translators(case):
     acc = (1 << group.order) - 1
     for s, g in zip(subsets, gs):
         acc &= right_translate(s, g).bits
-    assert (first_disjoint_tuple(group, subsets[0], subsets[1:], [gs]) is None) == bool(acc)
+    assert (first_disjoint_tuple(subsets[0], subsets[1:], [gs]) is None) == bool(acc)
 
 
 @st.composite
@@ -212,5 +212,5 @@ def test_translates_meet_through_the_oracles_matches_naive_translates(case):
     group, member_lists, gs = case
     subsets = [GroupSubset.from_indices(group, members) for members in member_lists]
     empty = naive_empty_tuple_test(group, member_lists)
-    met = first_disjoint_tuple(group, subsets[0], subsets[1:], [gs]) is None
+    met = first_disjoint_tuple(subsets[0], subsets[1:], [gs]) is None
     assert met == (not empty(gs))
