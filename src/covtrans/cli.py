@@ -143,7 +143,7 @@ def _cmd_covering_exact(config: dict) -> tuple[dict, int]:
     group = group_from_descriptor(config["group"])
     value = exact_covering_number(group, config["k"])
     n = group.order
-    lower, upper = (covering_number_bounds(n, config["k"]) if n >= 3 else (None, None))
+    lower, upper = _bounds(n, config["k"])
     doc = {
         "kind": "exact-covering",
         "group": group.name,
@@ -154,6 +154,11 @@ def _cmd_covering_exact(config: dict) -> tuple[dict, int]:
         "upper_bound": upper,
     }
     return doc, EXIT_OK
+
+
+def _bounds(n: int, k: int) -> tuple[float | None, float | None]:
+    """covering_number_bounds(n, k), or nulls below order 3, which it refuses."""
+    return covering_number_bounds(n, k) if n >= 3 else (None, None)
 
 
 def _cmd_covering_bounds(config: dict) -> tuple[dict, int]:
@@ -213,16 +218,12 @@ def _cmd_cov_table(config: dict) -> tuple[dict | str, int]:
     for group in groups:
         n = group.order
         for k in ks:
-            lower, upper = covering_number_bounds(n, k)
-            exact = (
-                exact_covering_number(group, k) if n <= EXACT_COVERING_ORDER_LIMIT else None
-            )
+            lower, upper = _bounds(n, k)
+            exact = exact_covering_number(group, k) if n <= EXACT_COVERING_ORDER_LIMIT else None
             achieved = None
-            if covering_condition(n, k):
-                certificate = construct_k_covering(
-                    group, k, seed=derive_seed(config["seed"], index)
-                )
-                achieved = certificate.covering_set.size
+            if upper is not None and covering_condition(n, k):  # it refuses order < 3 too
+                seed = derive_seed(config["seed"], index)
+                achieved = construct_k_covering(group, k, seed=seed).covering_set.size
             rows.append(
                 {
                     "group": group.name,
@@ -241,8 +242,8 @@ def _cmd_cov_table(config: dict) -> tuple[dict | str, int]:
     writer = csv.writer(out, lineterminator="\n")  # quotes a name such as EA(2,3)
     writer.writerow(["group", "n", "k", "lower", "exact", "achieved", "upper"])
     for row in rows:
-        lower, upper = format_real(row["lower"]), format_real(row["upper"])
-        # csv writes None (no exact or achieved value) as an empty field
+        lower, upper = (x if x is None else format_real(x) for x in (row["lower"], row["upper"]))
+        # csv writes None (no bound, exact or achieved value) as an empty field
         writer.writerow(
             [row["group"], row["n"], row["k"], lower, row["exact"], row["achieved"], upper]
         )

@@ -502,8 +502,8 @@ def exact_covering_number(group: FiniteGroup, k: int) -> int:
     Anchoring: every left translate of a k-covering set is k-covering, and
     one of them contains e, so only the C(n-1,s-1) candidates containing e
     (index 0) are tried, the first entries of the lexicographic order on
-    all C(n,s).  When k > n, C(n,k) = 0, the bound is s = 0, and the empty
-    set, the one candidate of that size, covers vacuously.
+    all C(n,s).  When k > n no k-subset exists, so the empty set covers
+    vacuously and 0 is returned at once; otherwise the bound is s >= k >= 1.
 
     At k >= 2 the search tabulates columns[y][x] = 1 << (x y^{-1}) once,
     n^2 mul calls at n <= 16, and _anchored_candidate_covers decides each
@@ -521,6 +521,8 @@ def exact_covering_number(group: FiniteGroup, k: int) -> int:
         )
     if k < 1:
         raise ValueError(f"covering parameter must be >= 1, got {k}")
+    if k > n:
+        return 0
     mul = group.mul
     columns = []  # at k = 1 the scan's one rest is empty and reads no column
     for y in range(n if k >= 2 else 0):
@@ -529,11 +531,7 @@ def exact_covering_number(group: FiniteGroup, k: int) -> int:
     subsets_to_cover = math.comb(n, k)
     first = next(s for s in range(n + 1) if n * math.comb(s, k) >= subsets_to_cover)
     for s in range(first, n + 1):
-        if s == 0:
-            anchored = [()]  # reached only when k > n: the empty set
-        else:
-            anchored = ((0,) + rest for rest in combinations(range(1, n), s - 1))
-        for members in anchored:
+        for members in ((0,) + rest for rest in combinations(range(1, n), s - 1)):
             if _anchored_candidate_covers(columns, members, k):
                 winner = GroupSubset.from_indices(group, members)
                 if not verify_k_covering(winner, k, mode="exhaustive").result:

@@ -23,7 +23,6 @@ from operator import lt
 from types import NoneType
 
 from .covering import (
-    _PAIRWISE_PRODUCT_LIMIT,
     DEFAULT_MAX_ATTEMPTS,
     VerificationRecord,
     construct_k_covering,
@@ -31,7 +30,7 @@ from .covering import (
     parse_mode,
     verify_k_covering,
 )
-from .errors import FeasibilityError, IntegrityError, SoundnessError
+from .errors import BudgetExceededError, FeasibilityError, IntegrityError, SoundnessError
 from .groups import CyclicGroup, Epimorphism
 from .subsets import GroupSubset, translate_into
 from .util import canonical_json, derive_seed, doc_field, require_indices
@@ -567,20 +566,20 @@ def tower_from_document(doc: dict) -> Tower:
 
     Stages are appended exactly as build_tower appends them, each over the
     stage set below, with the attempts and verification records a build
-    emits (see _load_record).  A missing or mistyped field
-    raises IntegrityError naming it; kernel orders and cover entries must be
-    JSON integers, and a spec that build_tower refuses as inadmissible is
+    emits (see _load_record).  A missing or mistyped field raises
+    IntegrityError naming it; kernel orders and cover entries must be JSON
+    integers, and a spec that build_tower refuses as inadmissible is
     refused before any cover is decoded.  A decode allocates by the cover's
     largest listed index, not by the declared kernel order (see
-    GroupSubset.from_indices).  The covers (strictly ascending,
-    nonempty, inside their kernels) and the halving bounds
-    2|L_s| <= n_{s-1}, whose product is the measure bound, are checked
-    again.  The stage-2 cover is proven 2-covering again, by
-    verify_k_covering's exhaustive quotient-set check, when its kernel has
-    order at most _PAIRWISE_PRODUCT_LIMIT; larger kernels and later stages
-    keep their stored record.  Every other field, the stage seeds and stage
-    1's attempts included, is derived, so the assembled tower must re-emit
-    it: see _require_reemitted.
+    GroupSubset.from_indices).  The covers (strictly ascending, nonempty,
+    inside their kernels) and the halving bounds 2|L_s| <= n_{s-1}, whose
+    product is the measure bound, are checked again.  Every other field,
+    the stage seeds and stage 1's record included, is derived, so the
+    assembled tower must re-emit it: see _require_reemitted.  Then each
+    cover above stage 1 is proven s-covering again by verify_k_covering's
+    exhaustive check, whatever its record's mode, unless that check refuses
+    as over budget: a sampled record is then kept, and an exhaustive one,
+    which this budget cannot repeat, raises BudgetExceededError.
     """
     kind = doc.get("kind") if isinstance(doc, dict) else None
     if kind != "tower":
@@ -617,29 +616,39 @@ def tower_from_document(doc: dict) -> Tower:
                 f"{where}: cover of size {cover.size} is over half the kernel "
                 f"order {kernel.order}"
             )
-        if s == 2 and kernel.order <= _PAIRWISE_PRODUCT_LIMIT:
-            witness = verify_k_covering(cover, 2, mode="exhaustive").witness
-            if witness is not None:
-                raise IntegrityError(
-                    f"{where}: field 'cover' is not 2-covering: the pair {list(witness)} "
-                    f"has no translate into it"
-                )
-        tower.stages.append(TowerStage(subset, *_load_record(stage_doc, s, where)))
+        attempts, record = (0, None) if s == 1 else _load_record(stage_doc, where)
+        tower.stages.append(TowerStage(subset, attempts, record))
     _require_reemitted(tower, doc)
+    for s, stage in enumerate(tower.stages[1:], start=2):
+        try:
+            witness = verify_k_covering(stage.subset.kernel_cover, s, mode="exhaustive").witness
+        except BudgetExceededError as exc:
+            if stage.verification.mode == "exhaustive":
+                raise BudgetExceededError(
+                    f"stage {s}: field 'verification' claims a proof that cannot be repeated: {exc}"
+                ) from exc
+            continue
+        if witness is not None:
+            raise IntegrityError(
+                f"stage {s}: field 'cover' is not {s}-covering: {list(witness)} has no "
+                f"translate into it"
+            )
     return tower
 
 
 def _require_reemitted(tower: Tower, doc: dict) -> None:
     """Raise IntegrityError at the first field of doc that differs from tower's own.
 
-    Sizes, measures, stage seeds, admissibility reports and warnings are all
-    derived from the covers and the tower's seed, so a document that
-    contradicts them is refused rather than re-emitted changed.  Fields compare as canonical JSON text, which keeps
-    12 significant digits of a real, and by JSON type, since that text
-    prints the real 224.0 as 224: only where the tower emits a real may the
-    document hold an integer.  The run config and the covers, which the
-    tower was built from, are left out: the covers are the bulk of the
-    document, and the tower's covers are not decoded for the comparison.
+    Sizes, measures, stage seeds, admissibility reports, warnings and each
+    record's result and witness are derived from the covers, the tower's
+    seed and the loaded records, so a document that contradicts them is
+    refused rather than re-emitted changed.  Fields compare as canonical
+    JSON text, which keeps 12 significant digits of a real, and by JSON
+    type, since that text prints the real 224.0 as 224: only where the
+    tower emits a real may the document hold an integer.  The run config
+    and the covers, which the tower was built from, are left out: the
+    covers are the bulk of the document, and the tower's covers are not
+    decoded for the comparison.
     """
     emitted = tower._document(listed=False)
     _require_same_fields(emitted, doc, "document", ("config", "stages"))
@@ -672,34 +681,23 @@ def _same_json_types(mine, given) -> bool:
     return type(given) is type(mine)
 
 
-def _load_record(stage_doc: dict, s: int, where: str) -> tuple[int, VerificationRecord | None]:
-    """Stage s's attempts and record as a build emits them, or IntegrityError naming the field.
+def _load_record(stage_doc: dict, where: str) -> tuple[int, VerificationRecord]:
+    """The attempts and record of a stage above 1, or IntegrityError naming the field.
 
-    Stage 1's singleton cover takes 0 attempts, which are not read but
-    compared once re-emitted, and its record is null.  Above it, attempts is
-    at least 1, since the record is re-run from attempt attempts - 1, and
-    the record is a passing exhaustive or sampled one with no witness, with
-    trials (>= 1) when sampled.
+    attempts is at least 1, since the record is re-run from attempt
+    attempts - 1, and trials (>= 1) is given exactly when the mode is
+    sampled.  The record's result and witness are left to _require_reemitted.
     """
-    raw = doc_field(stage_doc, "verification", (dict, NoneType), where)
-    if (raw is None) != (s == 1):
-        wanted = "null" if s == 1 else "a passing record"
-        raise IntegrityError(f"{where}: field 'verification' must be {wanted} at stage {s}")
-    if raw is None:
-        return 0, None
+    raw = doc_field(stage_doc, "verification", dict, where)
     attempts = doc_field(stage_doc, "attempts", int, where)
     if attempts < 1:
         raise IntegrityError(f"{where}: field 'attempts' must be >= 1, got {attempts}")
     where = f"{where} verification"
     mode = doc_field(raw, "mode", str, where)
     trials = doc_field(raw, "trials", (int, NoneType), where)
-    counted = trials is None if mode == "exhaustive" else trials is not None and trials >= 1
-    for field, ok, wanted in (
-        ("mode", mode in ("exhaustive", "sampled"), "'exhaustive' or 'sampled'"),
-        ("result", doc_field(raw, "result", bool, where), "true"),
-        ("witness", doc_field(raw, "witness", (list, NoneType), where) is None, "null"),
-        ("trials", counted, "null when exhaustive and a count >= 1 when sampled"),
-    ):
-        if not ok:
-            raise IntegrityError(f"{where}: field {field!r} must be {wanted}")
+    if mode not in ("exhaustive", "sampled"):
+        raise IntegrityError(f"{where}: field 'mode' must be 'exhaustive' or 'sampled'")
+    if (trials is None) != (mode == "exhaustive") or trials is not None and trials < 1:
+        wanted = "null when exhaustive and a count >= 1 when sampled"
+        raise IntegrityError(f"{where}: field 'trials' must be {wanted}")
     return attempts, VerificationRecord(mode=mode, result=True, trials=trials)

@@ -201,8 +201,8 @@ MUTANTS = [
     ),
     Mutant(
         "tower.py",
-        "        return 0, None\n",
-        '        return doc_field(stage_doc, "attempts", int, where), None\n',
+        "attempts, record = (0, None) if s == 1",
+        'attempts, record = (doc_field(stage_doc, "attempts", int, where), None) if s == 1',
         (TOWER + "test_loaded_tower_refuses_a_stage_seed_or_count_no_build_emits",),
         "stage 1's attempts are read from the document, so a count it never takes loads",
     ),
@@ -296,6 +296,35 @@ MUTANTS = [
             CLI + "test_budget_exceeded_exit_code",
         ),
         "an over-budget check exits 4, the code of exhausted attempts",
+    ),
+    # the loader proves every stage cover its budget allows, and the
+    # re-emission compares each record's result and witness
+    Mutant(
+        "tower.py",
+        "for s, stage in enumerate(tower.stages[1:], start=2):",
+        "for s, stage in enumerate(tower.stages[1:2], start=2):",
+        (TOWER + "test_loaded_tower_refuses_an_exhaustive_record_it_cannot_prove_again",),
+        "only the stage-2 cover is proven again, so a later exhaustive record is trusted",
+    ),
+    Mutant(
+        "tower.py",
+        'if stage.verification.mode == "exhaustive":',
+        "if False:",
+        (
+            TOWER + "test_loaded_tower_refuses_an_exhaustive_record_it_cannot_prove_again",
+            CLI + "test_tower_commands_reprove_a_stage_2_cover_their_budget_proved",
+        ),
+        "an exhaustive record whose proof does not fit the budget is kept, as if sampled",
+    ),
+    Mutant(
+        "tower.py",
+        '_require_same_fields(mine, given, f"stage {s}", ("cover",))',
+        '_require_same_fields(mine, given, f"stage {s}", ("cover", "verification"))',
+        (
+            TOWER + "test_loaded_tower_refuses_a_stage_record_no_build_emits",
+            TOWER + "test_loaded_tower_names_a_missing_or_mistyped_field",
+        ),
+        "a stage record is not compared, so a failing result or a witness loads",
     ),
 ]
 

@@ -1,3 +1,4 @@
+import copy
 import csv
 import io
 import json
@@ -451,7 +452,7 @@ def test_shrink_command(capsys):
 
 def test_cov_table_csv(capsys):
     code, stdout, _ = run(
-        capsys, "cov-table", "--groups", "C4,C7,C1024", "--k", "2", "--seed", "9"
+        capsys, "cov-table", "--groups", "C4,C7,C1024,C2", "--k", "2", "--seed", "9"
     )
     assert code == EXIT_OK
     lines = stdout.strip().split("\n")
@@ -462,12 +463,15 @@ def test_cov_table_csv(capsys):
     assert rows["C1024"][4] == ""  # no exact value above order 16
     assert int(rows["C1024"][5]) <= 512  # achieved randomized size
     assert "." not in rows["C4"][1]  # integers stay integers
+    # below order 3 neither bound nor the covering condition is defined, as
+    # in covering exact-cov: empty fields beside the exact value
+    assert rows["C2"] == ["C2", "2", "2", "", "2", "", ""]
 
 
 def test_cov_table_json_reruns(capsys):
     config = {
         "command": "cov-table",
-        "groups": "C4,C7",
+        "groups": "C4,C7,C2",
         "k": "1,2",
         "seed": 3,
         "format": "json",
@@ -477,6 +481,14 @@ def test_cov_table_json_reruns(capsys):
     assert code == EXIT_OK
     doc = json.loads(payload)
     assert rerun_document(doc) == payload
+    nulls = {"lower": None, "achieved": None, "upper": None}
+    assert doc["rows"][4:] == [
+        {"group": "C2", "n": 2, "k": 1, "exact": 1, **nulls},
+        {"group": "C2", "n": 2, "k": 2, "exact": 2, **nulls},
+    ]
+    code, stdout, _ = run(capsys, "covering", "exact-cov", "--group", "C2", "--k", "2")
+    doc = json.loads(stdout)
+    assert (code, doc["value"], doc["lower_bound"], doc["upper_bound"]) == (EXIT_OK, 2, None, None)
 
 
 def test_cov_table_reads_elementary_abelian_groups(capsys):
@@ -617,33 +629,86 @@ def test_tower_translate_refuses_a_document_over_the_halving_bound(capsys, tmp_p
     assert "stage 2: cover of size 600 is over half the kernel order 1024" in err
 
 
+def cut_stage_2(doc: dict, size: int) -> dict:
+    """A copy of a depth-2 tower document whose stage-2 cover keeps its lowest size members.
+
+    Stage 1's cover is a singleton, so every derived field is made to match.
+    """
+    doc = copy.deepcopy(doc)
+    stage = doc["stages"][1]
+    stage.update(cover=stage["cover"][:size], cover_size=size, set_size=size)
+    stage["measure"] = f"{size}/{stage['group_order']}"
+    return doc
+
+
+def not_2_covering(witness) -> str:
+    return (
+        "integrity error: stage 2: field 'cover' is not 2-covering: "
+        f"{witness} has no translate into it\n"
+    )
+
+
 def test_tower_commands_reprove_the_stage_2_cover(capsys, tmp_path):
     # the lowest 131 members of the seed-3 stage-2 cover, with every derived
     # field made to match: {0, 470} has no translate into it, and a translate
     # of a sampled thin set may then miss the tower
     _, text, _ = run(capsys, "tower", "build", "--spec", "tower:20,1024", "--seed", "3")
-    doc = json.loads(text)
-    stage = doc["stages"][1]
-    stage.update(cover=stage["cover"][:131], cover_size=131, set_size=131)
-    stage["measure"] = f"131/{stage['group_order']}"
-    message = (
-        "integrity error: stage 2: field 'cover' is not 2-covering: "
-        "the pair [0, 470] has no translate into it\n"
-    )
+    doc = cut_stage_2(json.loads(text), 131)
     for argv in (("translate", "--samples", "200"), ("dim",)):
         code, stdout, err = run_on_document(capsys, tmp_path, doc, "tower", *argv, "--seed", "4")
-        assert (code, stdout, err) == (EXIT_INTEGRITY, "", message)
+        assert (code, stdout, err) == (EXIT_INTEGRITY, "", not_2_covering([0, 470]))
+
+
+def test_tower_commands_reprove_a_sampled_stage_2_cover(capsys, tmp_path):
+    # the proof on load does not depend on the record's mode: a stage 2
+    # sampled at build time is proven exhaustively all the same (the
+    # witness is checked apart from the message's wording, which was
+    # "the pair [0, 470]" while only stage 2 was proven)
+    build = ("tower", "build", "--spec", "tower:20,1024", "--seed", "3")
+    _, text, _ = run(capsys, *build, "--mode", "sampled:1000")
+    doc = json.loads(text)
+    assert doc["stages"][1]["verification"]["mode"] == "sampled"
+    code, stdout, err = run_on_document(
+        capsys, tmp_path, cut_stage_2(doc, 131), "tower", "translate", "--seed", "4"
+    )
+    assert (code, stdout) == (EXIT_INTEGRITY, "")
+    prefix = "integrity error: stage 2: field 'cover' is not 2-covering: "
+    assert err.startswith(prefix) and "[0, 470]" in err and err.count("\n") == 1, err
+
+
+def test_tower_commands_reprove_a_stage_2_cover_their_budget_proved(
+    capsys, tmp_path, monkeypatch
+):
+    # 16384^2 steps fit a budget of 3*10^8, so the build records stage 2 as
+    # exhaustive and the loader proves it again under that budget; under the
+    # default one the proof cannot be repeated, and the record is refused
+    monkeypatch.setenv("COVTRANS_BUDGET", "300000000")
+    _, text, _ = run(capsys, "tower", "build", "--spec", "tower:20,16384", "--seed", "3")
+    doc = json.loads(text)
+    assert doc["stages"][1]["verification"]["mode"] == "exhaustive"
+    translate = ("tower", "translate", "--seed", "4", "--samples", "50")
+    code, stdout, _ = run_on_document(capsys, tmp_path, doc, *translate)
+    assert (code, json.loads(stdout)["success"]) == (EXIT_OK, 50)
+    code, stdout, err = run_on_document(capsys, tmp_path, cut_stage_2(doc, 141), *translate)
+    assert (code, stdout, err) == (EXIT_INTEGRITY, "", not_2_covering([0, 853]))
+    monkeypatch.delenv("COVTRANS_BUDGET")
+    code, stdout, err = run_on_document(capsys, tmp_path, doc, *translate)
+    assert (code, stdout) == (EXIT_BUDGET_EXCEEDED, "")
+    assert err == (
+        "budget exceeded: stage 2: field 'verification' claims a proof that cannot be "
+        "repeated: exhaustive covering check needs 268435456 steps (budget 100000000); "
+        "use sampled mode\n"
+    )
 
 
 def test_tower_translate_refuses_a_lift_into_a_cover_it_does_not_reprove(capsys, tmp_path):
-    # a stage-2 kernel above the pairwise limit is not re-proven on load, so
-    # the lowest 141 members of the seed-3 cover load with every derived field
-    # made to match, and the lift itself refuses the thin set it cannot place
+    # at the default budget a stage-2 check on C16384 (16384^2 steps) does
+    # not fit, so the build samples it and the loader keeps that record: the
+    # lowest 141 members of the seed-3 cover load, and the lift itself
+    # refuses the thin set it cannot place
     _, text, _ = run(capsys, "tower", "build", "--spec", "tower:20,16384", "--seed", "3")
-    doc = json.loads(text)
-    stage = doc["stages"][1]
-    stage.update(cover=stage["cover"][:141], cover_size=141, set_size=141)
-    stage["measure"] = f"141/{stage['group_order']}"
+    doc = cut_stage_2(json.loads(text), 141)
+    assert doc["stages"][1]["verification"]["mode"] == "sampled"
     code, stdout, err = run_on_document(
         capsys, tmp_path, doc, "tower", "translate", "--seed", "4", "--samples", "50"
     )

@@ -39,7 +39,7 @@ from covtrans import (
     TowerSpec,
 )
 import covtrans.tower as tower_module
-from covtrans.cli import EXIT_INTEGRITY, EXIT_OK, main
+from covtrans.cli import EXIT_BUDGET_EXCEEDED, EXIT_INTEGRITY, EXIT_OK, main
 from covtrans.errors import FeasibilityError, IntegrityError, SoundnessError
 from covtrans.tower import check_projection_claim, check_translation_claim
 from covtrans.covering import _VERIFY_SALT, verify_k_covering
@@ -738,6 +738,7 @@ def test_loaded_tower_names_a_missing_or_mistyped_field():
         return out
 
     stage2 = "stage 2 verification"
+    disagrees = "stage 2: field 'verification' disagrees with the loaded tower"
     assert doc["stages"][1]["cover"][0] == 1  # so inserting 1 repeats an index
     unsorted = "stage 2: field 'cover' lists an index twice or out of ascending order"
     for bad, message in [
@@ -749,11 +750,11 @@ def test_loaded_tower_names_a_missing_or_mistyped_field():
         ),
         (broken(lambda d: d["stages"][1].pop("attempts")), "stage 2: missing field 'attempts'"),
         (broken(lambda d: d["stages"][1].update(cover="0")), "stage 2: field 'cover' has type str"),
-        (broken(lambda d: d["stages"][1]["verification"].update(result=1)), f"{stage2}: field 'result'"),
-        (
-            broken(lambda d: d["stages"][1]["verification"].update(witness=[0, 1.0])),
-            f"{stage2}: field 'witness' must be null",
-        ),
+        # the re-emission compares a record's result and witness, JSON types included
+        (broken(lambda d: d["stages"][1]["verification"].update(result=1)), disagrees),
+        (broken(lambda d: d["stages"][1]["verification"].update(witness=[0, 1.0])), disagrees),
+        (broken(lambda d: d["stages"][1]["verification"].pop("result")), disagrees),
+        (broken(lambda d: d["stages"][1]["verification"].pop("mode")), f"{stage2}: missing field"),
         (broken(lambda d: d["stages"][0].update(cover=["0"])), "stage 1: "),
         (
             broken(lambda d: d.update(kernel_orders=[20.0, 1024])),
@@ -776,13 +777,13 @@ PASSING_RECORD = {"mode": "exhaustive", "trials": None, "result": True, "witness
     "stage, record, message",
     [
         (2, {"mode": "?"}, "stage 2 verification: field 'mode' must be 'exhaustive' or"),
-        (2, {"result": False}, "stage 2 verification: field 'result' must be true"),
-        (2, {"witness": [0, 5]}, "stage 2 verification: field 'witness' must be null"),
+        (2, {"result": False}, "stage 2: field 'verification' disagrees with the loaded tower"),
+        (2, {"witness": [0, 5]}, "stage 2: field 'verification' disagrees with the loaded tower"),
         (2, {"trials": 7}, "stage 2 verification: field 'trials' must be null when exhaustive"),
         (2, {"mode": "sampled", "trials": None}, "stage 2 verification: field 'trials' must be"),
         (2, {"mode": "sampled", "trials": 0}, "stage 2 verification: field 'trials' must be"),
-        (2, None, "stage 2: field 'verification' must be a passing record"),
-        (1, {}, "stage 1: field 'verification' must be null"),
+        (2, None, "stage 2: field 'verification' has type NoneType"),
+        (1, {}, "stage 1: field 'verification' disagrees with the loaded tower"),
     ],
     ids=[
         "mode",
@@ -799,7 +800,9 @@ def test_loaded_tower_refuses_a_stage_record_no_build_emits(
     tmp_path, capsys, stage, record, message
 ):
     # stage 1's singleton cover has no record; every later stage has a
-    # passing exhaustive or sampled one, with trials exactly when sampled
+    # passing exhaustive or sampled one, with trials exactly when sampled.
+    # The loader reads a later stage's mode and trials; the rest of each
+    # record, stage 1's included, must re-emit as the build emitted it
     doc = build_tower(TowerSpec([20, 1024]), 3).document()
     assert doc["stages"][0]["verification"] is None
     assert doc["stages"][1]["verification"] == PASSING_RECORD
@@ -811,6 +814,27 @@ def test_loaded_tower_refuses_a_stage_record_no_build_emits(
     assert main(argv) == EXIT_INTEGRITY
     err = capsys.readouterr().err
     assert err.startswith(f"integrity error: {message}") and err.count("\n") == 1, err
+
+
+def test_loaded_tower_refuses_an_exhaustive_record_it_cannot_prove_again(
+    seed11_tower, tmp_path, capsys, monkeypatch
+):
+    # stage 3's C131072 cover was sampled; an exhaustive check of it would
+    # take 131072^3 steps, so a record claiming one is refused, never kept
+    monkeypatch.delenv("COVTRANS_BUDGET", raising=False)
+    doc = seed11_tower.document()
+    assert doc["stages"][2]["verification"]["mode"] == "sampled"
+    doc["stages"][2]["verification"] = PASSING_RECORD
+    path = tmp_path / "tower.json"
+    path.write_text(canonical_json(doc))
+    argv = ["tower", "translate", "--in", str(path), "--seed", "1", "--samples", "5"]
+    assert main(argv) == EXIT_BUDGET_EXCEEDED
+    assert capsys.readouterr() == (
+        "",
+        "budget exceeded: stage 3: field 'verification' claims a proof that cannot be "
+        "repeated: exhaustive covering check needs 2251799813685248 steps "
+        "(budget 100000000); use sampled mode\n",
+    )
 
 
 SEED3_STAGE2 = derive_seed(3, 2)
@@ -866,7 +890,7 @@ def test_loaded_tower_rechecks_bounds():
         tower_from_document(with_cover(doc, 2, range(600)))
     # n/2 itself is allowed, but the stage-2 cover must still be 2-covering:
     # 0..511 misses the difference 512, and 0..510 with 512 does not
-    missed = r"stage 2: field 'cover' is not 2-covering: the pair \[0, 512\]"
+    missed = r"stage 2: field 'cover' is not 2-covering: \[0, 512\] has no translate into it"
     with pytest.raises(IntegrityError, match=missed):
         tower_from_document(with_cover(doc, 2, range(512)))
     loaded = tower_from_document(with_cover(doc, 2, [*range(511), 512]))
